@@ -5,8 +5,8 @@ moment-matched random matrix), an initial product state, and one of five
 experiment kinds. Results are written as CSV files with a YAML manifest
 carrying the normalized config, the quench timescales, summary statistics,
 and a digest of every emitted file. All randomness is derived per task from
-the master seed, and parallel workers write to preassigned slots, so reruns
-are byte-identical for any worker count.
+the master seed and the work runs in one fixed order, so reruns are
+byte-identical; --threads is kept for compatibility and changes nothing.
 """
 from __future__ import annotations
 
@@ -129,6 +129,26 @@ def _get(raw: dict, key: str, default: Any) -> Any:
     return default if v is None else v
 
 
+def _number(errors: list[str], field: str, value: Any, kind: type = float):
+    """value as a finite int or float, or None after a named error.
+
+    Text is parsed as well, since YAML 1.1 reads an exponent without a dot,
+    such as 1e-8, as a string. Booleans and non-integral floats for integer
+    fields are refused.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = kind(value)
+        if not math.isfinite(out) or (isinstance(value, float) and out != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a finite number"
+        errors.append(f"{field}: expected {noun}, got {value!r}")
+        return None
+    return out
+
+
 def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Normalize a parsed config, aggregating every violation.
 
@@ -150,22 +170,29 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     variant = _get(model, "variant", "local")
     if variant not in VARIANTS:
         errors.append(f"model.variant: must be one of {VARIANTS}, got {variant!r}")
-    n_sites = _get(model, "n_sites", 10)
+    model_fields = {
+        "n_sites": (10, int),
+        "J": (ChainParams.J, float),
+        "h": (ChainParams.h, float),
+        "g": (ChainParams.g, float),
+        "disorder_width": (0.0, float),
+        "seed": (0, int),
+    }
+    numbers = {
+        key: _number(errors, f"model.{key}", _get(model, key, default), kind)
+        for key, (default, kind) in model_fields.items()
+    }
+    if numbers["seed"] is not None and numbers["seed"] < 0:
+        errors.append("model.seed: must be nonnegative")
+        numbers["seed"] = None
     chain = None
-    try:
-        candidate = ChainParams(
-            n_sites=int(n_sites),
-            J=float(_get(model, "J", ChainParams.J)),
-            h=float(_get(model, "h", ChainParams.h)),
-            g=float(_get(model, "g", ChainParams.g)),
-            disorder_width=float(_get(model, "disorder_width", 0.0)),
-            boundary=str(_get(model, "boundary", "open")),
-            seed=int(_get(model, "seed", 0)),
-        )
-        HilbertSpec(candidate.n_sites)  # enforces the desk-scale site bound
-        chain = candidate
-    except (ValueError, TypeError) as exc:
-        errors.append(f"model: {exc}")
+    if None not in numbers.values():
+        try:
+            candidate = ChainParams(boundary=str(_get(model, "boundary", "open")), **numbers)
+            HilbertSpec(candidate.n_sites)  # enforces the desk-scale site bound
+            chain = candidate
+        except ValueError as exc:
+            errors.append(f"model: {exc}")
 
     state_raw = _get(raw, "initial_state", "neel")
     custom_state = None
@@ -188,7 +215,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 for j, site in enumerate(custom_state):
                     if len(site) != 2:
                         errors.append(f"initial_state.custom[{j}]: need 2 components")
-                    elif abs(math.sqrt(sum(abs(c) ** 2 for c in site)) - 1.0) > 1e-10:
+                    elif not abs(math.sqrt(sum(abs(c) ** 2 for c in site)) - 1.0) <= 1e-10:
                         errors.append(f"initial_state.custom[{j}]: not normalized")
             except (TypeError, ValueError, IndexError):
                 errors.append(
@@ -209,15 +236,17 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     grid_kind = _get(grid, "kind", "default")
     grid_t_max = grid.get("t_max")
     grid_points = grid.get("points")
+    if grid_t_max is not None:
+        grid_t_max = _number(errors, "time_grid.t_max", grid_t_max)
+    if grid_points is not None:
+        grid_points = _number(errors, "time_grid.points", grid_points, int)
     if grid_kind not in ("default", "linear"):
         errors.append(f"time_grid.kind: must be default or linear, got {grid_kind!r}")
     if grid_kind == "linear":
-        if grid_t_max is None or float(grid_t_max) <= 0:
+        if grid_t_max is None or grid_t_max <= 0:
             errors.append("time_grid.t_max: linear grids need a positive t_max")
-        if grid_points is None or int(grid_points) < 2:
+        if grid_points is None or grid_points < 2:
             errors.append("time_grid.points: linear grids need at least 2 points")
-    grid_t_max = None if grid_t_max is None else float(grid_t_max)
-    grid_points = None if grid_points is None else int(grid_points)
 
     obs = _get(raw, "observables", {})
     if not isinstance(obs, dict):
@@ -227,16 +256,27 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     typical_seeds: tuple[int, ...] | None = None
     if seeds_raw is not None:
         if not isinstance(seeds_raw, list) or not all(
-            isinstance(s, int) for s in seeds_raw
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds_raw
         ):
-            errors.append("observables.typical_seeds: expected a list of integers")
+            errors.append(
+                "observables.typical_seeds: expected a list of nonnegative integers"
+            )
         else:
             typical_seeds = tuple(seeds_raw)
     default_count = len(typical_seeds) if typical_seeds is not None else 1
-    typical_count = int(_get(obs, "typical_count", default_count))
-    if typical_count < 0:
+    typical_count = _number(
+        errors,
+        "observables.typical_count",
+        _get(obs, "typical_count", default_count),
+        int,
+    )
+    if typical_count is not None and typical_count < 0:
         errors.append("observables.typical_count: must be nonnegative")
-    if typical_seeds is not None and len(typical_seeds) != typical_count:
+    if (
+        typical_seeds is not None
+        and typical_count is not None
+        and len(typical_seeds) != typical_count
+    ):
         errors.append(
             f"observables.typical_seeds: {len(typical_seeds)} seeds listed for "
             f"typical_count {typical_count}"
@@ -252,9 +292,9 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             if not isinstance(entry, dict) or "site" not in entry:
                 errors.append(f"observables.local[{i}]: expected a {{site, axis}} mapping")
                 continue
-            site = int(entry["site"])
+            site = _number(errors, f"observables.local[{i}].site", entry["site"], int)
             axis = str(entry.get("axis", "z"))
-            if chain is not None and not 0 <= site < chain.n_sites:
+            if site is not None and chain is not None and not 0 <= site < chain.n_sites:
                 errors.append(
                     f"observables.local[{i}].site: {site} outside [0, {chain.n_sites})"
                 )
@@ -265,7 +305,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         include_slow or include_identity or local_observables
     ):
         errors.append("observables: relax runs need at least one observable")
-    if kind == "equivalence" and typical_count < 1:
+    if kind == "equivalence" and typical_count is not None and typical_count < 1:
         errors.append("observables.typical_count: equivalence runs need at least 1")
 
     cuts_raw = _get(raw, "cuts", [])
@@ -274,41 +314,53 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append("cuts: expected a list of cut positions")
     else:
         for c in cuts_raw:
-            c = int(c)
+            c = _number(errors, "cuts", c, int)
+            if c is None:
+                continue
             if chain is not None and not 1 <= c <= chain.n_sites - 1:
                 errors.append(f"cuts: cut {c} must lie in [1, {chain.n_sites - 1}]")
             cuts.append(c)
     if not cuts and chain is not None and kind == "entropy_scan":
         cuts = list(range(1, chain.n_sites))
 
-    reference_site = int(_get(raw, "reference_site", 0))
-    if chain is not None and not 0 <= reference_site < chain.n_sites - 1:
+    reference_site = _number(errors, "reference_site", _get(raw, "reference_site", 0), int)
+    if (
+        reference_site is not None
+        and chain is not None
+        and not 0 <= reference_site < chain.n_sites - 1
+    ):
         errors.append(
             f"reference_site: {reference_site} leaves no radii in a chain of "
             f"{chain.n_sites}"
         )
 
-    front_threshold = float(_get(raw, "front_threshold", DEFAULT_FRONT_THRESHOLD))
-    if front_threshold <= 0:
-        errors.append("front_threshold: must be positive")
-    threshold_fraction = float(
-        _get(raw, "threshold_fraction", DEFAULT_THRESHOLD_FRACTION)
+    front_threshold = _number(
+        errors, "front_threshold", _get(raw, "front_threshold", DEFAULT_FRONT_THRESHOLD)
     )
-    if not 0 < threshold_fraction < 1:
+    if front_threshold is not None and front_threshold <= 0:
+        errors.append("front_threshold: must be positive")
+    threshold_fraction = _number(
+        errors,
+        "threshold_fraction",
+        _get(raw, "threshold_fraction", DEFAULT_THRESHOLD_FRACTION),
+    )
+    if threshold_fraction is not None and not 0 < threshold_fraction < 1:
         errors.append("threshold_fraction: must be in (0, 1)")
-    weight_floor = float(_get(raw, "weight_floor", DEFAULT_WEIGHT_FLOOR))
-    if weight_floor < 0:
+    weight_floor = _number(
+        errors, "weight_floor", _get(raw, "weight_floor", DEFAULT_WEIGHT_FLOOR)
+    )
+    if weight_floor is not None and weight_floor < 0:
         errors.append("weight_floor: must be nonnegative")
 
     out_dir = str(_get(raw, "out_dir", "runs"))
-    master_seed = int(_get(raw, "master_seed", 0))
+    master_seed = _number(errors, "master_seed", _get(raw, "master_seed", 0), int)
 
     known = {
         "kind", "model", "initial_state", "time_grid", "observables", "cuts",
         "reference_site", "front_threshold", "threshold_fraction", "weight_floor",
         "out_dir", "master_seed",
     }
-    for key in sorted(set(raw) - known):
+    for key in sorted(set(raw) - known, key=str):
         errors.append(f"{key}: unknown field")
 
     if errors or chain is None or kind is None:
@@ -515,11 +567,11 @@ def _gaussian_dict(fit) -> dict:
     }
 
 
-def _relax_outputs(cfg, eig, sdata, ts, writer, n_workers) -> dict:
+def _relax_outputs(cfg, eig, sdata, ts, writer) -> dict:
     reports = {}
     for label, obs in _observable_menu(cfg, sdata, eig):
         grid = _series_grid(cfg, ts, label)
-        series = expectation_series(eig, sdata, obs, grid, n_workers=n_workers)
+        series = expectation_series(eig, sdata, obs, grid)
         equilibrium = diagonal_ensemble(sdata, obs)
         rep = relaxation_time(series, equilibrium, cfg.threshold_fraction)
         writer.write_csv(
@@ -542,9 +594,9 @@ def _dos_outputs(cfg, sdata, writer, prefix: str = "") -> dict:
     return {"gaussian_fit": _gaussian_dict(fit)}
 
 
-def _entropy_outputs(cfg, eig, sdata, writer, n_workers) -> dict:
+def _entropy_outputs(cfg, eig, sdata, writer) -> dict:
     grid = _scan_grid(cfg, DEFAULT_SCAN_POINTS)
-    profile = entropy_scan(eig, sdata, cfg.cuts, grid, n_workers=n_workers)
+    profile = entropy_scan(eig, sdata, cfg.cuts, grid)
     rows = []
     for k, t in enumerate(grid.times.tolist()):
         for i, cut in enumerate(profile.cuts):
@@ -584,7 +636,7 @@ def _front_outputs(cfg, eig, sdata, writer) -> dict:
     }
 
 
-def run(cfg: ExperimentConfig, n_workers: int = 1, log=None) -> RunManifest:
+def run(cfg: ExperimentConfig, log=None) -> RunManifest:
     """Execute a validated config; emit files and the manifest into out_dir."""
     log = log or (lambda msg: None)
     out_dir = Path(cfg.out_dir)
@@ -612,7 +664,7 @@ def run(cfg: ExperimentConfig, n_workers: int = 1, log=None) -> RunManifest:
                         op.dim, _typical_seed(cfg, i), phases=sdata.phases
                     )
                     grid = _series_grid(cfg, ts, f"typical_{i}")
-                    series = expectation_series(eig, sdata, obs, grid, n_workers=n_workers)
+                    series = expectation_series(eig, sdata, obs, grid)
                     rep = relaxation_time(
                         series, diagonal_ensemble(sdata, obs), cfg.threshold_fraction
                     )
@@ -632,11 +684,11 @@ def run(cfg: ExperimentConfig, n_workers: int = 1, log=None) -> RunManifest:
             timescale_info = _timescales_dict(ts)
             log(f"diagonalized dim {op.dim}")
             if cfg.kind == "relax":
-                results = _relax_outputs(cfg, eig, sdata, ts, writer, n_workers)
+                results = _relax_outputs(cfg, eig, sdata, ts, writer)
             elif cfg.kind == "dos":
                 results = _dos_outputs(cfg, sdata, writer)
             elif cfg.kind == "entropy_scan":
-                results = _entropy_outputs(cfg, eig, sdata, writer, n_workers)
+                results = _entropy_outputs(cfg, eig, sdata, writer)
             else:
                 results = _front_outputs(cfg, eig, sdata, writer)
         manifest = RunManifest(
@@ -704,7 +756,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_run.add_argument("config", help="path to a YAML experiment config")
     p_run.add_argument("--out-dir", help="override the config's output directory")
     p_run.add_argument("--seed", type=int, help="override the config's master_seed")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_run.add_argument("--threads", type=int, default=1, help="kept for compatibility; no effect")
 
     p_val = sub.add_parser("validate", help="check a config and print its normalized form")
     p_val.add_argument("config", help="path to a YAML experiment config")
@@ -748,7 +800,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("invalid: --threads must be at least 1", file=sys.stderr)
         return 1
     try:
-        run(cfg, n_workers=args.threads, log=lambda m: print(m, file=sys.stderr))
+        run(cfg, log=lambda m: print(m, file=sys.stderr))
     except QuenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

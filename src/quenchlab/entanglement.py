@@ -10,15 +10,15 @@ correlators expose the finite propagation speed of the local dynamics.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import PureState, SiteRegion, partial_trace, _freeze
-from .dynamics import TimeGrid, evolve_spectral
+from .dynamics import TimeGrid, _state_blocks
 from .errors import NoFrontDetected
+from .hamiltonian import _sz_signs
 from .spectral import EigenSystem, SpectralData
 
 _EIG_CLIP = 1e-14
@@ -125,30 +125,23 @@ def entropy_scan(
     spec: SpectralData,
     cuts: Sequence[int],
     grid: TimeGrid,
-    n_workers: int = 1,
 ) -> EntanglementProfile:
     """Entropy of every prefix cut [0, l) at every grid time.
 
-    Each time point is an independent work item (evolve once, reduce every
-    cut); results are written to preassigned columns so any worker count
-    produces identical values.
+    Site 0 is the low bit, so a block of states reshaped to
+    (times, 2^(N-l), 2^l) holds each state's Schmidt matrix across the cut,
+    and one batched SVD gives the Schmidt values of every time in the block.
     """
     cuts = tuple(int(c) for c in cuts)
     n = int(np.log2(eig.dim).round())
     regions = [SiteRegion(0, c, n) for c in cuts]
     out = np.empty((len(cuts), len(grid)))
-
-    def fill(k: int) -> None:
-        psi = evolve_spectral(eig, spec, float(grid.times[k]))
+    for block, states in _state_blocks(eig, spec, grid):
         for i, region in enumerate(regions):
-            out[i, k] = entropy(psi, region)
-
-    if n_workers <= 1:
-        for k in range(len(grid)):
-            fill(k)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, range(len(grid))))
+            schmidt = states.T.reshape(-1, 2 ** (n - region.size), 2**region.size)
+            lam = np.linalg.svd(schmidt, compute_uv=False) ** 2
+            lam = np.where(lam > _EIG_CLIP, lam, 1.0)  # clipped weights add 1 log 1 = 0
+            out[i, block] = -np.sum(lam * np.log(lam), axis=1)
     return EntanglementProfile(cuts, grid, out)
 
 
@@ -198,10 +191,6 @@ def growth_fit(profile: EntanglementProfile, saturation_fraction: float = 0.8) -
             )
         )
     return GrowthFit(tuple(fits), saturation_fraction)
-
-
-def _sz_expectations(prob: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    return signs.T @ prob
 
 
 def fit_front(
@@ -255,19 +244,14 @@ def light_cone(
     radii = tuple(range(1, n - reference_site))
     if not radii:
         raise ValueError("reference site has no sites to its right")
-    idx = np.arange(eig.dim)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-    signs = 1.0 - 2.0 * bits
-
+    signs = _sz_signs(n)
+    pair_signs = signs[:, reference_site, None] * signs[:, reference_site + 1 :]
     out = np.empty((len(radii), len(grid)))
-    for k in range(len(grid)):
-        psi = evolve_spectral(eig, spec, float(grid.times[k]))
-        p = np.abs(psi.amplitudes) ** 2
-        z = _sz_expectations(p, signs)
-        s_ref = signs[:, reference_site]
-        for i, r in enumerate(radii):
-            zz = float(np.sum(p * s_ref * signs[:, reference_site + r]))
-            out[i, k] = abs(zz - z[reference_site] * z[reference_site + r])
+    for block, states in _state_blocks(eig, spec, grid):
+        p = np.abs(states) ** 2
+        z = signs.T @ p
+        zz = pair_signs.T @ p
+        out[:, block] = np.abs(zz - z[reference_site] * z[reference_site + 1 :])
 
     arrivals, velocity = fit_front(radii, grid.times, out, threshold)
     return CorrelationFront(radii, grid, out, arrivals, max(velocity, 0.0), threshold)

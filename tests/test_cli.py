@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quenchlab import cli
 from quenchlab.errors import ValidationFailed
@@ -65,6 +67,106 @@ def test_validate_aggregates_errors():
     assert cfg is None
     prefixes = {e.split(":")[0] for e in errors}
     assert {"kind", "model.variant", "threshold_fraction", "bogus"} <= prefixes
+
+
+def test_validate_names_non_finite_numbers():
+    raw = {
+        "kind": "light_cone",
+        "model": {"J": math.inf, "h": math.nan, "g": -math.inf, "disorder_width": math.nan},
+        "time_grid": {"kind": "linear", "t_max": math.nan, "points": 5},
+        "front_threshold": math.nan,
+        "threshold_fraction": math.nan,
+        "weight_floor": math.inf,
+    }
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    prefixes = {e.split(":")[0] for e in errors}
+    assert prefixes == {
+        "model.J", "model.h", "model.g", "model.disorder_width", "time_grid.t_max",
+        "front_threshold", "threshold_fraction", "weight_floor",
+    }
+
+
+def test_validate_names_unparsable_and_negative_fields():
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 6, "seed": -1},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": "abc"},
+        "observables": {"local": [{"site": "x"}], "typical_seeds": [-3]},
+        "cuts": ["a"],
+    }
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    prefixes = {e.split(":")[0] for e in errors}
+    assert {
+        "model.seed", "time_grid.points", "observables.local[0].site", "cuts",
+        "observables.typical_seeds",
+    } <= prefixes
+
+
+def test_run_rejects_nan_time_grid(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 4},
+        "time_grid": {"kind": "linear", "t_max": math.nan, "points": 5},
+        "out_dir": str(out),
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 1
+    assert "invalid: time_grid.t_max:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every scalar leaf of a config, set through a path of keys or list indices
+SCALAR_FIELDS = (
+    ("kind",), ("model", "variant"), ("model", "n_sites"), ("model", "J"),
+    ("model", "h"), ("model", "g"), ("model", "disorder_width"),
+    ("model", "boundary"), ("model", "seed"), ("initial_state",),
+    ("time_grid", "kind"), ("time_grid", "t_max"), ("time_grid", "points"),
+    ("observables", "typical_count"), ("observables", "typical_seeds", 0),
+    ("observables", "slow"), ("observables", "identity"),
+    ("observables", "local", 0, "site"), ("observables", "local", 0, "axis"),
+    ("cuts", 0), ("reference_site",), ("front_threshold",),
+    ("threshold_fraction",), ("weight_floor",), ("out_dir",), ("master_seed",),
+)
+SCALARS = st.one_of(
+    st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.text(), st.none()
+)
+
+
+def fuzz_base() -> dict:
+    return {
+        "kind": "entropy_scan",
+        "model": {"n_sites": 4},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 3},
+        "observables": {"typical_seeds": [1], "local": [{"site": 0, "axis": "z"}]},
+        "cuts": [1],
+    }
+
+
+@given(st.dictionaries(st.sampled_from(SCALAR_FIELDS), SCALARS, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_validate_never_raises_on_scalar_fields(updates):
+    raw = fuzz_base()
+    for path, value in updates.items():
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    cfg, errors = cli.validate(raw)
+    assert (cfg is None) == bool(errors)
+    assert all(isinstance(e, str) for e in errors)
+    if cfg is not None:
+        # an accepted config carries only finite numbers
+        def leaves(x):
+            if isinstance(x, dict):
+                return [v for item in x.values() for v in leaves(item)]
+            if isinstance(x, list):
+                return [v for item in x for v in leaves(item)]
+            return [x]
+
+        floats = [v for v in leaves(cli.config_to_dict(cfg)) if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in floats)
 
 
 def test_validate_site_cap_reports_model_only():

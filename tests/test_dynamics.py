@@ -27,6 +27,11 @@ def test_time_grid_validation():
         ql.TimeGrid(np.array([-1.0, 1.0]))
     with pytest.raises(ValueError):
         ql.TimeGrid(np.array([0.0, 1.0]), spacing="fancy")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ql.TimeGrid(np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        ql.linear_grid(np.nan, 5)
     grid = ql.linear_grid(2.0, 5)
     assert len(grid) == 5 and grid.times[0] == 0.0 and grid.times[-1] == 2.0
 
@@ -114,14 +119,23 @@ def test_expectation_series_matches_double_sum_oracle(quench6):
         assert abs(val.imag) < 1e-10
 
 
-def test_expectation_series_parallel_matches_serial(quench6):
+def test_expectation_series_blocks_match_double_sum_oracle(quench6):
+    # 67 times span two kernel blocks, the second one partial; both the
+    # complex and the real-matrix product paths are checked
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((64, 64))
-    obs = eigen_obs((a + a.T) / 2)
-    grid = ql.linear_grid(2.0, 40)
-    one = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid, n_workers=1)
-    four = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid, n_workers=4)
-    assert np.array_equal(one.values, four.values)
+    a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    grid = ql.linear_grid(4.0, ql.dynamics.EVOLVE_BLOCK + 3)
+    w, ph, e = quench6.sdata.weights, quench6.sdata.phases, quench6.sdata.eigenvalues
+    mag = np.sqrt(w)
+    for mat in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
+        obs = eigen_obs(mat)
+        series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
+        for k, t in enumerate(grid.times):
+            phase = np.exp(1j * (e[:, None] - e[None, :]) * t) * np.exp(
+                1j * (ph[None, :] - ph[:, None])
+            )
+            val = np.sum(mag[:, None] * mag[None, :] * obs.matrix * phase)
+            assert abs(series.values[k] - val.real) < 1e-10
 
 
 def test_expectation_series_dimension_mismatch(quench6):

@@ -110,11 +110,38 @@ def test_entropy_scan_reflection_symmetry():
         assert np.max(np.abs(s[i] - s[j])) < 1e-9
 
 
-def test_entropy_scan_parallel_matches_serial(quench8):
-    grid = ql.linear_grid(1.5, 6)
-    a = ql.entropy_scan(quench8.eig, quench8.sdata, (2, 4, 6), grid, n_workers=1)
-    b = ql.entropy_scan(quench8.eig, quench8.sdata, (2, 4, 6), grid, n_workers=3)
-    assert np.array_equal(a.entropies, b.entropies)
+# longer than one kernel block and not a multiple of it
+KERNEL_POINTS = ql.dynamics.EVOLVE_BLOCK + 6
+
+
+@pytest.mark.parametrize("system", ["quench8", "scrambled10"])
+def test_entropy_scan_matches_per_state_oracle(request, system):
+    # scrambled10 has complex eigenvectors, quench8 real ones
+    q = request.getfixturevalue(system)
+    n = int(np.log2(q.eig.dim))
+    grid = ql.linear_grid(3.0, KERNEL_POINTS)
+    cuts = tuple(range(1, n))
+    profile = ql.entropy_scan(q.eig, q.sdata, cuts, grid)
+    for k, t in enumerate(grid.times):
+        psi = ql.evolve_spectral(q.eig, q.sdata, float(t))
+        for i, cut in enumerate(cuts):
+            oracle = ql.entropy(psi, ql.SiteRegion(0, cut, n))
+            assert abs(profile.entropies[i, k] - oracle) < 1e-12
+
+
+def test_light_cone_matches_per_state_loop(quench8):
+    grid = ql.linear_grid(3.0, KERNEL_POINTS)
+    ref = 2
+    front = ql.light_cone(quench8.eig, quench8.sdata, ref, grid)
+    bits = (np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1
+    signs = 1.0 - 2.0 * bits
+    for k, t in enumerate(grid.times):
+        p = np.abs(ql.evolve_spectral(quench8.eig, quench8.sdata, float(t)).amplitudes) ** 2
+        z = signs.T @ p
+        for i, r in enumerate(front.radii):
+            zz = np.sum(p * signs[:, ref] * signs[:, ref + r])
+            oracle = abs(zz - z[ref] * z[ref + r])
+            assert abs(front.correlator[i, k] - oracle) < 1e-12
 
 
 def test_scrambled_half_cut_reaches_page_value(scrambled10):
