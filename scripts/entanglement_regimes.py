@@ -36,7 +36,7 @@ def main():
 
     n = args.sites
     params = ql.ChainParams(n_sites=n)
-    chain = ql.build_local_chain(params)
+    chain_eig = ql.diagonalize(ql.build_local_chain(params))
     psi0 = neel(n)
     cuts = range(1, n)
     page = (n // 2) * np.log(2.0) - 0.5
@@ -44,9 +44,8 @@ def main():
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    pairs = (("local", chain), ("scrambled", ql.scramble(chain, args.scramble_seed)))
-    for tag, op in pairs:
-        eig = ql.diagonalize(op)
+    pairs = (("local", chain_eig), ("scrambled", ql.scramble(chain_eig, args.scramble_seed)))
+    for tag, eig in pairs:
         sdata = ql.occupied_spectrum(eig, psi0)
         ts = ql.timescales(sdata)
         t_max = 3.0 / abs(params.J) if tag == "local" else 5.0 * ts.boltzmann_time

@@ -2,7 +2,10 @@
 
 A config names a model (local chain, Haar-scrambled chain, or a
 moment-matched random matrix), an initial product state, and one of five
-experiment kinds. Results are written as CSV files with a YAML manifest
+experiment kinds. Every run diagonalizes the local chain once and derives
+each variant's eigensystem from it: the scrambled chain in factored form
+(same eigenvalues, eigenvectors U V), the random matrix from the chain's
+occupied moments. Results are written as CSV files with a YAML manifest
 carrying the normalized config, the quench timescales, summary statistics,
 and a digest of every emitted file. All randomness is derived per task from
 the master seed and the work runs in one fixed order, so reruns are
@@ -33,7 +36,7 @@ from .dynamics import (
 )
 from .entanglement import entropy_scan, growth_fit, light_cone
 from .errors import QuenchError, ValidationFailed
-from .hamiltonian import ChainParams, HermitianOperator, build_local_chain, build_goe, scramble
+from .hamiltonian import ChainParams, build_local_chain, build_goe
 from .observables import (
     identity_observable,
     local_observable,
@@ -50,6 +53,7 @@ from .spectral import (
     diagonalize,
     dos_fit,
     occupied_spectrum,
+    scramble,
     timescales,
 )
 
@@ -147,6 +151,14 @@ def _number(errors: list[str], field: str, value: Any, kind: type = float):
         errors.append(f"{field}: expected {noun}, got {value!r}")
         return None
     return out
+
+
+def _flag(errors: list[str], field: str, value: Any) -> bool:
+    """value if it is a boolean, else False after a named error."""
+    if isinstance(value, bool):
+        return value
+    errors.append(f"{field}: expected true or false, got {value!r}")
+    return False
 
 
 def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
@@ -281,8 +293,8 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             f"observables.typical_seeds: {len(typical_seeds)} seeds listed for "
             f"typical_count {typical_count}"
         )
-    include_slow = bool(_get(obs, "slow", False))
-    include_identity = bool(_get(obs, "identity", False))
+    include_slow = _flag(errors, "observables.slow", _get(obs, "slow", False))
+    include_identity = _flag(errors, "observables.identity", _get(obs, "identity", False))
     locals_raw = _get(obs, "local", [])
     local_observables: list[tuple[int, str]] = []
     if not isinstance(locals_raw, list):
@@ -455,20 +467,20 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
     return product_state(list(cfg.custom_state))
 
 
-def build_operator(cfg: ExperimentConfig) -> HermitianOperator:
-    """The Hamiltonian the config names, including DOS-matched random partners."""
-    chain = build_local_chain(cfg.chain)
-    if cfg.variant == "local":
-        return chain
-    if cfg.variant == "scrambled":
-        return scramble(chain, derive_seed(cfg.master_seed, "scramble"))
+def _variant_eigensystem(
+    cfg: ExperimentConfig, variant: str, chain_eig: EigenSystem, psi0: PureState
+) -> EigenSystem:
+    """The eigensystem of a model variant, derived from the chain's own."""
+    if variant == "local":
+        return chain_eig
+    if variant == "scrambled":
+        return scramble(chain_eig, derive_seed(cfg.master_seed, "scramble"))
     # moment-match the random matrix to the local chain's occupied spectrum
-    psi0 = build_initial_state(cfg)
-    sdata = occupied_spectrum(diagonalize(chain), psi0)
-    ts = timescales(sdata, cfg.weight_floor)
-    return build_goe(
-        chain.dim, ts.energy_mean, ts.energy_width, derive_seed(cfg.master_seed, "goe")
+    ts = timescales(occupied_spectrum(chain_eig, psi0), cfg.weight_floor)
+    goe = build_goe(
+        chain_eig.dim, ts.energy_mean, ts.energy_width, derive_seed(cfg.master_seed, "goe")
     )
+    return diagonalize(goe)
 
 
 def _timescales_dict(ts: Timescales) -> dict:
@@ -512,22 +524,23 @@ def _typical_seed(cfg: ExperimentConfig, i: int) -> int:
     return derive_seed(cfg.master_seed, f"typical:{i}")
 
 
+def _typical_menu(cfg: ExperimentConfig, sdata: SpectralData):
+    """Labelled typical observables, dressed with the quench phases."""
+    for i in range(cfg.typical_count):
+        obs = typical_observable(sdata.phases.size, _typical_seed(cfg, i), phases=sdata.phases)
+        yield f"typical_{i}", obs
+
+
 def _observable_menu(cfg: ExperimentConfig, sdata: SpectralData, eig: EigenSystem):
     """Labelled eigenbasis observables for a relax run."""
-    menu = []
-    dim = eig.dim
-    for i in range(cfg.typical_count):
-        seed = _typical_seed(cfg, i)
-        menu.append((f"typical_{i}", typical_observable(dim, seed, phases=sdata.phases)))
+    yield from _typical_menu(cfg, sdata)
     if cfg.include_slow:
-        menu.append(("slow", slow_observable(sdata, cfg.weight_floor)))
+        yield "slow", slow_observable(sdata, cfg.weight_floor)
     if cfg.include_identity:
-        menu.append(("identity", identity_observable(dim)))
+        yield "identity", identity_observable(eig.dim)
     hspec = HilbertSpec(cfg.chain.n_sites)
     for site, axis in cfg.local_observables:
-        obs = to_eigenbasis(local_observable(hspec, site, axis), eig)
-        menu.append((f"local_{axis}{site}", obs))
-    return menu
+        yield f"local_{axis}{site}", to_eigenbasis(local_observable(hspec, site, axis), eig)
 
 
 def _series_grid(cfg: ExperimentConfig, ts: Timescales, label: str) -> TimeGrid:
@@ -567,20 +580,21 @@ def _gaussian_dict(fit) -> dict:
     }
 
 
-def _relax_outputs(cfg, eig, sdata, ts, writer) -> dict:
+def _series_outputs(cfg, eig, sdata, ts, writer, menu, prefix: str = "") -> dict:
+    """Write series_<prefix><label>.csv per labelled observable; return the reports."""
     reports = {}
-    for label, obs in _observable_menu(cfg, sdata, eig):
+    for label, obs in menu:
         grid = _series_grid(cfg, ts, label)
         series = expectation_series(eig, sdata, obs, grid)
         equilibrium = diagonal_ensemble(sdata, obs)
         rep = relaxation_time(series, equilibrium, cfg.threshold_fraction)
         writer.write_csv(
-            f"series_{label}.csv",
+            f"series_{prefix}{label}.csv",
             "t,value",
             zip(series.times.tolist(), series.values.tolist()),
         )
         reports[label] = _report_dict(rep)
-    return {"reports": reports}
+    return reports
 
 
 def _dos_outputs(cfg, sdata, writer, prefix: str = "") -> dict:
@@ -644,47 +658,30 @@ def run(cfg: ExperimentConfig, log=None) -> RunManifest:
     writer = _RunWriter(out_dir)
     psi0 = build_initial_state(cfg)
     try:
+        chain_eig = diagonalize(build_local_chain(cfg.chain))
+        log(f"diagonalized dim {chain_eig.dim}")
         if cfg.kind == "equivalence":
             results: dict = {"dos_fits": {}, "reports": {}}
-            ts_dict = {}
+            timescale_info = {}
             for tag in ("local", "goe"):
-                sub = ExperimentConfig(**{**cfg.__dict__, "variant": tag})
-                op = build_operator(sub)
-                eig = diagonalize(op)
+                eig = _variant_eigensystem(cfg, tag, chain_eig, psi0)
                 sdata = occupied_spectrum(eig, psi0)
                 ts = timescales(sdata, cfg.weight_floor)
-                ts_dict[tag] = _timescales_dict(ts)
-                log(f"{tag}: diagonalized dim {op.dim}")
+                timescale_info[tag] = _timescales_dict(ts)
                 results["dos_fits"][tag] = _dos_outputs(cfg, sdata, writer, prefix=tag)[
                     "gaussian_fit"
                 ]
-                reports = {}
-                for i in range(cfg.typical_count):
-                    obs = typical_observable(
-                        op.dim, _typical_seed(cfg, i), phases=sdata.phases
-                    )
-                    grid = _series_grid(cfg, ts, f"typical_{i}")
-                    series = expectation_series(eig, sdata, obs, grid)
-                    rep = relaxation_time(
-                        series, diagonal_ensemble(sdata, obs), cfg.threshold_fraction
-                    )
-                    writer.write_csv(
-                        f"series_{tag}_typical_{i}.csv",
-                        "t,value",
-                        zip(series.times.tolist(), series.values.tolist()),
-                    )
-                    reports[f"typical_{i}"] = _report_dict(rep)
-                results["reports"][tag] = reports
-            timescale_info = ts_dict
+                results["reports"][tag] = _series_outputs(
+                    cfg, eig, sdata, ts, writer, _typical_menu(cfg, sdata), prefix=f"{tag}_"
+                )
         else:
-            op = build_operator(cfg)
-            eig = diagonalize(op)
+            eig = _variant_eigensystem(cfg, cfg.variant, chain_eig, psi0)
             sdata = occupied_spectrum(eig, psi0)
             ts = timescales(sdata, cfg.weight_floor)
             timescale_info = _timescales_dict(ts)
-            log(f"diagonalized dim {op.dim}")
             if cfg.kind == "relax":
-                results = _relax_outputs(cfg, eig, sdata, ts, writer)
+                menu = _observable_menu(cfg, sdata, eig)
+                results = {"reports": _series_outputs(cfg, eig, sdata, ts, writer, menu)}
             elif cfg.kind == "dos":
                 results = _dos_outputs(cfg, sdata, writer)
             elif cfg.kind == "entropy_scan":

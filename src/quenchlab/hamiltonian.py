@@ -1,4 +1,4 @@
-"""Spin-chain Hamiltonians, Haar scramblings, and matched random matrices.
+"""Spin-chain Hamiltonians, Haar unitaries, and matched random matrices.
 
 The local model is an Ising chain in mixed transverse and longitudinal
 fields,
@@ -12,6 +12,7 @@ Gaussian band of levels.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ class ChainParams:
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ValueError("n_sites must be at least 2")
+        if not all(math.isfinite(x) for x in (self.J, self.h, self.g, self.disorder_width)):
+            raise ValueError("J, h, g and disorder_width must be finite")
         if self.disorder_width < 0:
             raise ValueError("disorder_width must be nonnegative")
         if self.boundary not in ("open", "periodic"):
@@ -59,6 +62,8 @@ class HermitianOperator:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if self.locality_tag not in ("local", "scrambled", "random"):
             raise ValueError(f"unknown locality_tag {self.locality_tag!r}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("operator has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
             raise ValueError("operator is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", _freeze(m))
@@ -109,14 +114,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     lam = np.diagonal(r)
     return q * (lam / np.abs(lam))[None, :]
-
-
-def scramble(h: HermitianOperator, seed: int) -> HermitianOperator:
-    """Conjugate by a seeded Haar unitary: same spectrum, no locality left."""
-    u = haar_unitary(h.dim, np.random.default_rng(seed))
-    m = u @ h.matrix @ u.conj().T
-    m = (m + m.conj().T) / 2.0
-    return HermitianOperator(m, "scrambled")
 
 
 def build_goe(dim: int, mean: float, width: float, seed: int) -> HermitianOperator:

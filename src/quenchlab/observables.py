@@ -43,6 +43,8 @@ class ObservableMatrix:
             raise ValueError(f"unknown basis_tag {self.basis_tag!r}")
         if self.class_tag not in ("typical", "slow", "local", "identity"):
             raise ValueError(f"unknown class_tag {self.class_tag!r}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("observable has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
             raise ValueError("observable is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", _freeze(m))
@@ -111,9 +113,13 @@ def typical_observable(
         ph = np.asarray(phases, dtype=float)
         if ph.shape != (dim,):
             raise ValueError(f"phases shape {ph.shape} does not match dim {dim}")
-        unit = np.exp(1j * ph)
-        m = unit[:, None] * np.abs(m) * np.conj(unit)[None, :]
+        m = np.abs(m)
+    # the dressing D|G|D^dag, D = diag(e^{i phi}), is unitarily similar to the
+    # real |G|, so the real matrix gives the norm
     norm = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    if phases is not None:
+        unit = np.exp(1j * ph)
+        m = unit[:, None] * m * np.conj(unit)[None, :]
     return ObservableMatrix(m / norm, "eigen_basis", "typical")
 
 

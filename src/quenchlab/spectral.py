@@ -1,4 +1,4 @@
-"""Diagonalization, occupied-spectrum statistics, and quench timescales.
+"""Diagonalization, Haar scrambling, occupied-spectrum statistics, and timescales.
 
 A quench from |psi0> occupies the spectrum with weights |c_n|^2 where
 c_n = <n|psi0>. Two times govern the subsequent dynamics: the Boltzmann
@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatch,
     TooFewOccupied,
 )
-from .hamiltonian import HermitianOperator
+from .hamiltonian import HermitianOperator, haar_unitary
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
 
@@ -40,6 +40,8 @@ class EigenSystem:
             raise DimensionMismatch(
                 f"eigenvector matrix {vec.shape} does not match {ev.size} eigenvalues"
             )
+        if not (np.all(np.isfinite(ev)) and np.all(np.isfinite(vec))):
+            raise ValueError("eigenvalues and eigenvectors must be finite")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", _freeze(ev))
@@ -68,6 +70,8 @@ class SpectralData:
         ph = np.ascontiguousarray(self.phases, dtype=float)
         if not (ev.shape == w.shape == ph.shape):
             raise DimensionMismatch("eigenvalues, weights, phases must share a shape")
+        if not all(np.all(np.isfinite(a)) for a in (ev, w, ph)):
+            raise ValueError("eigenvalues, weights and phases must be finite")
         total = w.sum()
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-10")
@@ -118,6 +122,17 @@ def diagonalize(h: HermitianOperator) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return EigenSystem(ev, vec)
+
+
+def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
+    """Eigensystem of U H U^dag for a seeded Haar unitary U.
+
+    Same spectrum, no locality left. With H = V E V^dag, U H U^dag =
+    (U V) E (U V)^dag, so the scrambled eigenvectors are the product U V and
+    the dense conjugated operator is never formed or diagonalized.
+    """
+    u = haar_unitary(eig.dim, np.random.default_rng(seed))
+    return EigenSystem(eig.eigenvalues, u @ eig.eigenvectors)
 
 
 def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> SpectralData:

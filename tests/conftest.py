@@ -1,13 +1,11 @@
 """Session fixtures: diagonalized default chains and their nonlocal partners.
 
-Everything heavy is computed once per session. The scrambled partners are
-built in factored form: the eigenvectors of U H U^dag are U V when H = V E
-V^dag, so a single unitary-times-matrix product replaces a fresh dense
-diagonalization at the largest sizes.
+Everything heavy is computed once per session. The scrambled partners come
+from `ql.scramble`, the library's factored form (eigenvalues of the chain,
+eigenvectors U V), so no fixture diagonalizes a scrambled operator.
 """
 from typing import NamedTuple
 
-import numpy as np
 import pytest
 
 import quenchlab as ql
@@ -47,8 +45,7 @@ def _quench(n: int) -> Quench:
 
 
 def _scrambled_partner(q: Quench) -> Partner:
-    u = ql.haar_unitary(q.eig.dim, np.random.default_rng(SCRAMBLE_SEED))
-    eig = ql.EigenSystem(q.eig.eigenvalues, u @ q.eig.eigenvectors)
+    eig = ql.scramble(q.eig, SCRAMBLE_SEED)
     sdata = ql.occupied_spectrum(eig, q.psi0)
     return Partner(eig, sdata, ql.timescales(sdata))
 

@@ -7,6 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quenchlab as ql
 from quenchlab import cli
 from quenchlab.errors import ValidationFailed
 
@@ -167,6 +168,25 @@ def test_validate_never_raises_on_scalar_fields(updates):
 
         floats = [v for v in leaves(cli.config_to_dict(cfg)) if isinstance(v, float)]
         assert all(math.isfinite(v) for v in floats)
+        # the observable flags take booleans only; None means absent
+        for flag in ("slow", "identity"):
+            value = updates.get(("observables", flag))
+            assert value is None or isinstance(value, bool)
+
+
+@pytest.mark.parametrize("flag", ["slow", "identity"])
+@pytest.mark.parametrize("value", ["no", "false", 1, 0, 1.0])
+def test_validate_requires_boolean_observable_flags(tmp_path, capsys, flag, value):
+    raw = {"kind": "relax", "observables": {"typical_count": 1, flag: value}}
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    assert errors == [f"observables.{flag}: expected true or false, got {value!r}"]
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 1
+    assert f"invalid: observables.{flag}:" in capsys.readouterr().err
+    for ok in (True, False):
+        cfg, errors = cli.validate({**raw, "observables": {"typical_count": 1, flag: ok}})
+        assert errors == []
+        assert getattr(cfg, f"include_{flag}") is ok
 
 
 def test_validate_site_cap_reports_model_only():
@@ -382,6 +402,55 @@ def test_equivalence_run(tmp_path):
     width = ts["local"]["energy_width"]
     assert abs(ts["goe"]["energy_mean"] - ts["local"]["energy_mean"]) < 0.5 * width
     assert 0.5 < ts["goe"]["energy_width"] / width < 2.0
+
+
+def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
+    out = tmp_path / "out"
+    raw = {
+        "kind": "entropy_scan",
+        "model": {"n_sites": 8, "variant": "scrambled"},
+        "out_dir": str(out),
+        "master_seed": 3,
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    cfg = cli.parse_config(raw)
+    # oracle: diagonalize the dense U H U^dag with the run's Haar unitary
+    chain = ql.build_local_chain(cfg.chain)
+    u = ql.haar_unitary(chain.dim, np.random.default_rng(cli.derive_seed(3, "scramble")))
+    m = u @ chain.matrix @ u.conj().T
+    eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0, "scrambled"))
+    sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
+    grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
+    profile = ql.entropy_scan(eig, sdata, cfg.cuts, grid)
+    rows = (out / "entropy.csv").read_text().strip().splitlines()[1:]
+    got = np.array([float(r.split(",")[2]) for r in rows]).reshape(grid.times.size, -1)
+    assert got.shape == (46, 7)
+    assert np.max(np.abs(got - profile.entropies.T)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, variant, calls",
+    [("equivalence", "local", 2), ("entropy_scan", "scrambled", 1), ("dos", "local", 1)],
+)
+def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, calls):
+    dtypes = []
+    diagonalize = cli.diagonalize
+
+    def counting(op):
+        dtypes.append(op.matrix.dtype)
+        return diagonalize(op)
+
+    monkeypatch.setattr(cli, "diagonalize", counting)
+    raw = {
+        "kind": kind,
+        "model": {"n_sites": 6, "variant": variant},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": {"typical_count": 1},
+        "out_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    assert len(dtypes) == calls
+    assert all(dt.kind == "f" for dt in dtypes)  # no complex eigh
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):

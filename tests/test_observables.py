@@ -66,12 +66,16 @@ def test_slow_observable_never_exceeds_start(quench6):
 
 
 def test_typical_observable_hermitian_and_normalized():
-    obs = ql.typical_observable(128, seed=3)
-    m = obs.matrix
-    assert np.max(np.abs(m - m.conj().T)) < 1e-12
-    top = np.max(np.abs(np.linalg.eigvalsh(m)))
-    assert abs(top - 1.0) < 0.02
-    assert abs(top - 1.0) < 1e-10  # exact normalization in this implementation
+    dressing = np.random.default_rng(0).uniform(-np.pi, np.pi, 128)
+    for phases in (None, dressing):
+        obs = ql.typical_observable(128, seed=3, phases=phases)
+        m = obs.matrix
+        assert np.max(np.abs(m - m.conj().T)) < 1e-12
+        # the norm of the dressed matrix comes from its undressed real twin;
+        # the complex decomposition here is the oracle
+        top = np.max(np.abs(np.linalg.eigvalsh(m)))
+        assert abs(top - 1.0) < 0.02
+        assert abs(top - 1.0) < 1e-10  # exact normalization in this implementation
 
 
 def test_typical_observable_deterministic_and_decorrelated():

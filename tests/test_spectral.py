@@ -203,3 +203,43 @@ def test_occupied_spacing_shrinks_with_size(quench6, quench8, quench10):
     # the occupied span grows linearly while the count grows exponentially,
     # so the ratio over four added sites lands just above 0.1
     assert d10 / d6 < 0.11
+
+
+def test_factored_scramble_matches_dense_conjugation(quench6):
+    # oracle: the dense U H U^dag with the same seeded Haar unitary
+    u = ql.haar_unitary(quench6.eig.dim, np.random.default_rng(5))
+    dense = u @ quench6.chain.matrix @ u.conj().T
+    s = ql.scramble(quench6.eig, seed=5)
+    w = s.eigenvectors
+    assert np.array_equal(s.eigenvalues, quench6.eig.eigenvalues)
+    assert np.max(np.abs((w * s.eigenvalues[None, :]) @ w.conj().T - dense)) < 1e-10
+    assert np.max(np.abs(w.conj().T @ w - np.eye(s.dim))) < 1e-12
+    assert ql.scramble(quench6.eig, seed=5).eigenvectors.tobytes() == w.tobytes()
+    assert not np.array_equal(ql.scramble(quench6.eig, seed=6).eigenvectors, w)
+
+
+NAN = float("nan")
+NAN_2X2 = np.full((2, 2), NAN)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ql.ChainParams(n_sites=3, J=NAN),
+        lambda: ql.ChainParams(n_sites=3, h=float("inf")),
+        lambda: ql.HermitianOperator(NAN_2X2, "local"),
+        lambda: ql.ObservableMatrix(NAN_2X2, "eigen_basis", "typical"),
+        lambda: ql.SpectralData([0.0, 1.0], [NAN, NAN], [0.0, 0.0]),
+        lambda: ql.SpectralData([0.0, NAN], [0.5, 0.5], [0.0, 0.0]),
+        lambda: ql.SpectralData([0.0, 1.0], [0.5, 0.5], [0.0, NAN]),
+        lambda: ql.EigenSystem([0.0, NAN], np.eye(2)),
+        lambda: ql.EigenSystem([0.0, 1.0], NAN_2X2),
+    ],
+    ids=[
+        "chain_J", "chain_h", "hermitian", "observable", "spectral_weights",
+        "spectral_eigenvalues", "spectral_phases", "eigen_values", "eigen_vectors",
+    ],
+)
+def test_value_objects_reject_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
