@@ -42,7 +42,6 @@ from .observables import (
     local_observable,
     relaxation_time,
     slow_observable,
-    to_eigenbasis,
     typical_observable,
 )
 from .spectral import (
@@ -182,6 +181,11 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     variant = _get(model, "variant", "local")
     if variant not in VARIANTS:
         errors.append(f"model.variant: must be one of {VARIANTS}, got {variant!r}")
+    elif kind == "equivalence" and variant != "local":
+        errors.append(
+            f"model.variant: equivalence runs compare the local chain with its "
+            f"goe partner, got {variant!r}"
+        )
     model_fields = {
         "n_sites": (10, int),
         "J": (ChainParams.J, float),
@@ -312,6 +316,8 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 )
             if axis not in ("x", "y", "z"):
                 errors.append(f"observables.local[{i}].axis: must be x, y, or z")
+            if site is not None and (site, axis) in local_observables:
+                errors.append(f"observables.local[{i}]: repeats site {site}, axis {axis}")
             local_observables.append((site, axis))
     if kind in ("relax",) and typical_count == 0 and not (
         include_slow or include_identity or local_observables
@@ -331,6 +337,8 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
                 continue
             if chain is not None and not 1 <= c <= chain.n_sites - 1:
                 errors.append(f"cuts: cut {c} must lie in [1, {chain.n_sites - 1}]")
+            if c in cuts:
+                errors.append(f"cuts: cut {c} is repeated")
             cuts.append(c)
     if not cuts and chain is not None and kind == "entropy_scan":
         cuts = list(range(1, chain.n_sites))
@@ -538,9 +546,8 @@ def _observable_menu(cfg: ExperimentConfig, sdata: SpectralData, eig: EigenSyste
         yield "slow", slow_observable(sdata, cfg.weight_floor)
     if cfg.include_identity:
         yield "identity", identity_observable(eig.dim)
-    hspec = HilbertSpec(cfg.chain.n_sites)
     for site, axis in cfg.local_observables:
-        yield f"local_{axis}{site}", to_eigenbasis(local_observable(hspec, site, axis), eig)
+        yield f"local_{axis}{site}", local_observable(eig, site, axis)
 
 
 def _series_grid(cfg: ExperimentConfig, ts: Timescales, label: str) -> TimeGrid:

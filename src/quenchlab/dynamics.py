@@ -126,17 +126,6 @@ def evolve_spectral(eig: EigenSystem, spec: SpectralData, t: float) -> PureState
     return PureState(amp, _state_spec(eig.dim))
 
 
-def _eigenbasis_matrix(eig: EigenSystem, obs: ObservableMatrix) -> np.ndarray:
-    if obs.matrix.shape[0] != eig.dim:
-        raise DimensionMismatch(
-            f"observable dimension {obs.matrix.shape[0]} does not match {eig.dim}"
-        )
-    if obs.basis_tag == "eigen_basis":
-        return obs.matrix
-    v = eig.eigenvectors
-    return v.conj().T @ obs.matrix @ v
-
-
 def _matmul(mat: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """mat @ phi, without the complex copy numpy makes of a real mat."""
     if np.iscomplexobj(mat):
@@ -165,12 +154,16 @@ def expectation_series(
     obs: ObservableMatrix,
     grid: TimeGrid,
 ) -> TimeSeries:
-    """Expectation values of a Hermitian observable along the quench.
+    """Expectation values of an eigenbasis observable along the quench.
 
-    Site-basis observables are rotated into the eigenbasis once; each block
-    of times then takes one product of the observable with the phase columns.
+    Each block of times takes one product of the observable with the phase
+    columns.
     """
-    mat = _eigenbasis_matrix(eig, obs)
+    mat = obs.matrix
+    if mat.shape[0] != eig.dim:
+        raise DimensionMismatch(
+            f"observable dimension {mat.shape[0]} does not match {eig.dim}"
+        )
     values = np.empty(len(grid))
     for block, phi in _phase_blocks(spec, grid):
         val = np.sum(phi.conj() * _matmul(mat, phi), axis=0)
@@ -189,8 +182,6 @@ def diagonal_ensemble(spec: SpectralData, obs: ObservableMatrix) -> float:
     Off-diagonal contributions from exactly degenerate pairs never dephase;
     a warning flags spectra where any gap is numerically zero.
     """
-    if obs.basis_tag != "eigen_basis":
-        raise DimensionMismatch("diagonal_ensemble needs an eigenbasis observable")
     if obs.matrix.shape[0] != spec.eigenvalues.size:
         raise DimensionMismatch("observable does not match the spectrum")
     gaps = np.diff(spec.eigenvalues)

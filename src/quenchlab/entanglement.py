@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import PureState, SiteRegion, partial_trace, _freeze
-from .dynamics import TimeGrid, _state_blocks
+from .dynamics import TimeGrid, _state_blocks, _state_spec
 from .errors import NoFrontDetected
 from .hamiltonian import _sz_signs
 from .spectral import EigenSystem, SpectralData
@@ -133,7 +133,7 @@ def entropy_scan(
     and one batched SVD gives the Schmidt values of every time in the block.
     """
     cuts = tuple(int(c) for c in cuts)
-    n = int(np.log2(eig.dim).round())
+    n = _state_spec(eig.dim).n_sites
     regions = [SiteRegion(0, c, n) for c in cuts]
     out = np.empty((len(cuts), len(grid)))
     for block, states in _state_blocks(eig, spec, grid):
@@ -234,11 +234,12 @@ def light_cone(
 
     C[r][t] = |<sz_ref sz_{ref+r}> - <sz_ref><sz_{ref+r}>| for every radius
     that fits in the chain. Both operators are diagonal, so the correlators
-    come from the evolved probability distribution directly.
+    come from the evolved probability distribution directly. A front whose
+    fitted velocity is not positive raises NoFrontDetected.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    n = int(np.log2(eig.dim).round())
+    n = _state_spec(eig.dim).n_sites
     if not 0 <= reference_site < n:
         raise ValueError(f"reference site {reference_site} outside chain of {n}")
     radii = tuple(range(1, n - reference_site))
@@ -254,4 +255,6 @@ def light_cone(
         out[:, block] = np.abs(zz - z[reference_site] * z[reference_site + 1 :])
 
     arrivals, velocity = fit_front(radii, grid.times, out, threshold)
-    return CorrelationFront(radii, grid, out, arrivals, max(velocity, 0.0), threshold)
+    if not velocity > 0.0:
+        raise NoFrontDetected(f"fitted front velocity {velocity!r} is not positive")
+    return CorrelationFront(radii, grid, out, arrivals, velocity, threshold)

@@ -4,7 +4,11 @@ Typical observables dephase within a few Boltzmann times. The slow
 observable couples adjacent occupied levels with phase factors chosen so
 every term starts aligned; its expectation is a sum of cosines of
 neighboring-gap frequencies and survives until the Heisenberg time. Local
-observables are single-site Paulis.
+observables are single-site Paulis. Every observable is built in the
+eigenbasis of the eigensystem it belongs to: a Pauli acts on the site basis
+as a sign per basis state (sigma-z) or a one-bit flip (sigma-x, sigma-y),
+so sigma V is the eigenvector matrix V with its rows signed and permuted,
+and one product V^dag (sigma V) gives the observable.
 """
 from __future__ import annotations
 
@@ -13,34 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertSpec, _freeze
-from .dynamics import TimeSeries
+from .core import _freeze
+from .dynamics import TimeSeries, _state_spec
 from .errors import SiteOutOfBounds
+from .hamiltonian import _sz_signs
 from .spectral import DEFAULT_WEIGHT_FLOOR, EigenSystem, SpectralData
 
 _HERM_TOL = 1e-12
 
-PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class ObservableMatrix:
-    """Hermitian observable with basis and class annotations."""
+    """Hermitian observable in an eigenbasis, with its class annotation."""
 
     matrix: np.ndarray
-    basis_tag: str  # site_basis | eigen_basis
-    class_tag: str  # typical | slow | local
+    class_tag: str  # typical | slow | local | identity
 
     def __post_init__(self) -> None:
         m = np.ascontiguousarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got {m.shape}")
-        if self.basis_tag not in ("site_basis", "eigen_basis"):
-            raise ValueError(f"unknown basis_tag {self.basis_tag!r}")
         if self.class_tag not in ("typical", "slow", "local", "identity"):
             raise ValueError(f"unknown class_tag {self.class_tag!r}")
         if not np.all(np.isfinite(m)):
@@ -88,7 +84,7 @@ def slow_observable(
     for a, b in zip(occ[:-1], occ[1:]):
         mat[a, b] = np.exp(1j * (ph[a] - ph[b]))
         mat[b, a] = np.conj(mat[a, b])
-    return ObservableMatrix(mat, "eigen_basis", "slow")
+    return ObservableMatrix(mat, "slow")
 
 
 def typical_observable(
@@ -120,33 +116,36 @@ def typical_observable(
     if phases is not None:
         unit = np.exp(1j * ph)
         m = unit[:, None] * m * np.conj(unit)[None, :]
-    return ObservableMatrix(m / norm, "eigen_basis", "typical")
+    return ObservableMatrix(m / norm, "typical")
 
 
-def local_observable(spec: HilbertSpec, site: int, axis: str) -> ObservableMatrix:
-    """Single-site Pauli operator padded with identities."""
-    if not 0 <= site < spec.n_sites:
-        raise SiteOutOfBounds(f"site {site} outside chain of {spec.n_sites}")
-    if axis not in PAULI:
+def local_observable(eig: EigenSystem, site: int, axis: str) -> ObservableMatrix:
+    """Single-site Pauli in the eigenbasis, V^dag sigma V.
+
+    Site 0 is the low bit of a basis index. sigma-z signs the rows of V,
+    sigma-x swaps the rows that differ in the site's bit, and sigma-y does
+    both and carries a factor -i, applied after the product, so a real V
+    gives real x and z observables from one real product.
+    """
+    n = _state_spec(eig.dim).n_sites
+    if not 0 <= site < n:
+        raise SiteOutOfBounds(f"site {site} outside chain of {n}")
+    if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    left = np.eye(2 ** (spec.n_sites - site - 1))
-    right = np.eye(2**site)
-    mat = np.kron(left, np.kron(PAULI[axis], right))
-    return ObservableMatrix(mat, "site_basis", "local")
+    v = eig.eigenvectors
+    rows = v if axis == "z" else v[np.arange(eig.dim) ^ (1 << site)]
+    if axis != "x":
+        rows = _sz_signs(n)[:, site, None] * rows
+    m = v.conj().T @ rows
+    if axis != "y":
+        return ObservableMatrix((m + m.conj().T) / 2.0, "local")
+    # Hermitian part of -i m, taken as -i times the anti-Hermitian part of m
+    # so a real m is symmetrized before it becomes complex
+    return ObservableMatrix(-1j * ((m - m.conj().T) / 2.0), "local")
 
 
 def identity_observable(dim: int) -> ObservableMatrix:
-    return ObservableMatrix(np.eye(dim), "eigen_basis", "identity")
-
-
-def to_eigenbasis(obs: ObservableMatrix, eig: EigenSystem) -> ObservableMatrix:
-    """Rotate a site-basis observable into the eigenbasis."""
-    if obs.basis_tag == "eigen_basis":
-        return obs
-    v = eig.eigenvectors
-    m = v.conj().T @ obs.matrix @ v
-    m = (m + m.conj().T) / 2.0
-    return ObservableMatrix(m, "eigen_basis", obs.class_tag)
+    return ObservableMatrix(np.eye(dim), "identity")
 
 
 def relaxation_time(

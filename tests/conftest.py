@@ -6,6 +6,7 @@ eigenvectors U V), so no fixture diagonalizes a scrambled operator.
 """
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import quenchlab as ql
@@ -28,6 +29,18 @@ class Partner(NamedTuple):
     eig: ql.EigenSystem
     sdata: ql.SpectralData
     ts: ql.Timescales
+
+
+PAULI = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def dense_pauli(n: int, site: int, axis: str) -> np.ndarray:
+    """Site-basis Pauli padded with identities, site 0 the low bit."""
+    return np.kron(np.eye(2 ** (n - site - 1)), np.kron(PAULI[axis], np.eye(2**site)))
 
 
 def neel_state(n: int) -> ql.PureState:

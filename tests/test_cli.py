@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
+from conftest import dense_pauli
 from quenchlab import cli
 from quenchlab.errors import ValidationFailed
 
@@ -229,6 +230,43 @@ def test_validate_relax_needs_an_observable():
     assert any(e.startswith("observables:") for e in errors)
 
 
+def test_validate_rejects_repeated_entries():
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 6},
+        "observables": {
+            "local": [
+                {"site": 0, "axis": "z"}, {"site": 0, "axis": "x"}, {"site": 0, "axis": "z"}
+            ]
+        },
+    }
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    assert errors == ["observables.local[2]: repeats site 0, axis z"]
+    cfg, errors = cli.validate({"kind": "entropy_scan", "model": {"n_sites": 6}, "cuts": [2, 3, 2]})
+    assert cfg is None
+    assert errors == ["cuts: cut 2 is repeated"]
+
+
+def test_run_rejects_repeated_entries(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = {**relax_config(out), "observables": {"local": [{"site": 1}, {"site": 1}]}}
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 1
+    assert "invalid: observables.local[1]:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["scrambled", "goe"])
+def test_validate_equivalence_takes_only_the_local_variant(variant):
+    raw = {"kind": "equivalence", "model": {"n_sites": 6, "variant": variant}}
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith("model.variant:")
+    assert variant in errors[0]
+    raw["model"]["variant"] = "local"
+    assert cli.validate(raw)[1] == []
+
+
 def test_validate_custom_state():
     s = 1.0 / math.sqrt(2.0)
     raw = {
@@ -426,6 +464,39 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     got = np.array([float(r.split(",")[2]) for r in rows]).reshape(grid.times.size, -1)
     assert got.shape == (46, 7)
     assert np.max(np.abs(got - profile.entropies.T)) < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["local", "scrambled"])
+def test_relax_local_paulis_match_state_vector_route(tmp_path, variant):
+    out = tmp_path / "out"
+    axes = ("x", "y", "z")
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 6, "variant": variant},
+        "time_grid": {"kind": "linear", "t_max": 2.0, "points": 9},
+        "observables": {
+            "typical_count": 0,
+            "local": [{"site": site, "axis": a} for site in (0, 4) for a in axes],
+        },
+        "out_dir": str(out),
+        "master_seed": 5,
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    # oracle: <psi(t)| sigma |psi(t)> with the dense site-basis Pauli
+    cfg = cli.parse_config(raw)
+    eig = ql.diagonalize(ql.build_local_chain(cfg.chain))
+    if variant == "scrambled":
+        eig = ql.scramble(eig, cli.derive_seed(5, "scramble"))
+    sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
+    grid = ql.linear_grid(2.0, 9)
+    states = [ql.evolve_spectral(eig, sdata, float(t)).amplitudes for t in grid.times]
+    for site in (0, 4):
+        for a in axes:
+            dense = dense_pauli(6, site, a)
+            want = [np.vdot(psi, dense @ psi).real for psi in states]
+            rows = (out / f"series_local_{a}{site}.csv").read_text().strip().splitlines()
+            got = [float(r.split(",")[1]) for r in rows[1:]]
+            assert np.max(np.abs(np.array(got) - want)) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ def two_level_system(omega: float):
 
 
 def eigen_obs(matrix, tag="typical"):
-    return ObservableMatrix(np.asarray(matrix, dtype=complex), "eigen_basis", tag)
+    return ObservableMatrix(np.asarray(matrix, dtype=complex), tag)
 
 
 def test_time_grid_validation():
@@ -92,12 +92,14 @@ def test_expectation_series_two_level_cosine():
 def test_expectation_series_matches_state_vector_route(quench6):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((64, 64))
-    obs = ObservableMatrix((a + a.T) / 2, "site_basis", "typical")
+    site_matrix = (a + a.T) / 2
+    v = quench6.eig.eigenvectors
+    obs = ObservableMatrix(v.T @ site_matrix @ v, "typical")
     grid = ql.linear_grid(2.0, 17)
     series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
     for k, t in enumerate(grid.times):
         psi = ql.evolve_spectral(quench6.eig, quench6.sdata, float(t))
-        direct = np.vdot(psi.amplitudes, obs.matrix @ psi.amplitudes).real
+        direct = np.vdot(psi.amplitudes, site_matrix @ psi.amplitudes).real
         assert abs(series.values[k] - direct) < 1e-10
 
 
@@ -194,12 +196,6 @@ def test_diagonal_ensemble_warns_on_degenerate_gap():
     )
     with pytest.warns(UserWarning, match="gaps below"):
         ql.diagonal_ensemble(data, ql.identity_observable(3))
-
-
-def test_diagonal_ensemble_rejects_site_basis(quench6):
-    obs = ql.local_observable(ql.HilbertSpec(6), 0, "z")
-    with pytest.raises(DimensionMismatch):
-        ql.diagonal_ensemble(quench6.sdata, obs)
 
 
 def test_krylov_diagonal_exact():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from quenchlab.errors import NoFrontDetected
+from quenchlab.errors import DimensionMismatch, NoFrontDetected
 
 UP = (1.0, 0.0)
 LN2 = np.log(2.0)
@@ -238,6 +238,25 @@ def test_light_cone_threshold_never_reached(quench8):
     # connected correlators of unit-norm spins are bounded by 2
     with pytest.raises(NoFrontDetected):
         ql.light_cone(quench8.eig, quench8.sdata, 0, ql.linear_grid(2.0, 20), threshold=3.0)
+
+
+def test_light_cone_reports_a_non_positive_front(quench8, monkeypatch):
+    def receding(radii, times, correlator, threshold):
+        return np.full(len(radii), np.nan), -0.75
+
+    monkeypatch.setattr("quenchlab.entanglement.fit_front", receding)
+    with pytest.raises(NoFrontDetected, match="-0.75"):
+        ql.light_cone(quench8.eig, quench8.sdata, 0, ql.linear_grid(3.0, 61))
+
+
+def test_scans_reject_a_dimension_that_is_not_a_chain():
+    eig = ql.EigenSystem(np.arange(6.0), np.eye(6))
+    data = ql.SpectralData(np.arange(6.0), np.full(6, 1 / 6), np.zeros(6))
+    grid = ql.linear_grid(1.0, 5)
+    with pytest.raises(DimensionMismatch):
+        ql.entropy_scan(eig, data, [1], grid)
+    with pytest.raises(DimensionMismatch):
+        ql.light_cone(eig, data, 0, grid)
 
 
 def test_light_cone_validation(quench6):

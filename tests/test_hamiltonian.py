@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
+from quenchlab.hamiltonian import _sz_signs
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -114,7 +115,7 @@ def test_scramble_destroys_local_commutator_structure(quench6):
     scrambled = _rebuilt(ql.scramble(quench6.eig, seed=9)).matrix
 
     def comm_ratio(m, site):
-        sz = ql.local_observable(ql.HilbertSpec(n), site, "z").matrix
+        sz = _sz(n, site)
         c = m @ sz - sz @ m
         return np.linalg.norm(c) / np.linalg.norm(m)
 
@@ -129,7 +130,7 @@ def test_scramble_destroys_local_commutator_structure(quench6):
 
 
 def _sz(n, site):
-    return ql.local_observable(ql.HilbertSpec(n), site, "z").matrix
+    return np.diag(_sz_signs(n)[:, site])
 
 
 def test_haar_unitary_is_unitary():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from quenchlab.errors import SiteOutOfBounds
+from conftest import SCRAMBLE_SEED, dense_pauli
+from quenchlab.errors import DimensionMismatch, SiteOutOfBounds
 
 UP = (1.0, 0.0)
 PLUS = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
@@ -23,7 +24,7 @@ def slow_closed_form(sdata: ql.SpectralData, times: np.ndarray, floor=1e-8) -> n
 def test_slow_observable_structure(quench6):
     obs = ql.slow_observable(quench6.sdata)
     m = obs.matrix
-    assert obs.basis_tag == "eigen_basis" and obs.class_tag == "slow"
+    assert obs.class_tag == "slow"
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     occ = np.nonzero(quench6.sdata.weights > 1e-8)[0]
     allowed = set()
@@ -110,43 +111,56 @@ def test_typical_observable_decays_by_five_boltzmann_times(quench10):
     assert np.all(np.abs(series.values[k:] - eq) < 0.2 * dev0)
 
 
+def site_eigensystem(n: int) -> ql.EigenSystem:
+    """Eigensystem whose eigenbasis is the site basis itself."""
+    return ql.EigenSystem(np.arange(2.0**n), np.eye(2**n))
+
+
 def test_local_observable_expectations():
     n = 4
-    spec = ql.HilbertSpec(n)
+    eig = site_eigensystem(n)
     all_up = ql.product_state([UP] * n)
     for site in range(n):
-        sz = ql.local_observable(spec, site, "z")
+        sz = ql.local_observable(eig, site, "z")
         val = np.vdot(all_up.amplitudes, sz.matrix @ all_up.amplitudes).real
         assert abs(val - 1.0) < 1e-12
     all_plus = ql.product_state([PLUS] * n)
-    sx = ql.local_observable(spec, 2, "x")
+    sx = ql.local_observable(eig, 2, "x")
     val = np.vdot(all_plus.amplitudes, sx.matrix @ all_plus.amplitudes).real
     assert abs(val - 1.0) < 1e-12
 
 
 def test_local_observables_commute_on_disjoint_sites():
-    spec = ql.HilbertSpec(3)
-    a = ql.local_observable(spec, 0, "z").matrix
-    b = ql.local_observable(spec, 1, "z").matrix
+    eig = site_eigensystem(3)
+    a = ql.local_observable(eig, 0, "z").matrix
+    b = ql.local_observable(eig, 1, "z").matrix
     assert np.max(np.abs(a @ b - b @ a)) == 0.0
 
 
 def test_local_observable_errors():
-    spec = ql.HilbertSpec(3)
+    eig = site_eigensystem(3)
     with pytest.raises(SiteOutOfBounds):
-        ql.local_observable(spec, 3, "z")
+        ql.local_observable(eig, 3, "z")
     with pytest.raises(ValueError):
-        ql.local_observable(spec, 0, "w")
+        ql.local_observable(eig, 0, "w")
+    with pytest.raises(DimensionMismatch):
+        ql.local_observable(ql.EigenSystem(np.arange(6.0), np.eye(6)), 0, "z")
 
 
-def test_to_eigenbasis_round_trip(quench6):
-    obs = ql.local_observable(ql.HilbertSpec(6), 1, "x")
-    rotated = ql.to_eigenbasis(obs, quench6.eig)
-    assert rotated.basis_tag == "eigen_basis"
-    v = quench6.eig.eigenvectors
-    back = v @ rotated.matrix @ v.conj().T
-    assert np.max(np.abs(back - obs.matrix)) < 1e-10
-    assert ql.to_eigenbasis(rotated, quench6.eig) is rotated
+@pytest.mark.parametrize("variant", ["local", "scrambled"])
+def test_local_observable_matches_dense_kron_oracle(quench6, variant):
+    eig = quench6.eig if variant == "local" else ql.scramble(quench6.eig, SCRAMBLE_SEED)
+    v = eig.eigenvectors
+    for site in (0, 1, 3, 5):
+        for axis in ("x", "y", "z"):
+            obs = ql.local_observable(eig, site, axis)
+            assert obs.class_tag == "local"
+            dense = dense_pauli(6, site, axis)
+            assert np.max(np.abs(obs.matrix - v.conj().T @ dense @ v)) < 1e-12
+            back = v @ obs.matrix @ v.conj().T
+            assert np.max(np.abs(back - dense)) < 1e-10
+            if variant == "local" and axis != "y":
+                assert obs.matrix.dtype.kind == "f"
 
 
 def make_series(values, t_max=10.0):

@@ -228,7 +228,7 @@ NAN_2X2 = np.full((2, 2), NAN)
         lambda: ql.ChainParams(n_sites=3, J=NAN),
         lambda: ql.ChainParams(n_sites=3, h=float("inf")),
         lambda: ql.HermitianOperator(NAN_2X2, "local"),
-        lambda: ql.ObservableMatrix(NAN_2X2, "eigen_basis", "typical"),
+        lambda: ql.ObservableMatrix(NAN_2X2, "typical"),
         lambda: ql.SpectralData([0.0, 1.0], [NAN, NAN], [0.0, 0.0]),
         lambda: ql.SpectralData([0.0, NAN], [0.5, 0.5], [0.0, 0.0]),
         lambda: ql.SpectralData([0.0, 1.0], [0.5, 0.5], [0.0, NAN]),
