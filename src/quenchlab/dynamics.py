@@ -10,7 +10,8 @@ evaluated here as phi(t)^dag O phi(t) with phi_n(t) = c_n e^{-i eps_n t},
 which is the same double sum organized as matrix products over blocks of
 EVOLVE_BLOCK grid times, the kernel that also serves entropy scans and light cones.
 A Lanczos propagator covers sizes where a full diagonalization is not
-worth its cost.
+worth its cost; it exponentiates its small real tridiagonal matrix through
+that matrix's own eigendecomposition, so the module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from .core import HilbertSpec, PureState, _freeze
 from .errors import DimensionMismatch
@@ -223,18 +223,23 @@ def _lanczos(mat: np.ndarray, v0: np.ndarray, m: int):
 
 
 def _krylov_step(mat: np.ndarray, psi: np.ndarray, dt: float, m: int):
-    """One Lanczos-propagated step; returns (state, residual estimate)."""
+    """One Lanczos-propagated step; returns (state, residual estimate).
+
+    The Lanczos matrix T is real symmetric, so with T = W diag(lam) W^T the
+    small propagator is e^{-i dt T} = W diag(e^{-i dt lam}) W^T; only its
+    first column, W (e^{-i dt lam} * W[0, :]), enters the step.
+    """
     q, alpha, beta, b_exit = _lanczos(mat, psi, m)
     k = alpha.size
-    small = scipy.linalg.expm(-1j * dt * _tridiag(alpha, beta[: k - 1]))
-    y = small[:, 0]
+    lam, w = np.linalg.eigh(_tridiag(alpha, beta[: k - 1]))
+    y = w @ (np.exp(-1j * dt * lam) * w[0])
     err = 0.0 if b_exit < 1e-13 else float(b_exit * abs(y[-1]))
     out = q.T @ y
     return out / np.linalg.norm(out), err
 
 
 def _tridiag(alpha: np.ndarray, off: np.ndarray) -> np.ndarray:
-    t = np.diag(alpha.astype(complex))
+    t = np.diag(alpha)
     if off.size:
         t += np.diag(off, 1) + np.diag(off, -1)
     return t

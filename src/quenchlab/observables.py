@@ -19,11 +19,13 @@ import numpy as np
 
 from .core import _freeze
 from .dynamics import TimeSeries, _state_spec
-from .errors import SiteOutOfBounds
+from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
 from .spectral import DEFAULT_WEIGHT_FLOOR, EigenSystem, SpectralData
 
 _HERM_TOL = 1e-12
+_PERRON_RTOL = 1e-14
+_PERRON_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -105,18 +107,44 @@ def typical_observable(
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     m = (a + a.T) / 2.0
-    if phases is not None:
+    if phases is None:
+        # the bare spectrum is symmetric about 0, with no dominant eigenvalue
+        # for a power iteration to settle on
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    else:
         ph = np.asarray(phases, dtype=float)
         if ph.shape != (dim,):
             raise ValueError(f"phases shape {ph.shape} does not match dim {dim}")
         m = np.abs(m)
-    # the dressing D|G|D^dag, D = diag(e^{i phi}), is unitarily similar to the
-    # real |G|, so the real matrix gives the norm
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    if phases is not None:
+        # the dressing D|G|D^dag, D = diag(e^{i phi}), is unitarily similar to
+        # the entrywise-positive |G|, whose norm is its Perron root
+        norm = _perron_root(m)
         unit = np.exp(1j * ph)
         m = unit[:, None] * m * np.conj(unit)[None, :]
     return ObservableMatrix(m / norm, "typical")
+
+
+def _perron_root(a: np.ndarray) -> float:
+    """Largest eigenvalue of an entrywise-positive matrix, by power iteration.
+
+    For any positive x the Perron root lies between the smallest and the
+    largest of (a x)_i / x_i (Collatz-Wielandt). Iterating from the all-ones
+    vector narrows that bracket; its upper end is returned once it is
+    _PERRON_RTOL wide relative to it.
+    """
+    x = np.ones(a.shape[0])
+    for _ in range(_PERRON_MAX_ITER):
+        y = a @ x
+        ratio = y / x
+        low, high = float(ratio.min()), float(ratio.max())
+        # written so that a NaN or infinite ratio never passes
+        if low >= (1.0 - _PERRON_RTOL) * high:
+            return high
+        x = y / np.max(y)
+    raise ConvergenceFailure(
+        f"Perron root bracket wider than {_PERRON_RTOL} relative "
+        f"after {_PERRON_MAX_ITER} iterations"
+    )
 
 
 def local_observable(eig: EigenSystem, site: int, axis: str) -> ObservableMatrix:

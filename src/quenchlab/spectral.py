@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import PureState, _freeze
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
 from .hamiltonian import HermitianOperator, haar_unitary
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,27 @@ def timescales(
     )
 
 
+def _ndtr(z: float) -> float:
+    """Standard normal CDF with the branches of the Cephes ndtr.
+
+    With x = z / sqrt(2), the center |x| < 1/sqrt(2) uses 0.5 + 0.5 erf(x);
+    the tails use 0.5 erfc(|x|), reflected for x > 0, so far-left values
+    keep their size instead of cancelling to 0 in 0.5 + 0.5 erf(x).
+    """
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
 def dos_fit(spec: SpectralData, weight_floor: float = DEFAULT_WEIGHT_FLOOR) -> GaussianFit:
     """Gaussianity diagnostics of the occupied density of states.
 
     Weighted skewness and excess kurtosis of rho(E) = sum_n |c_n|^2
     delta(E - eps_n), plus the sup-norm distance between the weighted
-    empirical CDF and the normal CDF with the fitted mean and sigma.
+    empirical CDF and the normal CDF with the fitted mean and sigma, the
+    latter evaluated level by level through the Cephes branches of _ndtr.
     """
     occ = spec.occupied_mask(weight_floor)
     if int(occ.sum()) < 10:
@@ -209,7 +224,7 @@ def dos_fit(spec: SpectralData, weight_floor: float = DEFAULT_WEIGHT_FLOOR) -> G
     order = np.argsort(e, kind="stable")
     zs = z[order]
     cum = np.cumsum(w[order])
-    fitted = ndtr(zs)
+    fitted = np.array([_ndtr(v) for v in zs.tolist()])
     # the empirical CDF jumps at each level: compare both jump sides
     below = np.concatenate([[0.0], cum[:-1]])
     dev = float(max(np.max(np.abs(cum - fitted)), np.max(np.abs(below - fitted))))

@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,3 +580,28 @@ def test_info_subcommand(capsys):
     assert cli.main(["info"]) == 0
     out = capsys.readouterr().out
     assert "quenchlab" in out and "max sites" in out
+
+
+def test_cli_processes_import_no_scipy(tmp_path):
+    dos = write_config(
+        tmp_path, {"kind": "dos", "model": {"n_sites": 6}, "out_dir": str(tmp_path / "dos")},
+        name="dos.yaml",
+    )
+    relax = write_config(tmp_path, relax_config(tmp_path / "relax"), name="relax.yaml")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from quenchlab.cli import main
+        codes = [main(["validate", {dos!r}]), main(["run", {dos!r}]), main(["run", {relax!r}])]
+        assert codes == [0, 0, 0], codes
+        print(sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
+        """
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import quenchlab as ql
+from quenchlab.dynamics import _krylov_step, _lanczos, _tridiag
 from quenchlab.errors import DimensionMismatch
 from quenchlab.observables import ObservableMatrix
 
@@ -235,6 +237,18 @@ def test_krylov_conserves_energy(quench6):
         psi = ql.krylov_evolve(h, psi, dt=0.25)
         e = np.vdot(psi.amplitudes, h.matrix @ psi.amplitudes).real
         assert abs(e - e0) < 1e-10 * max(abs(e0), 1.0)
+
+
+@pytest.mark.parametrize("dt, m", [(0.05, 4), (0.3, 12), (1.0, 30), (2.5, 30)])
+def test_krylov_step_matches_expm_of_the_lanczos_matrix(quench8, dt, m):
+    mat = quench8.chain.matrix
+    psi = quench8.psi0.amplitudes.astype(complex)
+    q, alpha, beta, b_exit = _lanczos(mat, psi, m)
+    y = expm(-1j * dt * _tridiag(alpha, beta[: alpha.size - 1]))[:, 0]
+    ref = q.T @ y
+    out, err = _krylov_step(mat, psi, dt, m)
+    assert np.max(np.abs(out - ref / np.linalg.norm(ref))) < 1e-13
+    assert abs(err - b_exit * abs(y[-1])) < 1e-13 * b_exit
 
 
 def test_krylov_validation(quench6):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED, dense_pauli
-from quenchlab.errors import DimensionMismatch, SiteOutOfBounds
+from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
+from quenchlab.observables import _perron_root
 
 UP = (1.0, 0.0)
 PLUS = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
@@ -99,6 +100,26 @@ def test_typical_observable_phase_dressing(quench6):
     assert bare.real.min() >= 0.0
     with pytest.raises(ValueError):
         ql.typical_observable(64, seed=5, phases=np.zeros(8))
+
+
+@pytest.mark.parametrize(
+    "dim, seeds",
+    [(2, 8), (3, 8), (5, 8), (16, 8), (64, 8), (256, 4), (1024, 2), (2048, 1)],
+)
+def test_perron_root_matches_eigvalsh_oracle(dim, seeds):
+    for seed in range(seeds):
+        a = np.random.default_rng(seed).standard_normal((dim, dim))
+        m = np.abs((a + a.T) / 2.0)
+        top = np.max(np.abs(np.linalg.eigvalsh(m)))
+        assert abs(_perron_root(m) - top) <= 1e-13 * top
+
+
+def test_perron_root_raises_when_the_bracket_never_closes():
+    # a star graph is bipartite: its spectrum +-sqrt(2), 0 has no dominant
+    # eigenvalue, and the iterates from the all-ones vector alternate
+    star = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ConvergenceFailure, match="10000 iterations"):
+        _perron_root(star)
 
 
 def test_typical_observable_decays_by_five_boltzmann_times(quench10):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import quenchlab as ql
 from quenchlab.errors import (
@@ -9,6 +10,7 @@ from quenchlab.errors import (
     DimensionMismatch,
     TooFewOccupied,
 )
+from quenchlab.spectral import _ndtr
 
 
 def two_level_data(omega: float) -> ql.SpectralData:
@@ -149,6 +151,14 @@ def test_dos_fit_bernoulli_kurtosis():
     fit = ql.dos_fit(ql.SpectralData(e, w, np.zeros(10)), weight_floor=0.0)
     assert abs(fit.excess_kurtosis - (-2.0)) < 1e-12
     assert abs(fit.skewness) < 1e-12
+
+
+def test_ndtr_matches_scipy_oracle():
+    rng = np.random.default_rng(7)
+    draws = rng.standard_normal(100000) * np.repeat([1.0, 8.0], 50000)
+    z = np.concatenate([np.linspace(-40.0, 40.0, 200001), draws])
+    ours = np.array([_ndtr(v) for v in z.tolist()])
+    assert np.max(np.abs(ours - ndtr(z))) <= 4.5e-16
 
 
 def test_dos_fit_too_few_levels():
