@@ -9,12 +9,9 @@ light cones. Everything targets desk scale: full spectra up to 14 sites.
 from .core import (
     LOCAL_DIM,
     MAX_SITES,
-    DensityMatrix,
     HilbertSpec,
     PureState,
     SiteRegion,
-    apply,
-    partial_trace,
     product_state,
 )
 from .dynamics import (
@@ -23,9 +20,7 @@ from .dynamics import (
     default_relax_grid,
     default_slow_grid,
     diagonal_ensemble,
-    evolve_spectral,
     expectation_series,
-    krylov_evolve,
     linear_grid,
 )
 from .entanglement import (
@@ -33,7 +28,6 @@ from .entanglement import (
     CutGrowth,
     EntanglementProfile,
     GrowthFit,
-    entropy,
     entropy_scan,
     fit_front,
     growth_fit,
@@ -49,7 +43,6 @@ from .errors import (
     RegionOutOfBounds,
     SiteOutOfBounds,
     TooFewOccupied,
-    ValidationFailed,
 )
 from .hamiltonian import (
     ChainParams,
@@ -96,14 +89,10 @@ __all__ = [
     "TooFewOccupied",
     "ConvergenceFailure",
     "NoFrontDetected",
-    "ValidationFailed",
     "HilbertSpec",
     "PureState",
     "SiteRegion",
-    "DensityMatrix",
     "product_state",
-    "apply",
-    "partial_trace",
     "ChainParams",
     "HermitianOperator",
     "build_local_chain",
@@ -123,10 +112,8 @@ __all__ = [
     "linear_grid",
     "default_relax_grid",
     "default_slow_grid",
-    "evolve_spectral",
     "expectation_series",
     "diagonal_ensemble",
-    "krylov_evolve",
     "ObservableMatrix",
     "RelaxationReport",
     "slow_observable",
@@ -138,7 +125,6 @@ __all__ = [
     "CutGrowth",
     "GrowthFit",
     "CorrelationFront",
-    "entropy",
     "entropy_scan",
     "growth_fit",
     "fit_front",

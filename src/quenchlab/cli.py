@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -35,7 +35,7 @@ from .dynamics import (
     linear_grid,
 )
 from .entanglement import entropy_scan, growth_fit, light_cone
-from .errors import QuenchError, ValidationFailed
+from .errors import QuenchError
 from .hamiltonian import ChainParams, build_local_chain, build_goe
 from .observables import (
     identity_observable,
@@ -93,17 +93,6 @@ class ExperimentConfig:
     master_seed: int
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run produced: config echo, timescales, summaries, file digests."""
-
-    version: str
-    config: dict
-    timescales: dict
-    results: dict
-    files: tuple[dict, ...]
-
-
 def derive_seed(master_seed: int, label: str) -> int:
     """Per-task seed as a pure function of (master_seed, task label)."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
@@ -152,6 +141,12 @@ def _number(errors: list[str], field: str, value: Any, kind: type = float):
     return out
 
 
+def _unknown_fields(errors: list[str], prefix: str, mapping: dict, known: set) -> None:
+    """Name every key of mapping outside known, non-string keys included."""
+    for key in sorted(set(mapping) - known, key=str):
+        errors.append(f"{prefix}{key}: unknown field")
+
+
 def _flag(errors: list[str], field: str, value: Any) -> bool:
     """value if it is a boolean, else False after a named error."""
     if isinstance(value, bool):
@@ -194,6 +189,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         "disorder_width": (0.0, float),
         "seed": (0, int),
     }
+    _unknown_fields(errors, "model.", model, {"variant", "boundary", *model_fields})
     numbers = {
         key: _number(errors, f"model.{key}", _get(model, key, default), kind)
         for key, (default, kind) in model_fields.items()
@@ -214,6 +210,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     custom_state = None
     if isinstance(state_raw, dict):
         initial_state = "custom"
+        _unknown_fields(errors, "initial_state.", state_raw, {"custom"})
         custom = state_raw.get("custom")
         if custom is None:
             errors.append("initial_state: mapping form must carry a 'custom' list")
@@ -249,6 +246,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     if not isinstance(grid, dict):
         errors.append("time_grid: expected a mapping")
         grid = {}
+    _unknown_fields(errors, "time_grid.", grid, {"kind", "t_max", "points"})
     grid_kind = _get(grid, "kind", "default")
     grid_t_max = grid.get("t_max")
     grid_points = grid.get("points")
@@ -268,6 +266,9 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     if not isinstance(obs, dict):
         errors.append("observables: expected a mapping")
         obs = {}
+    _unknown_fields(
+        errors, "observables.", obs, {"typical_count", "typical_seeds", "slow", "identity", "local"}
+    )
     seeds_raw = obs.get("typical_seeds")
     typical_seeds: tuple[int, ...] | None = None
     if seeds_raw is not None:
@@ -305,6 +306,8 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append("observables.local: expected a list of {site, axis}")
     else:
         for i, entry in enumerate(locals_raw):
+            if isinstance(entry, dict):
+                _unknown_fields(errors, f"observables.local[{i}].", entry, {"site", "axis"})
             if not isinstance(entry, dict) or "site" not in entry:
                 errors.append(f"observables.local[{i}]: expected a {{site, axis}} mapping")
                 continue
@@ -380,8 +383,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         "reference_site", "front_threshold", "threshold_fraction", "weight_floor",
         "out_dir", "master_seed",
     }
-    for key in sorted(set(raw) - known, key=str):
-        errors.append(f"{key}: unknown field")
+    _unknown_fields(errors, "", raw, known)
 
     if errors or chain is None or kind is None:
         return None, errors
@@ -408,14 +410,6 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         master_seed=master_seed,
     )
     return cfg, []
-
-
-def parse_config(raw: dict) -> ExperimentConfig:
-    """Like validate, but raises ValidationFailed carrying every violation."""
-    cfg, errors = validate(raw)
-    if errors:
-        raise ValidationFailed(errors)
-    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -657,8 +651,12 @@ def _front_outputs(cfg, eig, sdata, writer) -> dict:
     }
 
 
-def run(cfg: ExperimentConfig, log=None) -> RunManifest:
-    """Execute a validated config; emit files and the manifest into out_dir."""
+def run(cfg: ExperimentConfig, log=None) -> dict:
+    """Execute a validated config; emit files and the manifest into out_dir.
+
+    Returns the manifest as written: config echo, timescales, summaries and
+    file digests.
+    """
     log = log or (lambda msg: None)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -695,13 +693,13 @@ def run(cfg: ExperimentConfig, log=None) -> RunManifest:
                 results = _entropy_outputs(cfg, eig, sdata, writer)
             else:
                 results = _front_outputs(cfg, eig, sdata, writer)
-        manifest = RunManifest(
-            version=__version__,
-            config=config_to_dict(cfg),
-            timescales=timescale_info,
-            results=results,
-            files=tuple(writer.records),
-        )
+        manifest = {
+            "version": __version__,
+            "config": config_to_dict(cfg),
+            "timescales": timescale_info,
+            "results": results,
+            "files": writer.records,
+        }
         _write_manifest(out_dir / "manifest.yaml", manifest)
         log(f"wrote {len(writer.records)} data files + manifest to {out_dir}")
         return manifest
@@ -723,16 +721,9 @@ def _float_representer(dumper: yaml.SafeDumper, value: float):
 _ManifestDumper.add_representer(float, _float_representer)
 
 
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    data = {
-        "version": manifest.version,
-        "config": manifest.config,
-        "timescales": manifest.timescales,
-        "results": manifest.results,
-        "files": list(manifest.files),
-    }
+def _write_manifest(path: Path, manifest: dict) -> None:
     text = yaml.dump(
-        data, Dumper=_ManifestDumper, sort_keys=True, default_flow_style=False
+        manifest, Dumper=_ManifestDumper, sort_keys=True, default_flow_style=False
     )
     path.write_bytes(text.encode())
 
@@ -781,25 +772,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     cfg, errors = _load_config(args.config)
-    if args.command == "validate":
-        if errors:
-            for e in errors:
-                print(f"invalid: {e}", file=sys.stderr)
-            return 1
-        print(yaml.dump(config_to_dict(cfg), Dumper=_ManifestDumper, sort_keys=True), end="")
-        return 0
-
     if errors:
         for e in errors:
             print(f"invalid: {e}", file=sys.stderr)
         return 1
-    if args.out_dir is not None or args.seed is not None:
-        updates: dict = {}
-        if args.out_dir is not None:
-            updates["out_dir"] = args.out_dir
-        if args.seed is not None:
-            updates["master_seed"] = int(args.seed)
-        cfg = ExperimentConfig(**{**cfg.__dict__, **updates})
+    if args.command == "validate":
+        print(yaml.dump(config_to_dict(cfg), Dumper=_ManifestDumper, sort_keys=True), end="")
+        return 0
+
+    if args.out_dir is not None:
+        cfg = replace(cfg, out_dir=args.out_dir)
+    if args.seed is not None:
+        cfg = replace(cfg, master_seed=args.seed)
     if args.threads < 1:
         print("invalid: --threads must be at least 1", file=sys.stderr)
         return 1

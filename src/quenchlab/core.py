@@ -1,12 +1,17 @@
 """Hilbert-space primitives for chains of two-level sites.
 
+Dimension bookkeeping, normalized pure and product states, the contiguous
+site regions that entropy cuts are checked against, and the product of a
+possibly real matrix with complex vectors that every eigenbasis
+projection shares.
+
 Site-to-bit convention: site j maps to bit j of the basis index, so site 0
 is the least significant bit. Every index formula in the package relies on
 this.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +26,6 @@ MAX_SITES = 14
 LOCAL_DIM = 2
 
 _NORM_TOL = 1e-12
-_HERM_TOL = 1e-12
-_TRACE_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -35,11 +38,8 @@ class HilbertSpec:
     """Dimension bookkeeping for a chain of n_sites two-level systems."""
 
     n_sites: int
-    local_dim: int = LOCAL_DIM
 
     def __post_init__(self) -> None:
-        if self.local_dim != LOCAL_DIM:
-            raise ValueError(f"local_dim is fixed to {LOCAL_DIM}")
         if not 1 <= self.n_sites <= MAX_SITES:
             raise ValueError(
                 f"n_sites must be in [1, {MAX_SITES}], got {self.n_sites}"
@@ -47,7 +47,7 @@ class HilbertSpec:
 
     @property
     def dim(self) -> int:
-        return self.local_dim**self.n_sites
+        return LOCAL_DIM**self.n_sites
 
 
 @dataclass(frozen=True)
@@ -90,37 +90,6 @@ class SiteRegion:
     def size(self) -> int:
         return self.stop - self.start
 
-    @property
-    def boundary_area(self) -> int:
-        """Number of cut bonds: 1 if the region touches a chain end, else 2."""
-        touches = (self.start == 0) + (self.stop == self.n_sites)
-        return 2 - touches
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix on a contiguous region.
-
-    Hermiticity and unit trace are checked at construction; spectrum
-    positivity (eigenvalues >= -1e-12) is guaranteed by partial_trace and
-    re-verified in the test suite rather than re-diagonalized here.
-    """
-
-    matrix: np.ndarray
-    region: SiteRegion
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
-        d = LOCAL_DIM**self.region.size
-        if m.shape != (d, d):
-            raise DimensionMismatch(f"matrix shape {m.shape}, expected ({d}, {d})")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-        object.__setattr__(self, "matrix", _freeze(m))
-
 
 def product_state(locals: Sequence[Sequence[complex]]) -> PureState:
     """Kronecker product of per-site two-component unit vectors.
@@ -149,27 +118,8 @@ def product_state(locals: Sequence[Sequence[complex]]) -> PureState:
     return PureState(amp, spec)
 
 
-def apply(op: np.ndarray, psi: PureState) -> np.ndarray:
-    """Matrix-vector product op @ psi without normalization."""
-    m = np.asarray(op)
-    if m.shape != (psi.spec.dim, psi.spec.dim):
-        raise DimensionMismatch(
-            f"operator shape {m.shape} does not match state dimension {psi.spec.dim}"
-        )
-    return m @ psi.amplitudes
-
-
-def partial_trace(psi: PureState, region: SiteRegion) -> DensityMatrix:
-    """Reduced density matrix of a contiguous region of a pure state."""
-    n = psi.spec.n_sites
-    if region.n_sites != n:
-        raise RegionOutOfBounds(
-            f"region declared for {region.n_sites} sites, state has {n}"
-        )
-    a, b = region.start, region.stop
-    # index = high * 2^b + mid * 2^a + low, with mid the region bits
-    t = psi.amplitudes.reshape(LOCAL_DIM ** (n - b), LOCAL_DIM ** (b - a), LOCAL_DIM**a)
-    rho = np.tensordot(t, t.conj(), axes=([0, 2], [0, 2]))
-    # symmetrize away the last-bit rounding so the Hermiticity check is exact
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(rho, region)
+def _matmul(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec, without the complex copy numpy makes of a real mat."""
+    if np.iscomplexobj(mat):
+        return mat @ vec
+    return mat @ vec.real + 1j * (mat @ vec.imag)

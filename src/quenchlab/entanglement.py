@@ -7,6 +7,11 @@ the cut position. A scrambled Hamiltonian has no notion of locality and
 fills every bipartition toward its maximal entropy within a Boltzmann
 time, so the profile scales with the smaller block. Connected two-point
 correlators expose the finite propagation speed of the local dynamics.
+
+Both scans read blocks of evolved states from the dynamics kernel: the
+entropies through one batched SVD of the states' Schmidt matrices per cut,
+the sigma-z correlators through products of the evolved probabilities with
+the sign table of the basis states.
 """
 from __future__ import annotations
 
@@ -15,13 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PureState, SiteRegion, partial_trace, _freeze
+from .core import SiteRegion, _freeze
 from .dynamics import TimeGrid, _state_blocks, _state_spec
 from .errors import NoFrontDetected
 from .hamiltonian import _sz_signs
 from .spectral import EigenSystem, SpectralData
 
-_EIG_CLIP = 1e-14
+_EIG_CLIP = 1e-14  # Schmidt weights below this are numerically zero
 
 
 @dataclass(frozen=True)
@@ -89,35 +94,6 @@ class CorrelationFront:
         object.__setattr__(
             self, "arrival_times", _freeze(np.asarray(self.arrival_times, float))
         )
-
-
-def _entropy_from_eigs(lam: np.ndarray) -> float:
-    lam = lam[lam > _EIG_CLIP]  # below the clip the weights are numerically zero
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log(lam)))
-
-
-def entropy(psi: PureState, region: SiteRegion) -> float:
-    """Von Neumann entropy of the reduced state on a region, in nats.
-
-    For a pure state the two sides of a cut carry identical spectra, so the
-    reduction is taken on the smaller block; for a prefix region [0, l) the
-    complement is [l, N), which keeps the diagonalization at most half the
-    chain.
-    """
-    n = psi.spec.n_sites
-    comp_size = n - region.size
-    if comp_size < region.size:
-        # complementary interval exists because regions are contiguous
-        if region.start == 0:
-            region = SiteRegion(region.stop, n, n)
-        elif region.stop == n:
-            region = SiteRegion(0, region.start, n)
-        # interior regions keep their orientation; both sides cost the same
-    rho = partial_trace(psi, region)
-    lam = np.linalg.eigvalsh(rho.matrix)
-    return _entropy_from_eigs(lam)
 
 
 def entropy_scan(

@@ -35,11 +35,3 @@ class ConvergenceFailure(QuenchError):
 
 class NoFrontDetected(QuenchError):
     """Fewer than three radii ever crossed the correlation threshold."""
-
-
-class ValidationFailed(QuenchError):
-    """Configuration validation failed; carries one entry per violation."""
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-        super().__init__("; ".join(self.entries))

@@ -51,17 +51,14 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix with a tag recording how it was built."""
+    """Dense Hermitian matrix."""
 
     matrix: np.ndarray
-    locality_tag: str
 
     def __post_init__(self) -> None:
         m = np.ascontiguousarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if self.locality_tag not in ("local", "scrambled", "random"):
-            raise ValueError(f"unknown locality_tag {self.locality_tag!r}")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
@@ -101,7 +98,7 @@ def build_local_chain(p: ChainParams) -> HermitianOperator:
     mat[idx, idx] = diag
     for j in range(n):
         mat[idx, idx ^ (1 << j)] += -p.h
-    return HermitianOperator(mat, "local")
+    return HermitianOperator(mat)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,7 +126,7 @@ def build_goe(dim: int, mean: float, width: float, seed: int) -> HermitianOperat
     if width < 0:
         raise ValueError("width must be nonnegative")
     if dim == 1:
-        return HermitianOperator(np.array([[float(mean)]]), "random")
+        return HermitianOperator(np.array([[float(mean)]]))
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     m = (a + a.T) / 2.0
@@ -139,4 +136,4 @@ def build_goe(dim: int, mean: float, width: float, seed: int) -> HermitianOperat
         m = float(mean) * np.eye(dim)
     else:
         m = (width / sd) * centered + mean * np.eye(dim)
-    return HermitianOperator(m, "random")
+    return HermitianOperator(m)

@@ -30,17 +30,14 @@ _PERRON_MAX_ITER = 10_000
 
 @dataclass(frozen=True)
 class ObservableMatrix:
-    """Hermitian observable in an eigenbasis, with its class annotation."""
+    """Hermitian observable in an eigenbasis."""
 
     matrix: np.ndarray
-    class_tag: str  # typical | slow | local | identity
 
     def __post_init__(self) -> None:
         m = np.ascontiguousarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got {m.shape}")
-        if self.class_tag not in ("typical", "slow", "local", "identity"):
-            raise ValueError(f"unknown class_tag {self.class_tag!r}")
         if not np.all(np.isfinite(m)):
             raise ValueError("observable has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
@@ -86,7 +83,7 @@ def slow_observable(
     for a, b in zip(occ[:-1], occ[1:]):
         mat[a, b] = np.exp(1j * (ph[a] - ph[b]))
         mat[b, a] = np.conj(mat[a, b])
-    return ObservableMatrix(mat, "slow")
+    return ObservableMatrix(mat)
 
 
 def typical_observable(
@@ -121,7 +118,7 @@ def typical_observable(
         norm = _perron_root(m)
         unit = np.exp(1j * ph)
         m = unit[:, None] * m * np.conj(unit)[None, :]
-    return ObservableMatrix(m / norm, "typical")
+    return ObservableMatrix(m / norm)
 
 
 def _perron_root(a: np.ndarray) -> float:
@@ -166,14 +163,14 @@ def local_observable(eig: EigenSystem, site: int, axis: str) -> ObservableMatrix
         rows = _sz_signs(n)[:, site, None] * rows
     m = v.conj().T @ rows
     if axis != "y":
-        return ObservableMatrix((m + m.conj().T) / 2.0, "local")
+        return ObservableMatrix((m + m.conj().T) / 2.0)
     # Hermitian part of -i m, taken as -i times the anti-Hermitian part of m
     # so a real m is symmetrized before it becomes complex
-    return ObservableMatrix(-1j * ((m - m.conj().T) / 2.0), "local")
+    return ObservableMatrix(-1j * ((m - m.conj().T) / 2.0))
 
 
 def identity_observable(dim: int) -> ObservableMatrix:
-    return ObservableMatrix(np.eye(dim), "identity")
+    return ObservableMatrix(np.eye(dim))
 
 
 def relaxation_time(

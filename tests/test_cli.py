@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from conftest import dense_pauli
+from oracles import dense_pauli, evolve_spectral
 from quenchlab import cli
-from quenchlab.errors import ValidationFailed
 
 LN2 = math.log(2.0)
 
@@ -201,13 +200,6 @@ def test_validate_site_cap_reports_model_only():
     assert len(errors) == 1 and errors[0].startswith("model:")
 
 
-def test_parse_config_raises_with_entries():
-    with pytest.raises(ValidationFailed) as err:
-        cli.parse_config({"kind": "nope"})
-    assert len(err.value.entries) == 1
-    assert "kind" in str(err.value)
-
-
 def test_config_key_order_invariance():
     a = {"kind": "dos", "model": {"n_sites": 6, "h": 3.0}, "master_seed": 4}
     b = {"master_seed": 4, "model": {"h": 3.0, "n_sites": 6}, "kind": "dos"}
@@ -259,6 +251,45 @@ def test_run_rejects_repeated_entries(tmp_path, capsys):
     assert cli.main(["run", write_config(tmp_path, raw)]) == 1
     assert "invalid: observables.local[1]:" in capsys.readouterr().err
     assert not out.exists()
+
+
+NEEL6 = [[[1.0, 0.0], [0.0, 0.0]] if j % 2 == 0 else [[0.0, 0.0], [1.0, 0.0]] for j in range(6)]
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ({"kind": "dos", "model": {"n_site": 12}}, ["model.n_site: unknown field"]),
+        (
+            {"kind": "relax", "observables": {"local": [{"site": 1, "axsi": "x"}]}},
+            ["observables.local[0].axsi: unknown field"],
+        ),
+        ({"kind": "relax", "observables": {"typical_cout": 3}}, ["observables.typical_cout: unknown field"]),
+        (
+            {"kind": "relax", "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5, "tmax": 2.0}},
+            ["time_grid.tmax: unknown field"],
+        ),
+        (
+            {"kind": "dos", "model": {"n_sites": 6}, "initial_state": {"custom": NEEL6, "phase": 0}},
+            ["initial_state.phase: unknown field"],
+        ),
+        (
+            {"kind": "dos", "model": {"n_sites": 6, 7: "x", None: 1}},
+            ["model.7: unknown field", "model.None: unknown field"],
+        ),
+        ({"kind": "dos", 3: "x", "zeta": 1}, ["3: unknown field", "zeta: unknown field"]),
+    ],
+    ids=["model", "local_entry", "observables", "time_grid", "initial_state", "non_string", "top_level"],
+)
+def test_validate_names_unknown_nested_fields(tmp_path, capsys, raw, expected):
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    assert errors == expected
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 1
+        assert f"invalid: {expected[0]}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variant", ["scrambled", "goe"])
@@ -456,12 +487,12 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
         "master_seed": 3,
     }
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
-    cfg = cli.parse_config(raw)
+    cfg, _ = cli.validate(raw)
     # oracle: diagonalize the dense U H U^dag with the run's Haar unitary
     chain = ql.build_local_chain(cfg.chain)
     u = ql.haar_unitary(chain.dim, np.random.default_rng(cli.derive_seed(3, "scramble")))
     m = u @ chain.matrix @ u.conj().T
-    eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0, "scrambled"))
+    eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0))
     sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
     profile = ql.entropy_scan(eig, sdata, cfg.cuts, grid)
@@ -488,13 +519,13 @@ def test_relax_local_paulis_match_state_vector_route(tmp_path, variant):
     }
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
     # oracle: <psi(t)| sigma |psi(t)> with the dense site-basis Pauli
-    cfg = cli.parse_config(raw)
+    cfg, _ = cli.validate(raw)
     eig = ql.diagonalize(ql.build_local_chain(cfg.chain))
     if variant == "scrambled":
         eig = ql.scramble(eig, cli.derive_seed(5, "scramble"))
     sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
     grid = ql.linear_grid(2.0, 9)
-    states = [ql.evolve_spectral(eig, sdata, float(t)).amplitudes for t in grid.times]
+    states = [evolve_spectral(eig, sdata, float(t)).amplitudes for t in grid.times]
     for site in (0, 4):
         for a in axes:
             dense = dense_pauli(6, site, a)

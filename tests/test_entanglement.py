@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
+from oracles import entropy, evolve_spectral
 from quenchlab.errors import DimensionMismatch, NoFrontDetected
 
 UP = (1.0, 0.0)
@@ -32,32 +33,32 @@ def test_entropy_product_state_is_zero():
         locals_.append((v[0], v[1]))
     psi = ql.product_state(locals_)
     for cut in range(1, 5):
-        assert ql.entropy(psi, ql.SiteRegion(0, cut, 5)) < 1e-12
+        assert entropy(psi, ql.SiteRegion(0, cut, 5)) < 1e-12
 
 
 def test_entropy_bell_pair():
     psi = ql.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0), ql.HilbertSpec(2))
-    assert ql.entropy(psi, ql.SiteRegion(0, 1, 2)) == pytest.approx(LN2, abs=1e-12)
+    assert entropy(psi, ql.SiteRegion(0, 1, 2)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_ghz_half_chain():
     psi = ghz(6)
     # any bipartition of a GHZ state carries exactly one shared bit
     for cut in (1, 3, 5):
-        assert ql.entropy(psi, ql.SiteRegion(0, cut, 6)) == pytest.approx(LN2, abs=1e-12)
+        assert entropy(psi, ql.SiteRegion(0, cut, 6)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_interior_region():
     psi = ghz(6)
-    assert ql.entropy(psi, ql.SiteRegion(2, 4, 6)) == pytest.approx(LN2, abs=1e-12)
+    assert entropy(psi, ql.SiteRegion(2, 4, 6)) == pytest.approx(LN2, abs=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5))
 @settings(max_examples=25, deadline=None)
 def test_entropy_complementarity(seed, cut):
     psi = random_state(seed, 6)
-    left = ql.entropy(psi, ql.SiteRegion(0, cut, 6))
-    right = ql.entropy(psi, ql.SiteRegion(cut, 6, 6))
+    left = entropy(psi, ql.SiteRegion(0, cut, 6))
+    right = entropy(psi, ql.SiteRegion(cut, 6, 6))
     assert abs(left - right) < 1e-9
 
 
@@ -67,14 +68,14 @@ def test_entropy_global_phase_invariance(seed, alpha):
     psi = random_state(seed, 5)
     rotated = ql.PureState(np.exp(1j * alpha) * psi.amplitudes, psi.spec)
     r = ql.SiteRegion(0, 2, 5)
-    assert abs(ql.entropy(psi, r) - ql.entropy(rotated, r)) < 1e-10
+    assert abs(entropy(psi, r) - entropy(rotated, r)) < 1e-10
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5))
 @settings(max_examples=25, deadline=None)
 def test_entropy_bounds(seed, cut):
     psi = random_state(seed, 6)
-    s = ql.entropy(psi, ql.SiteRegion(0, cut, 6))
+    s = entropy(psi, ql.SiteRegion(0, cut, 6))
     assert s >= -1e-10
     assert s <= min(cut, 6 - cut) * LN2 + 1e-9
 
@@ -123,9 +124,9 @@ def test_entropy_scan_matches_per_state_oracle(request, system):
     cuts = tuple(range(1, n))
     profile = ql.entropy_scan(q.eig, q.sdata, cuts, grid)
     for k, t in enumerate(grid.times):
-        psi = ql.evolve_spectral(q.eig, q.sdata, float(t))
+        psi = evolve_spectral(q.eig, q.sdata, float(t))
         for i, cut in enumerate(cuts):
-            oracle = ql.entropy(psi, ql.SiteRegion(0, cut, n))
+            oracle = entropy(psi, ql.SiteRegion(0, cut, n))
             assert abs(profile.entropies[i, k] - oracle) < 1e-12
 
 
@@ -136,7 +137,7 @@ def test_light_cone_matches_per_state_loop(quench8):
     bits = (np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1
     signs = 1.0 - 2.0 * bits
     for k, t in enumerate(grid.times):
-        p = np.abs(ql.evolve_spectral(quench8.eig, quench8.sdata, float(t)).amplitudes) ** 2
+        p = np.abs(evolve_spectral(quench8.eig, quench8.sdata, float(t)).amplitudes) ** 2
         z = signs.T @ p
         for i, r in enumerate(front.radii):
             zz = np.sum(p * signs[:, ref] * signs[:, ref + r])
@@ -146,8 +147,8 @@ def test_light_cone_matches_per_state_loop(quench8):
 
 def test_scrambled_half_cut_reaches_page_value(scrambled10):
     t = 5.0 * scrambled10.ts.boltzmann_time
-    psi = ql.evolve_spectral(scrambled10.eig, scrambled10.sdata, t)
-    s = ql.entropy(psi, ql.SiteRegion(0, 5, 10))
+    psi = evolve_spectral(scrambled10.eig, scrambled10.sdata, t)
+    s = entropy(psi, ql.SiteRegion(0, 5, 10))
     page = 5.0 * LN2 - 0.5
     assert abs(s - page) < 0.2 * page
 

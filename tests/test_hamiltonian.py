@@ -21,10 +21,8 @@ def test_chain_params_validation():
 
 def test_hermitian_operator_validation():
     with pytest.raises(ValueError):
-        ql.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), "local")
-    with pytest.raises(ValueError):
-        ql.HermitianOperator(np.eye(2), "banana")
-    op = ql.HermitianOperator(np.eye(4), "random")
+        ql.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    op = ql.HermitianOperator(np.eye(4))
     assert op.dim == 4
     assert not op.matrix.flags.writeable
 
@@ -92,14 +90,13 @@ def _rebuilt(eig: ql.EigenSystem) -> ql.HermitianOperator:
     """The dense matrix W diag(E) W^dag of a factored scrambled eigensystem."""
     w = eig.eigenvectors
     m = (w * eig.eigenvalues[None, :]) @ w.conj().T
-    return ql.HermitianOperator((m + m.conj().T) / 2.0, "scrambled")
+    return ql.HermitianOperator((m + m.conj().T) / 2.0)
 
 
 def test_scramble_preserves_spectrum_and_is_deterministic():
     h = ql.build_local_chain(ql.ChainParams(n_sites=6))
     eig = ql.diagonalize(h)
     s = _rebuilt(ql.scramble(eig, seed=5))
-    assert s.locality_tag == "scrambled"
     ev_in = np.linalg.eigvalsh(h.matrix)
     ev_out = np.linalg.eigvalsh(s.matrix)
     assert np.max(np.abs(ev_in - ev_out)) < 1e-10
@@ -150,7 +147,6 @@ def test_goe_degenerate_and_symmetric():
 def test_goe_moment_match_at_1024():
     mean, width = 9.0, 13.3
     m = ql.build_goe(1024, mean, width, seed=7)
-    assert m.locality_tag == "random"
     ev = np.linalg.eigvalsh(m.matrix)
     assert abs(ev.mean() - mean) / abs(mean) < 0.02
     assert abs(ev.std() - width) / width < 0.02

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from conftest import SCRAMBLE_SEED, dense_pauli
+from conftest import SCRAMBLE_SEED
+from oracles import dense_pauli
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root
 
@@ -25,7 +26,6 @@ def slow_closed_form(sdata: ql.SpectralData, times: np.ndarray, floor=1e-8) -> n
 def test_slow_observable_structure(quench6):
     obs = ql.slow_observable(quench6.sdata)
     m = obs.matrix
-    assert obs.class_tag == "slow"
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     occ = np.nonzero(quench6.sdata.weights > 1e-8)[0]
     allowed = set()
@@ -175,7 +175,6 @@ def test_local_observable_matches_dense_kron_oracle(quench6, variant):
     for site in (0, 1, 3, 5):
         for axis in ("x", "y", "z"):
             obs = ql.local_observable(eig, site, axis)
-            assert obs.class_tag == "local"
             dense = dense_pauli(6, site, axis)
             assert np.max(np.abs(obs.matrix - v.conj().T @ dense @ v)) < 1e-12
             back = v @ obs.matrix @ v.conj().T

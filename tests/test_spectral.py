@@ -38,14 +38,14 @@ def test_spectral_data_validation():
 
 
 def test_diagonalize_diagonal_input():
-    eig = ql.diagonalize(ql.HermitianOperator(np.diag([3.0, 1.0, 2.0]), "random"))
+    eig = ql.diagonalize(ql.HermitianOperator(np.diag([3.0, 1.0, 2.0])))
     assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
     # permutation eigenvectors up to sign
     assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
 
 
 def test_diagonalize_pauli_x():
-    sx = ql.HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), "local")
+    sx = ql.HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(ql.diagonalize(sx).eigenvalues, [-1.0, 1.0], atol=1e-14)
 
 
@@ -53,7 +53,7 @@ def test_diagonalize_reconstruction_64():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     m = (a + a.conj().T) / 2
-    eig = ql.diagonalize(ql.HermitianOperator(m, "random"))
+    eig = ql.diagonalize(ql.HermitianOperator(m))
     rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.conj().T
     assert np.linalg.norm(rebuilt - m) / np.linalg.norm(m) < 1e-10
 
@@ -77,6 +77,21 @@ def test_occupied_spectrum_weights_oracle(quench8):
     c = quench8.eig.eigenvectors.conj().T @ quench8.psi0.amplitudes
     assert np.max(np.abs(quench8.sdata.weights - np.abs(c) ** 2)) < 1e-12
     assert abs(quench8.sdata.weights.sum() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("variant", ["local", "scrambled"])
+def test_occupied_spectrum_matches_complex_projection(quench8, variant):
+    # real eigenvectors take two real products; the oracle casts V to complex
+    eig = quench8.eig if variant == "local" else ql.scramble(quench8.eig, 3)
+    rng = np.random.default_rng(8)
+    sites = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    custom = ql.product_state(sites / np.linalg.norm(sites, axis=1, keepdims=True))
+    for psi in (quench8.psi0, custom):
+        c = eig.eigenvectors.astype(complex).conj().T @ psi.amplitudes
+        c = c / np.linalg.norm(c)
+        sdata = ql.occupied_spectrum(eig, psi)
+        assert np.max(np.abs(sdata.weights - np.abs(c) ** 2)) < 1e-15
+        assert np.max(np.abs(sdata.amplitudes() - c)) < 1e-15
 
 
 def test_occupied_spectrum_dimension_mismatch(quench6):
@@ -183,7 +198,7 @@ def test_scrambling_invariance(seed):
 
     u = ql.haar_unitary(16, rng)
     m = u @ h.matrix @ u.conj().T
-    eig2 = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2, "scrambled"))
+    eig2 = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2))
     rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi, spec))
 
     assert np.max(np.abs(base.eigenvalues - rotated.eigenvalues)) < 1e-9
@@ -237,8 +252,8 @@ NAN_2X2 = np.full((2, 2), NAN)
     [
         lambda: ql.ChainParams(n_sites=3, J=NAN),
         lambda: ql.ChainParams(n_sites=3, h=float("inf")),
-        lambda: ql.HermitianOperator(NAN_2X2, "local"),
-        lambda: ql.ObservableMatrix(NAN_2X2, "typical"),
+        lambda: ql.HermitianOperator(NAN_2X2),
+        lambda: ql.ObservableMatrix(NAN_2X2),
         lambda: ql.SpectralData([0.0, 1.0], [NAN, NAN], [0.0, 0.0]),
         lambda: ql.SpectralData([0.0, NAN], [0.5, 0.5], [0.0, 0.0]),
         lambda: ql.SpectralData([0.0, 1.0], [0.5, 0.5], [0.0, NAN]),
