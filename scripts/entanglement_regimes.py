@@ -45,8 +45,8 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     pairs = (("local", chain_eig), ("scrambled", ql.scramble(chain_eig, args.scramble_seed)))
-    for tag, eig in pairs:
-        sdata = ql.occupied_spectrum(eig, psi0)
+    for tag, basis in pairs:
+        eig, sdata = ql.occupied_spectrum(basis, psi0)
         ts = ql.timescales(sdata)
         t_max = 3.0 / abs(params.J) if tag == "local" else 5.0 * ts.boltzmann_time
         profile = ql.entropy_scan(eig, sdata, cuts, ql.linear_grid(t_max, args.points))

@@ -19,14 +19,14 @@ def neel(n: int) -> ql.PureState:
 
 
 def run_size(n: int, n_seeds: int, threshold: float):
-    eig = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n)))
-    sdata = ql.occupied_spectrum(eig, neel(n))
+    chain = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n)))
+    eig, sdata = ql.occupied_spectrum(chain, neel(n))
     ts = ql.timescales(sdata)
 
     relax_grid = ql.default_relax_grid(ts)
     times = []
     for seed in range(n_seeds):
-        obs = ql.typical_observable(eig.dim, seed, phases=sdata.phases)
+        obs = ql.typical_observable(eig.dim, seed)
         series = ql.expectation_series(eig, sdata, obs, relax_grid)
         rep = ql.relaxation_time(series, ql.diagonal_ensemble(sdata, obs), threshold)
         times.append(rep.relaxation_time if rep.relaxed else np.inf)

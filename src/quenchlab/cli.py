@@ -155,6 +155,36 @@ def _flag(errors: list[str], field: str, value: Any) -> bool:
     return False
 
 
+def _custom_state(errors: list[str], custom: Any, chain: ChainParams | None) -> tuple | None:
+    """Per-site (up, down) amplitudes from two [re, im] pairs of finite numbers.
+
+    One normalized entry per chain site; None after a named error.
+    """
+    count = len(errors)
+    if not isinstance(custom, (list, tuple)):
+        errors.append("initial_state.custom: expected per-site [[re, im], [re, im]] pairs")
+        return None
+    if chain is not None and len(custom) != chain.n_sites:
+        errors.append(f"initial_state.custom: {len(custom)} sites listed, model has {chain.n_sites}")
+    sites = []
+    for j, site in enumerate(custom):
+        field = f"initial_state.custom[{j}]"
+        if not (_pair(site) and all(_pair(p) for p in site)):
+            errors.append(f"{field}: expected two [re, im] pairs, got {site!r}")
+            continue
+        parts = [_number(errors, f"{field}[{k}]", x) for k, pair in enumerate(site) for x in pair]
+        if None not in parts:
+            amps = (complex(*parts[:2]), complex(*parts[2:]))
+            if not abs(math.hypot(abs(amps[0]), abs(amps[1])) - 1.0) <= 1e-10:
+                errors.append(f"{field}: not normalized")
+            sites.append(amps)
+    return tuple(sites) if len(errors) == count else None
+
+
+def _pair(x: Any) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2
+
+
 def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Normalize a parsed config, aggregating every violation.
 
@@ -215,25 +245,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         if custom is None:
             errors.append("initial_state: mapping form must carry a 'custom' list")
         else:
-            try:
-                custom_state = tuple(
-                    tuple(complex(c[0]) + 1j * complex(c[1]) for c in site)
-                    for site in custom
-                )
-                if chain is not None and len(custom_state) != chain.n_sites:
-                    errors.append(
-                        f"initial_state.custom: {len(custom_state)} sites listed, "
-                        f"model has {chain.n_sites}"
-                    )
-                for j, site in enumerate(custom_state):
-                    if len(site) != 2:
-                        errors.append(f"initial_state.custom[{j}]: need 2 components")
-                    elif not abs(math.sqrt(sum(abs(c) ** 2 for c in site)) - 1.0) <= 1e-10:
-                        errors.append(f"initial_state.custom[{j}]: not normalized")
-            except (TypeError, ValueError, IndexError):
-                errors.append(
-                    "initial_state.custom: expected per-site [[re, im], [re, im]] pairs"
-                )
+            custom_state = _custom_state(errors, custom, chain)
     else:
         initial_state = str(state_raw)
         if initial_state not in STATES or initial_state == "custom":
@@ -256,7 +268,11 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         grid_points = _number(errors, "time_grid.points", grid_points, int)
     if grid_kind not in ("default", "linear"):
         errors.append(f"time_grid.kind: must be default or linear, got {grid_kind!r}")
-    if grid_kind == "linear":
+    if grid_kind == "default":
+        for key in ("t_max", "points"):
+            if grid.get(key) is not None:
+                errors.append(f"time_grid.{key}: only a linear grid takes it")
+    elif grid_kind == "linear":
         if grid_t_max is None or grid_t_max <= 0:
             errors.append("time_grid.t_max: linear grids need a positive t_max")
         if grid_points is None or grid_points < 2:
@@ -469,20 +485,25 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
     return product_state(list(cfg.custom_state))
 
 
-def _variant_eigensystem(
-    cfg: ExperimentConfig, variant: str, chain_eig: EigenSystem, psi0: PureState
-) -> EigenSystem:
-    """The eigensystem of a model variant, derived from the chain's own."""
-    if variant == "local":
-        return chain_eig
-    if variant == "scrambled":
-        return scramble(chain_eig, derive_seed(cfg.master_seed, "scramble"))
-    # moment-match the random matrix to the local chain's occupied spectrum
-    ts = timescales(occupied_spectrum(chain_eig, psi0), cfg.weight_floor)
-    goe = build_goe(
-        chain_eig.dim, ts.energy_mean, ts.energy_width, derive_seed(cfg.master_seed, "goe")
-    )
-    return diagonalize(goe)
+def _variant_spectra(cfg: ExperimentConfig, chain_eig: EigenSystem, psi0: PureState) -> dict:
+    """The aligned (eigensystem, spectral data) of each model variant a run reads.
+
+    All derive from the chain's eigensystem, which is projected at most once:
+    the scrambled chain takes its eigenvectors, the random matrix its
+    occupied moments.
+    """
+    tags = ("local", "goe") if cfg.kind == "equivalence" else (cfg.variant,)
+    if tags == ("scrambled",):
+        eig = scramble(chain_eig, derive_seed(cfg.master_seed, "scramble"))
+        return {"scrambled": occupied_spectrum(eig, psi0)}
+    spectra = {"local": occupied_spectrum(chain_eig, psi0)}
+    if "goe" in tags:
+        ts = timescales(spectra["local"][1], cfg.weight_floor)
+        goe = build_goe(
+            chain_eig.dim, ts.energy_mean, ts.energy_width, derive_seed(cfg.master_seed, "goe")
+        )
+        spectra["goe"] = occupied_spectrum(diagonalize(goe), psi0)
+    return {tag: spectra[tag] for tag in tags}
 
 
 def _timescales_dict(ts: Timescales) -> dict:
@@ -526,16 +547,15 @@ def _typical_seed(cfg: ExperimentConfig, i: int) -> int:
     return derive_seed(cfg.master_seed, f"typical:{i}")
 
 
-def _typical_menu(cfg: ExperimentConfig, sdata: SpectralData):
-    """Labelled typical observables, dressed with the quench phases."""
+def _typical_menu(cfg: ExperimentConfig, dim: int):
+    """Labelled typical observables."""
     for i in range(cfg.typical_count):
-        obs = typical_observable(sdata.phases.size, _typical_seed(cfg, i), phases=sdata.phases)
-        yield f"typical_{i}", obs
+        yield f"typical_{i}", typical_observable(dim, _typical_seed(cfg, i))
 
 
 def _observable_menu(cfg: ExperimentConfig, sdata: SpectralData, eig: EigenSystem):
     """Labelled eigenbasis observables for a relax run."""
-    yield from _typical_menu(cfg, sdata)
+    yield from _typical_menu(cfg, eig.dim)
     if cfg.include_slow:
         yield "slow", slow_observable(sdata, cfg.weight_floor)
     if cfg.include_identity:
@@ -665,23 +685,22 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
     try:
         chain_eig = diagonalize(build_local_chain(cfg.chain))
         log(f"diagonalized dim {chain_eig.dim}")
+        spectra = _variant_spectra(cfg, chain_eig, psi0)
+        del chain_eig  # every later step reads an aligned copy only
         if cfg.kind == "equivalence":
             results: dict = {"dos_fits": {}, "reports": {}}
             timescale_info = {}
-            for tag in ("local", "goe"):
-                eig = _variant_eigensystem(cfg, tag, chain_eig, psi0)
-                sdata = occupied_spectrum(eig, psi0)
+            for tag, (eig, sdata) in spectra.items():
                 ts = timescales(sdata, cfg.weight_floor)
                 timescale_info[tag] = _timescales_dict(ts)
                 results["dos_fits"][tag] = _dos_outputs(cfg, sdata, writer, prefix=tag)[
                     "gaussian_fit"
                 ]
                 results["reports"][tag] = _series_outputs(
-                    cfg, eig, sdata, ts, writer, _typical_menu(cfg, sdata), prefix=f"{tag}_"
+                    cfg, eig, sdata, ts, writer, _typical_menu(cfg, eig.dim), prefix=f"{tag}_"
                 )
         else:
-            eig = _variant_eigensystem(cfg, cfg.variant, chain_eig, psi0)
-            sdata = occupied_spectrum(eig, psi0)
+            eig, sdata = spectra[cfg.variant]
             ts = timescales(sdata, cfg.weight_floor)
             timescale_info = _timescales_dict(ts)
             if cfg.kind == "relax":

@@ -1,9 +1,9 @@
 """Hilbert-space primitives for chains of two-level sites.
 
 Dimension bookkeeping, normalized pure and product states, the contiguous
-site regions that entropy cuts are checked against, and the product of a
-possibly real matrix with complex vectors that every eigenbasis
-projection shares.
+site regions that entropy cuts are checked against, the Hermitian check
+that operators and observables share, and the product of a possibly real
+matrix with complex vectors that every eigenbasis projection shares.
 
 Site-to-bit convention: site j maps to bit j of the basis index, so site 0
 is the least significant bit. Every index formula in the package relies on
@@ -26,11 +26,24 @@ MAX_SITES = 14
 LOCAL_DIM = 2
 
 _NORM_TOL = 1e-12
+_HERM_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _hermitian(matrix: np.ndarray, name: str) -> np.ndarray:
+    """matrix frozen, once it is square, finite and Hermitian within _HERM_TOL."""
+    m = np.ascontiguousarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+        raise ValueError(f"{name} is not Hermitian within {_HERM_TOL}")
+    return _freeze(m)
 
 
 @dataclass(frozen=True)

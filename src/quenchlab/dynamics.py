@@ -1,10 +1,11 @@
 """Time evolution and expectation-value series.
 
-With c_n = <n|psi0>, the evolved state is
-|psi(t)> = sum_n c_n e^{-i eps_n t} |n>, and for an observable O expressed
-in the eigenbasis
+In the quench-aligned eigenbasis that occupied_spectrum returns, every
+overlap c_n = <n|psi0> is real and nonnegative, c_n = |c_n|. The evolved
+state is |psi(t)> = sum_n c_n e^{-i eps_n t} |n>, and for an observable O
+expressed in that eigenbasis
 
-    <O(t)> = sum_{n,m} |c_n| O_{nm} |c_m| e^{i(eps_n - eps_m) t} e^{i(phi_m - phi_n)}
+    <O(t)> = sum_{n,m} |c_n| O_{nm} |c_m| e^{i(eps_n - eps_m) t}
 
 evaluated here as phi(t)^dag O phi(t) with phi_n(t) = c_n e^{-i eps_n t},
 which is the same double sum organized as matrix products over blocks of

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze
+from .core import _hermitian
 
 DEFAULT_J = 1.0
 DEFAULT_H = 4.2
 DEFAULT_G = 2.0
-
-_HERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,14 +54,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValueError("operator is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", _hermitian(self.matrix, "operator"))
 
     @property
     def dim(self) -> int:

@@ -1,14 +1,14 @@
 """The three observable classes of a quench and relaxation-time estimation.
 
-Typical observables dephase within a few Boltzmann times. The slow
-observable couples adjacent occupied levels with phase factors chosen so
-every term starts aligned; its expectation is a sum of cosines of
-neighboring-gap frequencies and survives until the Heisenberg time. Local
-observables are single-site Paulis. Every observable is built in the
-eigenbasis of the eigensystem it belongs to: a Pauli acts on the site basis
-as a sign per basis state (sigma-z) or a one-bit flip (sigma-x, sigma-y),
-so sigma V is the eigenvector matrix V with its rows signed and permuted,
-and one product V^dag (sigma V) gives the observable.
+Every observable is built in the quench-aligned eigenbasis, where each
+overlap <n|psi0> is real and nonnegative. Typical observables are
+entrywise positive there and dephase within a few Boltzmann times. The
+slow observable couples adjacent occupied levels; its expectation is a sum
+of cosines of neighboring-gap frequencies and survives until the
+Heisenberg time. Local observables are single-site Paulis: a Pauli acts on
+the site basis as a sign per basis state (sigma-z) or a one-bit flip
+(sigma-x, sigma-y), so sigma V is the eigenvector matrix V with its rows
+signed and permuted, and one product V^dag (sigma V) gives the observable.
 """
 from __future__ import annotations
 
@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze
+from .core import _hermitian
 from .dynamics import TimeSeries, _state_spec
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
 from .spectral import DEFAULT_WEIGHT_FLOOR, EigenSystem, SpectralData
 
-_HERM_TOL = 1e-12
 _PERRON_RTOL = 1e-14
 _PERRON_MAX_ITER = 10_000
 
@@ -35,14 +34,7 @@ class ObservableMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("observable has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValueError("observable is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", _hermitian(self.matrix, "observable"))
 
 
 @dataclass(frozen=True)
@@ -68,57 +60,38 @@ class RelaxationReport:
 def slow_observable(
     spec: SpectralData, weight_floor: float = DEFAULT_WEIGHT_FLOOR
 ) -> ObservableMatrix:
-    """Hermitian coupling of consecutive occupied levels with aligned phases.
+    """Real symmetric coupling of consecutive occupied levels.
 
     For occupied levels a < b adjacent in the sorted occupied spectrum the
-    matrix carries O[a, b] = e^{i(phi_a - phi_b)} and the conjugate below the
-    diagonal, so each pair contributes |c_a||c_b| with zero initial phase and
+    matrix carries O[a, b] = O[b, a] = 1. In the aligned eigenbasis each
+    pair contributes c_a c_b = |c_a||c_b| at t = 0, so
     <O(0)> = 2 sum |c_n||c_{n+1}|. Levels below the weight floor carry no
     dynamical weight and are skipped.
     """
     dim = spec.eigenvalues.size
     occ = np.nonzero(spec.occupied_mask(weight_floor))[0]
-    mat = np.zeros((dim, dim), dtype=complex)
-    ph = spec.phases
-    for a, b in zip(occ[:-1], occ[1:]):
-        mat[a, b] = np.exp(1j * (ph[a] - ph[b]))
-        mat[b, a] = np.conj(mat[a, b])
+    mat = np.zeros((dim, dim))
+    mat[occ[:-1], occ[1:]] = 1.0
+    mat[occ[1:], occ[:-1]] = 1.0
     return ObservableMatrix(mat)
 
 
-def typical_observable(
-    dim: int, seed: int, phases: np.ndarray | None = None
-) -> ObservableMatrix:
-    """Random Gaussian-ensemble Hermitian observable with unit operator norm.
+def typical_observable(dim: int, seed: int) -> ObservableMatrix:
+    """Random entrywise-positive symmetric observable with unit operator norm.
 
-    With phases given (the initial-state phases of a quench), the entries are
-    the magnitudes of a Gaussian draw dressed as e^{i phi_n}|G_nm|e^{-i phi_m}.
-    Every term of the t = 0 double sum then starts positive, giving the
-    observable a macroscopic initial deviation that dephases on the Boltzmann
-    time. A bare zero-mean draw starts at a value statistically identical to
-    its late-time fluctuations, so there is no deviation to relax; the
-    dressed form is what the dephasing experiments use.
+    The entries are the magnitudes |G| of a seeded Gaussian-ensemble draw.
+    In the aligned eigenbasis every term of the t = 0 double sum then starts
+    positive, giving the observable a macroscopic initial deviation that
+    dephases on the Boltzmann time. A bare zero-mean draw would start at a
+    value statistically identical to its late-time fluctuations, with no
+    deviation to relax. The norm of the positive |G| is its Perron root.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
-    m = (a + a.T) / 2.0
-    if phases is None:
-        # the bare spectrum is symmetric about 0, with no dominant eigenvalue
-        # for a power iteration to settle on
-        norm = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    else:
-        ph = np.asarray(phases, dtype=float)
-        if ph.shape != (dim,):
-            raise ValueError(f"phases shape {ph.shape} does not match dim {dim}")
-        m = np.abs(m)
-        # the dressing D|G|D^dag, D = diag(e^{i phi}), is unitarily similar to
-        # the entrywise-positive |G|, whose norm is its Perron root
-        norm = _perron_root(m)
-        unit = np.exp(1j * ph)
-        m = unit[:, None] * m * np.conj(unit)[None, :]
-    return ObservableMatrix(m / norm)
+    m = np.abs((a + a.T) / 2.0)
+    return ObservableMatrix(m / _perron_root(m))
 
 
 def _perron_root(a: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 """Diagonalization, Haar scrambling, occupied-spectrum statistics, and timescales.
 
 A quench from |psi0> occupies the spectrum with weights |c_n|^2 where
-c_n = <n|psi0>. Two times govern the subsequent dynamics: the Boltzmann
-time 1/Delta_E set by the occupied energy width, and the Heisenberg time
-1/delta_eps set by the mean spacing of occupied levels, which shrinks
-exponentially with system size. Units are hbar = k_B = 1.
+c_n = <n|psi0>, taken in the quench-aligned eigenbasis in which every c_n
+is real and nonnegative. Two times govern the subsequent dynamics: the
+Boltzmann time 1/Delta_E set by the occupied energy width, and the
+Heisenberg time 1/delta_eps set by the mean spacing of occupied levels,
+which shrinks exponentially with system size. Units are hbar = k_B = 1.
 """
 from __future__ import annotations
 
@@ -54,36 +55,32 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Occupied-spectrum overlaps of an initial state: weights and phases.
+    """Occupied-spectrum weights of an initial state.
 
-    weights[n] = |c_n|^2 and phases[n] = arg c_n in (-pi, pi], with
-    c_n = <n|psi0> against the eigenbasis the data was built from.
+    weights[n] = |c_n|^2 with c_n = <n|psi0>. In the quench-aligned
+    eigenbasis that occupied_spectrum returns with the data, every c_n is
+    real and nonnegative, so the overlaps themselves are sqrt(weights).
     """
 
     eigenvalues: np.ndarray
     weights: np.ndarray
-    phases: np.ndarray
 
     def __post_init__(self) -> None:
         ev = np.ascontiguousarray(self.eigenvalues, dtype=float)
         w = np.ascontiguousarray(self.weights, dtype=float)
-        ph = np.ascontiguousarray(self.phases, dtype=float)
-        if not (ev.shape == w.shape == ph.shape):
-            raise DimensionMismatch("eigenvalues, weights, phases must share a shape")
-        if not all(np.all(np.isfinite(a)) for a in (ev, w, ph)):
-            raise ValueError("eigenvalues, weights and phases must be finite")
+        if ev.shape != w.shape:
+            raise DimensionMismatch("eigenvalues and weights must share a shape")
+        if not (np.all(np.isfinite(ev)) and np.all(np.isfinite(w))):
+            raise ValueError("eigenvalues and weights must be finite")
         total = w.sum()
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-10")
-        if np.any(ph <= -np.pi) or np.any(ph > np.pi):
-            raise ValueError("phases must lie in (-pi, pi]")
         object.__setattr__(self, "eigenvalues", _freeze(ev))
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "phases", _freeze(ph))
 
     def amplitudes(self) -> np.ndarray:
-        """Reconstruct c_n = |c_n| e^{i phase_n}."""
-        return np.sqrt(self.weights) * np.exp(1j * self.phases)
+        """The aligned overlaps c_n = sqrt(weights[n])."""
+        return np.sqrt(self.weights)
 
     def occupied_mask(self, weight_floor: float) -> np.ndarray:
         return self.weights > weight_floor
@@ -135,22 +132,29 @@ def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
     return EigenSystem(eig.eigenvalues, u @ eig.eigenvectors)
 
 
-def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> SpectralData:
-    """Project the initial state onto the eigenbasis: c_n = <n|psi0>.
+def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> tuple[EigenSystem, SpectralData]:
+    """The quench-aligned eigensystem and the occupied spectrum of psi0.
 
-    Real eigenvectors multiply the real and imaginary parts of psi0
-    separately, so V is never copied to complex.
+    Each eigenvector column is multiplied by the phase of its overlap
+    c_n = <n|psi0> (by 1 where c_n = 0), so in the returned basis, which
+    does not depend on the input gauge, every overlap is sqrt(weights[n]).
+    Observables and evolved states are built in that basis. A real V with a
+    real psi0 gets signs only and stays real; a real V takes the real and
+    imaginary parts of psi0 in two real products.
     """
     if eig.dim != psi0.spec.dim:
         raise DimensionMismatch(
             f"eigensystem dimension {eig.dim} does not match state {psi0.spec.dim}"
         )
     c = _matmul(eig.eigenvectors.conj().T, psi0.amplitudes)
-    w = np.abs(c) ** 2
-    w = w / w.sum()
-    ph = np.angle(c)
-    ph = np.where(ph <= -np.pi, np.pi, ph)  # fold the -pi edge onto +pi
-    return SpectralData(eig.eigenvalues, w, ph)
+    mag = np.abs(c)
+    if c.imag.any():
+        unit = np.divide(c, mag, out=np.ones_like(c), where=mag > 0)
+    else:
+        unit = np.where(c.real < 0, -1.0, 1.0)  # exact signs keep a real V real
+    w = mag**2
+    aligned = EigenSystem(eig.eigenvalues, eig.eigenvectors * unit)
+    return aligned, SpectralData(eig.eigenvalues, w / w.sum())
 
 
 def timescales(

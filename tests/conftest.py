@@ -1,6 +1,7 @@
 """Session fixtures: diagonalized default chains and their nonlocal partners.
 
-Everything heavy is computed once per session. The scrambled partners come
+Every eigensystem here is the quench-aligned one that `ql.occupied_spectrum`
+returns with its weights. Everything heavy is computed once per session. The scrambled partners come
 from `ql.scramble`, the library's factored form (eigenvalues of the chain,
 eigenvectors U V), so no fixture diagonalizes a scrambled operator.
 """
@@ -38,16 +39,14 @@ def neel_state(n: int) -> ql.PureState:
 def _quench(n: int) -> Quench:
     params = ql.ChainParams(n_sites=n)
     chain = ql.build_local_chain(params)
-    eig = ql.diagonalize(chain)
     psi0 = neel_state(n)
-    sdata = ql.occupied_spectrum(eig, psi0)
+    eig, sdata = ql.occupied_spectrum(ql.diagonalize(chain), psi0)
     ts = ql.timescales(sdata)
     return Quench(params, chain, eig, psi0, sdata, ts)
 
 
 def _scrambled_partner(q: Quench) -> Partner:
-    eig = ql.scramble(q.eig, SCRAMBLE_SEED)
-    sdata = ql.occupied_spectrum(eig, q.psi0)
+    eig, sdata = ql.occupied_spectrum(ql.scramble(q.eig, SCRAMBLE_SEED), q.psi0)
     return Partner(eig, sdata, ql.timescales(sdata))
 
 
@@ -86,8 +85,7 @@ def goe10(quench10) -> Partner:
     op = ql.build_goe(
         quench10.eig.dim, quench10.ts.energy_mean, quench10.ts.energy_width, GOE_SEED
     )
-    eig = ql.diagonalize(op)
-    sdata = ql.occupied_spectrum(eig, quench10.psi0)
+    eig, sdata = ql.occupied_spectrum(ql.diagonalize(op), quench10.psi0)
     return Partner(eig, sdata, ql.timescales(sdata))
 
 
@@ -96,7 +94,7 @@ def typical_runs(partner, seeds=TYPICAL_SEEDS):
     grid = ql.default_relax_grid(partner.ts)
     runs = []
     for seed in seeds:
-        obs = ql.typical_observable(partner.eig.dim, seed, phases=partner.sdata.phases)
+        obs = ql.typical_observable(partner.eig.dim, seed)
         series = ql.expectation_series(partner.eig, partner.sdata, obs, grid)
         runs.append((series, ql.diagonal_ensemble(partner.sdata, obs)))
     return runs

@@ -27,7 +27,11 @@ def dense_pauli(n: int, site: int, axis: str) -> np.ndarray:
 
 
 def evolve_spectral(eig: ql.EigenSystem, spec: ql.SpectralData, t: float) -> ql.PureState:
-    """Exact evolved state at time t via per-level phase rotation."""
+    """Exact evolved state at time t via per-level phase rotation.
+
+    eig is the quench-aligned eigensystem that came with spec, in which the
+    overlaps are spec.amplitudes().
+    """
     phi = spec.amplitudes() * np.exp(-1j * spec.eigenvalues * t)
     amp = eig.eigenvectors @ phi
     amp = amp / np.linalg.norm(amp)

@@ -186,19 +186,17 @@ def test_independent_numerical_routes_agree(quench8):
             worst_entropy_gap, abs(entropy(state, region) - oracle)
         )
 
-    # fast expectation path against the literal double sum over level pairs
-    obs = ql.typical_observable(256, seed=0, phases=quench8.sdata.phases)
+    # fast expectation path against the literal double sum over level pairs,
+    # written in the gauge diagonalize returns: complex overlaps c and the
+    # observable dressed with their phases, D O D^dag
+    obs = ql.typical_observable(256, seed=0)
     grid = ql.linear_grid(2.0, 30)
     series = ql.expectation_series(quench8.eig, quench8.sdata, obs, grid)
-    mag = np.sqrt(quench8.sdata.weights)
-    ph = quench8.sdata.phases
+    c = ql.diagonalize(quench8.chain).eigenvectors.conj().T @ quench8.psi0.amplitudes
+    unit = np.exp(1j * np.angle(c))
+    dressed = unit[:, None] * obs.matrix * unit.conj()[None, :]
     e = quench8.sdata.eigenvalues
-    pair = (
-        mag[:, None]
-        * mag[None, :]
-        * obs.matrix
-        * np.exp(1j * (ph[None, :] - ph[:, None]))
-    )
+    pair = c.conj()[:, None] * dressed * c[None, :]
     worst_sum_gap = 0.0
     for k, t in enumerate(grid.times):
         total = np.sum(pair * np.exp(1j * (e[:, None] - e[None, :]) * t))

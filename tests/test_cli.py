@@ -319,6 +319,54 @@ def test_validate_custom_state():
     assert cfg is None and any("not normalized" in e for e in errors)
 
 
+@pytest.mark.parametrize(
+    "pair, expected",
+    [
+        (["0.6+0.8j", 0.0], "initial_state.custom[0][0]: expected a finite number, got '0.6+0.8j'"),
+        ([True, 0.0], "initial_state.custom[0][0]: expected a finite number, got True"),
+        (
+            [1.0, 0.0, 5.0],
+            "initial_state.custom[0]: expected two [re, im] pairs, got [[1.0, 0.0, 5.0], [0.0, 0.0]]",
+        ),
+    ],
+    ids=["complex_text", "boolean", "three_parts"],
+)
+def test_validate_custom_components_are_two_finite_numbers(tmp_path, capsys, pair, expected):
+    raw = {
+        "kind": "dos",
+        "model": {"n_sites": 2},
+        "initial_state": {"custom": [[pair, [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+    }
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    assert errors == [expected]
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 1
+    assert f"invalid: {expected}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        ({"t_max": 2.0}, ["time_grid.t_max: only a linear grid takes it"]),
+        (
+            {"kind": "default", "t_max": 2.0, "points": 50},
+            [
+                "time_grid.t_max: only a linear grid takes it",
+                "time_grid.points: only a linear grid takes it",
+            ],
+        ),
+    ],
+    ids=["t_max_only", "default_kind"],
+)
+def test_validate_rejects_grid_fields_the_default_grid_ignores(tmp_path, capsys, grid, expected):
+    raw = {"kind": "relax", "time_grid": grid}
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    assert errors == expected
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 1
+    assert f"invalid: {expected[0]}\n" in capsys.readouterr().err
+
+
 def test_validate_normalization_is_idempotent():
     raw = {"kind": "light_cone", "model": {"n_sites": 7}, "front_threshold": 0.02}
     cfg1, errors = cli.validate(raw)
@@ -493,7 +541,7 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     u = ql.haar_unitary(chain.dim, np.random.default_rng(cli.derive_seed(3, "scramble")))
     m = u @ chain.matrix @ u.conj().T
     eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0))
-    sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
+    eig, sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
     profile = ql.entropy_scan(eig, sdata, cfg.cuts, grid)
     rows = (out / "entropy.csv").read_text().strip().splitlines()[1:]
@@ -523,7 +571,7 @@ def test_relax_local_paulis_match_state_vector_route(tmp_path, variant):
     eig = ql.diagonalize(ql.build_local_chain(cfg.chain))
     if variant == "scrambled":
         eig = ql.scramble(eig, cli.derive_seed(5, "scramble"))
-    sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
+    eig, sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
     grid = ql.linear_grid(2.0, 9)
     states = [evolve_spectral(eig, sdata, float(t)).amplitudes for t in grid.times]
     for site in (0, 4):
@@ -533,6 +581,57 @@ def test_relax_local_paulis_match_state_vector_route(tmp_path, variant):
             rows = (out / f"series_local_{a}{site}.csv").read_text().strip().splitlines()
             got = [float(r.split(",")[1]) for r in rows[1:]]
             assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+
+def complex_custom_state(n: int) -> list:
+    rng = np.random.default_rng(6)
+    sites = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    sites /= np.linalg.norm(sites, axis=1, keepdims=True)
+    return [[[z.real, z.imag] for z in site] for site in sites.tolist()]
+
+
+@pytest.mark.parametrize("variant, state", [("local", "custom"), ("scrambled", "all_plus_x")])
+def test_relax_typical_and_slow_match_the_dressed_double_sum(tmp_path, variant, state):
+    out = tmp_path / "out"
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 6, "variant": variant},
+        "initial_state": {"custom": complex_custom_state(6)} if state == "custom" else state,
+        "time_grid": {"kind": "linear", "t_max": 2.0, "points": 9},
+        "observables": {"typical_count": 2, "slow": True},
+        "out_dir": str(out),
+        "master_seed": 5,
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    # oracle: the double sum over level pairs in the gauge diagonalize returns,
+    # with complex overlaps c and each observable dressed as D O D^dag by
+    # their phases D = diag(c / |c|)
+    cfg, _ = cli.validate(raw)
+    eig = ql.diagonalize(ql.build_local_chain(cfg.chain))
+    if variant == "scrambled":
+        eig = ql.scramble(eig, cli.derive_seed(5, "scramble"))
+    c = eig.eigenvectors.conj().T @ cli.build_initial_state(cfg).amplitudes
+    unit = c / np.abs(c)
+    bare = {}
+    for i in range(2):
+        a = np.random.default_rng(cli._typical_seed(cfg, i)).standard_normal((64, 64))
+        g = np.abs((a + a.T) / 2.0)
+        bare[f"typical_{i}"] = g / np.max(np.abs(np.linalg.eigvalsh(g)))
+    occ = np.nonzero(np.abs(c) ** 2 > cfg.weight_floor)[0]
+    band = np.zeros((64, 64))
+    band[occ[:-1], occ[1:]] = band[occ[1:], occ[:-1]] = 1.0
+    bare["slow"] = band
+    e = eig.eigenvalues
+    grid = ql.linear_grid(2.0, 9)
+    for label, mat in bare.items():
+        dressed = unit[:, None] * mat * unit.conj()[None, :]
+        want = [
+            (c.conj() @ (dressed * np.exp(1j * np.subtract.outer(e, e) * t)) @ c).real
+            for t in grid.times
+        ]
+        rows = (out / f"series_{label}.csv").read_text().strip().splitlines()
+        got = [float(r.split(",")[1]) for r in rows[1:]]
+        assert np.max(np.abs(np.array(got) - want)) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import quenchlab as ql
@@ -12,9 +10,7 @@ from quenchlab.observables import ObservableMatrix
 
 def two_level_system(omega: float):
     eig = ql.EigenSystem(np.array([-omega / 2, omega / 2]), np.eye(2))
-    data = ql.SpectralData(
-        np.array([-omega / 2, omega / 2]), np.array([0.5, 0.5]), np.zeros(2)
-    )
+    data = ql.SpectralData(np.array([-omega / 2, omega / 2]), np.array([0.5, 0.5]))
     return eig, data
 
 
@@ -59,9 +55,9 @@ def test_evolve_spectral_preserves_norm(quench6):
 def test_evolve_spectral_stationary_eigenstate(quench6):
     k = 11
     psi0 = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
-    sdata = ql.occupied_spectrum(quench6.eig, psi0)
+    eig, sdata = ql.occupied_spectrum(quench6.eig, psi0)
     for t in (0.5, 3.0, 20.0):
-        psi = evolve_spectral(quench6.eig, sdata, t)
+        psi = evolve_spectral(eig, sdata, t)
         assert abs(abs(np.vdot(psi0.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
 
 
@@ -103,18 +99,16 @@ def test_expectation_series_matches_state_vector_route(quench6):
 
 
 def test_expectation_series_matches_double_sum_oracle(quench6):
-    # literal double sum over level pairs with explicit phase factors
+    # literal double sum over level pairs; the aligned overlaps are real
     rng = np.random.default_rng(2)
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     obs = eigen_obs((a + a.conj().T) / 2)
     grid = ql.linear_grid(1.5, 7)
     series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
-    w, ph, e = quench6.sdata.weights, quench6.sdata.phases, quench6.sdata.eigenvalues
+    w, e = quench6.sdata.weights, quench6.sdata.eigenvalues
     mag = np.sqrt(w)
     for k, t in enumerate(grid.times):
-        phase = np.exp(1j * (e[:, None] - e[None, :]) * t) * np.exp(
-            1j * (ph[None, :] - ph[:, None])
-        )
+        phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
         val = np.sum(mag[:, None] * mag[None, :] * obs.matrix * phase)
         assert abs(series.values[k] - val.real) < 1e-10
         assert abs(val.imag) < 1e-10
@@ -126,15 +120,13 @@ def test_expectation_series_blocks_match_double_sum_oracle(quench6):
     rng = np.random.default_rng(3)
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     grid = ql.linear_grid(4.0, ql.dynamics.EVOLVE_BLOCK + 3)
-    w, ph, e = quench6.sdata.weights, quench6.sdata.phases, quench6.sdata.eigenvalues
+    w, e = quench6.sdata.weights, quench6.sdata.eigenvalues
     mag = np.sqrt(w)
     for mat in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
         obs = eigen_obs(mat)
         series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
         for k, t in enumerate(grid.times):
-            phase = np.exp(1j * (e[:, None] - e[None, :]) * t) * np.exp(
-                1j * (ph[None, :] - ph[:, None])
-            )
+            phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
             val = np.sum(mag[:, None] * mag[None, :] * obs.matrix * phase)
             assert abs(series.values[k] - val.real) < 1e-10
 
@@ -145,34 +137,11 @@ def test_expectation_series_dimension_mismatch(quench6):
         ql.expectation_series(quench6.eig, quench6.sdata, obs, ql.linear_grid(1.0, 3))
 
 
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=10, deadline=None)
-def test_phase_covariance(quench6, seed):
-    # shifting the initial phases while dressing the observable the same way
-    # leaves the expectation series untouched
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-np.pi, np.pi, 64)
-    a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    obs = eigen_obs((a + a.conj().T) / 2)
-
-    base = quench6.sdata
-    ph = np.angle(np.exp(1j * (base.phases + theta)))
-    ph = np.where(ph <= -np.pi, np.pi, ph)
-    shifted = ql.SpectralData(base.eigenvalues, base.weights, ph)
-    unit = np.exp(1j * theta)
-    dressed = eigen_obs(unit[:, None] * obs.matrix * np.conj(unit)[None, :])
-
-    grid = ql.linear_grid(2.0, 9)
-    s1 = ql.expectation_series(quench6.eig, base, obs, grid)
-    s2 = ql.expectation_series(quench6.eig, shifted, dressed, grid)
-    assert np.max(np.abs(s1.values - s2.values)) < 1e-10
-
-
 def test_diagonal_ensemble_identity_and_eigenstate(quench6):
     assert ql.diagonal_ensemble(quench6.sdata, ql.identity_observable(64)) == pytest.approx(1.0)
     k = 5
     psi = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
-    sdata = ql.occupied_spectrum(quench6.eig, psi)
+    _, sdata = ql.occupied_spectrum(quench6.eig, psi)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, 64))
     obs = eigen_obs((a + a.T) / 2)
@@ -181,7 +150,7 @@ def test_diagonal_ensemble_identity_and_eigenstate(quench6):
 
 
 def test_diagonal_ensemble_matches_long_time_average(quench6):
-    obs = ql.typical_observable(64, seed=12, phases=quench6.sdata.phases)
+    obs = ql.typical_observable(64, seed=12)
     tb = quench6.ts.boltzmann_time
     grid = ql.TimeGrid(np.linspace(100 * tb, 200 * tb, 400))
     series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
@@ -190,9 +159,7 @@ def test_diagonal_ensemble_matches_long_time_average(quench6):
 
 
 def test_diagonal_ensemble_warns_on_degenerate_gap():
-    data = ql.SpectralData(
-        np.array([0.0, 0.0, 1.0]), np.array([0.4, 0.3, 0.3]), np.zeros(3)
-    )
+    data = ql.SpectralData(np.array([0.0, 0.0, 1.0]), np.array([0.4, 0.3, 0.3]))
     with pytest.warns(UserWarning, match="gaps below"):
         ql.diagonal_ensemble(data, ql.identity_observable(3))
 

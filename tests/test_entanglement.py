@@ -101,9 +101,8 @@ def test_entropy_scan_reflection_symmetry():
     # under reversing the site order, so the profile must mirror in the cut
     params = ql.ChainParams(n_sites=8)
     chain = ql.build_local_chain(params)
-    eig = ql.diagonalize(chain)
     psi0 = ql.product_state([UP] * 8)
-    sdata = ql.occupied_spectrum(eig, psi0)
+    eig, sdata = ql.occupied_spectrum(ql.diagonalize(chain), psi0)
     profile = ql.entropy_scan(eig, sdata, range(1, 8), ql.linear_grid(2.0, 7))
     s = profile.entropies
     for i, cut in enumerate(profile.cuts):
@@ -252,7 +251,7 @@ def test_light_cone_reports_a_non_positive_front(quench8, monkeypatch):
 
 def test_scans_reject_a_dimension_that_is_not_a_chain():
     eig = ql.EigenSystem(np.arange(6.0), np.eye(6))
-    data = ql.SpectralData(np.arange(6.0), np.full(6, 1 / 6), np.zeros(6))
+    data = ql.SpectralData(np.arange(6.0), np.full(6, 1 / 6))
     grid = ql.linear_grid(1.0, 5)
     with pytest.raises(DimensionMismatch):
         ql.entropy_scan(eig, data, [1], grid)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED
 from oracles import dense_pauli
+from quenchlab import cli
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root
 
@@ -40,12 +41,10 @@ def test_slow_observable_structure(quench6):
 def test_slow_observable_uniform_weights_start():
     d = 8
     e = np.arange(d, dtype=float)
-    rng = np.random.default_rng(0)
-    ph = rng.uniform(-np.pi, np.pi, d)
-    data = ql.SpectralData(e, np.full(d, 1.0 / d), ph)
+    data = ql.SpectralData(e, np.full(d, 1.0 / d))
     obs = ql.slow_observable(data)
     c = data.amplitudes()
-    start = np.vdot(c, obs.matrix @ c).real
+    start = c @ obs.matrix @ c
     assert abs(start - 2.0 * (d - 1) / d) < 1e-12
 
 
@@ -68,16 +67,24 @@ def test_slow_observable_never_exceeds_start(quench6):
 
 
 def test_typical_observable_hermitian_and_normalized():
-    dressing = np.random.default_rng(0).uniform(-np.pi, np.pi, 128)
-    for phases in (None, dressing):
-        obs = ql.typical_observable(128, seed=3, phases=phases)
-        m = obs.matrix
-        assert np.max(np.abs(m - m.conj().T)) < 1e-12
-        # the norm of the dressed matrix comes from its undressed real twin;
-        # the complex decomposition here is the oracle
-        top = np.max(np.abs(np.linalg.eigvalsh(m)))
-        assert abs(top - 1.0) < 0.02
-        assert abs(top - 1.0) < 1e-10  # exact normalization in this implementation
+    m = ql.typical_observable(128, seed=3).matrix
+    assert np.max(np.abs(m - m.conj().T)) < 1e-12
+    assert m.min() >= 0.0
+    # the norm comes from the Perron root; the full decomposition is the oracle
+    top = np.max(np.abs(np.linalg.eigvalsh(m)))
+    assert abs(top - 1.0) < 0.02
+    assert abs(top - 1.0) < 1e-10  # exact normalization in this implementation
+
+
+@pytest.mark.parametrize("state", ["all_up", "neel", "all_plus_x"])
+def test_real_chain_keeps_aligned_basis_and_observables_real(quench6, state):
+    cfg, _ = cli.validate({"kind": "relax", "model": {"n_sites": 6}, "initial_state": state})
+    chain = ql.diagonalize(quench6.chain)
+    eig, sdata = ql.occupied_spectrum(chain, cli.build_initial_state(cfg))
+    assert eig.eigenvectors.dtype == np.float64
+    assert np.array_equal(np.abs(eig.eigenvectors), np.abs(chain.eigenvectors))
+    assert ql.typical_observable(eig.dim, seed=0).matrix.dtype == np.float64
+    assert ql.slow_observable(sdata).matrix.dtype == np.float64
 
 
 def test_typical_observable_deterministic_and_decorrelated():
@@ -87,19 +94,6 @@ def test_typical_observable_deterministic_and_decorrelated():
     c = ql.typical_observable(256, seed=2).matrix
     corr = np.corrcoef(a.real.ravel(), c.real.ravel())[0, 1]
     assert abs(corr) < 0.1
-
-
-def test_typical_observable_phase_dressing(quench6):
-    obs = ql.typical_observable(64, seed=5, phases=quench6.sdata.phases)
-    m = obs.matrix
-    assert np.max(np.abs(m - m.conj().T)) < 1e-12
-    # stripping the dressing must leave nonnegative entries
-    unit = np.exp(1j * quench6.sdata.phases)
-    bare = np.conj(unit)[:, None] * m * unit[None, :]
-    assert np.max(np.abs(bare.imag)) < 1e-12
-    assert bare.real.min() >= 0.0
-    with pytest.raises(ValueError):
-        ql.typical_observable(64, seed=5, phases=np.zeros(8))
 
 
 @pytest.mark.parametrize(
@@ -123,7 +117,7 @@ def test_perron_root_raises_when_the_bracket_never_closes():
 
 
 def test_typical_observable_decays_by_five_boltzmann_times(quench10):
-    obs = ql.typical_observable(1024, seed=0, phases=quench10.sdata.phases)
+    obs = ql.typical_observable(1024, seed=0)
     grid = ql.default_relax_grid(quench10.ts)
     series = ql.expectation_series(quench10.eig, quench10.sdata, obs, grid)
     eq = ql.diagonal_ensemble(quench10.sdata, obs)
@@ -258,7 +252,7 @@ def test_slow_beats_typical_at_same_threshold(quench8):
     s_rep = ql.relaxation_time(
         s_series, ql.diagonal_ensemble(quench8.sdata, slow), threshold_fraction=0.7
     )
-    typ = ql.typical_observable(256, seed=0, phases=quench8.sdata.phases)
+    typ = ql.typical_observable(256, seed=0)
     t_series = ql.expectation_series(
         quench8.eig, quench8.sdata, typ, ql.default_relax_grid(quench8.ts)
     )
