@@ -17,7 +17,8 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -58,7 +59,7 @@ from .spectral import (
 
 KINDS = ("relax", "dos", "entropy_scan", "light_cone", "equivalence")
 VARIANTS = ("local", "scrambled", "goe")
-STATES = ("all_up", "neel", "all_plus_x", "custom")
+STATES = ("all_up", "neel", "all_plus_x")
 
 DEFAULT_FRONT_THRESHOLD = 0.01
 DEFAULT_THRESHOLD_FRACTION = 1.0 / math.e
@@ -141,6 +142,28 @@ def _number(errors: list[str], field: str, value: Any, kind: type = float):
     return out
 
 
+def _int(errors: list[str], field: str, value: Any) -> int | None:
+    return _number(errors, field, value, int)
+
+
+def _optional(parse):
+    """parse, except that an absent field stays None."""
+    return lambda errors, field, value: None if value is None else parse(errors, field, value)
+
+
+def _choice(options: tuple, shown: str | None = None):
+    """Parser keeping a value among options; shown names them in the error."""
+    shown = shown or f"one of {options}"
+
+    def parse(errors: list[str], field: str, value: Any):
+        if value in options:
+            return value
+        errors.append(f"{field}: must be {shown}, got {value!r}")
+        return None
+
+    return parse
+
+
 def _unknown_fields(errors: list[str], prefix: str, mapping: dict, known: set) -> None:
     """Name every key of mapping outside known, non-string keys included."""
     for key in sorted(set(mapping) - known, key=str):
@@ -153,6 +176,78 @@ def _flag(errors: list[str], field: str, value: Any) -> bool:
         return value
     errors.append(f"{field}: expected true or false, got {value!r}")
     return False
+
+
+def _text(errors: list[str], field: str, value: Any) -> str:
+    return str(value)
+
+
+_named_state = _choice(STATES, f"one of {STATES} or a custom mapping")
+
+
+def _initial_state(errors: list[str], field: str, value: Any) -> str | None:
+    """A named product state, or "custom" for the mapping form validate reads."""
+    return "custom" if isinstance(value, dict) else _named_state(errors, field, value)
+
+
+def _typical_seeds(errors: list[str], field: str, value: Any) -> tuple[int, ...] | None:
+    if not isinstance(value, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in value
+    ):
+        errors.append(f"{field}: expected a list of nonnegative integers")
+        return None
+    repeated = [seed for i, seed in enumerate(value) if seed in value[:i]]
+    errors.extend(f"{field}: seed {seed} is repeated" for seed in repeated)
+    return None if repeated else tuple(value)
+
+
+def _out_dir(errors: list[str], field: str, value: Any) -> str | None:
+    """A directory path; numbers name one as well, as YAML reads 2024 as an int."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool) and value != "":
+        return str(value)
+    errors.append(f"{field}: expected a directory path, got {value!r}")
+    return None
+
+
+_NONNEGATIVE = ("must be nonnegative", lambda v: v >= 0)
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_OPEN_UNIT = ("must be in (0, 1)", lambda v: 0 < v < 1)
+
+# Every config field: path -> (ExperimentConfig attribute, parser, default,
+# range check). A parser takes (errors, field, value) and returns the parsed
+# value, or None after a named error. Fields without a parser keep their raw
+# value for the cross-field rules in validate, which also read the chain.
+FIELDS: dict[tuple[str, ...], tuple] = {
+    ("kind",): ("kind", _choice(KINDS), None, None),
+    ("model", "variant"): ("variant", _choice(VARIANTS), "local", None),
+    ("model", "n_sites"): ("chain.n_sites", _int, 10, None),
+    ("model", "J"): ("chain.J", _number, ChainParams.J, None),
+    ("model", "h"): ("chain.h", _number, ChainParams.h, None),
+    ("model", "g"): ("chain.g", _number, ChainParams.g, None),
+    ("model", "disorder_width"): ("chain.disorder_width", _number, 0.0, None),
+    ("model", "boundary"): ("chain.boundary", _text, "open", None),
+    ("model", "seed"): ("chain.seed", _int, 0, _NONNEGATIVE),
+    ("initial_state",): ("initial_state", _initial_state, "neel", None),
+    ("time_grid", "kind"): (
+        "grid_kind", _choice(("default", "linear"), "default or linear"), "default", None
+    ),
+    ("time_grid", "t_max"): ("grid_t_max", _optional(_number), None, None),
+    ("time_grid", "points"): ("grid_points", _optional(_int), None, None),
+    ("observables", "typical_count"): ("typical_count", _optional(_int), None, _NONNEGATIVE),
+    ("observables", "typical_seeds"): ("typical_seeds", _optional(_typical_seeds), None, None),
+    ("observables", "slow"): ("include_slow", _flag, False, None),
+    ("observables", "identity"): ("include_identity", _flag, False, None),
+    ("observables", "local"): ("local_observables", None, [], None),
+    ("cuts",): ("cuts", None, [], None),
+    ("reference_site",): ("reference_site", _int, 0, None),
+    ("front_threshold",): ("front_threshold", _number, DEFAULT_FRONT_THRESHOLD, _POSITIVE),
+    ("threshold_fraction",): (
+        "threshold_fraction", _number, DEFAULT_THRESHOLD_FRACTION, _OPEN_UNIT
+    ),
+    ("weight_floor",): ("weight_floor", _number, DEFAULT_WEIGHT_FLOOR, _NONNEGATIVE),
+    ("out_dir",): ("out_dir", _out_dir, "runs", None),
+    ("master_seed",): ("master_seed", _int, 0, None),
+}
 
 
 def _custom_state(errors: list[str], custom: Any, chain: ChainParams | None) -> tuple | None:
@@ -189,134 +284,80 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     """Normalize a parsed config, aggregating every violation.
 
     Returns (config, []) on success or (None, errors); errors name the
-    offending field.
+    offending field. Each field is parsed through FIELDS; the rules after
+    that relate fields to each other.
     """
-    errors: list[str] = []
     if not isinstance(raw, dict):
         return None, ["config: expected a mapping at top level"]
+    errors: list[str] = []
+    sections = {(): raw}
+    for path in FIELDS:
+        if path[:-1] not in sections:
+            section = _get(raw, path[0], {})
+            if not isinstance(section, dict):
+                errors.append(f"{path[0]}: expected a mapping")
+                section = {}
+            sections[path[:-1]] = section
+    for prefix, section in sections.items():
+        known = {path[len(prefix)] for path in FIELDS if path[: len(prefix)] == prefix}
+        _unknown_fields(errors, "".join(f"{key}." for key in prefix), section, known)
+    values: dict[str, Any] = {}
+    for path, (attr, parse, default, check) in FIELDS.items():
+        field = ".".join(path)
+        value = _get(sections[path[:-1]], path[-1], default)
+        if parse is not None:
+            value = parse(errors, field, value)
+        if check is not None and value is not None and not check[1](value):
+            errors.append(f"{field}: {check[0]}")
+        values[attr] = value
 
-    kind = _get(raw, "kind", None)
-    if kind not in KINDS:
-        errors.append(f"kind: must be one of {KINDS}, got {kind!r}")
-
-    model = _get(raw, "model", {})
-    if not isinstance(model, dict):
-        errors.append("model: expected a mapping")
-        model = {}
-    variant = _get(model, "variant", "local")
-    if variant not in VARIANTS:
-        errors.append(f"model.variant: must be one of {VARIANTS}, got {variant!r}")
-    elif kind == "equivalence" and variant != "local":
+    kind, variant = values["kind"], values["variant"]
+    if kind == "equivalence" and variant not in (None, "local"):
         errors.append(
             f"model.variant: equivalence runs compare the local chain with its "
             f"goe partner, got {variant!r}"
         )
-    model_fields = {
-        "n_sites": (10, int),
-        "J": (ChainParams.J, float),
-        "h": (ChainParams.h, float),
-        "g": (ChainParams.g, float),
-        "disorder_width": (0.0, float),
-        "seed": (0, int),
-    }
-    _unknown_fields(errors, "model.", model, {"variant", "boundary", *model_fields})
-    numbers = {
-        key: _number(errors, f"model.{key}", _get(model, key, default), kind)
-        for key, (default, kind) in model_fields.items()
-    }
-    if numbers["seed"] is not None and numbers["seed"] < 0:
-        errors.append("model.seed: must be nonnegative")
-        numbers["seed"] = None
+    params = {f.name: values.pop(f"chain.{f.name}") for f in fields(ChainParams)}
     chain = None
-    if None not in numbers.values():
+    if None not in params.values() and params["seed"] >= 0:
         try:
-            candidate = ChainParams(boundary=str(_get(model, "boundary", "open")), **numbers)
+            candidate = ChainParams(**params)
             HilbertSpec(candidate.n_sites)  # enforces the desk-scale site bound
             chain = candidate
         except ValueError as exc:
             errors.append(f"model: {exc}")
+    values["chain"] = chain
 
-    state_raw = _get(raw, "initial_state", "neel")
-    custom_state = None
-    if isinstance(state_raw, dict):
-        initial_state = "custom"
-        _unknown_fields(errors, "initial_state.", state_raw, {"custom"})
-        custom = state_raw.get("custom")
-        if custom is None:
+    values["custom_state"] = None
+    if values["initial_state"] == "custom":
+        state = raw["initial_state"]
+        _unknown_fields(errors, "initial_state.", state, {"custom"})
+        if state.get("custom") is None:
             errors.append("initial_state: mapping form must carry a 'custom' list")
         else:
-            custom_state = _custom_state(errors, custom, chain)
-    else:
-        initial_state = str(state_raw)
-        if initial_state not in STATES or initial_state == "custom":
-            errors.append(
-                f"initial_state: must be one of {STATES[:-1]} or a custom mapping, "
-                f"got {state_raw!r}"
-            )
+            values["custom_state"] = _custom_state(errors, state["custom"], chain)
 
-    grid = _get(raw, "time_grid", {})
-    if not isinstance(grid, dict):
-        errors.append("time_grid: expected a mapping")
-        grid = {}
-    _unknown_fields(errors, "time_grid.", grid, {"kind", "t_max", "points"})
-    grid_kind = _get(grid, "kind", "default")
-    grid_t_max = grid.get("t_max")
-    grid_points = grid.get("points")
-    if grid_t_max is not None:
-        grid_t_max = _number(errors, "time_grid.t_max", grid_t_max)
-    if grid_points is not None:
-        grid_points = _number(errors, "time_grid.points", grid_points, int)
-    if grid_kind not in ("default", "linear"):
-        errors.append(f"time_grid.kind: must be default or linear, got {grid_kind!r}")
-    if grid_kind == "default":
+    grid = sections[("time_grid",)]
+    if values["grid_kind"] == "default":
         for key in ("t_max", "points"):
             if grid.get(key) is not None:
                 errors.append(f"time_grid.{key}: only a linear grid takes it")
-    elif grid_kind == "linear":
-        if grid_t_max is None or grid_t_max <= 0:
+    elif values["grid_kind"] == "linear":
+        if values["grid_t_max"] is None or values["grid_t_max"] <= 0:
             errors.append("time_grid.t_max: linear grids need a positive t_max")
-        if grid_points is None or grid_points < 2:
+        if values["grid_points"] is None or values["grid_points"] < 2:
             errors.append("time_grid.points: linear grids need at least 2 points")
 
-    obs = _get(raw, "observables", {})
-    if not isinstance(obs, dict):
-        errors.append("observables: expected a mapping")
-        obs = {}
-    _unknown_fields(
-        errors, "observables.", obs, {"typical_count", "typical_seeds", "slow", "identity", "local"}
-    )
-    seeds_raw = obs.get("typical_seeds")
-    typical_seeds: tuple[int, ...] | None = None
-    if seeds_raw is not None:
-        if not isinstance(seeds_raw, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds_raw
-        ):
-            errors.append(
-                "observables.typical_seeds: expected a list of nonnegative integers"
-            )
-        else:
-            typical_seeds = tuple(seeds_raw)
-    default_count = len(typical_seeds) if typical_seeds is not None else 1
-    typical_count = _number(
-        errors,
-        "observables.typical_count",
-        _get(obs, "typical_count", default_count),
-        int,
-    )
-    if typical_count is not None and typical_count < 0:
-        errors.append("observables.typical_count: must be nonnegative")
-    if (
-        typical_seeds is not None
-        and typical_count is not None
-        and len(typical_seeds) != typical_count
-    ):
+    seeds = values["typical_seeds"]
+    if sections[("observables",)].get("typical_count") is None:
+        values["typical_count"] = 1 if seeds is None else len(seeds)
+    typical_count = values["typical_count"]
+    if seeds is not None and typical_count is not None and len(seeds) != typical_count:
         errors.append(
-            f"observables.typical_seeds: {len(typical_seeds)} seeds listed for "
+            f"observables.typical_seeds: {len(seeds)} seeds listed for "
             f"typical_count {typical_count}"
         )
-    include_slow = _flag(errors, "observables.slow", _get(obs, "slow", False))
-    include_identity = _flag(errors, "observables.identity", _get(obs, "identity", False))
-    locals_raw = _get(obs, "local", [])
+    locals_raw = values["local_observables"]
     local_observables: list[tuple[int, str]] = []
     if not isinstance(locals_raw, list):
         errors.append("observables.local: expected a list of {site, axis}")
@@ -327,7 +368,7 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             if not isinstance(entry, dict) or "site" not in entry:
                 errors.append(f"observables.local[{i}]: expected a {{site, axis}} mapping")
                 continue
-            site = _number(errors, f"observables.local[{i}].site", entry["site"], int)
+            site = _int(errors, f"observables.local[{i}].site", entry["site"])
             axis = str(entry.get("axis", "z"))
             if site is not None and chain is not None and not 0 <= site < chain.n_sites:
                 errors.append(
@@ -338,20 +379,21 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             if site is not None and (site, axis) in local_observables:
                 errors.append(f"observables.local[{i}]: repeats site {site}, axis {axis}")
             local_observables.append((site, axis))
-    if kind in ("relax",) and typical_count == 0 and not (
-        include_slow or include_identity or local_observables
+    values["local_observables"] = tuple(local_observables)
+    if kind == "relax" and typical_count == 0 and not (
+        values["include_slow"] or values["include_identity"] or local_observables
     ):
         errors.append("observables: relax runs need at least one observable")
     if kind == "equivalence" and typical_count is not None and typical_count < 1:
         errors.append("observables.typical_count: equivalence runs need at least 1")
 
-    cuts_raw = _get(raw, "cuts", [])
+    cuts_raw = values["cuts"]
     cuts: list[int] = []
     if not isinstance(cuts_raw, list):
         errors.append("cuts: expected a list of cut positions")
     else:
         for c in cuts_raw:
-            c = _number(errors, "cuts", c, int)
+            c = _int(errors, "cuts", c)
             if c is None:
                 continue
             if chain is not None and not 1 <= c <= chain.n_sites - 1:
@@ -361,114 +403,33 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             cuts.append(c)
     if not cuts and chain is not None and kind == "entropy_scan":
         cuts = list(range(1, chain.n_sites))
+    values["cuts"] = tuple(cuts)
 
-    reference_site = _number(errors, "reference_site", _get(raw, "reference_site", 0), int)
-    if (
-        reference_site is not None
-        and chain is not None
-        and not 0 <= reference_site < chain.n_sites - 1
-    ):
-        errors.append(
-            f"reference_site: {reference_site} leaves no radii in a chain of "
-            f"{chain.n_sites}"
-        )
+    ref = values["reference_site"]
+    if ref is not None and chain is not None and not 0 <= ref < chain.n_sites - 1:
+        errors.append(f"reference_site: {ref} leaves no radii in a chain of {chain.n_sites}")
 
-    front_threshold = _number(
-        errors, "front_threshold", _get(raw, "front_threshold", DEFAULT_FRONT_THRESHOLD)
-    )
-    if front_threshold is not None and front_threshold <= 0:
-        errors.append("front_threshold: must be positive")
-    threshold_fraction = _number(
-        errors,
-        "threshold_fraction",
-        _get(raw, "threshold_fraction", DEFAULT_THRESHOLD_FRACTION),
-    )
-    if threshold_fraction is not None and not 0 < threshold_fraction < 1:
-        errors.append("threshold_fraction: must be in (0, 1)")
-    weight_floor = _number(
-        errors, "weight_floor", _get(raw, "weight_floor", DEFAULT_WEIGHT_FLOOR)
-    )
-    if weight_floor is not None and weight_floor < 0:
-        errors.append("weight_floor: must be nonnegative")
-
-    out_dir = str(_get(raw, "out_dir", "runs"))
-    master_seed = _number(errors, "master_seed", _get(raw, "master_seed", 0), int)
-
-    known = {
-        "kind", "model", "initial_state", "time_grid", "observables", "cuts",
-        "reference_site", "front_threshold", "threshold_fraction", "weight_floor",
-        "out_dir", "master_seed",
-    }
-    _unknown_fields(errors, "", raw, known)
-
-    if errors or chain is None or kind is None:
+    if errors:
         return None, errors
-    cfg = ExperimentConfig(
-        kind=kind,
-        variant=variant,
-        chain=chain,
-        initial_state=initial_state,
-        custom_state=custom_state,
-        grid_kind=grid_kind,
-        grid_t_max=grid_t_max,
-        grid_points=grid_points,
-        typical_count=typical_count,
-        typical_seeds=typical_seeds,
-        include_slow=include_slow,
-        include_identity=include_identity,
-        local_observables=tuple(local_observables),
-        cuts=tuple(cuts),
-        reference_site=reference_site,
-        front_threshold=front_threshold,
-        threshold_fraction=threshold_fraction,
-        weight_floor=weight_floor,
-        out_dir=out_dir,
-        master_seed=master_seed,
-    )
-    return cfg, []
+    return ExperimentConfig(**values), []
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical plain-data form of a normalized config."""
-    return {
-        "kind": cfg.kind,
-        "model": {
-            "variant": cfg.variant,
-            "n_sites": cfg.chain.n_sites,
-            "J": cfg.chain.J,
-            "h": cfg.chain.h,
-            "g": cfg.chain.g,
-            "disorder_width": cfg.chain.disorder_width,
-            "boundary": cfg.chain.boundary,
-            "seed": cfg.chain.seed,
-        },
-        "initial_state": (
-            {"custom": [[[c.real, c.imag] for c in site] for site in cfg.custom_state]}
-            if cfg.initial_state == "custom"
-            else cfg.initial_state
-        ),
-        "time_grid": {
-            "kind": cfg.grid_kind,
-            "t_max": cfg.grid_t_max,
-            "points": cfg.grid_points,
-        },
-        "observables": {
-            "typical_count": cfg.typical_count,
-            "typical_seeds": (
-                None if cfg.typical_seeds is None else list(cfg.typical_seeds)
-            ),
-            "slow": cfg.include_slow,
-            "identity": cfg.include_identity,
-            "local": [{"site": s, "axis": a} for s, a in cfg.local_observables],
-        },
-        "cuts": list(cfg.cuts),
-        "reference_site": cfg.reference_site,
-        "front_threshold": cfg.front_threshold,
-        "threshold_fraction": cfg.threshold_fraction,
-        "weight_floor": cfg.weight_floor,
-        "out_dir": cfg.out_dir,
-        "master_seed": cfg.master_seed,
-    }
+    """Canonical plain-data form of a normalized config: every FIELDS path."""
+    out: dict = {}
+    for path, (attr, *_) in FIELDS.items():
+        value = attrgetter(attr)(cfg)
+        if attr == "initial_state" and value == "custom":
+            value = {"custom": [[[c.real, c.imag] for c in site] for site in cfg.custom_state]}
+        elif attr == "local_observables":
+            value = [{"site": s, "axis": a} for s, a in value]
+        elif isinstance(value, tuple):
+            value = list(value)
+        node = out
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return out
 
 
 def build_initial_state(cfg: ExperimentConfig) -> PureState:
@@ -504,16 +465,6 @@ def _variant_spectra(cfg: ExperimentConfig, chain_eig: EigenSystem, psi0: PureSt
         )
         spectra["goe"] = occupied_spectrum(diagonalize(goe), psi0)
     return {tag: spectra[tag] for tag in tags}
-
-
-def _timescales_dict(ts: Timescales) -> dict:
-    return {
-        "energy_mean": ts.energy_mean,
-        "energy_width": ts.energy_width,
-        "boltzmann_time": ts.boltzmann_time,
-        "mean_occupied_spacing": ts.mean_occupied_spacing,
-        "heisenberg_time": ts.heisenberg_time,
-    }
 
 
 class _RunWriter:
@@ -580,25 +531,10 @@ def _scan_grid(cfg: ExperimentConfig, points: int) -> TimeGrid:
     return linear_grid(t_max, points)
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "relaxation_time": rep.relaxation_time,
-        "equilibrium_value": rep.equilibrium_value,
-        "initial_deviation": rep.initial_deviation,
-        "threshold_fraction": rep.threshold_fraction,
-        "zero_initial_deviation": rep.zero_initial_deviation,
-        "relaxed": rep.relaxed,
-    }
-
-
-def _gaussian_dict(fit) -> dict:
-    return {
-        "mean": fit.mean,
-        "sigma": fit.sigma,
-        "skewness": fit.skewness,
-        "excess_kurtosis": fit.excess_kurtosis,
-        "max_cdf_deviation": fit.max_cdf_deviation,
-    }
+def _time_major_rows(times: np.ndarray, labels, values: np.ndarray) -> list[tuple]:
+    """(t, label, value) rows, time-major, of a labels x times array."""
+    columns = zip(times.tolist(), values.T.tolist())
+    return [(t, label, v) for t, column in columns for label, v in zip(labels, column)]
 
 
 def _series_outputs(cfg, eig, sdata, ts, writer, menu, prefix: str = "") -> dict:
@@ -614,7 +550,7 @@ def _series_outputs(cfg, eig, sdata, ts, writer, menu, prefix: str = "") -> dict
             "t,value",
             zip(series.times.tolist(), series.values.tolist()),
         )
-        reports[label] = _report_dict(rep)
+        reports[label] = {**asdict(rep), "relaxed": rep.relaxed}
     return reports
 
 
@@ -626,39 +562,25 @@ def _dos_outputs(cfg, sdata, writer, prefix: str = "") -> dict:
         zip(sdata.eigenvalues.tolist(), sdata.weights.tolist()),
     )
     fit = dos_fit(sdata, cfg.weight_floor)
-    return {"gaussian_fit": _gaussian_dict(fit)}
+    return {"gaussian_fit": asdict(fit)}
 
 
 def _entropy_outputs(cfg, eig, sdata, writer) -> dict:
     grid = _scan_grid(cfg, DEFAULT_SCAN_POINTS)
     profile = entropy_scan(eig, sdata, cfg.cuts, grid)
-    rows = []
-    for k, t in enumerate(grid.times.tolist()):
-        for i, cut in enumerate(profile.cuts):
-            rows.append((t, cut, float(profile.entropies[i, k])))
+    rows = _time_major_rows(grid.times, profile.cuts, profile.entropies)
     writer.write_csv("entropy.csv", "t,cut,entropy_nats", rows)
     fit = growth_fit(profile)
-    per_cut = {
-        str(f.cut): {
-            "rate": f.rate,
-            "intercept": f.intercept,
-            "r_squared": f.r_squared,
-            "fit_window": list(f.fit_window),
-            "saturation_value": f.saturation_value,
-            "window_too_small": f.window_too_small,
-        }
-        for f in fit.fits
-    }
+    per_cut = {str(f.cut): asdict(f) | {"fit_window": list(f.fit_window)} for f in fit.fits}
+    for entry in per_cut.values():
+        del entry["cut"]
     return {"growth_fit": per_cut, "saturation_fraction": fit.saturation_fraction}
 
 
 def _front_outputs(cfg, eig, sdata, writer) -> dict:
     grid = _scan_grid(cfg, DEFAULT_FRONT_POINTS)
     front = light_cone(eig, sdata, cfg.reference_site, grid, cfg.front_threshold)
-    rows = []
-    for k, t in enumerate(grid.times.tolist()):
-        for i, r in enumerate(front.radii):
-            rows.append((t, r, float(front.correlator[i, k])))
+    rows = _time_major_rows(grid.times, front.radii, front.correlator)
     writer.write_csv("front.csv", "t,r,correlation", rows)
     arrivals = {
         str(r): (None if np.isnan(a) else float(a))
@@ -692,7 +614,7 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
             timescale_info = {}
             for tag, (eig, sdata) in spectra.items():
                 ts = timescales(sdata, cfg.weight_floor)
-                timescale_info[tag] = _timescales_dict(ts)
+                timescale_info[tag] = asdict(ts)
                 results["dos_fits"][tag] = _dos_outputs(cfg, sdata, writer, prefix=tag)[
                     "gaussian_fit"
                 ]
@@ -702,7 +624,7 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
         else:
             eig, sdata = spectra[cfg.variant]
             ts = timescales(sdata, cfg.weight_floor)
-            timescale_info = _timescales_dict(ts)
+            timescale_info = asdict(ts)
             if cfg.kind == "relax":
                 menu = _observable_menu(cfg, sdata, eig)
                 results = {"reports": _series_outputs(cfg, eig, sdata, ts, writer, menu)}
@@ -750,7 +672,7 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 def _load_config(path: str) -> tuple[ExperimentConfig | None, list[str]]:
     try:
         raw = yaml.safe_load(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, [f"config: cannot read {path}: {exc}"]
     except yaml.YAMLError as exc:
         return None, [f"config: parse error: {exc}"]

@@ -17,6 +17,7 @@ from oracles import dense_pauli, evolve_spectral
 from quenchlab import cli
 
 LN2 = math.log(2.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, raw, name="config.yaml"):
@@ -243,6 +244,9 @@ def test_validate_rejects_repeated_entries():
     cfg, errors = cli.validate({"kind": "entropy_scan", "model": {"n_sites": 6}, "cuts": [2, 3, 2]})
     assert cfg is None
     assert errors == ["cuts: cut 2 is repeated"]
+    cfg, errors = cli.validate({"kind": "relax", "observables": {"typical_seeds": [5, 9, 5]}})
+    assert cfg is None
+    assert errors == ["observables.typical_seeds: seed 5 is repeated"]
 
 
 def test_run_rejects_repeated_entries(tmp_path, capsys):
@@ -367,14 +371,56 @@ def test_validate_rejects_grid_fields_the_default_grid_ignores(tmp_path, capsys,
     assert f"invalid: {expected[0]}\n" in capsys.readouterr().err
 
 
-def test_validate_normalization_is_idempotent():
-    raw = {"kind": "light_cone", "model": {"n_sites": 7}, "front_threshold": 0.02}
+def named_paths(raw: dict) -> set:
+    """Every key path of a config, one or two levels deep."""
+    nested = {(k, sub) for k, v in raw.items() if isinstance(v, dict) for sub in v}
+    return {(k,) for k in raw} | nested
+
+
+ROUND_TRIPS = {
+    "light_cone": {"kind": "light_cone", "model": {"n_sites": 7}, "front_threshold": 0.02},
+    **{
+        f"shipped_{path.stem}": yaml.safe_load(path.read_text())
+        for path in sorted((ROOT / "scripts" / "configs").glob("*.yaml"))
+    },
+    "custom": {
+        "kind": "dos",
+        "model": {"n_sites": 4},
+        "initial_state": {"custom": [[[0.6, 0.0], [0.0, 0.8]], [[1.0, 0.0], [0.0, 0.0]]] * 2},
+    },
+    "goe": {"kind": "relax", "model": {"n_sites": 6, "variant": "goe"}, "initial_state": "all_up"},
+    "scrambled": {"kind": "entropy_scan", "model": {"n_sites": 6, "variant": "scrambled"}},
+    "linear_grid": {
+        "kind": "relax",
+        "time_grid": {"kind": "linear", "t_max": 2.5, "points": 7},
+        "observables": {"typical_count": 0, "local": [{"site": 2, "axis": "y"}]},
+    },
+    "typical_seeds": {"kind": "equivalence", "observables": {"typical_seeds": [5, 9]}},
+}
+
+
+@pytest.mark.parametrize("raw", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_validate_normalization_is_idempotent(raw):
     cfg1, errors = cli.validate(raw)
     assert errors == []
     echoed = cli.config_to_dict(cfg1)
     cfg2, errors = cli.validate(yaml.safe_load(yaml.safe_dump(echoed)))
     assert errors == []
     assert cli.config_to_dict(cfg2) == echoed
+    assert set(cli.FIELDS) <= named_paths(echoed)
+
+
+def test_fuzz_sets_every_config_field():
+    for path in cli.FIELDS:
+        assert any(field[: len(path)] == path for field in SCALAR_FIELDS), path
+
+
+def test_readme_config_in_full_validates_and_names_every_field():
+    readme = (ROOT / "README.md").read_text()
+    raw = yaml.safe_load(readme.split("A config in full")[1].split("```yaml\n")[1].split("```")[0])
+    assert cli.validate(raw)[1] == []
+    linear_only = {("time_grid", "t_max"), ("time_grid", "points")}
+    assert set(cli.FIELDS) - named_paths(raw) == linear_only
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -683,6 +729,30 @@ def test_run_cleans_up_on_runtime_failure(tmp_path, capsys):
 
 def test_run_missing_config_file(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1
+
+
+def test_config_that_is_not_utf8_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"kind: dos\nout_dir: \xff\xfe\n")
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid: config: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("out_dir", [{}, [1, 2], True, ""], ids=["mapping", "list", "boolean", "empty"])
+def test_validate_requires_a_directory_path(tmp_path, monkeypatch, capsys, out_dir):
+    raw = {"kind": "dos", "model": {"n_sites": 4}, "out_dir": out_dir}
+    cfg, errors = cli.validate(raw)
+    assert cfg is None
+    assert errors == [f"out_dir: expected a directory path, got {out_dir!r}"]
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, raw)
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == 1
+        assert "invalid: out_dir:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+    cfg, errors = cli.validate({**raw, "out_dir": 2024})  # YAML reads a bare year as an int
+    assert errors == [] and cfg.out_dir == "2024"
 
 
 def test_run_rejects_bad_thread_count(tmp_path):
