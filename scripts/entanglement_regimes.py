@@ -45,11 +45,10 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     pairs = (("local", chain_eig), ("scrambled", ql.scramble(chain_eig, args.scramble_seed)))
-    for tag, basis in pairs:
-        eig, sdata = ql.occupied_spectrum(basis, psi0)
-        ts = ql.timescales(sdata)
+    for tag, eig in pairs:
+        ts = ql.timescales(ql.occupied_spectrum(eig, psi0))
         t_max = 3.0 / abs(params.J) if tag == "local" else 5.0 * ts.boltzmann_time
-        profile = ql.entropy_scan(eig, sdata, cuts, ql.linear_grid(t_max, args.points))
+        profile = ql.entropy_scan(eig, psi0, cuts, ql.linear_grid(t_max, args.points))
         profile_csv(out / f"entropy_{tag}.csv", profile)
         half = profile.entropies[list(profile.cuts).index(n // 2)]
         fit = ql.growth_fit(profile).for_cut(n // 2)

@@ -20,21 +20,21 @@ def neel(n: int) -> ql.PureState:
 
 def run_size(n: int, n_seeds: int, threshold: float):
     chain = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n)))
-    eig, sdata = ql.occupied_spectrum(chain, neel(n))
+    sdata = ql.occupied_spectrum(chain, neel(n))
     ts = ql.timescales(sdata)
 
     relax_grid = ql.default_relax_grid(ts)
     times = []
     for seed in range(n_seeds):
-        obs = ql.typical_observable(eig.dim, seed)
-        series = ql.expectation_series(eig, sdata, obs, relax_grid)
-        rep = ql.relaxation_time(series, ql.diagonal_ensemble(sdata, obs), threshold)
+        obs = ql.typical_observable(sdata.dim, seed)
+        series = ql.expectation_series(sdata, obs, relax_grid)
+        rep = ql.relaxation_time(series, ql.diagonal_ensemble(sdata, np.diagonal(obs.matrix)), threshold)
         times.append(rep.relaxation_time if rep.relaxed else np.inf)
     typical = float(np.median(times))
 
-    slow = ql.slow_observable(sdata)
-    series = ql.expectation_series(eig, sdata, slow, ql.default_slow_grid(ts))
-    rep = ql.relaxation_time(series, ql.diagonal_ensemble(sdata, slow), threshold)
+    # the slow observable has no diagonal, so its equilibrium is 0
+    series = ql.slow_series(sdata, ql.default_slow_grid(ts))
+    rep = ql.relaxation_time(series, ql.diagonal_ensemble(sdata, np.zeros(sdata.dim)), threshold)
     slow_t = rep.relaxation_time if rep.relaxed else np.inf
     return ts, typical, slow_t
 

@@ -55,9 +55,10 @@ from .observables import (
     ObservableMatrix,
     RelaxationReport,
     identity_observable,
-    local_observable,
+    local_series,
+    pauli_expectations,
     relaxation_time,
-    slow_observable,
+    slow_series,
     typical_observable,
 )
 from .spectral import (
@@ -116,9 +117,10 @@ __all__ = [
     "diagonal_ensemble",
     "ObservableMatrix",
     "RelaxationReport",
-    "slow_observable",
+    "slow_series",
     "typical_observable",
-    "local_observable",
+    "pauli_expectations",
+    "local_series",
     "identity_observable",
     "relaxation_time",
     "EntanglementProfile",

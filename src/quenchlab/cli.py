@@ -17,7 +17,8 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
@@ -40,14 +41,14 @@ from .errors import QuenchError
 from .hamiltonian import ChainParams, build_local_chain, build_goe
 from .observables import (
     identity_observable,
-    local_observable,
+    local_series,
+    pauli_expectations,
     relaxation_time,
-    slow_observable,
+    slow_series,
     typical_observable,
 )
 from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
-    EigenSystem,
     SpectralData,
     Timescales,
     diagonalize,
@@ -446,25 +447,24 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
     return product_state(list(cfg.custom_state))
 
 
-def _variant_spectra(cfg: ExperimentConfig, chain_eig: EigenSystem, psi0: PureState) -> dict:
-    """The aligned (eigensystem, spectral data) of each model variant a run reads.
-
-    All derive from the chain's eigensystem, which is projected at most once:
-    the scrambled chain takes its eigenvectors, the random matrix its
-    occupied moments.
+def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
+    """The eigensystem of a run's site-basis readers (None without them), and
+    the spectral data of each variant. All derive from one diagonalization of
+    the chain: the scrambled chain takes its eigenvectors, the random matrix
+    its occupied moments, so the chain's are dropped before it is built.
     """
-    tags = ("local", "goe") if cfg.kind == "equivalence" else (cfg.variant,)
-    if tags == ("scrambled",):
-        eig = scramble(chain_eig, derive_seed(cfg.master_seed, "scramble"))
-        return {"scrambled": occupied_spectrum(eig, psi0)}
-    spectra = {"local": occupied_spectrum(chain_eig, psi0)}
-    if "goe" in tags:
-        ts = timescales(spectra["local"][1], cfg.weight_floor)
-        goe = build_goe(
-            chain_eig.dim, ts.energy_mean, ts.energy_width, derive_seed(cfg.master_seed, "goe")
-        )
-        spectra["goe"] = occupied_spectrum(diagonalize(goe), psi0)
-    return {tag: spectra[tag] for tag in tags}
+    eig = diagonalize(build_local_chain(cfg.chain))
+    if cfg.variant == "scrambled":
+        eig = scramble(eig, derive_seed(cfg.master_seed, "scramble"))
+    spectra = {"local" if cfg.variant == "goe" else cfg.variant: occupied_spectrum(eig, psi0)}
+    if cfg.kind == "equivalence" or cfg.variant == "goe":
+        ts = timescales(spectra["local"], cfg.weight_floor)
+        del eig
+        seed = derive_seed(cfg.master_seed, "goe")
+        eig = diagonalize(build_goe(spectra["local"].dim, ts.energy_mean, ts.energy_width, seed))
+        spectra["goe"] = occupied_spectrum(eig, psi0)
+    reads_states = cfg.kind in ("entropy_scan", "light_cone") or bool(cfg.local_observables)
+    return (eig if reads_states else None), spectra
 
 
 class _RunWriter:
@@ -498,21 +498,24 @@ def _typical_seed(cfg: ExperimentConfig, i: int) -> int:
     return derive_seed(cfg.master_seed, f"typical:{i}")
 
 
-def _typical_menu(cfg: ExperimentConfig, dim: int):
-    """Labelled typical observables."""
+def _typical_menu(cfg: ExperimentConfig, sdata: SpectralData):
+    """Labelled typical observables as (series of a grid, eigenstate expectations)."""
     for i in range(cfg.typical_count):
-        yield f"typical_{i}", typical_observable(dim, _typical_seed(cfg, i))
+        obs = typical_observable(sdata.dim, _typical_seed(cfg, i))
+        yield f"typical_{i}", partial(expectation_series, sdata, obs), np.diagonal(obs.matrix)
 
 
-def _observable_menu(cfg: ExperimentConfig, sdata: SpectralData, eig: EigenSystem):
-    """Labelled eigenbasis observables for a relax run."""
-    yield from _typical_menu(cfg, eig.dim)
+def _observable_menu(cfg: ExperimentConfig, eig, psi0: PureState, sdata: SpectralData):
+    """Every observable of a relax run, as _typical_menu labels them."""
+    yield from _typical_menu(cfg, sdata)
     if cfg.include_slow:
-        yield "slow", slow_observable(sdata, cfg.weight_floor)
+        yield "slow", partial(slow_series, sdata, weight_floor=cfg.weight_floor), np.zeros(sdata.dim)
     if cfg.include_identity:
-        yield "identity", identity_observable(eig.dim)
+        obs = identity_observable(sdata.dim)
+        yield "identity", partial(expectation_series, sdata, obs), np.diagonal(obs.matrix)
     for site, axis in cfg.local_observables:
-        yield f"local_{axis}{site}", local_observable(eig, site, axis)
+        series_of = partial(local_series, eig, psi0, site, axis)
+        yield f"local_{axis}{site}", series_of, pauli_expectations(eig.eigenvectors, site, axis)
 
 
 def _series_grid(cfg: ExperimentConfig, ts: Timescales, label: str) -> TimeGrid:
@@ -537,13 +540,12 @@ def _time_major_rows(times: np.ndarray, labels, values: np.ndarray) -> list[tupl
     return [(t, label, v) for t, column in columns for label, v in zip(labels, column)]
 
 
-def _series_outputs(cfg, eig, sdata, ts, writer, menu, prefix: str = "") -> dict:
-    """Write series_<prefix><label>.csv per labelled observable; return the reports."""
+def _series_outputs(cfg, sdata, ts, writer, menu, prefix: str = "") -> dict:
+    """Write series_<prefix><label>.csv per menu entry; return the reports."""
     reports = {}
-    for label, obs in menu:
-        grid = _series_grid(cfg, ts, label)
-        series = expectation_series(eig, sdata, obs, grid)
-        equilibrium = diagonal_ensemble(sdata, obs)
+    for label, series_of, diagonal in menu:
+        series = series_of(_series_grid(cfg, ts, label))
+        equilibrium = diagonal_ensemble(sdata, diagonal)
         rep = relaxation_time(series, equilibrium, cfg.threshold_fraction)
         writer.write_csv(
             f"series_{prefix}{label}.csv",
@@ -565,9 +567,9 @@ def _dos_outputs(cfg, sdata, writer, prefix: str = "") -> dict:
     return {"gaussian_fit": asdict(fit)}
 
 
-def _entropy_outputs(cfg, eig, sdata, writer) -> dict:
+def _entropy_outputs(cfg, eig, psi0, writer) -> dict:
     grid = _scan_grid(cfg, DEFAULT_SCAN_POINTS)
-    profile = entropy_scan(eig, sdata, cfg.cuts, grid)
+    profile = entropy_scan(eig, psi0, cfg.cuts, grid)
     rows = _time_major_rows(grid.times, profile.cuts, profile.entropies)
     writer.write_csv("entropy.csv", "t,cut,entropy_nats", rows)
     fit = growth_fit(profile)
@@ -577,9 +579,9 @@ def _entropy_outputs(cfg, eig, sdata, writer) -> dict:
     return {"growth_fit": per_cut, "saturation_fraction": fit.saturation_fraction}
 
 
-def _front_outputs(cfg, eig, sdata, writer) -> dict:
+def _front_outputs(cfg, eig, psi0, writer) -> dict:
     grid = _scan_grid(cfg, DEFAULT_FRONT_POINTS)
-    front = light_cone(eig, sdata, cfg.reference_site, grid, cfg.front_threshold)
+    front = light_cone(eig, psi0, cfg.reference_site, grid, cfg.front_threshold)
     rows = _time_major_rows(grid.times, front.radii, front.correlator)
     writer.write_csv("front.csv", "t,r,correlation", rows)
     arrivals = {
@@ -605,35 +607,32 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
     writer = _RunWriter(out_dir)
     psi0 = build_initial_state(cfg)
     try:
-        chain_eig = diagonalize(build_local_chain(cfg.chain))
-        log(f"diagonalized dim {chain_eig.dim}")
-        spectra = _variant_spectra(cfg, chain_eig, psi0)
-        del chain_eig  # every later step reads an aligned copy only
+        eig, spectra = _variant_spectra(cfg, psi0)
         if cfg.kind == "equivalence":
             results: dict = {"dos_fits": {}, "reports": {}}
             timescale_info = {}
-            for tag, (eig, sdata) in spectra.items():
+            for tag, sdata in spectra.items():
                 ts = timescales(sdata, cfg.weight_floor)
                 timescale_info[tag] = asdict(ts)
                 results["dos_fits"][tag] = _dos_outputs(cfg, sdata, writer, prefix=tag)[
                     "gaussian_fit"
                 ]
                 results["reports"][tag] = _series_outputs(
-                    cfg, eig, sdata, ts, writer, _typical_menu(cfg, eig.dim), prefix=f"{tag}_"
+                    cfg, sdata, ts, writer, _typical_menu(cfg, sdata), prefix=f"{tag}_"
                 )
         else:
-            eig, sdata = spectra[cfg.variant]
+            sdata = spectra[cfg.variant]
             ts = timescales(sdata, cfg.weight_floor)
             timescale_info = asdict(ts)
             if cfg.kind == "relax":
-                menu = _observable_menu(cfg, sdata, eig)
-                results = {"reports": _series_outputs(cfg, eig, sdata, ts, writer, menu)}
+                menu = _observable_menu(cfg, eig, psi0, sdata)
+                results = {"reports": _series_outputs(cfg, sdata, ts, writer, menu)}
             elif cfg.kind == "dos":
                 results = _dos_outputs(cfg, sdata, writer)
             elif cfg.kind == "entropy_scan":
-                results = _entropy_outputs(cfg, eig, sdata, writer)
+                results = _entropy_outputs(cfg, eig, psi0, writer)
             else:
-                results = _front_outputs(cfg, eig, sdata, writer)
+                results = _front_outputs(cfg, eig, psi0, writer)
         manifest = {
             "version": __version__,
             "config": config_to_dict(cfg),
@@ -669,7 +668,8 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     path.write_bytes(text.encode())
 
 
-def _load_config(path: str) -> tuple[ExperimentConfig | None, list[str]]:
+def _load_config(path: str, overrides: dict) -> tuple[ExperimentConfig | None, list[str]]:
+    """The validated config at path, with the set overrides in place of its fields."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
@@ -678,6 +678,8 @@ def _load_config(path: str) -> tuple[ExperimentConfig | None, list[str]]:
         return None, [f"config: parse error: {exc}"]
     if raw is None:
         raw = {}
+    if isinstance(raw, dict):
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     return validate(raw)
 
 
@@ -712,7 +714,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 0
 
-    cfg, errors = _load_config(args.config)
+    overrides = {"out_dir": args.out_dir, "master_seed": args.seed} if args.command == "run" else {}
+    cfg, errors = _load_config(args.config, overrides)
     if errors:
         for e in errors:
             print(f"invalid: {e}", file=sys.stderr)
@@ -721,10 +724,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(yaml.dump(config_to_dict(cfg), Dumper=_ManifestDumper, sort_keys=True), end="")
         return 0
 
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
     if args.threads < 1:
         print("invalid: --threads must be at least 1", file=sys.stderr)
         return 1

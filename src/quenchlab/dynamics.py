@@ -1,16 +1,15 @@
 """Time evolution and expectation-value series.
 
-In the quench-aligned eigenbasis that occupied_spectrum returns, every
-overlap c_n = <n|psi0> is real and nonnegative, c_n = |c_n|. The evolved
-state is |psi(t)> = sum_n c_n e^{-i eps_n t} |n>, and for an observable O
-expressed in that eigenbasis
+Eigenbasis readers take the spectral data alone. In the quench-aligned
+eigenbasis every overlap c_n = <n|psi0> is sqrt(weights[n]), and for an
+observable O expressed in that eigenbasis
 
-    <O(t)> = sum_{n,m} |c_n| O_{nm} |c_m| e^{i(eps_n - eps_m) t}
+    <O(t)> = sum_{n,m} c_n O_{nm} c_m e^{i(eps_n - eps_m) t}
 
 evaluated here as phi(t)^dag O phi(t) with phi_n(t) = c_n e^{-i eps_n t},
 which is the same double sum organized as matrix products over blocks of
-EVOLVE_BLOCK grid times. The same blocks, rotated back to the site basis
-as V phi(t), are the evolved states that entropy scans and light cones read.
+EVOLVE_BLOCK grid times. Site-basis readers take the eigensystem and psi0,
+and read blocks of the states psi(t) = V (c * e^{-i E t}) with c = V^dag psi0.
 """
 from __future__ import annotations
 
@@ -20,9 +19,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import HilbertSpec, _freeze, _matmul
+from .core import HilbertSpec, PureState, _freeze, _matmul
 from .errors import DimensionMismatch
-from .spectral import EigenSystem, SpectralData, Timescales
+from .spectral import EigenSystem, SpectralData, Timescales, _overlaps
 
 if TYPE_CHECKING:  # avoids a runtime cycle with the observables module
     from .observables import ObservableMatrix
@@ -113,23 +112,22 @@ def _state_spec(dim: int) -> HilbertSpec:
     return HilbertSpec(n)
 
 
-def _phase_blocks(spec: SpectralData, grid: TimeGrid):
+def _phase_blocks(energies: np.ndarray, c: np.ndarray, grid: TimeGrid):
     """Yield (block, phi) with phi[:, j] = c e^{-i eps t_j} for each time of a block."""
-    c = spec.amplitudes()[:, None]
+    c = c[:, None]
     for start in range(0, len(grid), EVOLVE_BLOCK):
         block = slice(start, start + EVOLVE_BLOCK)
-        yield block, c * np.exp(-1j * np.outer(spec.eigenvalues, grid.times[block]))
+        yield block, c * np.exp(-1j * np.outer(energies, grid.times[block]))
 
 
-def _state_blocks(eig: EigenSystem, spec: SpectralData, grid: TimeGrid):
+def _state_blocks(eig: EigenSystem, psi0: PureState, grid: TimeGrid):
     """Yield (block, states): the normalized evolved state at each time of a block."""
-    for block, phi in _phase_blocks(spec, grid):
+    for block, phi in _phase_blocks(eig.eigenvalues, _overlaps(eig, psi0), grid):
         amp = _matmul(eig.eigenvectors, phi)
         yield block, amp / np.linalg.norm(amp, axis=0)
 
 
 def expectation_series(
-    eig: EigenSystem,
     spec: SpectralData,
     obs: ObservableMatrix,
     grid: TimeGrid,
@@ -140,12 +138,12 @@ def expectation_series(
     columns.
     """
     mat = obs.matrix
-    if mat.shape[0] != eig.dim:
+    if mat.shape[0] != spec.dim:
         raise DimensionMismatch(
-            f"observable dimension {mat.shape[0]} does not match {eig.dim}"
+            f"observable dimension {mat.shape[0]} does not match {spec.dim}"
         )
     values = np.empty(len(grid))
-    for block, phi in _phase_blocks(spec, grid):
+    for block, phi in _phase_blocks(spec.eigenvalues, spec.amplitudes(), grid):
         val = np.sum(phi.conj() * _matmul(mat, phi), axis=0)
         residue = float(np.max(np.abs(val.imag)))
         if residue > _IMAG_TOL:
@@ -156,13 +154,13 @@ def expectation_series(
     return TimeSeries(grid, values)
 
 
-def diagonal_ensemble(spec: SpectralData, obs: ObservableMatrix) -> float:
-    """Infinite-time average sum_n |c_n|^2 O_nn, assuming nondegenerate gaps.
+def diagonal_ensemble(spec: SpectralData, diagonal: np.ndarray) -> float:
+    """Infinite-time average sum_n |c_n|^2 O_nn of the eigenstate expectations O_nn.
 
-    Off-diagonal contributions from exactly degenerate pairs never dephase;
-    a warning flags spectra where any gap is numerically zero.
+    It assumes nondegenerate gaps: off-diagonal contributions from exactly
+    degenerate pairs never dephase, so a warning flags numerically zero gaps.
     """
-    if obs.matrix.shape[0] != spec.eigenvalues.size:
+    if np.shape(diagonal) != (spec.dim,):
         raise DimensionMismatch("observable does not match the spectrum")
     gaps = np.diff(spec.eigenvalues)
     if gaps.size and float(np.min(gaps)) < 1e-12:
@@ -171,4 +169,4 @@ def diagonal_ensemble(spec: SpectralData, obs: ObservableMatrix) -> float:
             "their non-dephasing off-diagonal terms",
             stacklevel=2,
         )
-    return float(np.sum(spec.weights * np.diagonal(obs.matrix).real))
+    return float(np.sum(spec.weights * diagonal).real)

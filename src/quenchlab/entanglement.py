@@ -20,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SiteRegion, _freeze
+from .core import PureState, SiteRegion, _freeze
 from .dynamics import TimeGrid, _state_blocks, _state_spec
 from .errors import NoFrontDetected
 from .hamiltonian import _sz_signs
-from .spectral import EigenSystem, SpectralData
+from .spectral import EigenSystem
 
 _EIG_CLIP = 1e-14  # Schmidt weights below this are numerically zero
 
@@ -98,7 +98,7 @@ class CorrelationFront:
 
 def entropy_scan(
     eig: EigenSystem,
-    spec: SpectralData,
+    psi0: PureState,
     cuts: Sequence[int],
     grid: TimeGrid,
 ) -> EntanglementProfile:
@@ -112,7 +112,7 @@ def entropy_scan(
     n = _state_spec(eig.dim).n_sites
     regions = [SiteRegion(0, c, n) for c in cuts]
     out = np.empty((len(cuts), len(grid)))
-    for block, states in _state_blocks(eig, spec, grid):
+    for block, states in _state_blocks(eig, psi0, grid):
         for i, region in enumerate(regions):
             schmidt = states.T.reshape(-1, 2 ** (n - region.size), 2**region.size)
             lam = np.linalg.svd(schmidt, compute_uv=False) ** 2
@@ -201,7 +201,7 @@ def fit_front(
 
 def light_cone(
     eig: EigenSystem,
-    spec: SpectralData,
+    psi0: PureState,
     reference_site: int,
     grid: TimeGrid,
     threshold: float = 0.01,
@@ -224,7 +224,7 @@ def light_cone(
     signs = _sz_signs(n)
     pair_signs = signs[:, reference_site, None] * signs[:, reference_site + 1 :]
     out = np.empty((len(radii), len(grid)))
-    for block, states in _state_blocks(eig, spec, grid):
+    for block, states in _state_blocks(eig, psi0, grid):
         p = np.abs(states) ** 2
         z = signs.T @ p
         zz = pair_signs.T @ p

@@ -1,14 +1,12 @@
 """The three observable classes of a quench and relaxation-time estimation.
 
-Every observable is built in the quench-aligned eigenbasis, where each
-overlap <n|psi0> is real and nonnegative. Typical observables are
-entrywise positive there and dephase within a few Boltzmann times. The
-slow observable couples adjacent occupied levels; its expectation is a sum
-of cosines of neighboring-gap frequencies and survives until the
-Heisenberg time. Local observables are single-site Paulis: a Pauli acts on
-the site basis as a sign per basis state (sigma-z) or a one-bit flip
-(sigma-x, sigma-y), so sigma V is the eigenvector matrix V with its rows
-signed and permuted, and one product V^dag (sigma V) gives the observable.
+Typical and slow observables live in the quench-aligned eigenbasis, where
+each overlap <n|psi0> is real and nonnegative, and read the spectral data
+alone. Typical observables are entrywise positive there and dephase within
+a few Boltzmann times. The slow observable couples adjacent occupied
+levels; its expectation is a sum of neighboring-gap cosines and survives
+until the Heisenberg time. Local observables are single-site Paulis, read
+in the site basis off the evolved states and the eigenvectors.
 """
 from __future__ import annotations
 
@@ -17,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _hermitian
-from .dynamics import TimeSeries, _state_spec
+from .core import PureState, _hermitian
+from .dynamics import TimeGrid, TimeSeries, _phase_blocks, _state_blocks, _state_spec
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
 from .spectral import DEFAULT_WEIGHT_FLOOR, EigenSystem, SpectralData
@@ -57,23 +55,23 @@ class RelaxationReport:
         return self.relaxation_time is not None
 
 
-def slow_observable(
-    spec: SpectralData, weight_floor: float = DEFAULT_WEIGHT_FLOOR
-) -> ObservableMatrix:
-    """Real symmetric coupling of consecutive occupied levels.
+def slow_series(
+    spec: SpectralData, grid: TimeGrid, weight_floor: float = DEFAULT_WEIGHT_FLOOR
+) -> TimeSeries:
+    """Series of O[a, b] = O[b, a] = 1 over adjacent occupied levels a < b.
 
-    For occupied levels a < b adjacent in the sorted occupied spectrum the
-    matrix carries O[a, b] = O[b, a] = 1. In the aligned eigenbasis each
-    pair contributes c_a c_b = |c_a||c_b| at t = 0, so
-    <O(0)> = 2 sum |c_n||c_{n+1}|. Levels below the weight floor carry no
+    With the aligned overlaps c it is 2 sum c_a c_b cos((eps_b - eps_a) t),
+    and its diagonal ensemble is 0. Levels below the weight floor carry no
     dynamical weight and are skipped.
     """
-    dim = spec.eigenvalues.size
     occ = np.nonzero(spec.occupied_mask(weight_floor))[0]
-    mat = np.zeros((dim, dim))
-    mat[occ[:-1], occ[1:]] = 1.0
-    mat[occ[1:], occ[:-1]] = 1.0
-    return ObservableMatrix(mat)
+    c = spec.amplitudes()
+    pairs = 2.0 * c[occ[:-1]] * c[occ[1:]]
+    values = np.empty(len(grid))
+    # each pair is one phase column of its gap; the real parts are the cosines
+    for block, phi in _phase_blocks(np.diff(spec.eigenvalues[occ]), pairs, grid):
+        values[block] = phi.sum(axis=0).real
+    return TimeSeries(grid, values)
 
 
 def typical_observable(dim: int, seed: int) -> ObservableMatrix:
@@ -117,29 +115,35 @@ def _perron_root(a: np.ndarray) -> float:
     )
 
 
-def local_observable(eig: EigenSystem, site: int, axis: str) -> ObservableMatrix:
-    """Single-site Pauli in the eigenbasis, V^dag sigma V.
+def pauli_expectations(columns: np.ndarray, site: int, axis: str) -> np.ndarray:
+    """<x|sigma|x> of a single-site Pauli for each site-basis column x.
 
-    Site 0 is the low bit of a basis index. sigma-z signs the rows of V,
-    sigma-x swaps the rows that differ in the site's bit, and sigma-y does
-    both and carries a factor -i, applied after the product, so a real V
-    gives real x and z observables from one real product.
+    With s_i the sigma-z sign of basis state i and m = 2^site (site 0 is the
+    low bit): <z> = sum s_i |x_i|^2, <x> = Re sum x_i^* x_{i^m} and
+    <y> = sum s_i Im(x_i^* x_{i^m}).
     """
-    n = _state_spec(eig.dim).n_sites
+    dim = columns.shape[0]
+    n = _state_spec(dim).n_sites
     if not 0 <= site < n:
         raise SiteOutOfBounds(f"site {site} outside chain of {n}")
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    v = eig.eigenvectors
-    rows = v if axis == "z" else v[np.arange(eig.dim) ^ (1 << site)]
-    if axis != "x":
-        rows = _sz_signs(n)[:, site, None] * rows
-    m = v.conj().T @ rows
-    if axis != "y":
-        return ObservableMatrix((m + m.conj().T) / 2.0)
-    # Hermitian part of -i m, taken as -i times the anti-Hermitian part of m
-    # so a real m is symmetrized before it becomes complex
-    return ObservableMatrix(-1j * ((m - m.conj().T) / 2.0))
+    signs = _sz_signs(n)[:, site]
+    if axis == "z":
+        return signs @ np.abs(columns) ** 2
+    left = columns.conj() if np.iscomplexobj(columns) else columns
+    pair = left * columns[np.arange(dim) ^ (1 << site)]
+    return pair.real.sum(axis=0) if axis == "x" else signs @ pair.imag
+
+
+def local_series(
+    eig: EigenSystem, psi0: PureState, site: int, axis: str, grid: TimeGrid
+) -> TimeSeries:
+    """Expectation series of a single-site Pauli, read off the evolved states."""
+    values = np.empty(len(grid))
+    for block, states in _state_blocks(eig, psi0, grid):
+        values[block] = pauli_expectations(states, site, axis)
+    return TimeSeries(grid, values)
 
 
 def identity_observable(dim: int) -> ObservableMatrix:

@@ -1,11 +1,12 @@
 """Diagonalization, Haar scrambling, occupied-spectrum statistics, and timescales.
 
 A quench from |psi0> occupies the spectrum with weights |c_n|^2 where
-c_n = <n|psi0>, taken in the quench-aligned eigenbasis in which every c_n
-is real and nonnegative. Two times govern the subsequent dynamics: the
-Boltzmann time 1/Delta_E set by the occupied energy width, and the
-Heisenberg time 1/delta_eps set by the mean spacing of occupied levels,
-which shrinks exponentially with system size. Units are hbar = k_B = 1.
+c_n = <n|psi0>; eigenbasis readers take the weights alone and work in the
+quench-aligned eigenbasis, where every c_n is sqrt(weights[n]). Two times
+govern the subsequent dynamics: the Boltzmann time 1/Delta_E set by the
+occupied energy width, and the Heisenberg time 1/delta_eps set by the mean
+spacing of occupied levels, which shrinks exponentially with system size.
+Units are hbar = k_B = 1.
 """
 from __future__ import annotations
 
@@ -58,8 +59,8 @@ class SpectralData:
     """Occupied-spectrum weights of an initial state.
 
     weights[n] = |c_n|^2 with c_n = <n|psi0>. In the quench-aligned
-    eigenbasis that occupied_spectrum returns with the data, every c_n is
-    real and nonnegative, so the overlaps themselves are sqrt(weights).
+    eigenbasis, where every c_n is real and nonnegative, the overlaps
+    themselves are sqrt(weights).
     """
 
     eigenvalues: np.ndarray
@@ -77,6 +78,10 @@ class SpectralData:
             raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-10")
         object.__setattr__(self, "eigenvalues", _freeze(ev))
         object.__setattr__(self, "weights", _freeze(w))
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
 
     def amplitudes(self) -> np.ndarray:
         """The aligned overlaps c_n = sqrt(weights[n])."""
@@ -132,29 +137,22 @@ def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
     return EigenSystem(eig.eigenvalues, u @ eig.eigenvectors)
 
 
-def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> tuple[EigenSystem, SpectralData]:
-    """The quench-aligned eigensystem and the occupied spectrum of psi0.
-
-    Each eigenvector column is multiplied by the phase of its overlap
-    c_n = <n|psi0> (by 1 where c_n = 0), so in the returned basis, which
-    does not depend on the input gauge, every overlap is sqrt(weights[n]).
-    Observables and evolved states are built in that basis. A real V with a
-    real psi0 gets signs only and stays real; a real V takes the real and
-    imaginary parts of psi0 in two real products.
-    """
+def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:
+    """c = V^dag psi0, read as (psi0^dag V)^* or V^T psi0 so V is never copied."""
     if eig.dim != psi0.spec.dim:
         raise DimensionMismatch(
             f"eigensystem dimension {eig.dim} does not match state {psi0.spec.dim}"
         )
-    c = _matmul(eig.eigenvectors.conj().T, psi0.amplitudes)
-    mag = np.abs(c)
-    if c.imag.any():
-        unit = np.divide(c, mag, out=np.ones_like(c), where=mag > 0)
-    else:
-        unit = np.where(c.real < 0, -1.0, 1.0)  # exact signs keep a real V real
-    w = mag**2
-    aligned = EigenSystem(eig.eigenvalues, eig.eigenvectors * unit)
-    return aligned, SpectralData(eig.eigenvalues, w / w.sum())
+    v, psi = eig.eigenvectors, psi0.amplitudes
+    if np.iscomplexobj(v):
+        return (psi.conj() @ v).conj()
+    return _matmul(v.T, psi)
+
+
+def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> SpectralData:
+    """The eigenvalues and the gauge-free weights |<n|psi0>|^2 of a quench."""
+    w = np.abs(_overlaps(eig, psi0)) ** 2
+    return SpectralData(eig.eigenvalues, w / w.sum())
 
 
 def timescales(

@@ -1,9 +1,11 @@
 """Session fixtures: diagonalized default chains and their nonlocal partners.
 
-Every eigensystem here is the quench-aligned one that `ql.occupied_spectrum`
-returns with its weights. Everything heavy is computed once per session. The scrambled partners come
-from `ql.scramble`, the library's factored form (eigenvalues of the chain,
-eigenvectors U V), so no fixture diagonalizes a scrambled operator.
+Every eigensystem here is in the gauge its construction returns, and each
+comes with the Neel state it is quenched from and that state's occupied
+spectrum. Everything heavy is computed once per session. The scrambled
+partners come from `ql.scramble`, the library's factored form (eigenvalues
+of the chain, eigenvectors U V), so no fixture diagonalizes a scrambled
+operator.
 """
 from typing import NamedTuple
 
@@ -28,6 +30,7 @@ class Quench(NamedTuple):
 
 class Partner(NamedTuple):
     eig: ql.EigenSystem
+    psi0: ql.PureState
     sdata: ql.SpectralData
     ts: ql.Timescales
 
@@ -40,14 +43,16 @@ def _quench(n: int) -> Quench:
     params = ql.ChainParams(n_sites=n)
     chain = ql.build_local_chain(params)
     psi0 = neel_state(n)
-    eig, sdata = ql.occupied_spectrum(ql.diagonalize(chain), psi0)
+    eig = ql.diagonalize(chain)
+    sdata = ql.occupied_spectrum(eig, psi0)
     ts = ql.timescales(sdata)
     return Quench(params, chain, eig, psi0, sdata, ts)
 
 
 def _scrambled_partner(q: Quench) -> Partner:
-    eig, sdata = ql.occupied_spectrum(ql.scramble(q.eig, SCRAMBLE_SEED), q.psi0)
-    return Partner(eig, sdata, ql.timescales(sdata))
+    eig = ql.scramble(q.eig, SCRAMBLE_SEED)
+    sdata = ql.occupied_spectrum(eig, q.psi0)
+    return Partner(eig, q.psi0, sdata, ql.timescales(sdata))
 
 
 @pytest.fixture(scope="session")
@@ -85,8 +90,9 @@ def goe10(quench10) -> Partner:
     op = ql.build_goe(
         quench10.eig.dim, quench10.ts.energy_mean, quench10.ts.energy_width, GOE_SEED
     )
-    eig, sdata = ql.occupied_spectrum(ql.diagonalize(op), quench10.psi0)
-    return Partner(eig, sdata, ql.timescales(sdata))
+    eig = ql.diagonalize(op)
+    sdata = ql.occupied_spectrum(eig, quench10.psi0)
+    return Partner(eig, quench10.psi0, sdata, ql.timescales(sdata))
 
 
 def typical_runs(partner, seeds=TYPICAL_SEEDS):
@@ -94,9 +100,9 @@ def typical_runs(partner, seeds=TYPICAL_SEEDS):
     grid = ql.default_relax_grid(partner.ts)
     runs = []
     for seed in seeds:
-        obs = ql.typical_observable(partner.eig.dim, seed)
-        series = ql.expectation_series(partner.eig, partner.sdata, obs, grid)
-        runs.append((series, ql.diagonal_ensemble(partner.sdata, obs)))
+        obs = ql.typical_observable(partner.sdata.dim, seed)
+        series = ql.expectation_series(partner.sdata, obs, grid)
+        runs.append((series, ql.diagonal_ensemble(partner.sdata, np.diagonal(obs.matrix))))
     return runs
 
 

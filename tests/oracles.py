@@ -2,9 +2,10 @@
 
 None of these is on a path that `quenchlab run` takes: the per-state
 spectral propagator, the Lanczos propagator, the reduced density matrix
-and its von Neumann entropy, and the dense site-basis Paulis. Each is the
+and its von Neumann entropy, the dense site-basis Paulis and their
+eigenbasis matrices V^dag sigma V, and the dense slow band. Each is the
 textbook form of a quantity the library computes another way (blocks of
-states, batched SVDs, signed and flipped eigenvector rows).
+states, batched SVDs, Pauli readings of site-basis columns, a cosine sum).
 """
 import numpy as np
 
@@ -26,14 +27,29 @@ def dense_pauli(n: int, site: int, axis: str) -> np.ndarray:
     return np.kron(np.eye(2 ** (n - site - 1)), np.kron(PAULI[axis], np.eye(2**site)))
 
 
-def evolve_spectral(eig: ql.EigenSystem, spec: ql.SpectralData, t: float) -> ql.PureState:
+def local_observable(eig: ql.EigenSystem, site: int, axis: str) -> np.ndarray:
+    """The eigenbasis matrix V^dag sigma V of a single-site Pauli."""
+    v = eig.eigenvectors.astype(complex)
+    return v.conj().T @ dense_pauli(_state_spec(eig.dim).n_sites, site, axis) @ v
+
+
+def slow_observable(spec: ql.SpectralData, weight_floor: float = 1e-8) -> ql.ObservableMatrix:
+    """The dense band O[a, b] = O[b, a] = 1 over adjacent occupied levels a < b."""
+    occ = np.nonzero(spec.occupied_mask(weight_floor))[0]
+    mat = np.zeros((spec.dim, spec.dim))
+    mat[occ[:-1], occ[1:]] = 1.0
+    mat[occ[1:], occ[:-1]] = 1.0
+    return ql.ObservableMatrix(mat)
+
+
+def evolve_spectral(eig: ql.EigenSystem, psi0: ql.PureState, t: float) -> ql.PureState:
     """Exact evolved state at time t via per-level phase rotation.
 
-    eig is the quench-aligned eigensystem that came with spec, in which the
-    overlaps are spec.amplitudes().
+    The overlaps c = V^dag psi0 are formed with V cast to complex.
     """
-    phi = spec.amplitudes() * np.exp(-1j * spec.eigenvalues * t)
-    amp = eig.eigenvectors @ phi
+    v = eig.eigenvectors.astype(complex)
+    phi = (v.conj().T @ psi0.amplitudes) * np.exp(-1j * eig.eigenvalues * t)
+    amp = v @ phi
     amp = amp / np.linalg.norm(amp)
     return ql.PureState(amp, _state_spec(eig.dim))
 

@@ -16,7 +16,7 @@ from scipy.stats import spearmanr
 
 import quenchlab as ql
 from conftest import typical_runs
-from oracles import entropy, evolve_spectral, krylov_evolve
+from oracles import entropy, evolve_spectral, krylov_evolve, slow_observable
 
 LN2 = math.log(2.0)
 
@@ -44,12 +44,9 @@ def test_slow_observable_outlives_typical_by_growing_margins(
         (quench10, typical_runs10),
     ):
         med_typical = median_relax(runs, threshold)
-        slow = ql.slow_observable(q.sdata)
-        series = ql.expectation_series(
-            q.eig, q.sdata, slow, ql.default_slow_grid(q.ts)
-        )
+        series = ql.slow_series(q.sdata, ql.default_slow_grid(q.ts))
         rep = ql.relaxation_time(
-            series, ql.diagonal_ensemble(q.sdata, slow), threshold
+            series, ql.diagonal_ensemble(q.sdata, np.zeros(q.sdata.dim)), threshold
         )
         assert rep.relaxed, f"slow observable never settled at {q.params.n_sites} sites"
         ratios.append(rep.relaxation_time / med_typical)
@@ -69,18 +66,14 @@ def test_slow_observable_outlives_typical_by_growing_margins(
 
 
 def test_slow_observable_matches_its_cosine_sum(quench8):
+    # the cosine sum the library evaluates against the series of the dense
+    # band of adjacent occupied levels
     sdata = quench8.sdata
-    obs = ql.slow_observable(sdata)
     grid = ql.default_slow_grid(quench8.ts)
-    series = ql.expectation_series(quench8.eig, sdata, obs, grid)
-    occ = np.nonzero(sdata.weights > 1e-8)[0]
-    mag = np.sqrt(sdata.weights)
-    oracle = np.zeros_like(grid.times)
-    for a, b in zip(occ[:-1], occ[1:]):
-        gap = sdata.eigenvalues[b] - sdata.eigenvalues[a]
-        oracle += 2.0 * mag[a] * mag[b] * np.cos(gap * grid.times)
+    series = ql.slow_series(sdata, grid)
+    oracle = ql.expectation_series(sdata, slow_observable(sdata), grid).values
     err = float(np.max(np.abs(series.values - oracle)))
-    print(f"max deviation from the neighboring-gap cosine sum: {err:.2e} (required < 1e-10)")
+    print(f"max deviation from the dense band's series: {err:.2e} (required < 1e-10)")
     assert err < 1e-10
 
 
@@ -101,7 +94,7 @@ def test_entanglement_distinguishes_local_from_scrambled_dynamics(
 ):
     # local chain: every interior cut grows linearly at nearly the same rate
     grid = ql.linear_grid(3.0, 46)
-    profile = ql.entropy_scan(quench12.eig, quench12.sdata, range(1, 12), grid)
+    profile = ql.entropy_scan(quench12.eig, quench12.psi0, range(1, 12), grid)
     fit = ql.growth_fit(profile)
     interior = [c for c in profile.cuts if 3 <= c <= 9]
     for cut in interior:
@@ -120,7 +113,7 @@ def test_entanglement_distinguishes_local_from_scrambled_dynamics(
     tau = scrambled12.ts.boltzmann_time
     cuts = tuple(range(1, 12))
     scan = ql.entropy_scan(
-        scrambled12.eig, scrambled12.sdata, cuts, ql.TimeGrid([tau, 5.0 * tau])
+        scrambled12.eig, scrambled12.psi0, cuts, ql.TimeGrid([tau, 5.0 * tau])
     )
     block = [min(c, 12 - c) for c in cuts]
     rho, _ = spearmanr(scan.entropies[:, 0], block)
@@ -138,7 +131,7 @@ def test_entanglement_distinguishes_local_from_scrambled_dynamics(
 
 def test_correlations_stay_inside_the_light_cone(quench12):
     grid = ql.linear_grid(3.0, 61)
-    front = ql.light_cone(quench12.eig, quench12.sdata, 0, grid, threshold=0.01)
+    front = ql.light_cone(quench12.eig, quench12.psi0, 0, grid, threshold=0.01)
     defined = int(np.sum(~np.isnan(front.arrival_times)))
     radii = np.asarray(front.radii, dtype=float)[:, None]
     exterior = radii > 2.0 * front.velocity * grid.times[None, :] + 1.0
@@ -166,7 +159,7 @@ def test_independent_numerical_routes_agree(quench8):
     worst_fidelity = 1.0
     for k in range(1, 21):
         psi = krylov_evolve(quench8.chain, psi, dt)
-        exact = evolve_spectral(quench8.eig, quench8.sdata, k * dt)
+        exact = evolve_spectral(quench8.eig, quench8.psi0, k * dt)
         worst_fidelity = min(
             worst_fidelity, abs(np.vdot(exact.amplitudes, psi.amplitudes))
         )
@@ -191,8 +184,8 @@ def test_independent_numerical_routes_agree(quench8):
     # observable dressed with their phases, D O D^dag
     obs = ql.typical_observable(256, seed=0)
     grid = ql.linear_grid(2.0, 30)
-    series = ql.expectation_series(quench8.eig, quench8.sdata, obs, grid)
-    c = ql.diagonalize(quench8.chain).eigenvectors.conj().T @ quench8.psi0.amplitudes
+    series = ql.expectation_series(quench8.sdata, obs, grid)
+    c = quench8.eig.eigenvectors.conj().T @ quench8.psi0.amplitudes
     unit = np.exp(1j * np.angle(c))
     dressed = unit[:, None] * obs.matrix * unit.conj()[None, :]
     e = quench8.sdata.eigenvalues
@@ -222,7 +215,7 @@ def test_matched_random_matrix_reproduces_chain_relaxation(
     tau = goe10.ts.boltzmann_time
     cuts = tuple(range(1, 10))
     scan = ql.entropy_scan(
-        goe10.eig, goe10.sdata, cuts, ql.TimeGrid([tau, 5.0 * tau])
+        goe10.eig, goe10.psi0, cuts, ql.TimeGrid([tau, 5.0 * tau])
     )
     block = [min(c, 10 - c) for c in cuts]
     rho, _ = spearmanr(scan.entropies[:, 0], block)

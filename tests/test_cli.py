@@ -587,9 +587,8 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     u = ql.haar_unitary(chain.dim, np.random.default_rng(cli.derive_seed(3, "scramble")))
     m = u @ chain.matrix @ u.conj().T
     eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0))
-    eig, sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
-    profile = ql.entropy_scan(eig, sdata, cfg.cuts, grid)
+    profile = ql.entropy_scan(eig, cli.build_initial_state(cfg), cfg.cuts, grid)
     rows = (out / "entropy.csv").read_text().strip().splitlines()[1:]
     got = np.array([float(r.split(",")[2]) for r in rows]).reshape(grid.times.size, -1)
     assert got.shape == (46, 7)
@@ -617,9 +616,9 @@ def test_relax_local_paulis_match_state_vector_route(tmp_path, variant):
     eig = ql.diagonalize(ql.build_local_chain(cfg.chain))
     if variant == "scrambled":
         eig = ql.scramble(eig, cli.derive_seed(5, "scramble"))
-    eig, sdata = ql.occupied_spectrum(eig, cli.build_initial_state(cfg))
+    psi0 = cli.build_initial_state(cfg)
     grid = ql.linear_grid(2.0, 9)
-    states = [evolve_spectral(eig, sdata, float(t)).amplitudes for t in grid.times]
+    states = [evolve_spectral(eig, psi0, float(t)).amplitudes for t in grid.times]
     for site in (0, 4):
         for a in axes:
             dense = dense_pauli(6, site, a)
@@ -705,6 +704,68 @@ def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, c
     assert all(dt.kind == "f" for dt in dtypes)  # no complex eigh
 
 
+# id -> (kind, variant, observables, eigendecompositions: 2 with a goe partner)
+RUN_CONTRACT = {
+    "relax": ("relax", "local", {"typical_count": 1, "slow": True, "local": [{"site": 1}]}, 1),
+    "dos": ("dos", "local", {}, 1),
+    "entropy_scan": ("entropy_scan", "local", {}, 1),
+    "light_cone": ("light_cone", "local", {}, 1),
+    "equivalence": ("equivalence", "local", {"typical_count": 1}, 2),
+    "scrambled": ("relax", "scrambled", {"typical_count": 1, "local": [{"site": 0, "axis": "x"}]}, 1),
+    "goe": ("entropy_scan", "goe", {}, 2),
+}
+
+
+@pytest.mark.parametrize("kind, variant, observables, eighs", RUN_CONTRACT.values(), ids=RUN_CONTRACT.keys())
+def test_run_builds_and_diagonalizes_through_the_cli_globals(
+    tmp_path, monkeypatch, kind, variant, observables, eighs
+):
+    # the benchmark's tracer wraps these two module globals; a run that
+    # reaches the chain or its eigh another way reports no eigh to compare with
+    calls = []
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("build_local_chain", "diagonalize"):
+        monkeypatch.setattr(cli, name, counting(name))
+    raw = {
+        "kind": kind,
+        "model": {"n_sites": 6, "variant": variant},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": observables,
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg, errors = cli.validate(raw)
+    assert errors == []
+    cli.run(cfg)
+    assert calls.count("build_local_chain") == 1
+    assert calls.count("diagonalize") == eighs
+
+
+def test_slow_and_local_equilibria_warn_on_a_repeated_level(tmp_path):
+    # without a transverse field the chain is diagonal in the site basis,
+    # and its spectrum repeats levels
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 4, "h": 0.0},
+        "initial_state": "all_plus_x",
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": {"typical_count": 0, "slow": True, "local": [{"site": 0, "axis": "x"}]},
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg, _ = cli.validate(raw)
+    with pytest.warns(UserWarning, match="gaps below") as record:
+        cli.run(cfg)
+    assert len(record) == 2  # one per equilibrium: the slow series and the local Pauli
+
+
 def test_run_rejects_invalid_config(tmp_path, capsys):
     out = tmp_path / "out"
     raw = {"kind": "warp", "out_dir": str(out)}
@@ -753,6 +814,14 @@ def test_validate_requires_a_directory_path(tmp_path, monkeypatch, capsys, out_d
     assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
     cfg, errors = cli.validate({**raw, "out_dir": 2024})  # YAML reads a bare year as an int
     assert errors == [] and cfg.out_dir == "2024"
+
+
+def test_out_dir_flag_requires_a_directory_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"kind": "dos", "model": {"n_sites": 4}})
+    assert cli.main(["run", path, "--out-dir", ""]) == 1
+    assert capsys.readouterr().err == "invalid: out_dir: expected a directory path, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
 def test_run_rejects_bad_thread_count(tmp_path):

@@ -8,10 +8,8 @@ from quenchlab.errors import DimensionMismatch
 from quenchlab.observables import ObservableMatrix
 
 
-def two_level_system(omega: float):
-    eig = ql.EigenSystem(np.array([-omega / 2, omega / 2]), np.eye(2))
-    data = ql.SpectralData(np.array([-omega / 2, omega / 2]), np.array([0.5, 0.5]))
-    return eig, data
+def two_level_data(omega: float) -> ql.SpectralData:
+    return ql.SpectralData(np.array([-omega / 2, omega / 2]), np.array([0.5, 0.5]))
 
 
 def eigen_obs(matrix):
@@ -42,58 +40,60 @@ def test_default_grids(quench8):
 
 
 def test_evolve_spectral_identity_at_zero(quench6):
-    psi = evolve_spectral(quench6.eig, quench6.sdata, 0.0)
+    psi = evolve_spectral(quench6.eig, quench6.psi0, 0.0)
     assert np.max(np.abs(psi.amplitudes - quench6.psi0.amplitudes)) < 1e-12
 
 
 def test_evolve_spectral_preserves_norm(quench6):
     for t in (0.3, 1.7, 42.0):
-        psi = evolve_spectral(quench6.eig, quench6.sdata, t)
+        psi = evolve_spectral(quench6.eig, quench6.psi0, t)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
 
 def test_evolve_spectral_stationary_eigenstate(quench6):
     k = 11
     psi0 = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
-    eig, sdata = ql.occupied_spectrum(quench6.eig, psi0)
     for t in (0.5, 3.0, 20.0):
-        psi = evolve_spectral(eig, sdata, t)
+        psi = evolve_spectral(quench6.eig, psi0, t)
         assert abs(abs(np.vdot(psi0.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
 
 
 def test_expectation_series_identity(quench6):
     grid = ql.linear_grid(2.0, 21)
     obs = ql.identity_observable(64)
-    series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
+    series = ql.expectation_series(quench6.sdata, obs, grid)
     assert np.max(np.abs(series.values - 1.0)) < 1e-12
 
 
 def test_expectation_series_conserves_energy(quench6):
     grid = ql.linear_grid(3.0, 31)
     obs = eigen_obs(np.diag(quench6.eig.eigenvalues))
-    series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
+    series = ql.expectation_series(quench6.sdata, obs, grid)
     assert np.max(np.abs(series.values - series.values[0])) < 1e-10
 
 
 def test_expectation_series_two_level_cosine():
     omega = 2.4
-    eig, data = two_level_system(omega)
     grid = ql.linear_grid(6.0, 101)
     obs = eigen_obs([[0.0, 1.0], [1.0, 0.0]])
-    series = ql.expectation_series(eig, data, obs, grid)
+    series = ql.expectation_series(two_level_data(omega), obs, grid)
     assert np.max(np.abs(series.values - np.cos(omega * grid.times))) < 1e-10
 
 
 def test_expectation_series_matches_state_vector_route(quench6):
+    # an eigenbasis observable lives in the quench-aligned basis, whose
+    # columns are those of V times the phases of the overlaps
     rng = np.random.default_rng(1)
     a = rng.standard_normal((64, 64))
     site_matrix = (a + a.T) / 2
     v = quench6.eig.eigenvectors
-    obs = ObservableMatrix(v.T @ site_matrix @ v)
+    c = v.T @ quench6.psi0.amplitudes
+    aligned = v * (c / np.abs(c))
+    obs = ObservableMatrix(aligned.conj().T @ site_matrix @ aligned)
     grid = ql.linear_grid(2.0, 17)
-    series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
+    series = ql.expectation_series(quench6.sdata, obs, grid)
     for k, t in enumerate(grid.times):
-        psi = evolve_spectral(quench6.eig, quench6.sdata, float(t))
+        psi = evolve_spectral(quench6.eig, quench6.psi0, float(t))
         direct = np.vdot(psi.amplitudes, site_matrix @ psi.amplitudes).real
         assert abs(series.values[k] - direct) < 1e-10
 
@@ -104,7 +104,7 @@ def test_expectation_series_matches_double_sum_oracle(quench6):
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     obs = eigen_obs((a + a.conj().T) / 2)
     grid = ql.linear_grid(1.5, 7)
-    series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
+    series = ql.expectation_series(quench6.sdata, obs, grid)
     w, e = quench6.sdata.weights, quench6.sdata.eigenvalues
     mag = np.sqrt(w)
     for k, t in enumerate(grid.times):
@@ -124,7 +124,7 @@ def test_expectation_series_blocks_match_double_sum_oracle(quench6):
     mag = np.sqrt(w)
     for mat in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
         obs = eigen_obs(mat)
-        series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
+        series = ql.expectation_series(quench6.sdata, obs, grid)
         for k, t in enumerate(grid.times):
             phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
             val = np.sum(mag[:, None] * mag[None, :] * obs.matrix * phase)
@@ -134,18 +134,19 @@ def test_expectation_series_blocks_match_double_sum_oracle(quench6):
 def test_expectation_series_dimension_mismatch(quench6):
     obs = ql.identity_observable(16)
     with pytest.raises(DimensionMismatch):
-        ql.expectation_series(quench6.eig, quench6.sdata, obs, ql.linear_grid(1.0, 3))
+        ql.expectation_series(quench6.sdata, obs, ql.linear_grid(1.0, 3))
 
 
 def test_diagonal_ensemble_identity_and_eigenstate(quench6):
-    assert ql.diagonal_ensemble(quench6.sdata, ql.identity_observable(64)) == pytest.approx(1.0)
+    identity = ql.identity_observable(64)
+    assert ql.diagonal_ensemble(quench6.sdata, np.diagonal(identity.matrix)) == pytest.approx(1.0)
     k = 5
     psi = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
-    _, sdata = ql.occupied_spectrum(quench6.eig, psi)
+    sdata = ql.occupied_spectrum(quench6.eig, psi)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, 64))
     obs = eigen_obs((a + a.T) / 2)
-    val = ql.diagonal_ensemble(sdata, obs)
+    val = ql.diagonal_ensemble(sdata, np.diagonal(obs.matrix))
     assert abs(val - obs.matrix[k, k].real) < 1e-10
 
 
@@ -153,15 +154,15 @@ def test_diagonal_ensemble_matches_long_time_average(quench6):
     obs = ql.typical_observable(64, seed=12)
     tb = quench6.ts.boltzmann_time
     grid = ql.TimeGrid(np.linspace(100 * tb, 200 * tb, 400))
-    series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
-    de = ql.diagonal_ensemble(quench6.sdata, obs)
+    series = ql.expectation_series(quench6.sdata, obs, grid)
+    de = ql.diagonal_ensemble(quench6.sdata, np.diagonal(obs.matrix))
     assert abs(series.values.mean() - de) <= 5.0 * series.values.std()
 
 
 def test_diagonal_ensemble_warns_on_degenerate_gap():
     data = ql.SpectralData(np.array([0.0, 0.0, 1.0]), np.array([0.4, 0.3, 0.3]))
     with pytest.warns(UserWarning, match="gaps below"):
-        ql.diagonal_ensemble(data, ql.identity_observable(3))
+        ql.diagonal_ensemble(data, np.diagonal(ql.identity_observable(3).matrix))
 
 
 def test_krylov_diagonal_exact():
@@ -180,7 +181,7 @@ def test_krylov_diagonal_exact():
 def test_krylov_matches_spectral(quench8):
     dt = quench8.ts.boltzmann_time
     out = krylov_evolve(quench8.chain, quench8.psi0, dt)
-    ref = evolve_spectral(quench8.eig, quench8.sdata, dt)
+    ref = evolve_spectral(quench8.eig, quench8.psi0, dt)
     fidelity = abs(np.vdot(ref.amplitudes, out.amplitudes))
     assert fidelity >= 1.0 - 1e-10
 

@@ -82,7 +82,7 @@ def test_entropy_bounds(seed, cut):
 
 def test_entropy_scan_initial_column_zero(quench8):
     grid = ql.linear_grid(1.0, 5)
-    profile = ql.entropy_scan(quench8.eig, quench8.sdata, range(1, 8), grid)
+    profile = ql.entropy_scan(quench8.eig, quench8.psi0, range(1, 8), grid)
     assert profile.entropies.shape == (7, 5)
     assert np.max(profile.entropies[:, 0]) < 1e-10  # separable start
     assert np.min(profile.entropies) >= -1e-12
@@ -90,7 +90,7 @@ def test_entropy_scan_initial_column_zero(quench8):
 
 def test_entropy_scan_bounds(quench8):
     grid = ql.linear_grid(2.0, 9)
-    profile = ql.entropy_scan(quench8.eig, quench8.sdata, range(1, 8), grid)
+    profile = ql.entropy_scan(quench8.eig, quench8.psi0, range(1, 8), grid)
     for i, cut in enumerate(profile.cuts):
         cap = min(cut, 8 - cut) * LN2 + 1e-9
         assert np.max(profile.entropies[i]) <= cap
@@ -102,8 +102,7 @@ def test_entropy_scan_reflection_symmetry():
     params = ql.ChainParams(n_sites=8)
     chain = ql.build_local_chain(params)
     psi0 = ql.product_state([UP] * 8)
-    eig, sdata = ql.occupied_spectrum(ql.diagonalize(chain), psi0)
-    profile = ql.entropy_scan(eig, sdata, range(1, 8), ql.linear_grid(2.0, 7))
+    profile = ql.entropy_scan(ql.diagonalize(chain), psi0, range(1, 8), ql.linear_grid(2.0, 7))
     s = profile.entropies
     for i, cut in enumerate(profile.cuts):
         j = profile.cuts.index(8 - cut)
@@ -121,9 +120,9 @@ def test_entropy_scan_matches_per_state_oracle(request, system):
     n = int(np.log2(q.eig.dim))
     grid = ql.linear_grid(3.0, KERNEL_POINTS)
     cuts = tuple(range(1, n))
-    profile = ql.entropy_scan(q.eig, q.sdata, cuts, grid)
+    profile = ql.entropy_scan(q.eig, q.psi0, cuts, grid)
     for k, t in enumerate(grid.times):
-        psi = evolve_spectral(q.eig, q.sdata, float(t))
+        psi = evolve_spectral(q.eig, q.psi0, float(t))
         for i, cut in enumerate(cuts):
             oracle = entropy(psi, ql.SiteRegion(0, cut, n))
             assert abs(profile.entropies[i, k] - oracle) < 1e-12
@@ -132,11 +131,11 @@ def test_entropy_scan_matches_per_state_oracle(request, system):
 def test_light_cone_matches_per_state_loop(quench8):
     grid = ql.linear_grid(3.0, KERNEL_POINTS)
     ref = 2
-    front = ql.light_cone(quench8.eig, quench8.sdata, ref, grid)
+    front = ql.light_cone(quench8.eig, quench8.psi0, ref, grid)
     bits = (np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1
     signs = 1.0 - 2.0 * bits
     for k, t in enumerate(grid.times):
-        p = np.abs(evolve_spectral(quench8.eig, quench8.sdata, float(t)).amplitudes) ** 2
+        p = np.abs(evolve_spectral(quench8.eig, quench8.psi0, float(t)).amplitudes) ** 2
         z = signs.T @ p
         for i, r in enumerate(front.radii):
             zz = np.sum(p * signs[:, ref] * signs[:, ref + r])
@@ -146,7 +145,7 @@ def test_light_cone_matches_per_state_loop(quench8):
 
 def test_scrambled_half_cut_reaches_page_value(scrambled10):
     t = 5.0 * scrambled10.ts.boltzmann_time
-    psi = evolve_spectral(scrambled10.eig, scrambled10.sdata, t)
+    psi = evolve_spectral(scrambled10.eig, scrambled10.psi0, t)
     s = entropy(psi, ql.SiteRegion(0, 5, 10))
     page = 5.0 * LN2 - 0.5
     assert abs(s - page) < 0.2 * page
@@ -187,7 +186,7 @@ def test_growth_fit_validation():
 
 def test_growth_fit_on_chain_scan(quench8):
     grid = ql.linear_grid(3.0, 46)
-    profile = ql.entropy_scan(quench8.eig, quench8.sdata, range(1, 8), grid)
+    profile = ql.entropy_scan(quench8.eig, quench8.psi0, range(1, 8), grid)
     f = ql.growth_fit(profile).for_cut(4)
     assert not f.window_too_small
     assert 0.2 < f.rate < 2.0
@@ -223,7 +222,7 @@ def test_fit_front_too_few_crossings():
 
 
 def test_light_cone_chain(quench8):
-    front = ql.light_cone(quench8.eig, quench8.sdata, 0, ql.linear_grid(3.0, 61))
+    front = ql.light_cone(quench8.eig, quench8.psi0, 0, ql.linear_grid(3.0, 61))
     assert front.radii == tuple(range(1, 8))
     assert np.max(front.correlator[:, 0]) < 1e-10  # product state at t = 0
     defined = front.arrival_times[~np.isnan(front.arrival_times)]
@@ -237,7 +236,7 @@ def test_light_cone_chain(quench8):
 def test_light_cone_threshold_never_reached(quench8):
     # connected correlators of unit-norm spins are bounded by 2
     with pytest.raises(NoFrontDetected):
-        ql.light_cone(quench8.eig, quench8.sdata, 0, ql.linear_grid(2.0, 20), threshold=3.0)
+        ql.light_cone(quench8.eig, quench8.psi0, 0, ql.linear_grid(2.0, 20), threshold=3.0)
 
 
 def test_light_cone_reports_a_non_positive_front(quench8, monkeypatch):
@@ -246,27 +245,27 @@ def test_light_cone_reports_a_non_positive_front(quench8, monkeypatch):
 
     monkeypatch.setattr("quenchlab.entanglement.fit_front", receding)
     with pytest.raises(NoFrontDetected, match="-0.75"):
-        ql.light_cone(quench8.eig, quench8.sdata, 0, ql.linear_grid(3.0, 61))
+        ql.light_cone(quench8.eig, quench8.psi0, 0, ql.linear_grid(3.0, 61))
 
 
 def test_scans_reject_a_dimension_that_is_not_a_chain():
     eig = ql.EigenSystem(np.arange(6.0), np.eye(6))
-    data = ql.SpectralData(np.arange(6.0), np.full(6, 1 / 6))
+    psi0 = ql.product_state([UP] * 3)
     grid = ql.linear_grid(1.0, 5)
-    with pytest.raises(DimensionMismatch):
-        ql.entropy_scan(eig, data, [1], grid)
-    with pytest.raises(DimensionMismatch):
-        ql.light_cone(eig, data, 0, grid)
+    with pytest.raises(DimensionMismatch, match="not a power of two"):
+        ql.entropy_scan(eig, psi0, [1], grid)
+    with pytest.raises(DimensionMismatch, match="not a power of two"):
+        ql.light_cone(eig, psi0, 0, grid)
 
 
 def test_light_cone_validation(quench6):
     grid = ql.linear_grid(1.0, 5)
     with pytest.raises(ValueError):
-        ql.light_cone(quench6.eig, quench6.sdata, 6, grid)
+        ql.light_cone(quench6.eig, quench6.psi0, 6, grid)
     with pytest.raises(ValueError):
-        ql.light_cone(quench6.eig, quench6.sdata, 5, grid)  # nothing to the right
+        ql.light_cone(quench6.eig, quench6.psi0, 5, grid)  # nothing to the right
     with pytest.raises(ValueError):
-        ql.light_cone(quench6.eig, quench6.sdata, 0, grid, threshold=0.0)
+        ql.light_cone(quench6.eig, quench6.psi0, 0, grid, threshold=0.0)
 
 
 def test_profile_shape_validation():

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED
-from oracles import dense_pauli
-from quenchlab import cli
+from oracles import dense_pauli, local_observable, slow_observable
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root
 
@@ -25,7 +24,9 @@ def slow_closed_form(sdata: ql.SpectralData, times: np.ndarray, floor=1e-8) -> n
 
 
 def test_slow_observable_structure(quench6):
-    obs = ql.slow_observable(quench6.sdata)
+    # the dense band is the oracle of slow_series; it couples exactly the
+    # adjacent occupied levels
+    obs = slow_observable(quench6.sdata)
     m = obs.matrix
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     occ = np.nonzero(quench6.sdata.weights > 1e-8)[0]
@@ -42,28 +43,22 @@ def test_slow_observable_uniform_weights_start():
     d = 8
     e = np.arange(d, dtype=float)
     data = ql.SpectralData(e, np.full(d, 1.0 / d))
-    obs = ql.slow_observable(data)
-    c = data.amplitudes()
-    start = c @ obs.matrix @ c
+    start = ql.slow_series(data, ql.TimeGrid([0.0])).values[0]
     assert abs(start - 2.0 * (d - 1) / d) < 1e-12
 
 
 def test_slow_observable_closed_form(quench8):
-    obs = ql.slow_observable(quench8.sdata)
     grid = ql.default_slow_grid(quench8.ts)
-    series = ql.expectation_series(quench8.eig, quench8.sdata, obs, grid)
+    series = ql.slow_series(quench8.sdata, grid)
     oracle = slow_closed_form(quench8.sdata, grid.times)
     assert np.max(np.abs(series.values - oracle)) < 1e-10
 
 
 def test_slow_observable_never_exceeds_start(quench6):
-    obs = ql.slow_observable(quench6.sdata)
     t_end = 0.1 * quench6.ts.heisenberg_time
-    grid = ql.TimeGrid(np.linspace(t_end / 200, t_end, 200))
-    series = ql.expectation_series(quench6.eig, quench6.sdata, obs, grid)
-    c = quench6.sdata.amplitudes()
-    start = np.vdot(c, obs.matrix @ c).real
-    assert np.all(series.values <= start + 1e-10)
+    grid = ql.TimeGrid(np.linspace(0.0, t_end, 201))
+    series = ql.slow_series(quench6.sdata, grid)
+    assert np.all(series.values[1:] <= series.values[0] + 1e-10)
 
 
 def test_typical_observable_hermitian_and_normalized():
@@ -74,17 +69,6 @@ def test_typical_observable_hermitian_and_normalized():
     top = np.max(np.abs(np.linalg.eigvalsh(m)))
     assert abs(top - 1.0) < 0.02
     assert abs(top - 1.0) < 1e-10  # exact normalization in this implementation
-
-
-@pytest.mark.parametrize("state", ["all_up", "neel", "all_plus_x"])
-def test_real_chain_keeps_aligned_basis_and_observables_real(quench6, state):
-    cfg, _ = cli.validate({"kind": "relax", "model": {"n_sites": 6}, "initial_state": state})
-    chain = ql.diagonalize(quench6.chain)
-    eig, sdata = ql.occupied_spectrum(chain, cli.build_initial_state(cfg))
-    assert eig.eigenvectors.dtype == np.float64
-    assert np.array_equal(np.abs(eig.eigenvectors), np.abs(chain.eigenvectors))
-    assert ql.typical_observable(eig.dim, seed=0).matrix.dtype == np.float64
-    assert ql.slow_observable(sdata).matrix.dtype == np.float64
 
 
 def test_typical_observable_deterministic_and_decorrelated():
@@ -119,62 +103,78 @@ def test_perron_root_raises_when_the_bracket_never_closes():
 def test_typical_observable_decays_by_five_boltzmann_times(quench10):
     obs = ql.typical_observable(1024, seed=0)
     grid = ql.default_relax_grid(quench10.ts)
-    series = ql.expectation_series(quench10.eig, quench10.sdata, obs, grid)
-    eq = ql.diagonal_ensemble(quench10.sdata, obs)
+    series = ql.expectation_series(quench10.sdata, obs, grid)
+    eq = ql.diagonal_ensemble(quench10.sdata, np.diagonal(obs.matrix))
     dev0 = abs(series.values[0] - eq)
     k = int(np.searchsorted(grid.times, 5.0 * quench10.ts.boltzmann_time))
     assert np.all(np.abs(series.values[k:] - eq) < 0.2 * dev0)
 
 
-def site_eigensystem(n: int) -> ql.EigenSystem:
-    """Eigensystem whose eigenbasis is the site basis itself."""
-    return ql.EigenSystem(np.arange(2.0**n), np.eye(2**n))
+def random_columns(n: int, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((2**n, count)) + 1j * rng.standard_normal((2**n, count))
+    return cols / np.linalg.norm(cols, axis=0)
 
 
 def test_local_observable_expectations():
     n = 4
-    eig = site_eigensystem(n)
-    all_up = ql.product_state([UP] * n)
+    all_up = ql.product_state([UP] * n).amplitudes[:, None]
     for site in range(n):
-        sz = ql.local_observable(eig, site, "z")
-        val = np.vdot(all_up.amplitudes, sz.matrix @ all_up.amplitudes).real
-        assert abs(val - 1.0) < 1e-12
-    all_plus = ql.product_state([PLUS] * n)
-    sx = ql.local_observable(eig, 2, "x")
-    val = np.vdot(all_plus.amplitudes, sx.matrix @ all_plus.amplitudes).real
-    assert abs(val - 1.0) < 1e-12
+        assert abs(ql.pauli_expectations(all_up, site, "z")[0] - 1.0) < 1e-12
+    all_plus = ql.product_state([PLUS] * n).amplitudes[:, None]
+    assert abs(ql.pauli_expectations(all_plus, 2, "x")[0] - 1.0) < 1e-12
+    # the site basis itself: sigma-z reads the bit signs, x and y read 0
+    basis = np.eye(2**n)
+    bits = (np.arange(2**n) >> 1) & 1
+    assert np.array_equal(ql.pauli_expectations(basis, 1, "z"), 1.0 - 2.0 * bits)
+    for axis in ("x", "y"):
+        assert not ql.pauli_expectations(basis, 1, axis).any()
 
 
 def test_local_observables_commute_on_disjoint_sites():
-    eig = site_eigensystem(3)
-    a = ql.local_observable(eig, 0, "z").matrix
-    b = ql.local_observable(eig, 1, "z").matrix
-    assert np.max(np.abs(a @ b - b @ a)) == 0.0
+    # flipping site 1 is sigma-x on site 1; conjugating by it leaves every
+    # sigma on site 0 as it was and turns sigma-z and sigma-y on site 1 over
+    cols = random_columns(3, 5, seed=1)
+    flipped = cols[np.arange(8) ^ 2]
+    for axis in ("x", "y", "z"):
+        before = ql.pauli_expectations(cols, 0, axis)
+        assert np.max(np.abs(ql.pauli_expectations(flipped, 0, axis) - before)) < 1e-15
+        sign = 1.0 if axis == "x" else -1.0
+        after = ql.pauli_expectations(flipped, 1, axis)
+        assert np.max(np.abs(after - sign * ql.pauli_expectations(cols, 1, axis))) < 1e-15
 
 
 def test_local_observable_errors():
-    eig = site_eigensystem(3)
+    cols = np.eye(8)
     with pytest.raises(SiteOutOfBounds):
-        ql.local_observable(eig, 3, "z")
+        ql.pauli_expectations(cols, 3, "z")
     with pytest.raises(ValueError):
-        ql.local_observable(eig, 0, "w")
+        ql.pauli_expectations(cols, 0, "w")
     with pytest.raises(DimensionMismatch):
-        ql.local_observable(ql.EigenSystem(np.arange(6.0), np.eye(6)), 0, "z")
+        ql.pauli_expectations(np.eye(6), 0, "z")
 
 
 @pytest.mark.parametrize("variant", ["local", "scrambled"])
 def test_local_observable_matches_dense_kron_oracle(quench6, variant):
+    # the site-basis reader, on the columns of V and on the evolved states,
+    # against the dense eigenbasis matrix V^dag sigma V
     eig = quench6.eig if variant == "local" else ql.scramble(quench6.eig, SCRAMBLE_SEED)
     v = eig.eigenvectors
+    grid = ql.linear_grid(2.0, 9)
+    c = v.conj().T @ quench6.psi0.amplitudes
+    e = eig.eigenvalues
+    phases = [np.exp(1j * np.subtract.outer(e, e) * t) for t in grid.times]
     for site in (0, 1, 3, 5):
         for axis in ("x", "y", "z"):
-            obs = ql.local_observable(eig, site, axis)
-            dense = dense_pauli(6, site, axis)
-            assert np.max(np.abs(obs.matrix - v.conj().T @ dense @ v)) < 1e-12
-            back = v @ obs.matrix @ v.conj().T
-            assert np.max(np.abs(back - dense)) < 1e-10
-            if variant == "local" and axis != "y":
-                assert obs.matrix.dtype.kind == "f"
+            obs = local_observable(eig, site, axis)
+            diagonal = ql.pauli_expectations(v, site, axis)
+            assert diagonal.dtype.kind == "f"
+            assert np.max(np.abs(diagonal - np.diagonal(obs).real)) < 1e-12
+            series = ql.local_series(eig, quench6.psi0, site, axis, grid)
+            want = [(c.conj() @ (obs * phase) @ c).real for phase in phases]
+            assert np.max(np.abs(series.values - want)) < 1e-12
+            back = v @ obs @ v.conj().T
+            assert np.max(np.abs(back - dense_pauli(6, site, axis))) < 1e-10
 
 
 def make_series(values, t_max=10.0):
@@ -246,18 +246,14 @@ def test_relaxation_time_monotone_in_threshold(seed):
 
 
 def test_slow_beats_typical_at_same_threshold(quench8):
-    slow = ql.slow_observable(quench8.sdata)
-    grid = ql.default_slow_grid(quench8.ts)
-    s_series = ql.expectation_series(quench8.eig, quench8.sdata, slow, grid)
+    s_series = ql.slow_series(quench8.sdata, ql.default_slow_grid(quench8.ts))
     s_rep = ql.relaxation_time(
-        s_series, ql.diagonal_ensemble(quench8.sdata, slow), threshold_fraction=0.7
+        s_series, ql.diagonal_ensemble(quench8.sdata, np.zeros(256)), threshold_fraction=0.7
     )
     typ = ql.typical_observable(256, seed=0)
-    t_series = ql.expectation_series(
-        quench8.eig, quench8.sdata, typ, ql.default_relax_grid(quench8.ts)
-    )
+    t_series = ql.expectation_series(quench8.sdata, typ, ql.default_relax_grid(quench8.ts))
     t_rep = ql.relaxation_time(
-        t_series, ql.diagonal_ensemble(quench8.sdata, typ), threshold_fraction=0.7
+        t_series, ql.diagonal_ensemble(quench8.sdata, np.diagonal(typ.matrix)), threshold_fraction=0.7
     )
     assert s_rep.relaxed and t_rep.relaxed
     assert s_rep.relaxation_time > 10.0 * t_rep.relaxation_time

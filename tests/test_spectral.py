@@ -10,7 +10,7 @@ from quenchlab.errors import (
     DimensionMismatch,
     TooFewOccupied,
 )
-from quenchlab.spectral import _ndtr
+from quenchlab.spectral import _ndtr, _overlaps
 
 
 def two_level_data(omega: float) -> ql.SpectralData:
@@ -62,7 +62,7 @@ def test_eigenbasis_diagonalizes_chain(quench6):
 def test_occupied_spectrum_eigenstate(quench6):
     k = 7
     psi = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
-    _, sdata = ql.occupied_spectrum(quench6.eig, psi)
+    sdata = ql.occupied_spectrum(quench6.eig, psi)
     assert abs(sdata.weights[k] - 1.0) < 1e-12
     assert np.sum(sdata.weights > 1e-12) == 1
 
@@ -86,24 +86,42 @@ def test_occupied_spectrum_matches_complex_projection(quench8, variant):
     for psi in (quench8.psi0, complex_product_state(8)):
         c = eig.eigenvectors.astype(complex).conj().T @ psi.amplitudes
         c = c / np.linalg.norm(c)
-        aligned, sdata = ql.occupied_spectrum(eig, psi)
+        sdata = ql.occupied_spectrum(eig, psi)
         assert np.max(np.abs(sdata.weights - np.abs(c) ** 2)) < 1e-15
         assert np.max(np.abs(sdata.amplitudes() - np.abs(c))) < 1e-15
-        # in the aligned basis the overlaps themselves are sqrt(weights)
-        projected = aligned.eigenvectors.conj().T @ psi.amplitudes
-        assert np.max(np.abs(projected - np.sqrt(sdata.weights))) < 1e-15
+
+
+def test_overlaps_of_a_complex_basis_match_the_conjugate_transpose(quench8):
+    # psi0^dag V, conjugated, against the copied V^dag applied to psi0
+    eig = ql.scramble(quench8.eig, 3)
+    for psi in (quench8.psi0, complex_product_state(8)):
+        want = eig.eigenvectors.conj().T @ psi.amplitudes
+        assert np.max(np.abs(_overlaps(eig, psi) - want)) < 1e-15
+
+
+PHASE_GRID = ql.linear_grid(3.0, ql.dynamics.EVOLVE_BLOCK + 6)
 
 
 @pytest.mark.parametrize("variant", ["local", "scrambled"])
-def test_alignment_does_not_depend_on_the_input_gauge(quench8, variant):
+def test_site_readers_do_not_depend_on_the_eigenvector_gauge(quench8, variant):
+    # V D with D a random unit diagonal is the same eigensystem in another
+    # gauge: weights, entropy scans, light cones and local series agree
     eig = quench8.eig if variant == "local" else ql.scramble(quench8.eig, 3)
     unit = np.exp(1j * np.random.default_rng(9).uniform(-np.pi, np.pi, eig.dim))
     regauged = ql.EigenSystem(eig.eigenvalues, eig.eigenvectors * unit)
+    cuts = range(1, 8)
     for psi in (quench8.psi0, complex_product_state(8)):
-        a, a_data = ql.occupied_spectrum(eig, psi)
-        b, b_data = ql.occupied_spectrum(regauged, psi)
-        assert np.max(np.abs(a.eigenvectors - b.eigenvectors)) < 1e-14
-        assert np.max(np.abs(a_data.weights - b_data.weights)) < 1e-15
+        readers = [
+            lambda e: ql.occupied_spectrum(e, psi).weights,
+            lambda e: ql.entropy_scan(e, psi, cuts, PHASE_GRID).entropies,
+            lambda e: ql.light_cone(e, psi, 0, PHASE_GRID, threshold=1e-3).correlator,
+        ]
+        readers += [
+            lambda e, site=site, axis=axis: ql.local_series(e, psi, site, axis, PHASE_GRID).values
+            for site in (0, 5) for axis in ("x", "y", "z")
+        ]
+        for read in readers:
+            assert np.max(np.abs(read(regauged) - read(eig))) < 1e-14
 
 
 def test_occupied_spectrum_dimension_mismatch(quench6):
@@ -114,7 +132,7 @@ def test_occupied_spectrum_dimension_mismatch(quench6):
 
 def test_amplitudes_round_trip(quench6):
     c = quench6.eig.eigenvectors.conj().T @ quench6.psi0.amplitudes
-    assert np.max(np.abs(quench6.sdata.amplitudes() - c)) < 1e-10
+    assert np.max(np.abs(quench6.sdata.amplitudes() - np.abs(c))) < 1e-10
 
 
 def test_timescales_eigenstate_is_degenerate():
@@ -205,12 +223,12 @@ def test_scrambling_invariance(seed):
     spec = ql.HilbertSpec(4)
 
     eig = ql.diagonalize(h)
-    _, base = ql.occupied_spectrum(eig, ql.PureState(psi, spec))
+    base = ql.occupied_spectrum(eig, ql.PureState(psi, spec))
 
     u = ql.haar_unitary(16, rng)
     m = u @ h.matrix @ u.conj().T
     eig2 = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2))
-    _, rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi, spec))
+    rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi, spec))
 
     assert np.max(np.abs(base.eigenvalues - rotated.eigenvalues)) < 1e-9
     assert np.max(np.abs(base.weights - rotated.weights)) < 1e-9
