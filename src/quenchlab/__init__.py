@@ -54,7 +54,6 @@ from .hamiltonian import (
 from .observables import (
     ObservableMatrix,
     RelaxationReport,
-    identity_observable,
     local_series,
     pauli_expectations,
     relaxation_time,
@@ -121,7 +120,6 @@ __all__ = [
     "typical_observable",
     "pauli_expectations",
     "local_series",
-    "identity_observable",
     "relaxation_time",
     "EntanglementProfile",
     "CutGrowth",

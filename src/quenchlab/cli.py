@@ -18,7 +18,6 @@ import hashlib
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
@@ -30,6 +29,7 @@ from . import __version__
 from .core import HilbertSpec, PureState, product_state
 from .dynamics import (
     TimeGrid,
+    TimeSeries,
     default_relax_grid,
     default_slow_grid,
     diagonal_ensemble,
@@ -40,7 +40,6 @@ from .entanglement import entropy_scan, growth_fit, light_cone
 from .errors import QuenchError
 from .hamiltonian import ChainParams, build_local_chain, build_goe
 from .observables import (
-    identity_observable,
     local_series,
     pauli_expectations,
     relaxation_time,
@@ -498,32 +497,34 @@ def _typical_seed(cfg: ExperimentConfig, i: int) -> int:
     return derive_seed(cfg.master_seed, f"typical:{i}")
 
 
-def _typical_menu(cfg: ExperimentConfig, sdata: SpectralData):
-    """Labelled typical observables as (series of a grid, eigenstate expectations)."""
+def _typical_menu(cfg: ExperimentConfig, sdata: SpectralData, grid: TimeGrid):
+    """Labelled typical observables as (series, eigenstate expectations)."""
     for i in range(cfg.typical_count):
         obs = typical_observable(sdata.dim, _typical_seed(cfg, i))
-        yield f"typical_{i}", partial(expectation_series, sdata, obs), np.diagonal(obs.matrix)
+        yield f"typical_{i}", expectation_series(sdata, obs, grid), np.diagonal(obs.matrix)
 
 
-def _observable_menu(cfg: ExperimentConfig, eig, psi0: PureState, sdata: SpectralData):
+def _observable_menu(cfg, eig, psi0, sdata, ts):
     """Every observable of a relax run, as _typical_menu labels them."""
-    yield from _typical_menu(cfg, sdata)
+    grid = _series_grid(cfg, ts)
+    yield from _typical_menu(cfg, sdata, grid)
     if cfg.include_slow:
-        yield "slow", partial(slow_series, sdata, weight_floor=cfg.weight_floor), np.zeros(sdata.dim)
-    if cfg.include_identity:
-        obs = identity_observable(sdata.dim)
-        yield "identity", partial(expectation_series, sdata, obs), np.diagonal(obs.matrix)
-    for site, axis in cfg.local_observables:
-        series_of = partial(local_series, eig, psi0, site, axis)
-        yield f"local_{axis}{site}", series_of, pauli_expectations(eig.eigenvectors, site, axis)
+        series = slow_series(sdata, _series_grid(cfg, ts, slow=True), cfg.weight_floor)
+        yield "slow", series, np.zeros(sdata.dim)
+    if cfg.include_identity:  # the normalized state reads 1 at every time
+        yield "identity", TimeSeries(grid, np.ones(len(grid))), np.ones(sdata.dim)
+    if cfg.local_observables:  # every Pauli is read off one pass of the states
+        paulis = cfg.local_observables
+        series = local_series(eig, psi0, paulis, grid)
+        diagonals = pauli_expectations(eig.eigenvectors, paulis)
+        for (site, axis), pauli, diagonal in zip(paulis, series, diagonals):
+            yield f"local_{axis}{site}", pauli, diagonal
 
 
-def _series_grid(cfg: ExperimentConfig, ts: Timescales, label: str) -> TimeGrid:
+def _series_grid(cfg: ExperimentConfig, ts: Timescales, slow: bool = False) -> TimeGrid:
     if cfg.grid_kind == "linear":
         return linear_grid(cfg.grid_t_max, cfg.grid_points)
-    if label == "slow":
-        return default_slow_grid(ts)
-    return default_relax_grid(ts)
+    return default_slow_grid(ts) if slow else default_relax_grid(ts)
 
 
 def _scan_grid(cfg: ExperimentConfig, points: int) -> TimeGrid:
@@ -540,13 +541,11 @@ def _time_major_rows(times: np.ndarray, labels, values: np.ndarray) -> list[tupl
     return [(t, label, v) for t, column in columns for label, v in zip(labels, column)]
 
 
-def _series_outputs(cfg, sdata, ts, writer, menu, prefix: str = "") -> dict:
+def _series_outputs(cfg, sdata, writer, menu, prefix: str = "") -> dict:
     """Write series_<prefix><label>.csv per menu entry; return the reports."""
     reports = {}
-    for label, series_of, diagonal in menu:
-        series = series_of(_series_grid(cfg, ts, label))
-        equilibrium = diagonal_ensemble(sdata, diagonal)
-        rep = relaxation_time(series, equilibrium, cfg.threshold_fraction)
+    for label, series, diagonal in menu:
+        rep = relaxation_time(series, diagonal_ensemble(sdata, diagonal), cfg.threshold_fraction)
         writer.write_csv(
             f"series_{prefix}{label}.csv",
             "t,value",
@@ -617,16 +616,15 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
                 results["dos_fits"][tag] = _dos_outputs(cfg, sdata, writer, prefix=tag)[
                     "gaussian_fit"
                 ]
-                results["reports"][tag] = _series_outputs(
-                    cfg, sdata, ts, writer, _typical_menu(cfg, sdata), prefix=f"{tag}_"
-                )
+                menu = _typical_menu(cfg, sdata, _series_grid(cfg, ts))
+                results["reports"][tag] = _series_outputs(cfg, sdata, writer, menu, prefix=f"{tag}_")
         else:
             sdata = spectra[cfg.variant]
             ts = timescales(sdata, cfg.weight_floor)
             timescale_info = asdict(ts)
             if cfg.kind == "relax":
-                menu = _observable_menu(cfg, eig, psi0, sdata)
-                results = {"reports": _series_outputs(cfg, sdata, ts, writer, menu)}
+                menu = _observable_menu(cfg, eig, psi0, sdata, ts)
+                results = {"reports": _series_outputs(cfg, sdata, writer, menu)}
             elif cfg.kind == "dos":
                 results = _dos_outputs(cfg, sdata, writer)
             elif cfg.kind == "entropy_scan":

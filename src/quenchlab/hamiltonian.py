@@ -116,15 +116,16 @@ def build_goe(dim: int, mean: float, width: float, seed: int) -> HermitianOperat
         raise ValueError("dim must be positive")
     if width < 0:
         raise ValueError("width must be nonnegative")
-    if dim == 1:
-        return HermitianOperator(np.array([[float(mean)]]))
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim))
-    m = (a + a.T) / 2.0
-    centered = m - (np.trace(m) / dim) * np.eye(dim)
-    sd = np.linalg.norm(centered) / np.sqrt(dim)
+    m = rng.standard_normal((dim, dim))
+    m = m + m.T
+    m /= 2.0
+    # centered and rescaled in place: only the diagonal moves by the means
+    d = np.diag_indices(dim)
+    m[d] -= np.trace(m) / dim
+    sd = np.linalg.norm(m) / np.sqrt(dim)
     if sd < 1e-300 or width == 0.0:
-        m = float(mean) * np.eye(dim)
-    else:
-        m = (width / sd) * centered + mean * np.eye(dim)
+        return HermitianOperator(float(mean) * np.eye(dim))
+    m *= width / sd
+    m[d] += mean
     return HermitianOperator(m)

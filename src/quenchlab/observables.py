@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,9 +88,12 @@ def typical_observable(dim: int, seed: int) -> ObservableMatrix:
     if dim < 2:
         raise ValueError("dim must be at least 2")
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim))
-    m = np.abs((a + a.T) / 2.0)
-    return ObservableMatrix(m / _perron_root(m))
+    m = rng.standard_normal((dim, dim))
+    m = m + m.T
+    m /= 2.0
+    np.abs(m, out=m)
+    m /= _perron_root(m)
+    return ObservableMatrix(m)
 
 
 def _perron_root(a: np.ndarray) -> float:
@@ -115,39 +119,39 @@ def _perron_root(a: np.ndarray) -> float:
     )
 
 
-def pauli_expectations(columns: np.ndarray, site: int, axis: str) -> np.ndarray:
-    """<x|sigma|x> of a single-site Pauli for each site-basis column x.
+def pauli_expectations(columns: np.ndarray, paulis: Sequence[tuple[int, str]]) -> np.ndarray:
+    """<x|sigma|x> of each single-site Pauli (site, axis) for each site-basis column x.
 
-    With s_i the sigma-z sign of basis state i and m = 2^site (site 0 is the
-    low bit): <z> = sum s_i |x_i|^2, <x> = Re sum x_i^* x_{i^m} and
-    <y> = sum s_i Im(x_i^* x_{i^m}).
+    Row k reads paulis[k]. With s_i the sigma-z sign of basis state i and
+    m = 2^site (site 0 is the low bit): <z> = sum s_i |x_i|^2,
+    <x> = Re sum x_i^* x_{i^m} and <y> = sum s_i Im(x_i^* x_{i^m}).
     """
     dim = columns.shape[0]
     n = _state_spec(dim).n_sites
-    if not 0 <= site < n:
-        raise SiteOutOfBounds(f"site {site} outside chain of {n}")
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    signs = _sz_signs(n)[:, site]
-    if axis == "z":
-        return signs @ np.abs(columns) ** 2
+    signs = _sz_signs(n)
     left = columns.conj() if np.iscomplexobj(columns) else columns
-    pair = left * columns[np.arange(dim) ^ (1 << site)]
-    return pair.real.sum(axis=0) if axis == "x" else signs @ pair.imag
+    out = np.empty((len(paulis), columns.shape[1]))
+    for k, (site, axis) in enumerate(paulis):
+        if not 0 <= site < n:
+            raise SiteOutOfBounds(f"site {site} outside chain of {n}")
+        if axis not in ("x", "y", "z"):
+            raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+        if axis == "z":
+            out[k] = signs[:, site] @ np.abs(columns) ** 2
+            continue
+        pair = left * columns[np.arange(dim) ^ (1 << site)]
+        out[k] = pair.real.sum(axis=0) if axis == "x" else signs[:, site] @ pair.imag
+    return out
 
 
 def local_series(
-    eig: EigenSystem, psi0: PureState, site: int, axis: str, grid: TimeGrid
-) -> TimeSeries:
-    """Expectation series of a single-site Pauli, read off the evolved states."""
-    values = np.empty(len(grid))
+    eig: EigenSystem, psi0: PureState, paulis: Sequence[tuple[int, str]], grid: TimeGrid
+) -> list[TimeSeries]:
+    """Series of each single-site Pauli (site, axis), read off one pass of the states."""
+    values = np.empty((len(paulis), len(grid)))
     for block, states in _state_blocks(eig, psi0, grid):
-        values[block] = pauli_expectations(states, site, axis)
-    return TimeSeries(grid, values)
-
-
-def identity_observable(dim: int) -> ObservableMatrix:
-    return ObservableMatrix(np.eye(dim))
+        values[:, block] = pauli_expectations(states, paulis)
+    return [TimeSeries(grid, row) for row in values]
 
 
 def relaxation_time(

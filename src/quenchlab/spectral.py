@@ -138,15 +138,12 @@ def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:
-    """c = V^dag psi0, read as (psi0^dag V)^* or V^T psi0 so V is never copied."""
+    """c = V^dag psi0, read as (V^T psi0^*)^* so V is never copied."""
     if eig.dim != psi0.spec.dim:
         raise DimensionMismatch(
             f"eigensystem dimension {eig.dim} does not match state {psi0.spec.dim}"
         )
-    v, psi = eig.eigenvectors, psi0.amplitudes
-    if np.iscomplexobj(v):
-        return (psi.conj() @ v).conj()
-    return _matmul(v.T, psi)
+    return _matmul(eig.eigenvectors.T, psi0.amplitudes.conj()).conj()
 
 
 def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> SpectralData:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from oracles import dense_pauli, evolve_spectral
-from quenchlab import cli
+from quenchlab import cli, observables
 
 LN2 = math.log(2.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -626,6 +626,36 @@ def test_relax_local_paulis_match_state_vector_route(tmp_path, variant):
             rows = (out / f"series_local_{a}{site}.csv").read_text().strip().splitlines()
             got = [float(r.split(",")[1]) for r in rows[1:]]
             assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+
+def test_relax_reads_every_local_pauli_from_one_pass_of_the_states(tmp_path, monkeypatch):
+    # the Paulis of a run share its evolved states: one pass over the grid,
+    # so one state product per block however many Paulis there are
+    passes = []
+    original = observables._state_blocks
+
+    def counting(*args):
+        passes.append(0)
+        for item in original(*args):
+            passes[-1] += 1
+            yield item
+
+    monkeypatch.setattr(observables, "_state_blocks", counting)
+    out = tmp_path / "out"
+    paulis = [{"site": 1, "axis": "z"}, {"site": 1, "axis": "x"}, {"site": 4, "axis": "y"}]
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 6},
+        "time_grid": {"kind": "linear", "t_max": 2.0, "points": ql.dynamics.EVOLVE_BLOCK + 6},
+        "observables": {"typical_count": 1, "identity": True, "local": paulis},
+        "out_dir": str(out),
+    }
+    cfg, errors = cli.validate(raw)
+    assert errors == []
+    cli.run(cfg)
+    assert passes == [2]
+    for name in ("local_z1", "local_x1", "local_y4", "identity", "typical_0"):
+        assert (out / f"series_{name}.csv").is_file()
 
 
 def complex_custom_state(n: int) -> list:

@@ -60,7 +60,7 @@ def test_evolve_spectral_stationary_eigenstate(quench6):
 
 def test_expectation_series_identity(quench6):
     grid = ql.linear_grid(2.0, 21)
-    obs = ql.identity_observable(64)
+    obs = ql.ObservableMatrix(np.eye(64))
     series = ql.expectation_series(quench6.sdata, obs, grid)
     assert np.max(np.abs(series.values - 1.0)) < 1e-12
 
@@ -132,13 +132,13 @@ def test_expectation_series_blocks_match_double_sum_oracle(quench6):
 
 
 def test_expectation_series_dimension_mismatch(quench6):
-    obs = ql.identity_observable(16)
+    obs = ql.ObservableMatrix(np.eye(16))
     with pytest.raises(DimensionMismatch):
         ql.expectation_series(quench6.sdata, obs, ql.linear_grid(1.0, 3))
 
 
 def test_diagonal_ensemble_identity_and_eigenstate(quench6):
-    identity = ql.identity_observable(64)
+    identity = ql.ObservableMatrix(np.eye(64))
     assert ql.diagonal_ensemble(quench6.sdata, np.diagonal(identity.matrix)) == pytest.approx(1.0)
     k = 5
     psi = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
@@ -162,7 +162,7 @@ def test_diagonal_ensemble_matches_long_time_average(quench6):
 def test_diagonal_ensemble_warns_on_degenerate_gap():
     data = ql.SpectralData(np.array([0.0, 0.0, 1.0]), np.array([0.4, 0.3, 0.3]))
     with pytest.warns(UserWarning, match="gaps below"):
-        ql.diagonal_ensemble(data, np.diagonal(ql.identity_observable(3).matrix))
+        ql.diagonal_ensemble(data, np.diagonal(ql.ObservableMatrix(np.eye(3)).matrix))
 
 
 def test_krylov_diagonal_exact():

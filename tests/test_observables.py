@@ -119,16 +119,16 @@ def random_columns(n: int, count: int, seed: int) -> np.ndarray:
 def test_local_observable_expectations():
     n = 4
     all_up = ql.product_state([UP] * n).amplitudes[:, None]
-    for site in range(n):
-        assert abs(ql.pauli_expectations(all_up, site, "z")[0] - 1.0) < 1e-12
+    up_z = ql.pauli_expectations(all_up, [(site, "z") for site in range(n)])
+    assert np.max(np.abs(up_z - 1.0)) < 1e-12
     all_plus = ql.product_state([PLUS] * n).amplitudes[:, None]
-    assert abs(ql.pauli_expectations(all_plus, 2, "x")[0] - 1.0) < 1e-12
+    assert abs(ql.pauli_expectations(all_plus, [(2, "x")])[0, 0] - 1.0) < 1e-12
     # the site basis itself: sigma-z reads the bit signs, x and y read 0
     basis = np.eye(2**n)
     bits = (np.arange(2**n) >> 1) & 1
-    assert np.array_equal(ql.pauli_expectations(basis, 1, "z"), 1.0 - 2.0 * bits)
-    for axis in ("x", "y"):
-        assert not ql.pauli_expectations(basis, 1, axis).any()
+    z, x, y = ql.pauli_expectations(basis, [(1, "z"), (1, "x"), (1, "y")])
+    assert np.array_equal(z, 1.0 - 2.0 * bits)
+    assert not x.any() and not y.any()
 
 
 def test_local_observables_commute_on_disjoint_sites():
@@ -136,22 +136,24 @@ def test_local_observables_commute_on_disjoint_sites():
     # sigma on site 0 as it was and turns sigma-z and sigma-y on site 1 over
     cols = random_columns(3, 5, seed=1)
     flipped = cols[np.arange(8) ^ 2]
-    for axis in ("x", "y", "z"):
-        before = ql.pauli_expectations(cols, 0, axis)
-        assert np.max(np.abs(ql.pauli_expectations(flipped, 0, axis) - before)) < 1e-15
-        sign = 1.0 if axis == "x" else -1.0
-        after = ql.pauli_expectations(flipped, 1, axis)
-        assert np.max(np.abs(after - sign * ql.pauli_expectations(cols, 1, axis))) < 1e-15
+    paulis = [(site, axis) for site in (0, 1) for axis in ("x", "y", "z")]
+    before = ql.pauli_expectations(cols, paulis)
+    after = ql.pauli_expectations(flipped, paulis)
+    for k, (site, axis) in enumerate(paulis):
+        sign = 1.0 if site == 0 or axis == "x" else -1.0
+        assert np.max(np.abs(after[k] - sign * before[k])) < 1e-15
 
 
 def test_local_observable_errors():
     cols = np.eye(8)
-    with pytest.raises(SiteOutOfBounds):
-        ql.pauli_expectations(cols, 3, "z")
-    with pytest.raises(ValueError):
-        ql.pauli_expectations(cols, 0, "w")
+    good = [(0, "x"), (2, "z")]
+    for position in range(len(good) + 1):
+        with pytest.raises(SiteOutOfBounds):
+            ql.pauli_expectations(cols, good[:position] + [(3, "z")] + good[position:])
+        with pytest.raises(ValueError):
+            ql.pauli_expectations(cols, good[:position] + [(0, "w")] + good[position:])
     with pytest.raises(DimensionMismatch):
-        ql.pauli_expectations(np.eye(6), 0, "z")
+        ql.pauli_expectations(np.eye(6), [(0, "z")])
 
 
 @pytest.mark.parametrize("variant", ["local", "scrambled"])
@@ -164,17 +166,19 @@ def test_local_observable_matches_dense_kron_oracle(quench6, variant):
     c = v.conj().T @ quench6.psi0.amplitudes
     e = eig.eigenvalues
     phases = [np.exp(1j * np.subtract.outer(e, e) * t) for t in grid.times]
-    for site in (0, 1, 3, 5):
-        for axis in ("x", "y", "z"):
-            obs = local_observable(eig, site, axis)
-            diagonal = ql.pauli_expectations(v, site, axis)
-            assert diagonal.dtype.kind == "f"
-            assert np.max(np.abs(diagonal - np.diagonal(obs).real)) < 1e-12
-            series = ql.local_series(eig, quench6.psi0, site, axis, grid)
-            want = [(c.conj() @ (obs * phase) @ c).real for phase in phases]
-            assert np.max(np.abs(series.values - want)) < 1e-12
-            back = v @ obs @ v.conj().T
-            assert np.max(np.abs(back - dense_pauli(6, site, axis))) < 1e-10
+    paulis = [(site, axis) for site in (0, 1, 3, 5) for axis in ("x", "y", "z")]
+    diagonals = ql.pauli_expectations(v, paulis)
+    assert diagonals.dtype.kind == "f"
+    assert diagonals.shape == (len(paulis), eig.dim)
+    series = ql.local_series(eig, quench6.psi0, paulis, grid)
+    assert len(series) == len(paulis)
+    for (site, axis), diagonal, pauli in zip(paulis, diagonals, series):
+        obs = local_observable(eig, site, axis)
+        assert np.max(np.abs(diagonal - np.diagonal(obs).real)) < 1e-12
+        want = [(c.conj() @ (obs * phase) @ c).real for phase in phases]
+        assert np.max(np.abs(pauli.values - want)) < 1e-12
+        back = v @ obs @ v.conj().T
+        assert np.max(np.abs(back - dense_pauli(6, site, axis))) < 1e-10
 
 
 def make_series(values, t_max=10.0):

@@ -116,10 +116,10 @@ def test_site_readers_do_not_depend_on_the_eigenvector_gauge(quench8, variant):
             lambda e: ql.entropy_scan(e, psi, cuts, PHASE_GRID).entropies,
             lambda e: ql.light_cone(e, psi, 0, PHASE_GRID, threshold=1e-3).correlator,
         ]
-        readers += [
-            lambda e, site=site, axis=axis: ql.local_series(e, psi, site, axis, PHASE_GRID).values
-            for site in (0, 5) for axis in ("x", "y", "z")
-        ]
+        paulis = [(site, axis) for site in (0, 5) for axis in ("x", "y", "z")]
+        readers.append(
+            lambda e: np.array([s.values for s in ql.local_series(e, psi, paulis, PHASE_GRID)])
+        )
         for read in readers:
             assert np.max(np.abs(read(regauged) - read(eig))) < 1e-14
 
