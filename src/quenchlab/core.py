@@ -27,6 +27,7 @@ LOCAL_DIM = 2
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
+_TILE = 512  # rows and columns of the blocks the dense checks walk
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -34,14 +35,35 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _tiles(size: int) -> list[slice]:
+    return [slice(i, i + _TILE) for i in range(0, size, _TILE)]
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.all(np.isfinite(a)), one block of _TILE rows at a time."""
+    return all(np.isfinite(a[rows]).all() for rows in _tiles(a.shape[0]))
+
+
 def _hermitian(matrix: np.ndarray, name: str) -> np.ndarray:
-    """matrix frozen, once it is square, finite and Hermitian within _HERM_TOL."""
+    """matrix frozen, once it is square, finite and Hermitian within _HERM_TOL.
+
+    The check walks the tile pairs (a, b) with a <= b and compares tile a, b
+    with the conjugate transpose of tile b, a, so it holds no temporary
+    larger than a tile. |m_ij - m_ji^*| and |m_ji - m_ij^*| are the same
+    number, so the largest deviation is the whole-matrix one to the bit.
+    """
     m = np.ascontiguousarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+    tiles = _tiles(m.shape[0])
+    deviation = 0.0
+    for a, rows in enumerate(tiles):
+        for cols in tiles[a:]:
+            upper, lower = m[rows, cols], m[cols, rows]
+            if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+                raise ValueError(f"{name} has non-finite entries")
+            deviation = max(deviation, np.max(np.abs(upper - lower.conj().T)))
+    if deviation > _HERM_TOL:
         raise ValueError(f"{name} is not Hermitian within {_HERM_TOL}")
     return _freeze(m)
 

@@ -13,7 +13,7 @@ Gaussian band of levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +49,23 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix."""
+    """Dense Hermitian matrix.
+
+    reflection_sites is set by build_local_chain alone, on a chain without
+    disorder: the matrix then acts on reflection_sites sites and commutes
+    with the site reflection j -> n - 1 - j, which diagonalize uses.
+    """
 
     matrix: np.ndarray
+    reflection_sites: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _hermitian(self.matrix, "operator"))
+        if self.reflection_sites is not None and self.dim != 2**self.reflection_sites:
+            raise ValueError(
+                f"operator of dimension {self.dim} is not a chain of "
+                f"{self.reflection_sites} sites"
+            )
 
     @property
     def dim(self) -> int:
@@ -73,6 +84,7 @@ def build_local_chain(p: ChainParams) -> HermitianOperator:
 
     The matrix is real symmetric: all sz terms are diagonal in the
     computational basis and the transverse field only flips single bits.
+    Without disorder the chain is marked as reflection symmetric.
     """
     n, dim = p.n_sites, 2**p.n_sites
     signs = _sz_signs(n)
@@ -89,7 +101,7 @@ def build_local_chain(p: ChainParams) -> HermitianOperator:
     mat[idx, idx] = diag
     for j in range(n):
         mat[idx, idx ^ (1 << j)] += -p.h
-    return HermitianOperator(mat)
+    return HermitianOperator(mat, n if p.disorder_width == 0 else None)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import PureState, _hermitian
-from .dynamics import TimeGrid, TimeSeries, _phase_blocks, _state_blocks, _state_spec
+from .dynamics import (
+    EVOLVE_BLOCK,
+    TimeGrid,
+    TimeSeries,
+    _phase_blocks,
+    _state_blocks,
+    _state_spec,
+)
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
 from .spectral import DEFAULT_WEIGHT_FLOOR, EigenSystem, SpectralData
@@ -124,23 +131,29 @@ def pauli_expectations(columns: np.ndarray, paulis: Sequence[tuple[int, str]]) -
 
     Row k reads paulis[k]. With s_i the sigma-z sign of basis state i and
     m = 2^site (site 0 is the low bit): <z> = sum s_i |x_i|^2,
-    <x> = Re sum x_i^* x_{i^m} and <y> = sum s_i Im(x_i^* x_{i^m}).
+    <x> = Re sum x_i^* x_{i^m} and <y> = sum s_i Im(x_i^* x_{i^m}). The
+    columns are read EVOLVE_BLOCK at a time, so the temporaries of a full
+    matrix such as V stay the size of one block of evolved states.
     """
     dim = columns.shape[0]
     n = _state_spec(dim).n_sites
-    signs = _sz_signs(n)
-    left = columns.conj() if np.iscomplexobj(columns) else columns
-    out = np.empty((len(paulis), columns.shape[1]))
-    for k, (site, axis) in enumerate(paulis):
+    for site, axis in paulis:
         if not 0 <= site < n:
             raise SiteOutOfBounds(f"site {site} outside chain of {n}")
         if axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-        if axis == "z":
-            out[k] = signs[:, site] @ np.abs(columns) ** 2
-            continue
-        pair = left * columns[np.arange(dim) ^ (1 << site)]
-        out[k] = pair.real.sum(axis=0) if axis == "x" else signs[:, site] @ pair.imag
+    signs = _sz_signs(n)
+    out = np.empty((len(paulis), columns.shape[1]))
+    for start in range(0, columns.shape[1], EVOLVE_BLOCK):
+        block = slice(start, start + EVOLVE_BLOCK)
+        x = columns[:, block]
+        left = x.conj() if np.iscomplexobj(x) else x
+        for k, (site, axis) in enumerate(paulis):
+            if axis == "z":
+                out[k, block] = signs[:, site] @ np.abs(x) ** 2
+                continue
+            pair = left * x[np.arange(dim) ^ (1 << site)]
+            out[k, block] = pair.real.sum(axis=0) if axis == "x" else signs[:, site] @ pair.imag
     return out
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -777,6 +778,101 @@ def test_run_builds_and_diagonalizes_through_the_cli_globals(
     cli.run(cfg)
     assert calls.count("build_local_chain") == 1
     assert calls.count("diagonalize") == eighs
+
+
+# id -> (kind, variant, observables)
+DENSE_ROUTE = {
+    "relax": ("relax", "local", {
+        "typical_count": 2, "slow": True, "identity": True,
+        "local": [{"site": 1, "axis": axis} for axis in "xyz"],
+    }),
+    "dos": ("dos", "local", {}),
+    "entropy_scan": ("entropy_scan", "local", {}),
+    "light_cone": ("light_cone", "local", {}),
+    "equivalence": ("equivalence", "local", {"typical_count": 1}),
+    "scrambled": ("relax", "scrambled", {"typical_count": 1, "local": [{"site": 0, "axis": "y"}]}),
+    "goe": ("relax", "goe", {"typical_count": 1, "slow": True}),
+}
+
+
+def _csv_tables(out_dir: Path) -> dict:
+    tables = {}
+    for path in sorted(out_dir.glob("*.csv")):
+        header, *rows = path.read_text().splitlines()
+        tables[path.name] = (header, [row.split(",") for row in rows])
+    return tables
+
+
+# On a ring, momenta k and -k pair into exactly degenerate levels. Where a
+# quench occupies such a pair, its per-level weights, and so the eigenbasis
+# outputs, depend on the basis chosen inside the pair, by the dense eigh as
+# much as by the sectors. The Neel state of an even ring occupies none; the
+# scrambled variant and the Neel state of an odd ring do, so there only the
+# site-basis entropies compare.
+DENSE_ROUTE_CASES = [
+    *((label, n, "open") for n in (7, 8) for label in DENSE_ROUTE),
+    *((label, 8, "periodic") for label in DENSE_ROUTE if label != "scrambled"),
+    ("entropy_scan", 7, "periodic"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:spectrum contains gaps below")  # the degenerate rings
+@pytest.mark.parametrize(
+    "label, n, boundary", DENSE_ROUTE_CASES, ids=[f"{l}-{n}-{b}" for l, n, b in DENSE_ROUTE_CASES]
+)
+def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, boundary):
+    # oracle: the same run on the chain's matrix without the reflection mark,
+    # which diagonalize hands to one dense eigh
+    kind, variant, observables = DENSE_ROUTE[label]
+    outputs = {}
+    for route in ("sectors", "dense"):
+        if route == "dense":
+            build = cli.build_local_chain
+            monkeypatch.setattr(
+                cli, "build_local_chain", lambda p: ql.HermitianOperator(build(p).matrix)
+            )
+        cfg, errors = cli.validate({
+            "kind": kind,
+            "model": {"n_sites": n, "variant": variant, "boundary": boundary},
+            "observables": observables,
+            "out_dir": str(tmp_path / route),
+        })
+        assert errors == []
+        cli.run(cfg)
+        outputs[route] = _csv_tables(tmp_path / route)
+    assert outputs["sectors"].keys() == outputs["dense"].keys()
+    for name, (header, rows) in outputs["dense"].items():
+        got_header, got_rows = outputs["sectors"][name]
+        assert got_header == header and len(got_rows) == len(rows), name
+        want = np.array(rows, dtype=float)
+        got = np.array(got_rows, dtype=float)
+        assert np.max(np.abs(got - want)) < 1e-12, name
+
+
+def test_each_typical_draw_is_released_before_the_next(tmp_path, monkeypatch):
+    # a draw still referenced when the next is built keeps one more dense
+    # matrix alive; the yielded diagonal must not hold it either
+    draws = []
+    live_at_draw = []
+    draw = cli.typical_observable
+
+    def tracking(dim, seed):
+        live_at_draw.append(sum(ref() is not None for ref in draws))
+        obs = draw(dim, seed)
+        draws.extend([weakref.ref(obs), weakref.ref(obs.matrix)])
+        return obs
+
+    monkeypatch.setattr(cli, "typical_observable", tracking)
+    cfg, errors = cli.validate({
+        "kind": "relax",
+        "model": {"n_sites": 6},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": {"typical_count": 3},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert errors == []
+    cli.run(cfg)
+    assert live_at_draw == [0, 0, 0]
 
 
 def test_slow_and_local_equilibria_warn_on_a_repeated_level(tmp_path):

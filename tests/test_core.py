@@ -150,3 +150,31 @@ def test_complementary_spectra_agree(seed, cut):
     k = min(ea.size, eb.size)
     assert np.allclose(ea[:k], eb[:k], atol=1e-10)
     assert max(np.abs(ea[k:]).max(initial=0.0), np.abs(eb[k:]).max(initial=0.0)) < 1e-10
+
+
+# 600 sites of a matrix span two tiles of the Hermitian check: (i, j) and
+# (j, i) share the diagonal tile when both are below 512 and sit in the
+# two off-diagonal tiles when only one is
+@pytest.mark.parametrize("i, j", [(10, 20), (530, 590), (5, 550), (599, 2)], ids=["tile", "last_tile", "across", "across_lower"])
+def test_hermitian_check_sees_every_tile(i, j):
+    m = np.zeros((600, 600))
+    m[i, j] = 1e-11
+    with pytest.raises(ValueError, match="not Hermitian within 1e-12"):
+        ql.HermitianOperator(m.copy())
+    m[i, j] = 1e-12  # the deviation itself, compared as before: not above the tolerance
+    ql.HermitianOperator(m.copy())
+    m[i, j] = np.nextafter(1e-12, 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ql.HermitianOperator(m.copy())
+    m = np.zeros((600, 600), dtype=complex)
+    m[i, j] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ql.HermitianOperator(m.copy())
+
+
+@pytest.mark.parametrize("row", [3, 599])
+def test_eigen_system_finiteness_sees_every_row_block(row):
+    v = np.eye(600)
+    v[row, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        ql.EigenSystem(np.arange(600.0), v)

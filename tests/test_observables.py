@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,3 +263,16 @@ def test_slow_beats_typical_at_same_threshold(quench8):
     )
     assert s_rep.relaxed and t_rep.relaxed
     assert s_rep.relaxation_time > 10.0 * t_rep.relaxation_time
+
+
+def test_eigenstate_paulis_read_the_eigenvectors_in_column_blocks(quench10):
+    # the whole-matrix reading held two dim^2 temporaries for a sigma-y
+    v = quench10.eig.eigenvectors
+    tracemalloc.start()
+    try:
+        rows = ql.pauli_expectations(v, [(5, "y")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes / 4
+    assert np.all(rows == 0.0)  # real eigenvectors carry no sigma-y expectation

@@ -284,3 +284,63 @@ NAN_2X2 = np.full((2, 2), NAN)
 def test_value_objects_reject_non_finite(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def _bit_reversal(n: int) -> np.ndarray:
+    return np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(2**n)])
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_reflection_sectors_match_the_dense_eigh(n, boundary):
+    # oracle: the dense eigh of the same matrix without the reflection mark
+    chain = ql.build_local_chain(ql.ChainParams(n_sites=n, boundary=boundary))
+    assert chain.reflection_sites == n
+    eig = ql.diagonalize(chain)
+    dense = ql.diagonalize(ql.HermitianOperator(chain.matrix))
+    e, v, h = eig.eigenvalues, eig.eigenvectors, chain.matrix
+    assert np.max(np.abs(e - dense.eigenvalues)) <= 1e-12 * np.max(np.abs(dense.eigenvalues))
+    assert np.max(np.abs(h @ v - v * e)) < 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(eig.dim))) < 1e-12
+    # every eigenvector is even or odd under the site reflection
+    mirrored = v[_bit_reversal(n)]
+    even = np.max(np.abs(mirrored - v), axis=0) == 0.0
+    odd = np.max(np.abs(mirrored + v), axis=0) == 0.0
+    assert np.all(even ^ odd)
+    palindromes = 2 ** ((n + 1) // 2)
+    assert int(even.sum()) == (eig.dim + palindromes) // 2
+
+
+def _eigh_sizes(monkeypatch) -> list[int]:
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (lambda: ql.build_local_chain(ql.ChainParams(n_sites=7)), [72, 56]),
+        (lambda: ql.build_local_chain(ql.ChainParams(n_sites=6, boundary="periodic")), [36, 28]),
+        (lambda: ql.build_local_chain(ql.ChainParams(n_sites=7, disorder_width=0.5)), [128]),
+        (lambda: ql.HermitianOperator(ql.build_local_chain(ql.ChainParams(n_sites=7)).matrix), [128]),
+        (lambda: ql.build_goe(128, 0.0, 1.0, seed=3), [128]),
+    ],
+    ids=["clean_open", "clean_periodic", "disordered", "hand_built", "goe"],
+)
+def test_only_clean_chains_take_the_reflection_sectors(monkeypatch, build, sizes):
+    op = build()
+    calls = _eigh_sizes(monkeypatch)
+    ql.diagonalize(op)
+    assert calls == sizes
+
+
+def test_reflection_mark_must_fit_the_dimension():
+    with pytest.raises(ValueError, match="not a chain of 3 sites"):
+        ql.HermitianOperator(np.eye(4), reflection_sites=3)
