@@ -47,6 +47,7 @@ from .errors import (
 from .hamiltonian import (
     ChainParams,
     HermitianOperator,
+    ReflectionChain,
     build_goe,
     build_local_chain,
     haar_unitary,
@@ -62,8 +63,10 @@ from .observables import (
 )
 from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
+    DenseVectors,
     EigenSystem,
     GaussianFit,
+    SectorVectors,
     SpectralData,
     Timescales,
     diagonalize,
@@ -95,11 +98,14 @@ __all__ = [
     "product_state",
     "ChainParams",
     "HermitianOperator",
+    "ReflectionChain",
     "build_local_chain",
     "haar_unitary",
     "scramble",
     "build_goe",
     "EigenSystem",
+    "DenseVectors",
+    "SectorVectors",
     "SpectralData",
     "Timescales",
     "GaussianFit",

@@ -406,8 +406,11 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     values["cuts"] = tuple(cuts)
 
     ref = values["reference_site"]
-    if ref is not None and chain is not None and not 0 <= ref < chain.n_sites - 1:
-        errors.append(f"reference_site: {ref} leaves no radii in a chain of {chain.n_sites}")
+    if ref is not None and chain is not None:
+        # a ring has radii from every site; an open chain none from its last
+        last = chain.n_sites if chain.boundary == "periodic" else chain.n_sites - 1
+        if not 0 <= ref < last:
+            errors.append(f"reference_site: {ref} leaves no radii in a chain of {chain.n_sites}")
 
     if errors:
         return None, errors
@@ -586,7 +589,9 @@ def _entropy_outputs(cfg, eig, psi0, writer) -> dict:
 
 def _front_outputs(cfg, eig, psi0, writer) -> dict:
     grid = _scan_grid(cfg, DEFAULT_FRONT_POINTS)
-    front = light_cone(eig, psi0, cfg.reference_site, grid, cfg.front_threshold)
+    front = light_cone(
+        eig, psi0, cfg.reference_site, grid, cfg.front_threshold, cfg.chain.boundary == "periodic"
+    )
     rows = _time_major_rows(grid.times, front.radii, front.correlator)
     writer.write_csv("front.csv", "t,r,correlation", rows)
     arrivals = {
@@ -711,7 +716,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .core import MAX_SITES
 
         print(f"quenchlab {__version__}")
-        print(f"max sites: {MAX_SITES} (exact spectra; a clean chain in its two reflection sectors)")
+        print(
+            f"max sites: {MAX_SITES} (exact spectra; a clean chain kept in its two "
+            "reflection sectors, with no dense H or V)"
+        )
         print(
             f"default chain: J={ChainParams.J}, h={ChainParams.h}, g={ChainParams.g}, "
             "open boundary"

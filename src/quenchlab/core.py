@@ -154,7 +154,14 @@ def product_state(locals: Sequence[Sequence[complex]]) -> PureState:
 
 
 def _matmul(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec, without the complex copy numpy makes of a real mat."""
-    if np.iscomplexobj(mat):
+    """mat @ vec, without the complex copy numpy makes of a real mat.
+
+    A real mat meets a complex vec as two real products, written straight
+    into the real and imaginary parts of the result.
+    """
+    if np.iscomplexobj(mat) or not np.iscomplexobj(vec):
         return mat @ vec
-    return mat @ vec.real + 1j * (mat @ vec.imag)
+    out = np.empty(mat.shape[:1] + vec.shape[1:], dtype=complex)
+    np.matmul(mat, vec.real, out=out.real)
+    np.matmul(mat, vec.imag, out=out.imag)
+    return out

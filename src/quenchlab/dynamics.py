@@ -123,7 +123,7 @@ def _phase_blocks(energies: np.ndarray, c: np.ndarray, grid: TimeGrid):
 def _state_blocks(eig: EigenSystem, psi0: PureState, grid: TimeGrid):
     """Yield (block, states): the normalized evolved state at each time of a block."""
     for block, phi in _phase_blocks(eig.eigenvalues, _overlaps(eig, psi0), grid):
-        amp = _matmul(eig.eigenvectors, phi)
+        amp = eig.eigenvectors.apply(phi)
         yield block, amp / np.linalg.norm(amp, axis=0)
 
 

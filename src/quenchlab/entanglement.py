@@ -205,11 +205,14 @@ def light_cone(
     reference_site: int,
     grid: TimeGrid,
     threshold: float = 0.01,
+    periodic: bool = False,
 ) -> CorrelationFront:
     """Connected correlation front from a reference site.
 
     C[r][t] = |<sz_ref sz_{ref+r}> - <sz_ref><sz_{ref+r}>| for every radius
-    that fits in the chain. Both operators are diagonal, so the correlators
+    that fits in the chain: the sites to the right of the reference on an
+    open chain, and on a ring (periodic) the ring distances 1..N/2, site
+    ref + r taken modulo N. Both operators are diagonal, so the correlators
     come from the evolved probability distribution directly. A front whose
     fitted velocity is not positive raises NoFrontDetected.
     """
@@ -218,17 +221,18 @@ def light_cone(
     n = _state_spec(eig.dim).n_sites
     if not 0 <= reference_site < n:
         raise ValueError(f"reference site {reference_site} outside chain of {n}")
-    radii = tuple(range(1, n - reference_site))
+    radii = tuple(range(1, n // 2 + 1 if periodic else n - reference_site))
     if not radii:
         raise ValueError("reference site has no sites to its right")
+    sites = (reference_site + np.array(radii)) % n
     signs = _sz_signs(n)
-    pair_signs = signs[:, reference_site, None] * signs[:, reference_site + 1 :]
+    pair_signs = signs[:, reference_site, None] * signs[:, sites]
     out = np.empty((len(radii), len(grid)))
     for block, states in _state_blocks(eig, psi0, grid):
         p = np.abs(states) ** 2
         z = signs.T @ p
         zz = pair_signs.T @ p
-        out[:, block] = np.abs(zz - z[reference_site] * z[reference_site + 1 :])
+        out[:, block] = np.abs(zz - z[reference_site] * z[sites])
 
     arrivals, velocity = fit_front(radii, grid.times, out, threshold)
     if not velocity > 0.0:

@@ -13,11 +13,11 @@ Gaussian band of levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _hermitian
+from .core import _freeze, _hermitian
 
 DEFAULT_J = 1.0
 DEFAULT_H = 4.2
@@ -49,27 +49,44 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix.
-
-    reflection_sites is set by build_local_chain alone, on a chain without
-    disorder: the matrix then acts on reflection_sites sites and commutes
-    with the site reflection j -> n - 1 - j, which diagonalize uses.
-    """
+    """Dense Hermitian matrix."""
 
     matrix: np.ndarray
-    reflection_sites: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _hermitian(self.matrix, "operator"))
-        if self.reflection_sites is not None and self.dim != 2**self.reflection_sites:
-            raise ValueError(
-                f"operator of dimension {self.dim} is not a chain of "
-                f"{self.reflection_sites} sites"
-            )
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class ReflectionChain:
+    """A chain without disorder, kept as its terms: H = diag(diagonal) + flip sum_j sx_j.
+
+    Its diagonal is invariant under the site reflection j -> n - 1 - j, and so
+    is the sum of single-bit flips, so H commutes with the reflection and
+    diagonalize works in its even and odd sectors. No dense matrix is formed.
+    """
+
+    n_sites: int
+    diagonal: np.ndarray
+    flip: float
+
+    def __post_init__(self) -> None:
+        d = np.ascontiguousarray(self.diagonal, dtype=float)
+        if d.shape != (2**self.n_sites,):
+            raise ValueError(
+                f"diagonal of shape {d.shape} is not a chain of {self.n_sites} sites"
+            )
+        if not (np.all(np.isfinite(d)) and math.isfinite(self.flip)):
+            raise ValueError("chain terms must be finite")
+        object.__setattr__(self, "diagonal", _freeze(d))
+
+    @property
+    def dim(self) -> int:
+        return self.diagonal.size
 
 
 def _sz_signs(n_sites: int) -> np.ndarray:
@@ -79,12 +96,13 @@ def _sz_signs(n_sites: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def build_local_chain(p: ChainParams) -> HermitianOperator:
-    """Assemble the dense chain Hamiltonian for the given parameters.
+def build_local_chain(p: ChainParams) -> HermitianOperator | ReflectionChain:
+    """The chain Hamiltonian for the given parameters.
 
-    The matrix is real symmetric: all sz terms are diagonal in the
-    computational basis and the transverse field only flips single bits.
-    Without disorder the chain is marked as reflection symmetric.
+    All sz terms are diagonal in the computational basis and the transverse
+    field only flips single bits. A chain without disorder is returned as its
+    terms (ReflectionChain); a disordered one as its dense real symmetric
+    matrix.
     """
     n, dim = p.n_sites, 2**p.n_sites
     signs = _sz_signs(n)
@@ -95,13 +113,15 @@ def build_local_chain(p: ChainParams) -> HermitianOperator:
     if p.boundary == "periodic":
         diag -= p.J * signs[:, -1] * signs[:, 0]
     diag += np.sum((d - p.g)[None, :] * signs, axis=1)
+    if p.disorder_width == 0:
+        return ReflectionChain(n, diag, -p.h)
 
     mat = np.zeros((dim, dim))
     idx = np.arange(dim)
     mat[idx, idx] = diag
     for j in range(n):
         mat[idx, idx ^ (1 << j)] += -p.h
-    return HermitianOperator(mat, n if p.disorder_width == 0 else None)
+    return HermitianOperator(mat)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
-from .spectral import DEFAULT_WEIGHT_FLOOR, EigenSystem, SpectralData
+from .spectral import DEFAULT_WEIGHT_FLOOR, DenseVectors, EigenSystem, SectorVectors, SpectralData
 
 _PERRON_RTOL = 1e-14
 _PERRON_MAX_ITER = 10_000
@@ -126,16 +126,35 @@ def _perron_root(a: np.ndarray) -> float:
     )
 
 
-def pauli_expectations(columns: np.ndarray, paulis: Sequence[tuple[int, str]]) -> np.ndarray:
+def _pauli_rows(x: np.ndarray, paulis: Sequence[tuple[int, str]], signs: np.ndarray) -> np.ndarray:
+    """pauli_expectations of one block of columns x."""
+    out = np.empty((len(paulis), x.shape[1]))
+    left = x.conj() if np.iscomplexobj(x) else x
+    idx = np.arange(x.shape[0])
+    for k, (site, axis) in enumerate(paulis):
+        if axis == "z":
+            out[k] = signs[:, site] @ np.abs(x) ** 2
+            continue
+        pair = x[idx ^ (1 << site)]
+        pair *= left
+        out[k] = pair.real.sum(axis=0) if axis == "x" else signs[:, site] @ pair.imag
+    return out
+
+
+def pauli_expectations(
+    columns: np.ndarray | DenseVectors | SectorVectors, paulis: Sequence[tuple[int, str]]
+) -> np.ndarray:
     """<x|sigma|x> of each single-site Pauli (site, axis) for each site-basis column x.
 
+    columns is an array of site-basis columns, or the eigenvectors of an
+    EigenSystem, whose columns of V it reads through eigenvectors.columns.
     Row k reads paulis[k]. With s_i the sigma-z sign of basis state i and
     m = 2^site (site 0 is the low bit): <z> = sum s_i |x_i|^2,
-    <x> = Re sum x_i^* x_{i^m} and <y> = sum s_i Im(x_i^* x_{i^m}). The
-    columns are read EVOLVE_BLOCK at a time, so the temporaries of a full
-    matrix such as V stay the size of one block of evolved states.
+    <x> = Re sum x_i^* x_{i^m} and <y> = sum s_i Im(x_i^* x_{i^m}). Columns
+    are read EVOLVE_BLOCK at a time, so the temporaries stay the size of
+    one block of evolved states.
     """
-    dim = columns.shape[0]
+    dim, count = columns.shape
     n = _state_spec(dim).n_sites
     for site, axis in paulis:
         if not 0 <= site < n:
@@ -143,17 +162,11 @@ def pauli_expectations(columns: np.ndarray, paulis: Sequence[tuple[int, str]]) -
         if axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     signs = _sz_signs(n)
-    out = np.empty((len(paulis), columns.shape[1]))
-    for start in range(0, columns.shape[1], EVOLVE_BLOCK):
-        block = slice(start, start + EVOLVE_BLOCK)
-        x = columns[:, block]
-        left = x.conj() if np.iscomplexobj(x) else x
-        for k, (site, axis) in enumerate(paulis):
-            if axis == "z":
-                out[k, block] = signs[:, site] @ np.abs(x) ** 2
-                continue
-            pair = left * x[np.arange(dim) ^ (1 << site)]
-            out[k, block] = pair.real.sum(axis=0) if axis == "x" else signs[:, site] @ pair.imag
+    read = (lambda block: columns[:, block]) if isinstance(columns, np.ndarray) else columns.columns
+    out = np.empty((len(paulis), count))
+    for start in range(0, count, EVOLVE_BLOCK):
+        block = slice(start, min(start + EVOLVE_BLOCK, count))
+        out[:, block] = _pauli_rows(read(block), paulis, signs)
     return out
 
 

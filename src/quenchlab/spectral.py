@@ -7,11 +7,16 @@ govern the subsequent dynamics: the Boltzmann time 1/Delta_E set by the
 occupied energy width, and the Heisenberg time 1/delta_eps set by the mean
 spacing of occupied levels, which shrinks exponentially with system size.
 Units are hbar = k_B = 1.
+
+An eigensystem holds its eigenvectors in one of two forms behind the same
+three reads, V x, V^dag y and a block of columns of V: a dense matrix, or
+the two reflection-sector blocks of a chain without disorder, for which V
+is never formed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,32 +27,188 @@ from .errors import (
     DimensionMismatch,
     TooFewOccupied,
 )
-from .hamiltonian import HermitianOperator, haar_unitary
+from .hamiltonian import HermitianOperator, ReflectionChain, haar_unitary
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
+class DenseVectors:
+    """Eigenvector columns held as one dense matrix (any memory order)."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"eigenvector matrix {m.shape} is not square")
+        if not _all_finite(m):
+            raise ValueError("eigenvectors must be finite")
+        object.__setattr__(self, "matrix", _freeze(m))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """V x."""
+        return _matmul(self.matrix, x)
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """V^dag y, read as (V^T y^*)^* so a complex V is never copied."""
+        if np.iscomplexobj(self.matrix):
+            return (self.matrix.T @ y.conj()).conj()
+        return _matmul(self.matrix.T, y)
+
+    def columns(self, block: slice) -> np.ndarray:
+        """V[:, block]."""
+        return self.matrix[:, block]
+
+
+def _reflection_classes(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs, partners, palindromes) of the site reflection on basis states.
+
+    The reflection R maps basis state i to its bit reversal. pairs holds the
+    states i < R(i) in ascending order, partners their images R(i), and
+    palindromes the states with i = R(i).
+    """
+    idx = np.arange(2**n_sites)
+    mirror = np.zeros_like(idx)
+    for j in range(n_sites):
+        mirror |= ((idx >> j) & 1) << (n_sites - 1 - j)
+    pairs = np.nonzero(idx < mirror)[0]
+    return pairs, mirror[pairs], np.nonzero(idx == mirror)[0]
+
+
+@dataclass(frozen=True)
+class SectorVectors:
+    """Eigenvectors of a reflection-symmetric chain, kept as its two sector blocks.
+
+    The even sector is spanned by (|p> + |R p>) / sqrt(2) for each pair p,
+    then by |q> for each palindrome q; the odd sector by (|p> - |R p>) /
+    sqrt(2). Column k of u_even (u_odd) holds the sector coefficients of the
+    eigenvector at level levels[k] (levels[n_even + k]). V itself is never
+    formed: apply and apply_adjoint take one half-size product per sector,
+    and columns gathers a block of columns with no product at all.
+    """
+
+    n_sites: int
+    u_even: np.ndarray
+    u_odd: np.ndarray
+    levels: np.ndarray
+    pairs: np.ndarray = field(init=False, repr=False)
+    partners: np.ndarray = field(init=False, repr=False)
+    palindromes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        pairs, partners, palindromes = _reflection_classes(self.n_sites)
+        n_even = pairs.size + palindromes.size
+        if self.u_even.shape != (n_even, n_even) or self.u_odd.shape != (pairs.size,) * 2:
+            raise DimensionMismatch(
+                f"sector blocks {self.u_even.shape} and {self.u_odd.shape} do not "
+                f"fit a chain of {self.n_sites} sites"
+            )
+        levels = np.asarray(self.levels)
+        if not np.array_equal(np.sort(levels), np.arange(2**self.n_sites)):
+            raise DimensionMismatch("levels must be a permutation of the basis")
+        if not (_all_finite(self.u_even) and _all_finite(self.u_odd)):
+            raise ValueError("eigenvectors must be finite")
+        for name, value in (
+            ("u_even", self.u_even), ("u_odd", self.u_odd), ("levels", levels),
+            ("pairs", pairs), ("partners", partners), ("palindromes", palindromes),
+        ):
+            object.__setattr__(self, name, _freeze(value))
+
+    @property
+    def dim(self) -> int:
+        return self.levels.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim, self.dim
+
+    def _to_site(self, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """Site-basis vectors of even and odd sector coefficients (overwritten)."""
+        n_pairs = self.pairs.size
+        out = np.empty((self.dim,) + even.shape[1:], dtype=np.result_type(even, odd))
+        out[self.palindromes] = even[n_pairs:]
+        head = even[:n_pairs]
+        head *= _SQRT_HALF
+        odd *= _SQRT_HALF
+        out[self.pairs] = head + odd
+        out[self.partners] = np.subtract(head, odd, out=odd)
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """V x: each sector's rows of x through its block, then into the site basis."""
+        n_even = self.u_even.shape[0]
+        even = _matmul(self.u_even, x[self.levels[:n_even]])
+        return self._to_site(even, _matmul(self.u_odd, x[self.levels[n_even:]]))
+
+    def columns(self, block: slice) -> np.ndarray:
+        """V[:, block], the block's sector columns put into the site basis with no product."""
+        n_even = self.u_even.shape[0]
+        k = np.empty_like(self.levels)
+        k[self.levels] = np.arange(self.dim)
+        k = k[block]  # the sector column of each level in the block
+        even = np.zeros((n_even, k.size))
+        odd = np.zeros((self.pairs.size, k.size))
+        is_even = k < n_even
+        even[:, is_even] = self.u_even[:, k[is_even]]
+        odd[:, ~is_even] = self.u_odd[:, k[~is_even] - n_even]
+        return self._to_site(even, odd)
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """V^dag y: the sector components of y, each through its block transposed."""
+        n_even = self.u_even.shape[0]
+        head, tail = y[self.pairs], y[self.partners]
+        odd = head - tail
+        head += tail
+        del tail
+        head *= _SQRT_HALF
+        odd *= _SQRT_HALF
+        even = np.concatenate([head, y[self.palindromes]])
+        del head
+        out = np.empty(y.shape, dtype=np.result_type(y, float))
+        out[self.levels[n_even:]] = _matmul(self.u_odd.T, odd)
+        del odd
+        out[self.levels[:n_even]] = _matmul(self.u_even.T, even)
+        return out
+
+
+@dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues and the unitary matrix of eigenvector columns."""
+    """Ascending eigenvalues and the eigenvector columns, dense or by sectors.
+
+    An array given as eigenvectors is taken as the dense matrix of columns.
+    Every reader goes through eigenvectors.apply (V x),
+    eigenvectors.apply_adjoint (V^dag y) or eigenvectors.columns (a block
+    of columns of V).
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: DenseVectors | SectorVectors
 
     def __post_init__(self) -> None:
         ev = np.ascontiguousarray(self.eigenvalues, dtype=float)
-        vec = np.ascontiguousarray(self.eigenvectors)
-        if vec.shape != (ev.size, ev.size):
+        vec = self.eigenvectors
+        if isinstance(vec, np.ndarray):
+            vec = DenseVectors(vec)
+        if ev.ndim != 1 or vec.dim != ev.size:
             raise DimensionMismatch(
-                f"eigenvector matrix {vec.shape} does not match {ev.size} eigenvalues"
+                f"eigenvectors of dimension {vec.dim} do not match {ev.size} eigenvalues"
             )
-        if not (_all_finite(ev) and _all_finite(vec)):
+        if not _all_finite(ev):
             raise ValueError("eigenvalues and eigenvectors must be finite")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", _freeze(ev))
-        object.__setattr__(self, "eigenvectors", _freeze(vec))
+        object.__setattr__(self, "eigenvectors", vec)
 
     @property
     def dim(self) -> int:
@@ -113,96 +274,101 @@ class GaussianFit:
     max_cdf_deviation: float
 
 
-def diagonalize(h: HermitianOperator) -> EigenSystem:
+def diagonalize(h: HermitianOperator | ReflectionChain) -> EigenSystem:
     """Full eigendecomposition, in the two reflection sectors where it can.
 
-    A chain that build_local_chain marks as reflection symmetric is
-    diagonalized block by block (see _reflection_eigh); every other operator
-    takes one dense eigh. Real symmetric input takes the real LAPACK path
+    A ReflectionChain is diagonalized block by block (see _sector_eigh) and
+    keeps its eigenvectors in sector form; every other operator takes one
+    dense eigh. Real symmetric input takes the real LAPACK path
     automatically, which is several times faster than the complex one at
     the largest chain sizes.
     """
     try:
-        if h.reflection_sites is not None:
-            return _reflection_eigh(h.matrix, h.reflection_sites)
+        if isinstance(h, ReflectionChain):
+            return _sector_eigh(h)
         ev, vec = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return EigenSystem(ev, vec)
 
 
-def _reflection_eigh(h: np.ndarray, n_sites: int) -> EigenSystem:
-    """Eigensystem of a chain Hamiltonian that commutes with site reflection.
+def _sector_block(chain: ReflectionChain, states: np.ndarray, slot: np.ndarray,
+                  scale: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Block of H on the sector vectors built on `states`, from the chain's terms.
 
-    The reflection R maps basis state i to its bit reversal R(i). With the
-    representatives r = min(i, R(i)), the even sector is spanned by
-    (|r> + |R r>) / sqrt(2), or |r> for a palindrome r = R(r), and the odd
-    sector by (|r> - |R r>) / sqrt(2) for the other representatives. Since
-    R H R = H, the sector blocks are gathered from the representatives' rows:
-    H_even[a, b] = f_a f_b / 2 (H[r_a, r_b] + H[r_a, R r_b]) with f = sqrt(2)
-    off the palindromes and 1 on them, and H_odd[a, b] = H[r_a, r_b] -
-    H[r_a, R r_b]. The two block spectra merge in ascending order, and each
-    sector vector is written into its column of the site-basis V.
+    Column b is the sector vector on states[b]. The diagonal is read on it,
+    and each flip of one of its bits lands on a basis state i, which belongs
+    to the sector vector slot[i] and adds flip * scale[b] * weight[i] there.
     """
-    dim = h.shape[0]
-    # allocated before the sector work; its zero pages are mapped lazily, so
-    # V holds memory only once the sector vectors are written into it
-    vec = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    mirror = np.zeros(dim, dtype=np.int64)
-    for j in range(n_sites):
-        mirror |= ((idx >> j) & 1) << (n_sites - 1 - j)
-    reps = np.nonzero(idx <= mirror)[0]
-    paired = mirror[reps] != reps  # False on the palindromes
-    plain = h[np.ix_(reps, reps)]
-    swapped = h[np.ix_(reps, mirror[reps])]
-    odd = plain[np.ix_(paired, paired)]
-    odd -= swapped[np.ix_(paired, paired)]
-    plain += swapped
-    del swapped
-    # f_a f_b / 2 is 1 between pairs, and sqrt(1/2) per palindrome index
-    palindromes = np.nonzero(~paired)[0]
-    plain[palindromes] *= _SQRT_HALF
-    plain[:, palindromes] *= _SQRT_HALF
-    ev_even, u_even = np.linalg.eigh(plain)
-    del plain
-    ev_odd, u_odd = np.linalg.eigh(odd)
-    del odd
+    size = states.size
+    cols = np.arange(size)
+    block = np.zeros((size, size))
+    block[cols, cols] = chain.diagonal[states]
+    for j in range(chain.n_sites):
+        image = states ^ (1 << j)
+        # one entry per column, so the fancy-indexed += sees no repeat
+        block[slot[image], cols] += chain.flip * scale * weight[image]
+    return block
+
+
+def _sector_eigh(chain: ReflectionChain) -> EigenSystem:
+    """Eigensystem of a chain from its even and odd reflection blocks.
+
+    With f = sqrt(2) on paired states and 1 on palindromes, the even block
+    is H_even[a, b] = f_a f_b / 2 (H[r_a, r_b] + H[r_a, R r_b]) and the odd
+    block H_odd[a, b] = H[r_a, r_b] - H[r_a, R r_b], for the
+    representatives r of the sector vectors (see SectorVectors). A flip of
+    r_b that lands on basis state i therefore adds flip * f_b / f_i to the
+    even vector of i, and flip times +1 on a pair, -1 on a partner and 0 on
+    a palindrome to the odd vector of i. Each block is built and diagonalized
+    in turn; the two block spectra merge in ascending order.
+    """
+    pairs, partners, palindromes = _reflection_classes(chain.n_sites)
+    dim, n_pairs = chain.dim, pairs.size
+    slot = np.zeros(dim, dtype=np.int64)
+    slot[pairs] = slot[partners] = np.arange(n_pairs)
+    slot[palindromes] = n_pairs + np.arange(palindromes.size)
+    f = np.ones(dim)
+    f[pairs] = f[partners] = math.sqrt(2.0)
+    states = np.concatenate([pairs, palindromes])
+    ev_even, u_even = np.linalg.eigh(_sector_block(chain, states, slot, f[states], 1.0 / f))
+
+    parity = np.zeros(dim)
+    parity[pairs], parity[partners] = 1.0, -1.0
+    slot[palindromes] = 0  # a flip onto a palindrome adds 0 to the odd block
+    ev_odd, u_odd = np.linalg.eigh(_sector_block(chain, pairs, slot, np.ones(n_pairs), parity))
 
     ev = np.concatenate([ev_even, ev_odd])
     order = np.argsort(ev, kind="stable")
-    column = np.empty(dim, dtype=np.int64)
-    column[order] = idx
-    even_cols, odd_cols = column[: ev_even.size], column[ev_even.size :]
-    u_even *= np.where(paired, _SQRT_HALF, 1.0)[:, None]
-    vec[np.ix_(reps, even_cols)] = u_even
-    vec[np.ix_(mirror[reps], even_cols)] = u_even
-    u_odd *= _SQRT_HALF
-    pairs = reps[paired]
-    vec[np.ix_(pairs, odd_cols)] = u_odd
-    np.negative(u_odd, out=u_odd)
-    vec[np.ix_(mirror[pairs], odd_cols)] = u_odd
-    return EigenSystem(ev[order], vec)
+    levels = np.empty(dim, dtype=np.int64)
+    levels[order] = np.arange(dim)
+    return EigenSystem(ev[order], SectorVectors(chain.n_sites, u_even, u_odd, levels))
 
 
 def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
     """Eigensystem of U H U^dag for a seeded Haar unitary U.
 
     Same spectrum, no locality left. With H = V E V^dag, U H U^dag =
-    (U V) E (U V)^dag, so the scrambled eigenvectors are the product U V and
-    the dense conjugated operator is never formed or diagonalized.
+    (U V) E (U V)^dag, so the scrambled eigenvectors are W = U V, formed as
+    W^T = V^T U^T = (V^dag (U^T)^*)^* through apply_adjoint: a real V is
+    never cast to complex, and the dense conjugated operator is never formed
+    or diagonalized.
     """
     u = haar_unitary(eig.dim, np.random.default_rng(seed))
-    return EigenSystem(eig.eigenvalues, u @ eig.eigenvectors)
+    np.conjugate(u, out=u)
+    wt = eig.eigenvectors.apply_adjoint(u.T)
+    del u
+    np.conjugate(wt, out=wt)
+    return EigenSystem(eig.eigenvalues, wt.T)
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:
-    """c = V^dag psi0, read as (V^T psi0^*)^* so V is never copied."""
+    """c = V^dag psi0."""
     if eig.dim != psi0.spec.dim:
         raise DimensionMismatch(
             f"eigensystem dimension {eig.dim} does not match state {psi0.spec.dim}"
         )
-    return _matmul(eig.eigenvectors.T, psi0.amplitudes.conj()).conj()
+    return eig.eigenvectors.apply_adjoint(psi0.amplitudes)
 
 
 def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> SpectralData:

@@ -2,7 +2,7 @@
 
 Every eigensystem here is in the gauge its construction returns, and each
 comes with the Neel state it is quenched from and that state's occupied
-spectrum. Everything heavy is computed once per session. The scrambled
+spectrum. A chain's `chain` is its dense matrix from the oracle builder. Everything heavy is computed once per session. The scrambled
 partners come from `ql.scramble`, the library's factored form (eigenvalues
 of the chain, eigenvectors U V), so no fixture diagonalizes a scrambled
 operator.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
+from oracles import dense_chain
 
 SCRAMBLE_SEED = 20240817
 GOE_SEED = 424242
@@ -41,9 +42,9 @@ def neel_state(n: int) -> ql.PureState:
 
 def _quench(n: int) -> Quench:
     params = ql.ChainParams(n_sites=n)
-    chain = ql.build_local_chain(params)
+    chain = dense_chain(params)
     psi0 = neel_state(n)
-    eig = ql.diagonalize(chain)
+    eig = ql.diagonalize(ql.build_local_chain(params))
     sdata = ql.occupied_spectrum(eig, psi0)
     ts = ql.timescales(sdata)
     return Quench(params, chain, eig, psi0, sdata, ts)

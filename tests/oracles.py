@@ -1,17 +1,81 @@
 """Independent reference routes the suite checks the library against.
 
-None of these is on a path that `quenchlab run` takes: the per-state
-spectral propagator, the Lanczos propagator, the reduced density matrix
-and its von Neumann entropy, the dense site-basis Paulis and their
-eigenbasis matrices V^dag sigma V, and the dense slow band. Each is the
-textbook form of a quantity the library computes another way (blocks of
-states, batched SVDs, Pauli readings of site-basis columns, a cosine sum).
+None of these is on a path that `quenchlab run` takes: the dense chain
+matrix and the dense V of a sector eigensystem, the per-state spectral
+propagator, the Lanczos propagator, the reduced density matrix and its von
+Neumann entropy, the dense site-basis Paulis and their eigenbasis matrices
+V^dag sigma V, and the dense slow band. Each is the textbook form of a
+quantity the library computes another way (sector blocks built from the
+bit structure, products through the sector factors, blocks of states,
+batched SVDs, Pauli readings of site-basis columns, a cosine sum).
 """
+import math
+
 import numpy as np
 
 import quenchlab as ql
 from quenchlab.dynamics import _state_spec
 from quenchlab.errors import DimensionMismatch, RegionOutOfBounds
+from quenchlab.hamiltonian import _sz_signs
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def dense_chain(p: ql.ChainParams) -> ql.HermitianOperator:
+    """The dense chain matrix, disordered or not, assembled entry by entry."""
+    n, dim = p.n_sites, 2**p.n_sites
+    signs = _sz_signs(n)
+    rng = np.random.default_rng(p.seed)
+    d = rng.uniform(-p.disorder_width, p.disorder_width, size=n)
+
+    diag = -p.J * np.sum(signs[:, :-1] * signs[:, 1:], axis=1)
+    if p.boundary == "periodic":
+        diag -= p.J * signs[:, -1] * signs[:, 0]
+    diag += np.sum((d - p.g)[None, :] * signs, axis=1)
+
+    mat = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    mat[idx, idx] = diag
+    for j in range(n):
+        mat[idx, idx ^ (1 << j)] += -p.h
+    return ql.HermitianOperator(mat)
+
+
+def sector_matrix(vectors: ql.SectorVectors) -> np.ndarray:
+    """The dense V of sector eigenvectors, written column by column from the factors.
+
+    Even vector k has u_even[a, k] / sqrt(2) on pair a and on its partner,
+    and u_even[a, k] on palindrome a; odd vector k has u_odd[a, k] / sqrt(2)
+    on pair a and its negative on the partner.
+    """
+    n_pairs, n_even = vectors.pairs.size, vectors.u_even.shape[0]
+    even_cols, odd_cols = vectors.levels[:n_even], vectors.levels[n_even:]
+    v = np.zeros(vectors.shape)
+    pair_rows = vectors.u_even[:n_pairs] * _SQRT_HALF
+    v[np.ix_(vectors.pairs, even_cols)] = pair_rows
+    v[np.ix_(vectors.partners, even_cols)] = pair_rows
+    v[np.ix_(vectors.palindromes, even_cols)] = vectors.u_even[n_pairs:]
+    v[np.ix_(vectors.pairs, odd_cols)] = vectors.u_odd * _SQRT_HALF
+    v[np.ix_(vectors.partners, odd_cols)] = -vectors.u_odd * _SQRT_HALF
+    return v
+
+
+def chain_matrix(op) -> np.ndarray:
+    """The dense matrix of what build_local_chain returns: a dense operator's
+    own, or a ReflectionChain's diagonal plus its flip on every bit."""
+    if isinstance(op, ql.HermitianOperator):
+        return op.matrix
+    idx = np.arange(op.dim)
+    mat = np.diag(op.diagonal)
+    for j in range(op.n_sites):
+        mat[idx, idx ^ (1 << j)] += op.flip
+    return mat
+
+
+def dense_vectors(eig: ql.EigenSystem) -> np.ndarray:
+    """The matrix V of eigenvector columns, in whichever form eig holds it."""
+    vec = eig.eigenvectors
+    return vec.matrix if isinstance(vec, ql.DenseVectors) else sector_matrix(vec)
 
 _EIG_CLIP = 1e-14
 
@@ -29,7 +93,7 @@ def dense_pauli(n: int, site: int, axis: str) -> np.ndarray:
 
 def local_observable(eig: ql.EigenSystem, site: int, axis: str) -> np.ndarray:
     """The eigenbasis matrix V^dag sigma V of a single-site Pauli."""
-    v = eig.eigenvectors.astype(complex)
+    v = dense_vectors(eig).astype(complex)
     return v.conj().T @ dense_pauli(_state_spec(eig.dim).n_sites, site, axis) @ v
 
 
@@ -47,7 +111,7 @@ def evolve_spectral(eig: ql.EigenSystem, psi0: ql.PureState, t: float) -> ql.Pur
 
     The overlaps c = V^dag psi0 are formed with V cast to complex.
     """
-    v = eig.eigenvectors.astype(complex)
+    v = dense_vectors(eig).astype(complex)
     phi = (v.conj().T @ psi0.amplitudes) * np.exp(-1j * eig.eigenvalues * t)
     amp = v @ phi
     amp = amp / np.linalg.norm(amp)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import dense_pauli, evolve_spectral
+from oracles import dense_chain, dense_pauli, dense_vectors, evolve_spectral
 from quenchlab import cli, observables
 
 LN2 = math.log(2.0)
@@ -539,6 +539,27 @@ def test_light_cone_run(tmp_path):
     assert header == "t,r,correlation"
 
 
+def test_ring_light_cone_run_measures_ring_distances(tmp_path):
+    # seven sites from site 0: radii 1..3 round the ring, not 1..6 one way,
+    # so the front fits a positive velocity instead of NoFrontDetected
+    out = tmp_path / "out"
+    raw = {"kind": "light_cone", "model": {"n_sites": 7, "boundary": "periodic"}, "out_dir": str(out)}
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["results"]["velocity"] > 0
+    assert set(manifest["results"]["arrival_times"]) == {"1", "2", "3"}
+
+
+def test_reference_site_rule_holds_on_open_chains_only():
+    # the last site has no radii to its right on an open chain; on a ring
+    # every site has neighbors both ways
+    for boundary, errors in (("open", 1), ("periodic", 0)):
+        raw = {"kind": "light_cone", "model": {"n_sites": 5, "boundary": boundary}, "reference_site": 4}
+        assert len(cli.validate(raw)[1]) == errors
+    raw = {"kind": "light_cone", "model": {"n_sites": 5, "boundary": "periodic"}, "reference_site": 5}
+    assert cli.validate(raw)[1] == ["reference_site: 5 leaves no radii in a chain of 5"]
+
+
 def test_dos_run(tmp_path):
     out = tmp_path / "out"
     raw = {"kind": "dos", "model": {"n_sites": 8}, "out_dir": str(out)}
@@ -584,7 +605,7 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
     cfg, _ = cli.validate(raw)
     # oracle: diagonalize the dense U H U^dag with the run's Haar unitary
-    chain = ql.build_local_chain(cfg.chain)
+    chain = dense_chain(cfg.chain)
     u = ql.haar_unitary(chain.dim, np.random.default_rng(cli.derive_seed(3, "scramble")))
     m = u @ chain.matrix @ u.conj().T
     eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0))
@@ -686,7 +707,7 @@ def test_relax_typical_and_slow_match_the_dressed_double_sum(tmp_path, variant, 
     eig = ql.diagonalize(ql.build_local_chain(cfg.chain))
     if variant == "scrambled":
         eig = ql.scramble(eig, cli.derive_seed(5, "scramble"))
-    c = eig.eigenvectors.conj().T @ cli.build_initial_state(cfg).amplitudes
+    c = dense_vectors(eig).conj().T @ cli.build_initial_state(cfg).amplitudes
     unit = c / np.abs(c)
     bare = {}
     for i in range(2):
@@ -719,7 +740,8 @@ def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, c
     diagonalize = cli.diagonalize
 
     def counting(op):
-        dtypes.append(op.matrix.dtype)
+        # a reflection chain has no dense matrix; its blocks share its terms' dtype
+        dtypes.append(op.matrix.dtype if isinstance(op, ql.HermitianOperator) else op.diagonal.dtype)
         return diagonalize(op)
 
     monkeypatch.setattr(cli, "diagonalize", counting)
@@ -821,16 +843,13 @@ DENSE_ROUTE_CASES = [
     "label, n, boundary", DENSE_ROUTE_CASES, ids=[f"{l}-{n}-{b}" for l, n, b in DENSE_ROUTE_CASES]
 )
 def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, boundary):
-    # oracle: the same run on the chain's matrix without the reflection mark,
-    # which diagonalize hands to one dense eigh
+    # oracle: the same run on the oracle's dense chain matrix, which
+    # diagonalize hands to one dense eigh
     kind, variant, observables = DENSE_ROUTE[label]
     outputs = {}
     for route in ("sectors", "dense"):
         if route == "dense":
-            build = cli.build_local_chain
-            monkeypatch.setattr(
-                cli, "build_local_chain", lambda p: ql.HermitianOperator(build(p).matrix)
-            )
+            monkeypatch.setattr(cli, "build_local_chain", dense_chain)
         cfg, errors = cli.validate({
             "kind": kind,
             "model": {"n_sites": n, "variant": variant, "boundary": boundary},

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import quenchlab as ql
-from oracles import _krylov_step, _lanczos, _tridiag, evolve_spectral, krylov_evolve
+from oracles import _krylov_step, _lanczos, _tridiag, dense_vectors, evolve_spectral, krylov_evolve
 from quenchlab.errors import DimensionMismatch
 from quenchlab.observables import ObservableMatrix
 
@@ -52,7 +52,7 @@ def test_evolve_spectral_preserves_norm(quench6):
 
 def test_evolve_spectral_stationary_eigenstate(quench6):
     k = 11
-    psi0 = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
+    psi0 = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex), ql.HilbertSpec(6))
     for t in (0.5, 3.0, 20.0):
         psi = evolve_spectral(quench6.eig, psi0, t)
         assert abs(abs(np.vdot(psi0.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
@@ -86,7 +86,7 @@ def test_expectation_series_matches_state_vector_route(quench6):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((64, 64))
     site_matrix = (a + a.T) / 2
-    v = quench6.eig.eigenvectors
+    v = dense_vectors(quench6.eig)
     c = v.T @ quench6.psi0.amplitudes
     aligned = v * (c / np.abs(c))
     obs = ObservableMatrix(aligned.conj().T @ site_matrix @ aligned)
@@ -141,7 +141,7 @@ def test_diagonal_ensemble_identity_and_eigenstate(quench6):
     identity = ql.ObservableMatrix(np.eye(64))
     assert ql.diagonal_ensemble(quench6.sdata, np.diagonal(identity.matrix)) == pytest.approx(1.0)
     k = 5
-    psi = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
+    psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex), ql.HilbertSpec(6))
     sdata = ql.occupied_spectrum(quench6.eig, psi)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, 64))

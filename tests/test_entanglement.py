@@ -233,6 +233,22 @@ def test_light_cone_chain(quench8):
     assert 1.0 < front.velocity < 8.0
 
 
+def test_ring_light_cone_reads_each_ring_distance_once():
+    # on a ring, radius r is the site r steps round from the reference
+    params = ql.ChainParams(n_sites=8, boundary="periodic")
+    eig = ql.diagonalize(ql.build_local_chain(params))
+    psi0 = ql.product_state([UP] * 8)
+    grid = ql.linear_grid(3.0, 61)
+    front = ql.light_cone(eig, psi0, 6, grid, periodic=True)
+    assert front.radii == (1, 2, 3, 4)
+    assert front.velocity > 0
+    # all_up on a ring is translation invariant: every reference site reads
+    # the same correlator
+    for ref in (0, 3):
+        other = ql.light_cone(eig, psi0, ref, grid, periodic=True)
+        assert np.max(np.abs(other.correlator - front.correlator)) < 1e-12
+
+
 def test_light_cone_threshold_never_reached(quench8):
     # connected correlators of unit-norm spins are bounded by 2
     with pytest.raises(NoFrontDetected):

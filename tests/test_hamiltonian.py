@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
+from oracles import chain_matrix, dense_chain, dense_vectors
 from quenchlab.hamiltonian import _sz_signs
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -29,18 +30,18 @@ def test_hermitian_operator_validation():
 
 def test_classical_ising_two_sites():
     h = ql.build_local_chain(ql.ChainParams(n_sites=2, J=1.0, h=0.0, g=0.0))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(h.matrix)), [-1, -1, 1, 1], atol=1e-12)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(chain_matrix(h))), [-1, -1, 1, 1], atol=1e-12)
 
 
 def test_pure_transverse_two_sites():
     h = ql.build_local_chain(ql.ChainParams(n_sites=2, J=0.0, h=1.0, g=0.0))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(h.matrix)), [-2, 0, 0, 2], atol=1e-12)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(chain_matrix(h))), [-2, 0, 0, 2], atol=1e-12)
 
 
 def test_two_site_assembly_oracle():
     # independent dense assembly with site 0 in the least significant slot
     p = ql.ChainParams(n_sites=2, J=1.0, h=1.0, g=0.5)
-    built = ql.build_local_chain(p).matrix
+    built = chain_matrix(ql.build_local_chain(p))
     sz0, sz1 = np.kron(np.eye(2), SZ), np.kron(SZ, np.eye(2))
     sx0, sx1 = np.kron(np.eye(2), SX), np.kron(SX, np.eye(2))
     oracle = -p.J * (sz0 @ sz1) - p.h * (sx0 + sx1) - p.g * (sz0 + sz1)
@@ -51,7 +52,7 @@ def test_two_site_assembly_oracle():
 
 
 def test_chain_is_real_symmetric():
-    m = ql.build_local_chain(ql.ChainParams(n_sites=5)).matrix
+    m = chain_matrix(ql.build_local_chain(ql.ChainParams(n_sites=5)))
     assert np.isrealobj(m)
     assert np.max(np.abs(m - m.T)) == 0.0
 
@@ -59,7 +60,7 @@ def test_chain_is_real_symmetric():
 def test_chain_couples_only_single_bit_flips():
     # sz terms are diagonal and sx flips one bit, so any off-diagonal
     # element between states differing in more than one bit must vanish
-    m = ql.build_local_chain(ql.ChainParams(n_sites=4)).matrix
+    m = chain_matrix(ql.build_local_chain(ql.ChainParams(n_sites=4)))
     dim = 16
     for i in range(dim):
         for j in range(dim):
@@ -79,7 +80,7 @@ def test_chain_determinism_and_disorder_seeding():
 def test_periodic_adds_wrap_bond():
     p_open = ql.ChainParams(n_sites=4, boundary="open")
     p_per = ql.ChainParams(n_sites=4, boundary="periodic")
-    diff = ql.build_local_chain(p_per).matrix - ql.build_local_chain(p_open).matrix
+    diff = chain_matrix(ql.build_local_chain(p_per)) - chain_matrix(ql.build_local_chain(p_open))
     idx = np.arange(16)
     signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(4)[None, :]) & 1)
     assert np.allclose(np.diagonal(diff), -p_open.J * signs[:, 3] * signs[:, 0])
@@ -88,7 +89,7 @@ def test_periodic_adds_wrap_bond():
 
 def _rebuilt(eig: ql.EigenSystem) -> ql.HermitianOperator:
     """The dense matrix W diag(E) W^dag of a factored scrambled eigensystem."""
-    w = eig.eigenvectors
+    w = dense_vectors(eig)
     m = (w * eig.eigenvalues[None, :]) @ w.conj().T
     return ql.HermitianOperator((m + m.conj().T) / 2.0)
 
@@ -97,7 +98,7 @@ def test_scramble_preserves_spectrum_and_is_deterministic():
     h = ql.build_local_chain(ql.ChainParams(n_sites=6))
     eig = ql.diagonalize(h)
     s = _rebuilt(ql.scramble(eig, seed=5))
-    ev_in = np.linalg.eigvalsh(h.matrix)
+    ev_in = np.linalg.eigvalsh(chain_matrix(h))
     ev_out = np.linalg.eigvalsh(s.matrix)
     assert np.max(np.abs(ev_in - ev_out)) < 1e-10
     again = _rebuilt(ql.scramble(eig, seed=5))
@@ -161,3 +162,16 @@ def test_goe_determinism(seed):
     a = ql.build_goe(32, 1.0, 2.0, seed).matrix
     b = ql.build_goe(32, 1.0, 2.0, seed).matrix
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_clean_chain_is_kept_as_its_terms(boundary):
+    # no dense matrix is formed, or reachable as .matrix; its terms rebuild
+    # the oracle's dense chain to the bit
+    p = ql.ChainParams(n_sites=6, boundary=boundary)
+    chain = ql.build_local_chain(p)
+    assert isinstance(chain, ql.ReflectionChain) and not hasattr(chain, "matrix")
+    assert chain.dim == 64 and chain.flip == -p.h
+    assert np.array_equal(chain_matrix(chain), dense_chain(p).matrix)
+    disordered = ql.build_local_chain(ql.ChainParams(n_sites=6, disorder_width=0.5))
+    assert isinstance(disordered, ql.HermitianOperator)

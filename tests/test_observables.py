@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED
-from oracles import dense_pauli, local_observable, slow_observable
+from oracles import dense_pauli, dense_vectors, local_observable, slow_observable
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root
 
@@ -163,13 +163,13 @@ def test_local_observable_matches_dense_kron_oracle(quench6, variant):
     # the site-basis reader, on the columns of V and on the evolved states,
     # against the dense eigenbasis matrix V^dag sigma V
     eig = quench6.eig if variant == "local" else ql.scramble(quench6.eig, SCRAMBLE_SEED)
-    v = eig.eigenvectors
+    v = dense_vectors(eig)
     grid = ql.linear_grid(2.0, 9)
     c = v.conj().T @ quench6.psi0.amplitudes
     e = eig.eigenvalues
     phases = [np.exp(1j * np.subtract.outer(e, e) * t) for t in grid.times]
     paulis = [(site, axis) for site in (0, 1, 3, 5) for axis in ("x", "y", "z")]
-    diagonals = ql.pauli_expectations(v, paulis)
+    diagonals = ql.pauli_expectations(eig.eigenvectors, paulis)
     assert diagonals.dtype.kind == "f"
     assert diagonals.shape == (len(paulis), eig.dim)
     series = ql.local_series(eig, quench6.psi0, paulis, grid)
@@ -267,10 +267,10 @@ def test_slow_beats_typical_at_same_threshold(quench8):
 
 def test_eigenstate_paulis_read_the_eigenvectors_in_column_blocks(quench10):
     # the whole-matrix reading held two dim^2 temporaries for a sigma-y
-    v = quench10.eig.eigenvectors
+    v = dense_vectors(quench10.eig)
     tracemalloc.start()
     try:
-        rows = ql.pauli_expectations(v, [(5, "y")])
+        rows = ql.pauli_expectations(quench10.eig.eigenvectors, [(5, "y")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

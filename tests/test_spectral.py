@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import quenchlab as ql
+from oracles import chain_matrix, dense_chain, dense_vectors, sector_matrix
 from quenchlab.errors import (
     DegenerateWidth,
     DimensionMismatch,
@@ -35,7 +38,7 @@ def test_diagonalize_diagonal_input():
     eig = ql.diagonalize(ql.HermitianOperator(np.diag([3.0, 1.0, 2.0])))
     assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
     # permutation eigenvectors up to sign
-    assert np.allclose(np.abs(eig.eigenvectors), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+    assert np.allclose(np.abs(dense_vectors(eig)), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
 
 
 def test_diagonalize_pauli_x():
@@ -48,27 +51,29 @@ def test_diagonalize_reconstruction_64():
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     m = (a + a.conj().T) / 2
     eig = ql.diagonalize(ql.HermitianOperator(m))
-    rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.conj().T
+    v = dense_vectors(eig)
+    rebuilt = v @ np.diag(eig.eigenvalues) @ v.conj().T
     assert np.linalg.norm(rebuilt - m) / np.linalg.norm(m) < 1e-10
 
 
 def test_eigenbasis_diagonalizes_chain(quench6):
     eig, h = quench6.eig, quench6.chain.matrix
-    d = eig.eigenvectors.conj().T @ h @ eig.eigenvectors
+    v = dense_vectors(eig)
+    d = v.conj().T @ h @ v
     off = d - np.diag(np.diagonal(d))
     assert np.max(np.abs(off)) < 1e-9 * np.linalg.norm(h, 2)
 
 
 def test_occupied_spectrum_eigenstate(quench6):
     k = 7
-    psi = ql.PureState(quench6.eig.eigenvectors[:, k].astype(complex), ql.HilbertSpec(6))
+    psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex), ql.HilbertSpec(6))
     sdata = ql.occupied_spectrum(quench6.eig, psi)
     assert abs(sdata.weights[k] - 1.0) < 1e-12
     assert np.sum(sdata.weights > 1e-12) == 1
 
 
 def test_occupied_spectrum_weights_oracle(quench8):
-    c = quench8.eig.eigenvectors.conj().T @ quench8.psi0.amplitudes
+    c = dense_vectors(quench8.eig).conj().T @ quench8.psi0.amplitudes
     assert np.max(np.abs(quench8.sdata.weights - np.abs(c) ** 2)) < 1e-12
     assert abs(quench8.sdata.weights.sum() - 1.0) < 1e-10
 
@@ -84,7 +89,7 @@ def test_occupied_spectrum_matches_complex_projection(quench8, variant):
     # real eigenvectors take two real products; the oracle casts V to complex
     eig = quench8.eig if variant == "local" else ql.scramble(quench8.eig, 3)
     for psi in (quench8.psi0, complex_product_state(8)):
-        c = eig.eigenvectors.astype(complex).conj().T @ psi.amplitudes
+        c = dense_vectors(eig).astype(complex).conj().T @ psi.amplitudes
         c = c / np.linalg.norm(c)
         sdata = ql.occupied_spectrum(eig, psi)
         assert np.max(np.abs(sdata.weights - np.abs(c) ** 2)) < 1e-15
@@ -95,7 +100,7 @@ def test_overlaps_of_a_complex_basis_match_the_conjugate_transpose(quench8):
     # psi0^dag V, conjugated, against the copied V^dag applied to psi0
     eig = ql.scramble(quench8.eig, 3)
     for psi in (quench8.psi0, complex_product_state(8)):
-        want = eig.eigenvectors.conj().T @ psi.amplitudes
+        want = dense_vectors(eig).conj().T @ psi.amplitudes
         assert np.max(np.abs(_overlaps(eig, psi) - want)) < 1e-15
 
 
@@ -108,7 +113,7 @@ def test_site_readers_do_not_depend_on_the_eigenvector_gauge(quench8, variant):
     # gauge: weights, entropy scans, light cones and local series agree
     eig = quench8.eig if variant == "local" else ql.scramble(quench8.eig, 3)
     unit = np.exp(1j * np.random.default_rng(9).uniform(-np.pi, np.pi, eig.dim))
-    regauged = ql.EigenSystem(eig.eigenvalues, eig.eigenvectors * unit)
+    regauged = ql.EigenSystem(eig.eigenvalues, dense_vectors(eig) * unit)
     cuts = range(1, 8)
     for psi in (quench8.psi0, complex_product_state(8)):
         readers = [
@@ -131,7 +136,7 @@ def test_occupied_spectrum_dimension_mismatch(quench6):
 
 
 def test_amplitudes_round_trip(quench6):
-    c = quench6.eig.eigenvectors.conj().T @ quench6.psi0.amplitudes
+    c = dense_vectors(quench6.eig).conj().T @ quench6.psi0.amplitudes
     assert np.max(np.abs(quench6.sdata.amplitudes() - np.abs(c))) < 1e-10
 
 
@@ -226,7 +231,7 @@ def test_scrambling_invariance(seed):
     base = ql.occupied_spectrum(eig, ql.PureState(psi, spec))
 
     u = ql.haar_unitary(16, rng)
-    m = u @ h.matrix @ u.conj().T
+    m = u @ chain_matrix(h) @ u.conj().T
     eig2 = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2))
     rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi, spec))
 
@@ -252,12 +257,12 @@ def test_factored_scramble_matches_dense_conjugation(quench6):
     u = ql.haar_unitary(quench6.eig.dim, np.random.default_rng(5))
     dense = u @ quench6.chain.matrix @ u.conj().T
     s = ql.scramble(quench6.eig, seed=5)
-    w = s.eigenvectors
+    w = dense_vectors(s)
     assert np.array_equal(s.eigenvalues, quench6.eig.eigenvalues)
     assert np.max(np.abs((w * s.eigenvalues[None, :]) @ w.conj().T - dense)) < 1e-10
     assert np.max(np.abs(w.conj().T @ w - np.eye(s.dim))) < 1e-12
-    assert ql.scramble(quench6.eig, seed=5).eigenvectors.tobytes() == w.tobytes()
-    assert not np.array_equal(ql.scramble(quench6.eig, seed=6).eigenvectors, w)
+    assert dense_vectors(ql.scramble(quench6.eig, seed=5)).tobytes() == w.tobytes()
+    assert not np.array_equal(dense_vectors(ql.scramble(quench6.eig, seed=6)), w)
 
 
 NAN = float("nan")
@@ -293,12 +298,15 @@ def _bit_reversal(n: int) -> np.ndarray:
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_reflection_sectors_match_the_dense_eigh(n, boundary):
-    # oracle: the dense eigh of the same matrix without the reflection mark
-    chain = ql.build_local_chain(ql.ChainParams(n_sites=n, boundary=boundary))
-    assert chain.reflection_sites == n
+    # oracle: the dense eigh of the oracle's dense chain matrix, against the
+    # V written from the sector factors
+    params = ql.ChainParams(n_sites=n, boundary=boundary)
+    chain = ql.build_local_chain(params)
+    assert isinstance(chain, ql.ReflectionChain) and chain.n_sites == n
     eig = ql.diagonalize(chain)
-    dense = ql.diagonalize(ql.HermitianOperator(chain.matrix))
-    e, v, h = eig.eigenvalues, eig.eigenvectors, chain.matrix
+    h = dense_chain(params).matrix
+    dense = ql.diagonalize(ql.HermitianOperator(h))
+    e, v = eig.eigenvalues, dense_vectors(eig)
     assert np.max(np.abs(e - dense.eigenvalues)) <= 1e-12 * np.max(np.abs(dense.eigenvalues))
     assert np.max(np.abs(h @ v - v * e)) < 1e-12
     assert np.max(np.abs(v.T @ v - np.eye(eig.dim))) < 1e-12
@@ -329,7 +337,7 @@ def _eigh_sizes(monkeypatch) -> list[int]:
         (lambda: ql.build_local_chain(ql.ChainParams(n_sites=7)), [72, 56]),
         (lambda: ql.build_local_chain(ql.ChainParams(n_sites=6, boundary="periodic")), [36, 28]),
         (lambda: ql.build_local_chain(ql.ChainParams(n_sites=7, disorder_width=0.5)), [128]),
-        (lambda: ql.HermitianOperator(ql.build_local_chain(ql.ChainParams(n_sites=7)).matrix), [128]),
+        (lambda: dense_chain(ql.ChainParams(n_sites=7)), [128]),
         (lambda: ql.build_goe(128, 0.0, 1.0, seed=3), [128]),
     ],
     ids=["clean_open", "clean_periodic", "disordered", "hand_built", "goe"],
@@ -343,4 +351,65 @@ def test_only_clean_chains_take_the_reflection_sectors(monkeypatch, build, sizes
 
 def test_reflection_mark_must_fit_the_dimension():
     with pytest.raises(ValueError, match="not a chain of 3 sites"):
-        ql.HermitianOperator(np.eye(4), reflection_sites=3)
+        ql.ReflectionChain(3, np.zeros(4), -1.0)
+
+
+def _test_vectors(rng, dim: int, columns) -> np.ndarray:
+    shape = (dim,) if columns is None else (dim, columns)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sector_vectors_match_their_dense_form(n, boundary):
+    # oracle: V written column by column from the same factors, against the
+    # products on vectors and on blocks of 1, 64 and 100 columns
+    eig = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n, boundary=boundary)))
+    vectors = eig.eigenvectors
+    assert isinstance(vectors, ql.SectorVectors)
+    v = sector_matrix(vectors)
+    rng = np.random.default_rng(n)
+    for columns in (None, 1, 64, 100):
+        x = _test_vectors(rng, eig.dim, columns)
+        for y in (x, x.real.copy()):
+            got = vectors.apply(y)
+            assert got.shape == y.shape and np.iscomplexobj(got) == np.iscomplexobj(y)
+            assert np.max(np.abs(got - v @ y)) < 1e-12
+            assert np.max(np.abs(vectors.apply_adjoint(y) - v.T @ y)) < 1e-12
+    # a block of columns is gathered from the factors, with no product
+    for block in (slice(0, 1), slice(0, 64), slice(eig.dim // 3, eig.dim // 3 + 100)):
+        assert np.array_equal(vectors.columns(block), v[:, block])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ql.ChainParams(n_sites=4),
+        ql.ChainParams(n_sites=7, boundary="periodic"),
+        ql.ChainParams(n_sites=8),
+        ql.ChainParams(n_sites=6, disorder_width=0.5, seed=2),
+    ],
+    ids=["open4", "periodic7", "open8", "disordered6"],
+)
+def test_scramble_matches_the_dense_haar_product(params):
+    # oracle: the same seeded Haar unitary times the dense V
+    eig = ql.diagonalize(ql.build_local_chain(params))
+    u = ql.haar_unitary(eig.dim, np.random.default_rng(11))
+    want = u @ dense_vectors(eig)
+    got = ql.scramble(eig, seed=11)
+    assert np.array_equal(got.eigenvalues, eig.eigenvalues)
+    assert np.max(np.abs(dense_vectors(got) - want)) < 1e-12
+
+
+def test_clean_chain_spectrum_stays_below_one_dense_matrix():
+    # H and V both dense would hold two dim^2 float64 matrices and more
+    n = 10
+    psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(n)])
+    tracemalloc.start()
+    try:
+        eig = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n)))
+        ql.occupied_spectrum(eig, psi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**n
