@@ -76,7 +76,7 @@ from .spectral import (
     timescales,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

@@ -3,8 +3,8 @@
 A config names a model (local chain, Haar-scrambled chain, or a
 moment-matched random matrix), an initial product state, and one of five
 experiment kinds. Every run diagonalizes the local chain once and derives
-each variant's eigensystem from it: the scrambled chain in factored form
-(same eigenvalues, eigenvectors U V), the random matrix from the chain's
+each variant's eigensystem from it: the scrambled chain from its eigenvalues
+(with seeded Haar eigenvectors), the random matrix from the chain's
 occupied moments. Results are written as CSV files with a YAML manifest
 carrying the normalized config, the quench timescales, summary statistics,
 and a digest of every emitted file. All randomness is derived per task from
@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import HilbertSpec, PureState, product_state
+from .core import MAX_SITES, PureState, product_state
 from .dynamics import (
     TimeGrid,
     TimeSeries,
@@ -178,10 +178,6 @@ def _flag(errors: list[str], field: str, value: Any) -> bool:
     return False
 
 
-def _text(errors: list[str], field: str, value: Any) -> str:
-    return str(value)
-
-
 _named_state = _choice(STATES, f"one of {STATES} or a custom mapping")
 
 
@@ -210,6 +206,7 @@ def _out_dir(errors: list[str], field: str, value: Any) -> str | None:
 
 
 _NONNEGATIVE = ("must be nonnegative", lambda v: v >= 0)
+_SITES = (f"must be in [2, {MAX_SITES}]", lambda v: 2 <= v <= MAX_SITES)
 _POSITIVE = ("must be positive", lambda v: v > 0)
 _OPEN_UNIT = ("must be in (0, 1)", lambda v: 0 < v < 1)
 
@@ -220,12 +217,14 @@ _OPEN_UNIT = ("must be in (0, 1)", lambda v: 0 < v < 1)
 FIELDS: dict[tuple[str, ...], tuple] = {
     ("kind",): ("kind", _choice(KINDS), None, None),
     ("model", "variant"): ("variant", _choice(VARIANTS), "local", None),
-    ("model", "n_sites"): ("chain.n_sites", _int, 10, None),
+    ("model", "n_sites"): ("chain.n_sites", _int, 10, _SITES),
     ("model", "J"): ("chain.J", _number, ChainParams.J, None),
     ("model", "h"): ("chain.h", _number, ChainParams.h, None),
     ("model", "g"): ("chain.g", _number, ChainParams.g, None),
-    ("model", "disorder_width"): ("chain.disorder_width", _number, 0.0, None),
-    ("model", "boundary"): ("chain.boundary", _text, "open", None),
+    ("model", "disorder_width"): ("chain.disorder_width", _number, 0.0, _NONNEGATIVE),
+    ("model", "boundary"): (
+        "chain.boundary", _choice(("open", "periodic"), "open or periodic"), "open", None
+    ),
     ("model", "seed"): ("chain.seed", _int, 0, _NONNEGATIVE),
     ("initial_state",): ("initial_state", _initial_state, "neel", None),
     ("time_grid", "kind"): (
@@ -318,15 +317,8 @@ def validate(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             f"goe partner, got {variant!r}"
         )
     params = {f.name: values.pop(f"chain.{f.name}") for f in fields(ChainParams)}
-    chain = None
-    if None not in params.values() and params["seed"] >= 0:
-        try:
-            candidate = ChainParams(**params)
-            HilbertSpec(candidate.n_sites)  # enforces the desk-scale site bound
-            chain = candidate
-        except ValueError as exc:
-            errors.append(f"model: {exc}")
-    values["chain"] = chain
+    failed = any(e.startswith(f"model.{name}:") for e in errors for name in params)
+    chain = values["chain"] = None if failed else ChainParams(**params)
 
     values["custom_state"] = None
     if values["initial_state"] == "custom":
@@ -452,8 +444,9 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
 def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     """The eigensystem of a run's site-basis readers (None without them), and
     the spectral data of each variant. All derive from one diagonalization of
-    the chain: the scrambled chain takes its eigenvectors, the random matrix
-    its occupied moments, so the chain's are dropped before it is built.
+    the chain: the scrambled chain takes its eigenvalues, the random matrix
+    its occupied moments, so the chain's eigenvectors are dropped before the
+    random matrix is built.
     """
     eig = diagonalize(build_local_chain(cfg.chain))
     if cfg.variant == "scrambled":
@@ -713,8 +706,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "info":
-        from .core import MAX_SITES
-
         print(f"quenchlab {__version__}")
         print(
             f"max sites: {MAX_SITES} (exact spectra; a clean chain kept in its two "

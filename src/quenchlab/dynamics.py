@@ -149,7 +149,8 @@ def expectation_series(
         if residue > _IMAG_TOL:
             raise ValueError(f"imaginary residue {residue!r} exceeds {_IMAG_TOL}")
         # divided by the squared norm, as _state_blocks normalizes its
-        # states; the identity then reads exactly 1
+        # states: SpectralData admits weights summing to 1 within 1e-10, and
+        # the series is read in the normalized state either way
         values[block] = val.real / np.sum(phi.conj() * phi, axis=0).real
     return TimeSeries(grid, values)
 

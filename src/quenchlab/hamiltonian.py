@@ -136,6 +136,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (lam / np.abs(lam))[None, :]
 
 
+def _symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
+    """(G + G^T) / 2 for a seeded dim x dim standard normal draw G."""
+    m = np.random.default_rng(seed).standard_normal((dim, dim))
+    m = m + m.T
+    m /= 2.0
+    return m
+
+
 def build_goe(dim: int, mean: float, width: float, seed: int) -> HermitianOperator:
     """Real symmetric Gaussian-ensemble matrix with matched eigenvalue moments.
 
@@ -148,10 +156,7 @@ def build_goe(dim: int, mean: float, width: float, seed: int) -> HermitianOperat
         raise ValueError("dim must be positive")
     if width < 0:
         raise ValueError("width must be nonnegative")
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim))
-    m = m + m.T
-    m /= 2.0
+    m = _symmetric_gaussian(dim, seed)
     # centered and rescaled in place: only the diagonal moves by the means
     d = np.diag_indices(dim)
     m[d] -= np.trace(m) / dim

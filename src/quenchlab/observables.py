@@ -26,7 +26,7 @@ from .dynamics import (
     _state_spec,
 )
 from .errors import ConvergenceFailure, SiteOutOfBounds
-from .hamiltonian import _sz_signs
+from .hamiltonian import _symmetric_gaussian, _sz_signs
 from .spectral import DEFAULT_WEIGHT_FLOOR, DenseVectors, EigenSystem, SectorVectors, SpectralData
 
 _PERRON_RTOL = 1e-14
@@ -94,10 +94,7 @@ def typical_observable(dim: int, seed: int) -> ObservableMatrix:
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim))
-    m = m + m.T
-    m /= 2.0
+    m = _symmetric_gaussian(dim, seed)
     np.abs(m, out=m)
     m /= _perron_root(m)
     return ObservableMatrix(m)

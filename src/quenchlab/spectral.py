@@ -167,17 +167,11 @@ class SectorVectors:
         """V^dag y: the sector components of y, each through its block transposed."""
         n_even = self.u_even.shape[0]
         head, tail = y[self.pairs], y[self.partners]
-        odd = head - tail
-        head += tail
-        del tail
-        head *= _SQRT_HALF
-        odd *= _SQRT_HALF
-        even = np.concatenate([head, y[self.palindromes]])
-        del head
+        even = np.concatenate([(head + tail) * _SQRT_HALF, y[self.palindromes]])
+        odd = (head - tail) * _SQRT_HALF
         out = np.empty(y.shape, dtype=np.result_type(y, float))
-        out[self.levels[n_even:]] = _matmul(self.u_odd.T, odd)
-        del odd
         out[self.levels[:n_even]] = _matmul(self.u_even.T, even)
+        out[self.levels[n_even:]] = _matmul(self.u_odd.T, odd)
         return out
 
 
@@ -346,20 +340,15 @@ def _sector_eigh(chain: ReflectionChain) -> EigenSystem:
 
 
 def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
-    """Eigensystem of U H U^dag for a seeded Haar unitary U.
+    """The spectrum of eig with seeded Haar-random eigenvectors W.
 
-    Same spectrum, no locality left. With H = V E V^dag, U H U^dag =
-    (U V) E (U V)^dag, so the scrambled eigenvectors are W = U V, formed as
-    W^T = V^T U^T = (V^dag (U^T)^*)^* through apply_adjoint: a real V is
-    never cast to complex, and the dense conjugated operator is never formed
-    or diagonalized.
+    Same spectrum, no locality left. Conjugating H = V E V^dag by a Haar
+    unitary U gives the eigenvectors U V, and Haar measure is
+    right-invariant, so for any fixed V that product is itself a Haar
+    unitary: the seed draws W directly, and eig's eigenvectors are never
+    read (Mezzadri, Notices AMS 54, 2007).
     """
-    u = haar_unitary(eig.dim, np.random.default_rng(seed))
-    np.conjugate(u, out=u)
-    wt = eig.eigenvectors.apply_adjoint(u.T)
-    del u
-    np.conjugate(wt, out=wt)
-    return EigenSystem(eig.eigenvalues, wt.T)
+    return EigenSystem(eig.eigenvalues, haar_unitary(eig.dim, np.random.default_rng(seed)))
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Every eigensystem here is in the gauge its construction returns, and each
 comes with the Neel state it is quenched from and that state's occupied
-spectrum. A chain's `chain` is its dense matrix from the oracle builder. Everything heavy is computed once per session. The scrambled
-partners come from `ql.scramble`, the library's factored form (eigenvalues
-of the chain, eigenvectors U V), so no fixture diagonalizes a scrambled
-operator.
+spectrum. A chain's `chain` is its dense matrix from the oracle builder.
+Everything heavy is computed once per session. The scrambled partners come
+from `ql.scramble` (eigenvalues of the chain, seeded Haar eigenvectors W),
+so no fixture diagonalizes a scrambled operator.
 """
 from typing import NamedTuple
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -199,7 +200,19 @@ def test_validate_requires_boolean_observable_flags(tmp_path, capsys, flag, valu
 def test_validate_site_cap_reports_model_only():
     cfg, errors = cli.validate({"kind": "entropy_scan", "model": {"n_sites": 99}})
     assert cfg is None
-    assert len(errors) == 1 and errors[0].startswith("model:")
+    assert len(errors) == 1 and errors[0].startswith("model.n_sites:")
+
+
+def test_validate_names_every_model_field_error():
+    model = {"n_sites": 20, "disorder_width": -1, "boundary": "ring", "J": "abc"}
+    cfg, errors = cli.validate({"kind": "dos", "model": model})
+    assert cfg is None
+    assert sorted(e.split(":")[0] for e in errors) == [
+        "model.J", "model.boundary", "model.disorder_width", "model.n_sites",
+    ]
+    assert cli.validate({"kind": "dos", "model": {"n_sites": 1}})[1] == [
+        f"model.n_sites: must be in [2, {ql.MAX_SITES}]"
+    ]
 
 
 def test_config_key_order_invariance():
@@ -604,10 +617,11 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     }
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
     cfg, _ = cli.validate(raw)
-    # oracle: diagonalize the dense U H U^dag with the run's Haar unitary
-    chain = dense_chain(cfg.chain)
-    u = ql.haar_unitary(chain.dim, np.random.default_rng(cli.derive_seed(3, "scramble")))
-    m = u @ chain.matrix @ u.conj().T
+    # oracle: diagonalize the dense W diag(E) W^dag, with E the dense chain's
+    # spectrum and W the run's seeded Haar eigenvectors
+    e = ql.diagonalize(dense_chain(cfg.chain)).eigenvalues
+    w = ql.haar_unitary(e.size, np.random.default_rng(cli.derive_seed(3, "scramble")))
+    m = (w * e[None, :]) @ w.conj().T
     eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0))
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
     profile = ql.entropy_scan(eig, cli.build_initial_state(cfg), cfg.cuts, grid)
@@ -994,6 +1008,12 @@ def test_info_subcommand(capsys):
     assert cli.main(["info"]) == 0
     out = capsys.readouterr().out
     assert "quenchlab" in out and "max sites" in out
+
+
+def test_version_matches_the_project_metadata():
+    # a regex, since tomllib is missing on Python 3.10
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE) == [ql.__version__]
 
 
 def test_cli_processes_import_no_scipy(tmp_path):

@@ -88,7 +88,7 @@ def test_periodic_adds_wrap_bond():
 
 
 def _rebuilt(eig: ql.EigenSystem) -> ql.HermitianOperator:
-    """The dense matrix W diag(E) W^dag of a factored scrambled eigensystem."""
+    """The dense matrix W diag(E) W^dag of a scrambled eigensystem."""
     w = dense_vectors(eig)
     m = (w * eig.eigenvalues[None, :]) @ w.conj().T
     return ql.HermitianOperator((m + m.conj().T) / 2.0)

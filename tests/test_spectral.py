@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,8 +254,10 @@ def test_occupied_spacing_shrinks_with_size(quench6, quench8, quench10):
 
 
 def test_factored_scramble_matches_dense_conjugation(quench6):
-    # oracle: the dense U H U^dag with the same seeded Haar unitary
-    u = ql.haar_unitary(quench6.eig.dim, np.random.default_rng(5))
+    # oracle: the chain's dense H conjugated by U = W V^dag, with W the
+    # seed's Haar unitary and V the chain's eigenvectors
+    w = ql.haar_unitary(quench6.eig.dim, np.random.default_rng(5))
+    u = w @ dense_vectors(quench6.eig).conj().T
     dense = u @ quench6.chain.matrix @ u.conj().T
     s = ql.scramble(quench6.eig, seed=5)
     w = dense_vectors(s)
@@ -381,24 +384,54 @@ def test_sector_vectors_match_their_dense_form(n, boundary):
         assert np.array_equal(vectors.columns(block), v[:, block])
 
 
+def _chain_eig(**params) -> ql.EigenSystem:
+    return ql.diagonalize(ql.build_local_chain(ql.ChainParams(**params)))
+
+
 @pytest.mark.parametrize(
-    "params",
+    "build",
     [
-        ql.ChainParams(n_sites=4),
-        ql.ChainParams(n_sites=7, boundary="periodic"),
-        ql.ChainParams(n_sites=8),
-        ql.ChainParams(n_sites=6, disorder_width=0.5, seed=2),
+        lambda: _chain_eig(n_sites=4),
+        lambda: _chain_eig(n_sites=7, boundary="periodic"),
+        lambda: _chain_eig(n_sites=8),
+        lambda: _chain_eig(n_sites=6, disorder_width=0.5, seed=2),
+        lambda: ql.diagonalize(ql.build_goe(64, 0.0, 1.0, seed=3)),
+        lambda: ql.EigenSystem(np.arange(16.0), SimpleNamespace(dim=16)),
     ],
-    ids=["open4", "periodic7", "open8", "disordered6"],
+    ids=["open4", "periodic7", "open8", "disordered6", "goe64", "no_reads"],
 )
-def test_scramble_matches_the_dense_haar_product(params):
-    # oracle: the same seeded Haar unitary times the dense V
-    eig = ql.diagonalize(ql.build_local_chain(params))
-    u = ql.haar_unitary(eig.dim, np.random.default_rng(11))
-    want = u @ dense_vectors(eig)
+def test_scramble_matches_the_dense_haar_product(build):
+    # the seed draws the scrambled eigenvectors themselves, whatever form
+    # (sector or dense) the input's eigenvectors take; no_reads holds
+    # eigenvectors with a dimension and nothing to read
+    eig = build()
     got = ql.scramble(eig, seed=11)
-    assert np.array_equal(got.eigenvalues, eig.eigenvalues)
-    assert np.max(np.abs(dense_vectors(got) - want)) < 1e-12
+    want = ql.haar_unitary(eig.dim, np.random.default_rng(11))
+    assert got.eigenvalues.tobytes() == eig.eigenvalues.tobytes()
+    assert dense_vectors(got).tobytes() == want.tobytes()
+
+
+def _fourth_moment_error(w: np.ndarray) -> float:
+    """Relative distance of the mean |W_ij|^4 from its Haar-unitary value 2 / (d (d + 1))."""
+    d = w.shape[0]
+    return abs(np.mean(np.abs(w) ** 4) * d * (d + 1) / 2.0 - 1.0)
+
+
+def test_scrambled_eigenvectors_carry_the_haar_moments():
+    # The mean |W_ij|^2 is exactly 1/d for any unitary. At d = 256 the mean
+    # |W_ij|^4 of Haar unitaries spreads by 0.22% (one standard deviation
+    # over 40 seeds) around 2 / (d (d + 1)), so the tolerance is 5%. A real
+    # orthogonal basis has the fourth moment 3 / (d (d + 2)), 49% above the
+    # unitary value, and fails the same check.
+    eig = _chain_eig(n_sites=8)
+    w = dense_vectors(ql.scramble(eig, seed=20240817))
+    d = w.shape[0]
+    assert d == 256
+    assert np.max(np.abs(w.conj().T @ w - np.eye(d))) < 1e-12
+    assert abs(np.mean(np.abs(w) ** 2) * d - 1.0) < 1e-12
+    assert _fourth_moment_error(w) < 0.05
+    goe = dense_vectors(ql.diagonalize(ql.build_goe(d, 0.0, 1.0, seed=424242)))
+    assert _fourth_moment_error(goe) > 0.4
 
 
 def test_clean_chain_spectrum_stays_below_one_dense_matrix():
