@@ -2,14 +2,16 @@
 
 A config names a model (local chain, Haar-scrambled chain, or a
 moment-matched random matrix), an initial product state, and one of five
-experiment kinds. Every run diagonalizes the local chain once and derives
-each variant's eigensystem from it: the scrambled chain from its eigenvalues
-(with seeded Haar eigenvectors), the random matrix from the chain's
-occupied moments. Results are written as CSV files with a YAML manifest
-carrying the normalized config, the quench timescales, summary statistics,
-and a digest of every emitted file. All randomness is derived per task from
-the master seed and the work runs in one fixed order, so reruns are
-byte-identical; --threads is kept for compatibility and changes nothing.
+experiment kinds. Every run diagonalizes the local chain once, and only
+the chain, and derives each variant's eigensystem from it: the scrambled
+chain from its eigenvalues (with seeded Haar eigenvectors), the random
+matrix from the chain's occupied moments (its eigenvalues by eigvalsh, its
+eigenvectors a seeded Haar-orthogonal draw). Results are written as CSV
+files with a YAML manifest carrying the normalized config, the quench
+timescales, summary statistics, and a digest of every emitted file. All
+randomness is derived per task from the master seed and the work runs in
+one fixed order, so reruns are byte-identical; --threads is kept for
+compatibility and changes nothing.
 """
 from __future__ import annotations
 
@@ -48,10 +50,12 @@ from .observables import (
 )
 from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
+    EigenSystem,
     SpectralData,
     Timescales,
     diagonalize,
     dos_fit,
+    goe_eigensystem,
     occupied_spectrum,
     scramble,
     timescales,
@@ -446,7 +450,9 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     the spectral data of each variant. All derive from one diagonalization of
     the chain: the scrambled chain takes its eigenvalues, the random matrix
     its occupied moments, so the chain's eigenvectors are dropped before the
-    random matrix is built.
+    random matrix is built. The random matrix is not diagonalized: its
+    eigenvalues come from eigvalsh and its eigenvectors from their own seed
+    (see goe_eigensystem).
     """
     eig = diagonalize(build_local_chain(cfg.chain))
     if cfg.variant == "scrambled":
@@ -455,8 +461,13 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     if cfg.kind == "equivalence" or cfg.variant == "goe":
         ts = timescales(spectra["local"], cfg.weight_floor)
         del eig
-        seed = derive_seed(cfg.master_seed, "goe")
-        eig = diagonalize(build_goe(spectra["local"].dim, ts.energy_mean, ts.energy_width, seed))
+        # the standard draw (mean 0, width 1) depends on the seed alone, so
+        # the chain's moments enter only through the shift and the scale of
+        # its spectrum, not through eigvalsh's rounding
+        op = build_goe(spectra["local"].dim, 0.0, 1.0, derive_seed(cfg.master_seed, "goe"))
+        unit = goe_eigensystem(op, derive_seed(cfg.master_seed, "goe_vectors"))
+        del op
+        eig = EigenSystem(ts.energy_mean + ts.energy_width * unit.eigenvalues, unit.eigenvectors)
         spectra["goe"] = occupied_spectrum(eig, psi0)
     reads_states = cfg.kind in ("entropy_scan", "light_cone") or bool(cfg.local_observables)
     return (eig if reads_states else None), spectra

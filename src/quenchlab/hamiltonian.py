@@ -1,4 +1,4 @@
-"""Spin-chain Hamiltonians, Haar unitaries, and matched random matrices.
+"""Spin-chain Hamiltonians and moment-matched random matrices.
 
 The local model is an Ising chain in mixed transverse and longitudinal
 fields,
@@ -122,18 +122,6 @@ def build_local_chain(p: ChainParams) -> HermitianOperator | ReflectionChain:
     for j in range(n):
         mat[idx, idx ^ (1 << j)] += -p.h
     return HermitianOperator(mat)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
-
-    The diagonal of R is phase-fixed so the distribution is exactly Haar
-    rather than QR-gauge dependent.
-    """
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    lam = np.diagonal(r)
-    return q * (lam / np.abs(lam))[None, :]
 
 
 def _symmetric_gaussian(dim: int, seed: int) -> np.ndarray:

@@ -27,7 +27,14 @@ from .dynamics import (
 )
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _symmetric_gaussian, _sz_signs
-from .spectral import DEFAULT_WEIGHT_FLOOR, DenseVectors, EigenSystem, SectorVectors, SpectralData
+from .spectral import (
+    DEFAULT_WEIGHT_FLOOR,
+    DenseVectors,
+    EigenSystem,
+    HouseholderVectors,
+    SectorVectors,
+    SpectralData,
+)
 
 _PERRON_RTOL = 1e-14
 _PERRON_MAX_ITER = 10_000
@@ -139,7 +146,8 @@ def _pauli_rows(x: np.ndarray, paulis: Sequence[tuple[int, str]], signs: np.ndar
 
 
 def pauli_expectations(
-    columns: np.ndarray | DenseVectors | SectorVectors, paulis: Sequence[tuple[int, str]]
+    columns: np.ndarray | DenseVectors | SectorVectors | HouseholderVectors,
+    paulis: Sequence[tuple[int, str]],
 ) -> np.ndarray:
     """<x|sigma|x> of each single-site Pauli (site, axis) for each site-basis column x.
 

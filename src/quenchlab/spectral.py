@@ -8,10 +8,11 @@ occupied energy width, and the Heisenberg time 1/delta_eps set by the mean
 spacing of occupied levels, which shrinks exponentially with system size.
 Units are hbar = k_B = 1.
 
-An eigensystem holds its eigenvectors in one of two forms behind the same
-three reads, V x, V^dag y and a block of columns of V: a dense matrix, or
-the two reflection-sector blocks of a chain without disorder, for which V
-is never formed.
+An eigensystem holds its eigenvectors in one of three forms behind the same
+three reads, V x, V^dag y and a block of columns of V: a dense matrix; the
+two reflection-sector blocks of a chain without disorder; or, for a seeded
+Haar-random basis (the scrambled chain and the GOE partner), its Householder
+reflectors. Only the dense form holds V itself.
 """
 from __future__ import annotations
 
@@ -27,10 +28,23 @@ from .errors import (
     DimensionMismatch,
     TooFewOccupied,
 )
-from .hamiltonian import HermitianOperator, ReflectionChain, haar_unitary
+from .hamiltonian import HermitianOperator, ReflectionChain
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
+_PANEL = 64  # reflectors per compact-WY panel
+
+
+def _adjoint_matmul(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mat^dag y, read as (mat^T y^*)^* so a complex mat is never copied."""
+    if np.iscomplexobj(mat):
+        return (mat.T @ y.conj()).conj()
+    return _matmul(mat.T, y)
+
+
+def _row_scaled(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """x with row i times scale[i], as a new array."""
+    return x * (scale if x.ndim == 1 else scale[:, None])
 
 
 @dataclass(frozen=True)
@@ -60,10 +74,8 @@ class DenseVectors:
         return _matmul(self.matrix, x)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """V^dag y, read as (V^T y^*)^* so a complex V is never copied."""
-        if np.iscomplexobj(self.matrix):
-            return (self.matrix.T @ y.conj()).conj()
-        return _matmul(self.matrix.T, y)
+        """V^dag y."""
+        return _adjoint_matmul(self.matrix, y)
 
     def columns(self, block: slice) -> np.ndarray:
         """V[:, block]."""
@@ -176,8 +188,127 @@ class SectorVectors:
 
 
 @dataclass(frozen=True)
+class HouseholderVectors:
+    """A basis V = H_0 H_1 ... H_{d-2} diag(phases), kept as its reflectors.
+
+    H_k = I - 2 u_k u_k^dag with a unit u_k supported on rows k and below.
+    The reflectors sit in compact-WY panels of _PANEL (Schreiber & Van Loan,
+    SIAM J. Sci. Stat. Comput. 10, 1989): panel p starts at row
+    start = p _PANEL, holds y[:, j] = u_{start+j}[start:], and with the upper
+    triangular t its product is I - y t y^dag on rows start and below. V is
+    never formed: apply and apply_adjoint take two GEMMs per panel, and
+    columns applies only the panels that reach the block, since
+    V e_j = H_0 ... H_j phases[j] e_j.
+    """
+
+    ys: tuple[np.ndarray, ...]
+    ts: tuple[np.ndarray, ...]
+    phases: np.ndarray
+
+    def __post_init__(self) -> None:
+        dim = self.phases.size
+        starts = range(0, max(dim - 1, 0), _PANEL)
+        if self.phases.ndim != 1 or len(self.ys) != len(starts) or len(self.ts) != len(starts):
+            raise DimensionMismatch(f"{len(self.ys)} panels do not fit dimension {dim}")
+        for start, y, t in zip(starts, self.ys, self.ts):
+            size = min(_PANEL, dim - 1 - start)
+            if y.shape != (dim - start, size) or t.shape != (size, size):
+                raise DimensionMismatch(
+                    f"panel at row {start} has shapes {y.shape} and {t.shape}"
+                )
+        if not all(_all_finite(a) for a in (self.phases, *self.ys, *self.ts)):
+            raise ValueError("eigenvectors must be finite")
+        for a in (self.phases, *self.ys, *self.ts):
+            _freeze(a)
+
+    @property
+    def dim(self) -> int:
+        return self.phases.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim, self.dim
+
+    def _panels(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(start, y, t) of each panel, first first."""
+        return list(zip(range(0, _PANEL * len(self.ys), _PANEL), self.ys, self.ts))
+
+    def _through_panels(self, out: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """out overwritten by P_0 ... P_{stop-1} out, P_p the product of panel p."""
+        for start, y, t in reversed(self._panels()[:stop]):
+            seg = out[start:]
+            seg -= _matmul(y, _matmul(t, _adjoint_matmul(y, seg)))
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """V x: the phases, then the panels, last first."""
+        return self._through_panels(_row_scaled(x, self.phases))
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """V^dag y: the adjoint panels, first first, then the conjugate phases."""
+        out = np.array(y, dtype=np.result_type(y, self.phases))
+        for start, yp, t in self._panels():
+            seg = out[start:]
+            seg -= _matmul(yp, _adjoint_matmul(t, _adjoint_matmul(yp, seg)))
+        return _row_scaled(out, self.phases.conj())
+
+    def columns(self, block: slice) -> np.ndarray:
+        """V[:, block]: phases[j] e_j through the panels up to the block's last column."""
+        cols = np.arange(self.dim)[block]
+        out = np.zeros((self.dim, cols.size), dtype=self.phases.dtype)
+        out[cols, np.arange(cols.size)] = self.phases[cols]
+        if cols.size == 0:
+            return out
+        return self._through_panels(out, int(cols.max()) // _PANEL + 1)
+
+
+def _haar_reflectors(dim: int, seed: int, real: bool) -> HouseholderVectors:
+    """A seeded Haar basis on O(dim) (real) or U(dim) (complex), as reflectors.
+
+    Householder QR of a Ginibre matrix, with R's diagonal made positive,
+    gives a Haar Q; column k of the matrix reduced so far is a fresh
+    Gaussian vector of length dim - k, independent of the reflectors before
+    it, so each is drawn alone and no matrix is formed (Stewart, SIAM J.
+    Numer. Anal. 17, 403 (1980); Mezzadri, Notices AMS 54, 2007). For
+    k = 0, 1, ..., dim - 1 in turn, reflector k reads the generator's next
+    dim - k standard normals (real), or the next 2 (dim - k) as dim - k
+    interleaved (real, imaginary) pairs (complex). With x that vector and
+    phi the phase of x[0], u_k = x + phi |x| e_0, normalized, maps x to
+    -phi |x| e_0, so -phi is phase k; the last vector has length 1 and gives
+    phase phi with no reflector.
+    """
+    rng = np.random.default_rng(seed)
+    dtype = float if real else complex
+
+    def draw(size: int) -> tuple[np.ndarray, complex]:
+        x = rng.standard_normal(size if real else 2 * size)
+        x = x if real else x.view(complex)
+        head = abs(x[0])
+        return x, (x[0] / head if head > 0 else 1.0)
+
+    phases = np.empty(dim, dtype=dtype)
+    ys, ts = [], []
+    for start in range(0, dim - 1, _PANEL):
+        size = min(_PANEL, dim - 1 - start)
+        y = np.zeros((dim - start, size), dtype=dtype)
+        for j in range(size):
+            x, phi = draw(dim - start - j)
+            x[0] += phi * np.linalg.norm(x)
+            y[j:, j] = x / np.linalg.norm(x)
+            phases[start + j] = -phi
+        # T^{-1} = strict upper part of y^dag y + I / 2 (each tau is 2)
+        tinv = np.triu(_adjoint_matmul(y, y), 1)
+        tinv[np.diag_indices(size)] = 0.5
+        ys.append(y)
+        ts.append(np.linalg.inv(tinv))
+    if dim > 0:
+        phases[dim - 1] = draw(1)[1]
+    return HouseholderVectors(tuple(ys), tuple(ts), phases)
+
+
+@dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues and the eigenvector columns, dense or by sectors.
+    """Ascending eigenvalues and the eigenvector columns: dense, by sectors or by reflectors.
 
     An array given as eigenvectors is taken as the dense matrix of columns.
     Every reader goes through eigenvectors.apply (V x),
@@ -186,7 +317,7 @@ class EigenSystem:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: DenseVectors | SectorVectors
+    eigenvectors: DenseVectors | SectorVectors | HouseholderVectors
 
     def __post_init__(self) -> None:
         ev = np.ascontiguousarray(self.eigenvalues, dtype=float)
@@ -345,10 +476,28 @@ def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
     Same spectrum, no locality left. Conjugating H = V E V^dag by a Haar
     unitary U gives the eigenvectors U V, and Haar measure is
     right-invariant, so for any fixed V that product is itself a Haar
-    unitary: the seed draws W directly, and eig's eigenvectors are never
-    read (Mezzadri, Notices AMS 54, 2007).
+    unitary: the seed draws W directly, as complex reflectors (see
+    _haar_reflectors), and eig's eigenvectors are never read.
     """
-    return EigenSystem(eig.eigenvalues, haar_unitary(eig.dim, np.random.default_rng(seed)))
+    return EigenSystem(eig.eigenvalues, _haar_reflectors(eig.dim, seed, real=False))
+
+
+def goe_eigensystem(op: HermitianOperator, seed: int) -> EigenSystem:
+    """The eigenvalues of a GOE matrix with seeded Haar-orthogonal eigenvectors.
+
+    A GOE matrix's eigenvalues and eigenvectors are independent, and its
+    eigenvectors are Haar distributed on O(d) (Mehta, Random Matrices, 3rd
+    ed., ch. 3); the affine moment matching of build_goe reads only the
+    eigenvalues, so this holds for its output too. The eigenvalues therefore
+    come from eigvalsh of op, and the eigenvectors from the seed as real
+    reflectors (see _haar_reflectors): exact in law, with no eigenvector
+    solve. For any other operator the eigenvectors are not its own.
+    """
+    try:
+        ev = np.linalg.eigvalsh(op.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    return EigenSystem(ev, _haar_reflectors(op.dim, seed, real=True))
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:

@@ -4,8 +4,10 @@ Every eigensystem here is in the gauge its construction returns, and each
 comes with the Neel state it is quenched from and that state's occupied
 spectrum. A chain's `chain` is its dense matrix from the oracle builder.
 Everything heavy is computed once per session. The scrambled partners come
-from `ql.scramble` (eigenvalues of the chain, seeded Haar eigenvectors W),
-so no fixture diagonalizes a scrambled operator.
+from `ql.scramble` (eigenvalues of the chain, seeded Haar eigenvectors W)
+and the GOE partner from `ql.goe_eigensystem` (eigvalsh of the matched
+draw, seeded Haar-orthogonal eigenvectors), so no fixture diagonalizes a
+random operator.
 """
 from typing import NamedTuple
 
@@ -17,6 +19,7 @@ from oracles import dense_chain
 
 SCRAMBLE_SEED = 20240817
 GOE_SEED = 424242
+GOE_VECTOR_SEED = 424243
 TYPICAL_SEEDS = tuple(range(8))
 
 
@@ -91,7 +94,7 @@ def goe10(quench10) -> Partner:
     op = ql.build_goe(
         quench10.eig.dim, quench10.ts.energy_mean, quench10.ts.energy_width, GOE_SEED
     )
-    eig = ql.diagonalize(op)
+    eig = ql.goe_eigensystem(op, GOE_VECTOR_SEED)
     sdata = ql.occupied_spectrum(eig, quench10.psi0)
     return Partner(eig, quench10.psi0, sdata, ql.timescales(sdata))
 

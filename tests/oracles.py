@@ -1,13 +1,15 @@
 """Independent reference routes the suite checks the library against.
 
 None of these is on a path that `quenchlab run` takes: the dense chain
-matrix and the dense V of a sector eigensystem, the per-state spectral
-propagator, the Lanczos propagator, the reduced density matrix and its von
-Neumann entropy, the dense site-basis Paulis and their eigenbasis matrices
+matrix, the dense V of a sector or a Householder eigensystem, the Haar
+unitary of a dense Ginibre QR, the per-state spectral propagator, the
+Lanczos propagator, the reduced density matrix and its von Neumann
+entropy, the dense site-basis Paulis and their eigenbasis matrices
 V^dag sigma V, and the dense slow band. Each is the textbook form of a
 quantity the library computes another way (sector blocks built from the
-bit structure, products through the sector factors, blocks of states,
-batched SVDs, Pauli readings of site-basis columns, a cosine sum).
+bit structure, products through the sector factors or the compact-WY
+panels, one Gaussian vector per reflector, blocks of states, batched
+SVDs, Pauli readings of site-basis columns, a cosine sum).
 """
 import math
 
@@ -72,10 +74,42 @@ def chain_matrix(op) -> np.ndarray:
     return mat
 
 
+def householder_matrix(vectors: ql.HouseholderVectors) -> np.ndarray:
+    """The dense V = H_0 ... H_{d-2} diag(phases), multiplied out reflector by reflector.
+
+    Each reflector is read off its column of a panel's y alone, as
+    H_k = I - 2 u u^dag / (u^dag u) on rows k and below; the panels'
+    triangular factors are not used. The product is taken from the right,
+    so H_k meets a matrix that is the identity outside rows and columns k on.
+    At dimension 1024 this takes seconds.
+    """
+    reflectors = [u[j:] for y in vectors.ys for j, u in enumerate(y.T)]
+    v = np.diag(vectors.phases)
+    for k in reversed(range(len(reflectors))):
+        u = reflectors[k]
+        block = v[k:, k:]
+        block -= np.outer(u * (2.0 / np.vdot(u, u).real), u.conj() @ block)
+    return v
+
+
 def dense_vectors(eig: ql.EigenSystem) -> np.ndarray:
     """The matrix V of eigenvector columns, in whichever form eig holds it."""
     vec = eig.eigenvectors
+    if isinstance(vec, ql.HouseholderVectors):
+        return householder_matrix(vec)
     return vec.matrix if isinstance(vec, ql.DenseVectors) else sector_matrix(vec)
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+
+    The diagonal of R is phase-fixed so the distribution is exactly Haar
+    rather than QR-gauge dependent.
+    """
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    lam = np.diagonal(r)
+    return q * (lam / np.abs(lam))[None, :]
 
 _EIG_CLIP = 1e-14
 

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import dense_chain, dense_pauli, dense_vectors, evolve_spectral
+from oracles import dense_chain, dense_pauli, dense_vectors, evolve_spectral, householder_matrix
 from quenchlab import cli, observables
+from quenchlab.spectral import _haar_reflectors
 
 LN2 = math.log(2.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -607,6 +608,33 @@ def test_equivalence_run(tmp_path):
     assert 0.5 < ts["goe"]["energy_width"] / width < 2.0
 
 
+def test_goe_partner_is_the_matched_draw_with_its_own_eigenvectors(tmp_path):
+    out = tmp_path / "out"
+    raw = {
+        "kind": "equivalence",
+        "model": {"n_sites": 7},
+        "observables": {"typical_count": 1},
+        "out_dir": str(out),
+        "master_seed": 4,
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    cfg, _ = cli.validate(raw)
+    psi0 = cli.build_initial_state(cfg)
+    chain = ql.diagonalize(ql.build_local_chain(cfg.chain))
+    local = ql.timescales(ql.occupied_spectrum(chain, psi0))
+    rows = [r.split(",") for r in (out / "dos_goe.csv").read_text().strip().splitlines()[1:]]
+    energies, weights = np.array(rows, dtype=float).T
+    # oracle: eigvalsh of the draw matched to the chain's moments, and the
+    # weights read through the dense real basis of the partner's own seed
+    op = ql.build_goe(128, local.energy_mean, local.energy_width, cli.derive_seed(4, "goe"))
+    want = np.linalg.eigvalsh(op.matrix)
+    assert np.max(np.abs(energies - want)) < 1e-12 * np.max(np.abs(want))
+    assert abs(energies.mean() - local.energy_mean) < 1e-9
+    assert abs(energies.std() - local.energy_width) < 1e-9
+    w = householder_matrix(_haar_reflectors(128, cli.derive_seed(4, "goe_vectors"), real=True))
+    assert np.max(np.abs(weights - np.abs(w.T @ psi0.amplitudes) ** 2)) < 1e-12
+
+
 def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     out = tmp_path / "out"
     raw = {
@@ -618,9 +646,11 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
     cfg, _ = cli.validate(raw)
     # oracle: diagonalize the dense W diag(E) W^dag, with E the dense chain's
-    # spectrum and W the run's seeded Haar eigenvectors
-    e = ql.diagonalize(dense_chain(cfg.chain)).eigenvalues
-    w = ql.haar_unitary(e.size, np.random.default_rng(cli.derive_seed(3, "scramble")))
+    # spectrum and W the run's seeded Haar eigenvectors, multiplied out from
+    # their reflectors
+    dense = ql.diagonalize(dense_chain(cfg.chain))
+    e = dense.eigenvalues
+    w = householder_matrix(ql.scramble(dense, cli.derive_seed(3, "scramble")).eigenvectors)
     m = (w * e[None, :]) @ w.conj().T
     eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0))
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
@@ -747,7 +777,7 @@ def test_relax_typical_and_slow_match_the_dressed_double_sum(tmp_path, variant, 
 
 @pytest.mark.parametrize(
     "kind, variant, calls",
-    [("equivalence", "local", 2), ("entropy_scan", "scrambled", 1), ("dos", "local", 1)],
+    [("equivalence", "local", 1), ("entropy_scan", "scrambled", 1), ("dos", "local", 1)],
 )
 def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, calls):
     dtypes = []
@@ -771,15 +801,16 @@ def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, c
     assert all(dt.kind == "f" for dt in dtypes)  # no complex eigh
 
 
-# id -> (kind, variant, observables, eigendecompositions: 2 with a goe partner)
+# id -> (kind, variant, observables, eigendecompositions: the chain's alone,
+# since the goe partner takes eigvalsh and a seeded eigenvector draw)
 RUN_CONTRACT = {
     "relax": ("relax", "local", {"typical_count": 1, "slow": True, "local": [{"site": 1}]}, 1),
     "dos": ("dos", "local", {}, 1),
     "entropy_scan": ("entropy_scan", "local", {}, 1),
     "light_cone": ("light_cone", "local", {}, 1),
-    "equivalence": ("equivalence", "local", {"typical_count": 1}, 2),
+    "equivalence": ("equivalence", "local", {"typical_count": 1}, 1),
     "scrambled": ("relax", "scrambled", {"typical_count": 1, "local": [{"site": 0, "axis": "x"}]}, 1),
-    "goe": ("entropy_scan", "goe", {}, 2),
+    "goe": ("entropy_scan", "goe", {}, 1),
 }
 
 

@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import quenchlab as ql
-from oracles import chain_matrix, dense_chain, dense_vectors, sector_matrix
+from oracles import (
+    chain_matrix,
+    dense_chain,
+    dense_vectors,
+    haar_unitary,
+    householder_matrix,
+    sector_matrix,
+)
 from quenchlab.errors import (
     DegenerateWidth,
     DimensionMismatch,
     TooFewOccupied,
 )
-from quenchlab.spectral import _ndtr, _overlaps
+from quenchlab.spectral import _haar_reflectors, _ndtr, _overlaps
 
 
 def two_level_data(omega: float) -> ql.SpectralData:
@@ -109,9 +116,12 @@ PHASE_GRID = ql.linear_grid(3.0, ql.dynamics.EVOLVE_BLOCK + 6)
 
 
 @pytest.mark.parametrize("variant", ["local", "scrambled"])
-def test_site_readers_do_not_depend_on_the_eigenvector_gauge(quench8, variant):
+def test_site_readers_do_not_depend_on_the_eigenvector_gauge(monkeypatch, quench8, variant):
     # V D with D a random unit diagonal is the same eigensystem in another
-    # gauge: weights, entropy scans, light cones and local series agree
+    # gauge: weights, entropy scans, light-cone correlators and local series
+    # agree. A scrambled chain has no front, and the fit of one may fail, so
+    # the correlator is read with the front fit stubbed out.
+    monkeypatch.setattr(ql.entanglement, "fit_front", lambda radii, *_: (np.zeros(len(radii)), 1.0))
     eig = quench8.eig if variant == "local" else ql.scramble(quench8.eig, 3)
     unit = np.exp(1j * np.random.default_rng(9).uniform(-np.pi, np.pi, eig.dim))
     regauged = ql.EigenSystem(eig.eigenvalues, dense_vectors(eig) * unit)
@@ -231,7 +241,7 @@ def test_scrambling_invariance(seed):
     eig = ql.diagonalize(h)
     base = ql.occupied_spectrum(eig, ql.PureState(psi, spec))
 
-    u = ql.haar_unitary(16, rng)
+    u = haar_unitary(16, rng)
     m = u @ chain_matrix(h) @ u.conj().T
     eig2 = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2))
     rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi, spec))
@@ -255,8 +265,9 @@ def test_occupied_spacing_shrinks_with_size(quench6, quench8, quench10):
 
 def test_factored_scramble_matches_dense_conjugation(quench6):
     # oracle: the chain's dense H conjugated by U = W V^dag, with W the
-    # seed's Haar unitary and V the chain's eigenvectors
-    w = ql.haar_unitary(quench6.eig.dim, np.random.default_rng(5))
+    # seed's Haar basis multiplied out from its reflectors and V the chain's
+    # eigenvectors
+    w = householder_matrix(_haar_reflectors(quench6.eig.dim, 5, real=False))
     u = w @ dense_vectors(quench6.eig).conj().T
     dense = u @ quench6.chain.matrix @ u.conj().T
     s = ql.scramble(quench6.eig, seed=5)
@@ -403,35 +414,108 @@ def _chain_eig(**params) -> ql.EigenSystem:
 def test_scramble_matches_the_dense_haar_product(build):
     # the seed draws the scrambled eigenvectors themselves, whatever form
     # (sector or dense) the input's eigenvectors take; no_reads holds
-    # eigenvectors with a dimension and nothing to read
+    # eigenvectors with a dimension and nothing to read. Oracle: the
+    # complex reflectors the seed draws, multiplied out densely, against
+    # the scrambled eigenvectors applied to the identity
     eig = build()
     got = ql.scramble(eig, seed=11)
-    want = ql.haar_unitary(eig.dim, np.random.default_rng(11))
+    want = householder_matrix(_haar_reflectors(eig.dim, 11, real=False))
     assert got.eigenvalues.tobytes() == eig.eigenvalues.tobytes()
-    assert dense_vectors(got).tobytes() == want.tobytes()
+    assert isinstance(got.eigenvectors, ql.HouseholderVectors)
+    assert np.iscomplexobj(got.eigenvectors.phases)
+    assert np.max(np.abs(got.eigenvectors.apply(np.eye(eig.dim)) - want)) < 1e-12
 
 
-def _fourth_moment_error(w: np.ndarray) -> float:
-    """Relative distance of the mean |W_ij|^4 from its Haar-unitary value 2 / (d (d + 1))."""
+def _fourth_moment_error(w: np.ndarray, real: bool) -> float:
+    """Relative distance of the mean |W_ij|^4 from its Haar value.
+
+    That value is 2 / (d (d + 1)) on the unitary group and 3 / (d (d + 2))
+    on the orthogonal group.
+    """
     d = w.shape[0]
-    return abs(np.mean(np.abs(w) ** 4) * d * (d + 1) / 2.0 - 1.0)
+    haar = 3.0 / (d * (d + 2)) if real else 2.0 / (d * (d + 1))
+    return abs(np.mean(np.abs(w) ** 4) / haar - 1.0)
 
 
 def test_scrambled_eigenvectors_carry_the_haar_moments():
     # The mean |W_ij|^2 is exactly 1/d for any unitary. At d = 256 the mean
     # |W_ij|^4 of Haar unitaries spreads by 0.22% (one standard deviation
-    # over 40 seeds) around 2 / (d (d + 1)), so the tolerance is 5%. A real
-    # orthogonal basis has the fourth moment 3 / (d (d + 2)), 49% above the
-    # unitary value, and fails the same check.
+    # over 40 seeds) around 2 / (d (d + 1)), and that of Haar orthogonal
+    # matrices by 0.6% around 3 / (d (d + 2)), so the tolerance is 5%. The
+    # orthogonal value 3 / (d (d + 2)) lies 49% above the unitary one, so
+    # each draw fails the other's check: the complex draw of scramble and
+    # the real draw of the GOE partner.
     eig = _chain_eig(n_sites=8)
-    w = dense_vectors(ql.scramble(eig, seed=20240817))
-    d = w.shape[0]
+    d = eig.dim
     assert d == 256
-    assert np.max(np.abs(w.conj().T @ w - np.eye(d))) < 1e-12
-    assert abs(np.mean(np.abs(w) ** 2) * d - 1.0) < 1e-12
-    assert _fourth_moment_error(w) < 0.05
-    goe = dense_vectors(ql.diagonalize(ql.build_goe(d, 0.0, 1.0, seed=424242)))
-    assert _fourth_moment_error(goe) > 0.4
+    op = ql.build_goe(d, 0.0, 1.0, seed=424242)
+    for real, draw in ((False, ql.scramble(eig, seed=20240817)),
+                       (True, ql.goe_eigensystem(op, seed=424243))):
+        w = dense_vectors(draw)
+        assert np.iscomplexobj(w) != real
+        assert np.max(np.abs(w.conj().T @ w - np.eye(d))) < 1e-12
+        assert abs(np.mean(np.abs(w) ** 2) * d - 1.0) < 1e-12
+        assert _fourth_moment_error(w, real) < 0.05
+        assert _fourth_moment_error(w, not real) > 0.3
+        # E |tr W|^2 = 1 on both groups (Diaconis & Shahshahani 1994). The
+        # fourth moments cannot see the phases of R's diagonal; without
+        # them the trace reads about -10 here.
+        assert abs(np.trace(w)) < 4.0
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", [2, 3, 16, 64, 65, 66, 129, 256])
+def test_householder_vectors_match_their_dense_form(dim, real):
+    # oracle: V multiplied out reflector by reflector from the same draw,
+    # against the panel products on vectors and on blocks of 1, 64 and 100
+    # columns, and against the columns read through the panels
+    vectors = _haar_reflectors(dim, dim, real)
+    assert np.iscomplexobj(vectors.phases) != real
+    v = householder_matrix(vectors)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-13
+    rng = np.random.default_rng(dim)
+    for columns in (None, 1, 64, 100):
+        x = _test_vectors(rng, dim, columns)
+        for y in (x, x.real.copy()):
+            for got, want in ((vectors.apply(y), v @ y), (vectors.apply_adjoint(y), v.conj().T @ y)):
+                assert got.shape == y.shape
+                assert np.iscomplexobj(got) == (np.iscomplexobj(y) or not real)
+                assert np.max(np.abs(got - want)) < 1e-12
+    for block in (slice(0, 1), slice(0, 64), slice(dim // 3, dim // 3 + 100), slice(dim - 1, dim)):
+        got = vectors.columns(block)
+        assert got.dtype == v.dtype and got.shape == v[:, block].shape
+        assert np.max(np.abs(got - v[:, block])) < 1e-12
+
+
+def test_goe_partner_takes_the_eigenvalues_of_its_matrix():
+    # eigvalsh of the moment-matched draw, no eigenvector solve: the
+    # eigenvectors are a real Haar draw of their own seed
+    mean, width = -1.5, 2.25
+    op = ql.build_goe(300, mean, width, seed=5)
+    eig = ql.goe_eigensystem(op, seed=6)
+    assert eig.eigenvalues.tobytes() == np.linalg.eigvalsh(op.matrix).tobytes()
+    assert abs(eig.eigenvalues.mean() - mean) < 1e-9
+    assert abs(eig.eigenvalues.std() - width) < 1e-9
+    assert isinstance(eig.eigenvectors, ql.HouseholderVectors)
+    assert not np.iscomplexobj(eig.eigenvectors.phases)
+    again = ql.goe_eigensystem(op, seed=6).eigenvectors
+    assert np.array_equal(again.apply(np.eye(300)), eig.eigenvectors.apply(np.eye(300)))
+    other = ql.goe_eigensystem(op, seed=7).eigenvectors
+    assert not np.array_equal(other.phases, eig.eigenvectors.phases)
+
+
+def test_scramble_stays_below_one_dense_complex_matrix():
+    # the reflectors fill half of a dim^2 complex matrix; a dense W, or the
+    # Ginibre matrix of a QR, would fill all of it
+    n = 10
+    eig = _chain_eig(n_sites=n)
+    tracemalloc.start()
+    try:
+        ql.scramble(eig, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**n
 
 
 def test_clean_chain_spectrum_stays_below_one_dense_matrix():
