@@ -3,7 +3,10 @@
 A config names a model (local chain, Haar-scrambled chain, or a
 moment-matched random matrix), an initial product state, and one of five
 experiment kinds. Every run diagonalizes the local chain once, and only
-the chain, and derives each variant's eigensystem from it: the scrambled
+the chain, given the initial state, so that a reflection sector the state
+leaves empty is solved for its eigenvalues alone (and levels without
+weight are never read for their eigenvectors). Each variant's eigensystem
+derives from that one diagonalization: the scrambled
 chain from its eigenvalues (with seeded Haar eigenvectors), the random
 matrix from the chain's occupied moments (its eigenvalues by eigvalsh, its
 eigenvectors a seeded Haar-orthogonal draw). Results are written as CSV
@@ -448,13 +451,14 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
 def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     """The eigensystem of a run's site-basis readers (None without them), and
     the spectral data of each variant. All derive from one diagonalization of
-    the chain: the scrambled chain takes its eigenvalues, the random matrix
+    the chain with psi0 (an empty reflection sector keeps its eigenvalues
+    only): the scrambled chain takes its eigenvalues, the random matrix
     its occupied moments, so the chain's eigenvectors are dropped before the
     random matrix is built. The random matrix is not diagonalized: its
     eigenvalues come from eigvalsh and its eigenvectors from their own seed
     (see goe_eigensystem).
     """
-    eig = diagonalize(build_local_chain(cfg.chain))
+    eig = diagonalize(build_local_chain(cfg.chain), psi0)
     if cfg.variant == "scrambled":
         eig = scramble(eig, derive_seed(cfg.master_seed, "scramble"))
     spectra = {"local" if cfg.variant == "goe" else cfg.variant: occupied_spectrum(eig, psi0)}
@@ -504,23 +508,26 @@ def _typical_seed(cfg: ExperimentConfig, i: int) -> int:
     return derive_seed(cfg.master_seed, f"typical:{i}")
 
 
-def _typical_menu(cfg: ExperimentConfig, sdata: SpectralData, grid: TimeGrid):
-    """Labelled typical observables as (series, eigenstate expectations).
+def _typical_menu(cfg: ExperimentConfig, reads: list[tuple[SpectralData, TimeGrid]]):
+    """Labelled typical observables as (series on each read, eigenstate expectations).
 
-    Each draw is released before the next is built: the yielded diagonal is
-    a copy, so only one dense matrix is alive at a time.
+    Each draw is read against every (spectrum, grid) pair of reads and
+    released before the next is built: the yielded diagonal is a copy, so
+    only one dense matrix is alive at a time.
     """
     for i in range(cfg.typical_count):
-        obs = typical_observable(sdata.dim, _typical_seed(cfg, i))
-        series, diagonal = expectation_series(sdata, obs, grid), np.diagonal(obs.matrix).copy()
+        obs = typical_observable(reads[0][0].dim, _typical_seed(cfg, i))
+        series = [expectation_series(sdata, obs, grid) for sdata, grid in reads]
+        diagonal = np.diagonal(obs.matrix).copy()
         del obs
         yield f"typical_{i}", series, diagonal
 
 
 def _observable_menu(cfg, eig, psi0, sdata, ts):
-    """Every observable of a relax run, as _typical_menu labels them."""
+    """Every observable of a relax run, as (label, series, eigenstate expectations)."""
     grid = _series_grid(cfg, ts)
-    yield from _typical_menu(cfg, sdata, grid)
+    for label, (series,), diagonal in _typical_menu(cfg, [(sdata, grid)]):
+        yield label, series, diagonal
     if cfg.include_slow:
         series = slow_series(sdata, _series_grid(cfg, ts, slow=True), cfg.weight_floor)
         yield "slow", series, np.zeros(sdata.dim)
@@ -529,7 +536,11 @@ def _observable_menu(cfg, eig, psi0, sdata, ts):
     if cfg.local_observables:  # every Pauli is read off one pass of the states
         paulis = cfg.local_observables
         series = local_series(eig, psi0, paulis, grid)
-        diagonals = pauli_expectations(eig.eigenvectors, paulis)
+        # a level without weight adds nothing to the diagonal ensemble, and
+        # its eigenvector may be unsolved (see diagonalize): it reads 0
+        weighted = np.nonzero(sdata.weights > 0)[0]
+        diagonals = np.zeros((len(paulis), sdata.dim))
+        diagonals[:, weighted] = pauli_expectations(eig.eigenvectors, paulis, weighted)
         for (site, axis), pauli, diagonal in zip(paulis, series, diagonals):
             yield f"local_{axis}{site}", pauli, diagonal
 
@@ -624,14 +635,16 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
         eig, spectra = _variant_spectra(cfg, psi0)
         if cfg.kind == "equivalence":
             results: dict = {"dos_fits": {}, "reports": {}}
-            timescale_info = {}
-            for tag, sdata in spectra.items():
-                ts = timescales(sdata, cfg.weight_floor)
-                timescale_info[tag] = asdict(ts)
+            all_ts = {tag: timescales(sdata, cfg.weight_floor) for tag, sdata in spectra.items()}
+            timescale_info = {tag: asdict(ts) for tag, ts in all_ts.items()}
+            # each draw is read against both spectra, each on its own grid
+            reads = [(spectra[tag], _series_grid(cfg, ts)) for tag, ts in all_ts.items()]
+            draws = list(_typical_menu(cfg, reads))
+            for k, (tag, sdata) in enumerate(spectra.items()):
                 results["dos_fits"][tag] = _dos_outputs(cfg, sdata, writer, prefix=tag)[
                     "gaussian_fit"
                 ]
-                menu = _typical_menu(cfg, sdata, _series_grid(cfg, ts))
+                menu = ((label, series[k], diagonal) for label, series, diagonal in draws)
                 results["reports"][tag] = _series_outputs(cfg, sdata, writer, menu, prefix=f"{tag}_")
         else:
             sdata = spectra[cfg.variant]

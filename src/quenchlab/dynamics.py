@@ -160,10 +160,12 @@ def diagonal_ensemble(spec: SpectralData, diagonal: np.ndarray) -> float:
 
     It assumes nondegenerate gaps: off-diagonal contributions from exactly
     degenerate pairs never dephase, so a warning flags numerically zero gaps.
+    Only a pair of levels that both carry weight has such a term, so only
+    gaps between weighted levels count.
     """
     if np.shape(diagonal) != (spec.dim,):
         raise DimensionMismatch("observable does not match the spectrum")
-    gaps = np.diff(spec.eigenvalues)
+    gaps = np.diff(spec.eigenvalues[spec.weights > 0])
     if gaps.size and float(np.min(gaps)) < 1e-12:
         warnings.warn(
             "spectrum contains gaps below 1e-12; the diagonal ensemble ignores "

@@ -148,13 +148,15 @@ def _pauli_rows(x: np.ndarray, paulis: Sequence[tuple[int, str]], signs: np.ndar
 def pauli_expectations(
     columns: np.ndarray | DenseVectors | SectorVectors | HouseholderVectors,
     paulis: Sequence[tuple[int, str]],
+    levels: np.ndarray | None = None,
 ) -> np.ndarray:
     """<x|sigma|x> of each single-site Pauli (site, axis) for each site-basis column x.
 
     columns is an array of site-basis columns, or the eigenvectors of an
     EigenSystem, whose columns of V it reads through eigenvectors.columns.
-    Row k reads paulis[k]. With s_i the sigma-z sign of basis state i and
-    m = 2^site (site 0 is the low bit): <z> = sum s_i |x_i|^2,
+    Given levels, only those columns are read, in that order. Row k reads
+    paulis[k]. With s_i the sigma-z sign of basis state i and m = 2^site
+    (site 0 is the low bit): <z> = sum s_i |x_i|^2,
     <x> = Re sum x_i^* x_{i^m} and <y> = sum s_i Im(x_i^* x_{i^m}). Columns
     are read EVOLVE_BLOCK at a time, so the temporaries stay the size of
     one block of evolved states.
@@ -168,10 +170,11 @@ def pauli_expectations(
             raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     signs = _sz_signs(n)
     read = (lambda block: columns[:, block]) if isinstance(columns, np.ndarray) else columns.columns
-    out = np.empty((len(paulis), count))
-    for start in range(0, count, EVOLVE_BLOCK):
-        block = slice(start, min(start + EVOLVE_BLOCK, count))
-        out[:, block] = _pauli_rows(read(block), paulis, signs)
+    picked = np.arange(count) if levels is None else np.asarray(levels)
+    out = np.empty((len(paulis), picked.size))
+    for start in range(0, picked.size, EVOLVE_BLOCK):
+        block = slice(start, min(start + EVOLVE_BLOCK, picked.size))
+        out[:, block] = _pauli_rows(read(block if levels is None else picked[block]), paulis, signs)
     return out
 
 

@@ -12,7 +12,8 @@ An eigensystem holds its eigenvectors in one of three forms behind the same
 three reads, V x, V^dag y and a block of columns of V: a dense matrix; the
 two reflection-sector blocks of a chain without disorder; or, for a seeded
 Haar-random basis (the scrambled chain and the GOE partner), its Householder
-reflectors. Only the dense form holds V itself.
+reflectors. Only the dense form holds V itself. A sector that the quench
+leaves empty may be kept as its eigenvalues alone (see diagonalize).
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ class DenseVectors:
         """V^dag y."""
         return _adjoint_matmul(self.matrix, y)
 
-    def columns(self, block: slice) -> np.ndarray:
+    def columns(self, block: slice | np.ndarray) -> np.ndarray:
         """V[:, block]."""
         return self.matrix[:, block]
 
@@ -97,6 +98,20 @@ def _reflection_classes(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return pairs, mirror[pairs], np.nonzero(idx == mirror)[0]
 
 
+def _sector_parts(
+    y: np.ndarray, pairs: np.ndarray, partners: np.ndarray, palindromes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd sector components of site-basis y (see SectorVectors)."""
+    head, tail = y[pairs], y[partners]
+    even = np.concatenate([(head + tail) * _SQRT_HALF, y[palindromes]])
+    return even, (head - tail) * _SQRT_HALF
+
+
+def _refuse_amplitude(name: str, part: np.ndarray) -> None:
+    if np.any(part != 0):
+        raise ValueError(f"input has amplitude in the unsolved {name} sector")
+
+
 @dataclass(frozen=True)
 class SectorVectors:
     """Eigenvectors of a reflection-symmetric chain, kept as its two sector blocks.
@@ -107,11 +122,17 @@ class SectorVectors:
     eigenvector at level levels[k] (levels[n_even + k]). V itself is never
     formed: apply and apply_adjoint take one half-size product per sector,
     and columns gathers a block of columns with no product at all.
+
+    A block given as None is unsolved: the quench leaves that sector empty,
+    so only its eigenvalues were computed. The reads stay exact wherever they
+    do not reach it: apply_adjoint writes zeros at its levels and apply skips
+    its product, each raising ValueError on input with amplitude in it, and
+    columns raises for its levels.
     """
 
     n_sites: int
-    u_even: np.ndarray
-    u_odd: np.ndarray
+    u_even: np.ndarray | None
+    u_odd: np.ndarray | None
     levels: np.ndarray
     pairs: np.ndarray = field(init=False, repr=False)
     partners: np.ndarray = field(init=False, repr=False)
@@ -119,22 +140,25 @@ class SectorVectors:
 
     def __post_init__(self) -> None:
         pairs, partners, palindromes = _reflection_classes(self.n_sites)
-        n_even = pairs.size + palindromes.size
-        if self.u_even.shape != (n_even, n_even) or self.u_odd.shape != (pairs.size,) * 2:
+        sizes = (pairs.size + palindromes.size, pairs.size)
+        blocks = (self.u_even, self.u_odd)
+        if any(u is not None and u.shape != (n, n) for u, n in zip(blocks, sizes)):
             raise DimensionMismatch(
-                f"sector blocks {self.u_even.shape} and {self.u_odd.shape} do not "
-                f"fit a chain of {self.n_sites} sites"
+                f"sector blocks {getattr(self.u_even, 'shape', None)} and "
+                f"{getattr(self.u_odd, 'shape', None)} do not fit a chain of "
+                f"{self.n_sites} sites"
             )
         levels = np.asarray(self.levels)
         if not np.array_equal(np.sort(levels), np.arange(2**self.n_sites)):
             raise DimensionMismatch("levels must be a permutation of the basis")
-        if not (_all_finite(self.u_even) and _all_finite(self.u_odd)):
+        if not all(_all_finite(u) for u in blocks if u is not None):
             raise ValueError("eigenvectors must be finite")
         for name, value in (
             ("u_even", self.u_even), ("u_odd", self.u_odd), ("levels", levels),
             ("pairs", pairs), ("partners", partners), ("palindromes", palindromes),
         ):
-            object.__setattr__(self, name, _freeze(value))
+            if value is not None:
+                object.__setattr__(self, name, _freeze(value))
 
     @property
     def dim(self) -> int:
@@ -143,6 +167,14 @@ class SectorVectors:
     @property
     def shape(self) -> tuple[int, int]:
         return self.dim, self.dim
+
+    def _sectors(self) -> tuple[tuple[str, np.ndarray | None, np.ndarray], ...]:
+        """(name, block or None, levels) of the even, then the odd sector."""
+        n_even = self.pairs.size + self.palindromes.size
+        return (
+            ("even", self.u_even, self.levels[:n_even]),
+            ("odd", self.u_odd, self.levels[n_even:]),
+        )
 
     def _to_site(self, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """Site-basis vectors of even and odd sector coefficients (overwritten)."""
@@ -157,33 +189,50 @@ class SectorVectors:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """V x: each sector's rows of x through its block, then into the site basis."""
-        n_even = self.u_even.shape[0]
-        even = _matmul(self.u_even, x[self.levels[:n_even]])
-        return self._to_site(even, _matmul(self.u_odd, x[self.levels[n_even:]]))
+        """V x: each sector's rows of x through its block, then into the site basis.
 
-    def columns(self, block: slice) -> np.ndarray:
+        An unsolved sector's rows must be zero, and stand for its product.
+        """
+        parts = []
+        for name, u, levels in self._sectors():
+            rows = x[levels]
+            if u is None:
+                _refuse_amplitude(name, rows)
+                parts.append(np.zeros(rows.shape, dtype=np.result_type(rows, float)))
+            else:
+                parts.append(_matmul(u, rows))
+        return self._to_site(*parts)
+
+    def columns(self, block: slice | np.ndarray) -> np.ndarray:
         """V[:, block], the block's sector columns put into the site basis with no product."""
-        n_even = self.u_even.shape[0]
         k = np.empty_like(self.levels)
         k[self.levels] = np.arange(self.dim)
         k = k[block]  # the sector column of each level in the block
-        even = np.zeros((n_even, k.size))
-        odd = np.zeros((self.pairs.size, k.size))
-        is_even = k < n_even
-        even[:, is_even] = self.u_even[:, k[is_even]]
-        odd[:, ~is_even] = self.u_odd[:, k[~is_even] - n_even]
-        return self._to_site(even, odd)
+        parts, start = [], 0
+        for name, u, levels in self._sectors():
+            mine = (k >= start) & (k < start + levels.size)
+            part = np.zeros((levels.size, k.size))
+            if np.any(mine):
+                if u is None:
+                    raise ValueError(f"columns at levels of the unsolved {name} sector")
+                part[:, mine] = u[:, k[mine] - start]
+            parts.append(part)
+            start += levels.size
+        return self._to_site(*parts)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """V^dag y: the sector components of y, each through its block transposed."""
-        n_even = self.u_even.shape[0]
-        head, tail = y[self.pairs], y[self.partners]
-        even = np.concatenate([(head + tail) * _SQRT_HALF, y[self.palindromes]])
-        odd = (head - tail) * _SQRT_HALF
+        """V^dag y: the sector components of y, each through its block transposed.
+
+        An unsolved sector's components must be zero, and its levels read 0.
+        """
+        parts = _sector_parts(y, self.pairs, self.partners, self.palindromes)
         out = np.empty(y.shape, dtype=np.result_type(y, float))
-        out[self.levels[:n_even]] = _matmul(self.u_even.T, even)
-        out[self.levels[n_even:]] = _matmul(self.u_odd.T, odd)
+        for (name, u, levels), part in zip(self._sectors(), parts):
+            if u is None:
+                _refuse_amplitude(name, part)
+                out[levels] = 0.0
+            else:
+                out[levels] = _matmul(u.T, part)
         return out
 
 
@@ -252,7 +301,7 @@ class HouseholderVectors:
             seg -= _matmul(yp, _adjoint_matmul(t, _adjoint_matmul(yp, seg)))
         return _row_scaled(out, self.phases.conj())
 
-    def columns(self, block: slice) -> np.ndarray:
+    def columns(self, block: slice | np.ndarray) -> np.ndarray:
         """V[:, block]: phases[j] e_j through the panels up to the block's last column."""
         cols = np.arange(self.dim)[block]
         out = np.zeros((self.dim, cols.size), dtype=self.phases.dtype)
@@ -399,18 +448,21 @@ class GaussianFit:
     max_cdf_deviation: float
 
 
-def diagonalize(h: HermitianOperator | ReflectionChain) -> EigenSystem:
+def diagonalize(
+    h: HermitianOperator | ReflectionChain, psi0: PureState | None = None
+) -> EigenSystem:
     """Full eigendecomposition, in the two reflection sectors where it can.
 
     A ReflectionChain is diagonalized block by block (see _sector_eigh) and
-    keeps its eigenvectors in sector form; every other operator takes one
-    dense eigh. Real symmetric input takes the real LAPACK path
-    automatically, which is several times faster than the complex one at
-    the largest chain sizes.
+    keeps its eigenvectors in sector form; given the initial state psi0, a
+    sector that psi0 leaves empty keeps its eigenvalues only. Every other
+    operator takes one dense eigh, with or without psi0. Real symmetric
+    input takes the real LAPACK path automatically, which is several times
+    faster than the complex one at the largest chain sizes.
     """
     try:
         if isinstance(h, ReflectionChain):
-            return _sector_eigh(h)
+            return _sector_eigh(h, psi0)
         ev, vec = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
@@ -436,7 +488,7 @@ def _sector_block(chain: ReflectionChain, states: np.ndarray, slot: np.ndarray,
     return block
 
 
-def _sector_eigh(chain: ReflectionChain) -> EigenSystem:
+def _sector_eigh(chain: ReflectionChain, psi0: PureState | None = None) -> EigenSystem:
     """Eigensystem of a chain from its even and odd reflection blocks.
 
     With f = sqrt(2) on paired states and 1 on palindromes, the even block
@@ -446,28 +498,50 @@ def _sector_eigh(chain: ReflectionChain) -> EigenSystem:
     r_b that lands on basis state i therefore adds flip * f_b / f_i to the
     even vector of i, and flip times +1 on a pair, -1 on a partner and 0 on
     a palindrome to the odd vector of i. Each block is built and diagonalized
-    in turn; the two block spectra merge in ascending order.
+    in turn; the two block spectra merge in ascending order. Where psi0 is
+    given and its components in a sector (formed as apply_adjoint forms
+    them) are all exactly zero, as for any reflection-symmetric state in the
+    odd sector, no reader of that quench reaches the sector's eigenvectors:
+    its block takes eigvalsh and is kept unsolved.
     """
     pairs, partners, palindromes = _reflection_classes(chain.n_sites)
     dim, n_pairs = chain.dim, pairs.size
+    if psi0 is None:
+        solve = (True, True)
+    elif psi0.spec.dim != dim:
+        raise DimensionMismatch(f"chain dimension {dim} does not match state {psi0.spec.dim}")
+    else:
+        parts = _sector_parts(psi0.amplitudes, pairs, partners, palindromes)
+        solve = tuple(bool(np.any(part != 0)) for part in parts)
     slot = np.zeros(dim, dtype=np.int64)
     slot[pairs] = slot[partners] = np.arange(n_pairs)
     slot[palindromes] = n_pairs + np.arange(palindromes.size)
     f = np.ones(dim)
     f[pairs] = f[partners] = math.sqrt(2.0)
     states = np.concatenate([pairs, palindromes])
-    ev_even, u_even = np.linalg.eigh(_sector_block(chain, states, slot, f[states], 1.0 / f))
+    ev_even, u_even = _block_eigh(
+        _sector_block(chain, states, slot, f[states], 1.0 / f), solve[0]
+    )
 
     parity = np.zeros(dim)
     parity[pairs], parity[partners] = 1.0, -1.0
     slot[palindromes] = 0  # a flip onto a palindrome adds 0 to the odd block
-    ev_odd, u_odd = np.linalg.eigh(_sector_block(chain, pairs, slot, np.ones(n_pairs), parity))
+    ev_odd, u_odd = _block_eigh(
+        _sector_block(chain, pairs, slot, np.ones(n_pairs), parity), solve[1]
+    )
 
     ev = np.concatenate([ev_even, ev_odd])
     order = np.argsort(ev, kind="stable")
     levels = np.empty(dim, dtype=np.int64)
     levels[order] = np.arange(dim)
     return EigenSystem(ev[order], SectorVectors(chain.n_sites, u_even, u_odd, levels))
+
+
+def _block_eigh(block: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and eigenvectors of a sector block, or its eigenvalues and None."""
+    if vectors:
+        return np.linalg.eigh(block)
+    return np.linalg.eigvalsh(block), None
 
 
 def scramble(eig: EigenSystem, seed: int) -> EigenSystem:

@@ -1,8 +1,9 @@
 """Independent reference routes the suite checks the library against.
 
 None of these is on a path that `quenchlab run` takes: the dense chain
-matrix, the dense V of a sector or a Householder eigensystem, the Haar
-unitary of a dense Ginibre QR, the per-state spectral propagator, the
+matrix, the dense V of a sector or a Householder eigensystem, the
+Householder reflectors applied one at a time, the Haar unitary of a dense
+Ginibre QR, the per-state spectral propagator, the
 Lanczos propagator, the reduced density matrix and its von Neumann
 entropy, the dense site-basis Paulis and their eigenbasis matrices
 V^dag sigma V, and the dense slow band. Each is the textbook form of a
@@ -92,6 +93,30 @@ def householder_matrix(vectors: ql.HouseholderVectors) -> np.ndarray:
     return v
 
 
+def householder_apply(
+    vectors: ql.HouseholderVectors, x: np.ndarray, adjoint: bool = False
+) -> np.ndarray:
+    """V x, or V^dag x, for V = H_0 ... H_{d-2} diag(phases), one reflector at a time.
+
+    Each reflector is read off its column of a panel's y alone, as in
+    householder_matrix, and applied to the few columns of x; V itself is
+    never formed. Every H_k is Hermitian, so V^dag applies H_0 first and the
+    conjugate phases last.
+    """
+    reflectors = [u[j:] for y in vectors.ys for j, u in enumerate(y.T)]
+    phases = vectors.phases[:, None]
+    out = np.array(x, dtype=complex).reshape(vectors.dim, -1)
+    if not adjoint:
+        out *= phases
+    for k in range(len(reflectors)) if adjoint else reversed(range(len(reflectors))):
+        u = reflectors[k]
+        seg = out[k:]
+        seg -= np.outer(u * (2.0 / np.vdot(u, u).real), u.conj() @ seg)
+    if adjoint:
+        out *= phases.conj()
+    return out.reshape(np.shape(x))
+
+
 def dense_vectors(eig: ql.EigenSystem) -> np.ndarray:
     """The matrix V of eigenvector columns, in whichever form eig holds it."""
     vec = eig.eigenvectors
@@ -141,15 +166,28 @@ def slow_observable(spec: ql.SpectralData, weight_floor: float = 1e-8) -> ql.Obs
 
 
 def evolve_spectral(eig: ql.EigenSystem, psi0: ql.PureState, t: float) -> ql.PureState:
-    """Exact evolved state at time t via per-level phase rotation.
+    """Exact evolved state at time t via per-level phase rotation."""
+    return evolve_states(eig, psi0, [t])[0]
 
-    The overlaps c = V^dag psi0 are formed with V cast to complex.
+
+def evolve_states(eig: ql.EigenSystem, psi0: ql.PureState, times) -> list[ql.PureState]:
+    """Exact evolved states at each of times via per-level phase rotation.
+
+    The overlaps c = V^dag psi0 and the states V (c e^{-i E t}) are formed
+    with V cast to complex, or, for a Householder basis, reflector by
+    reflector (householder_apply).
     """
-    v = dense_vectors(eig).astype(complex)
-    phi = (v.conj().T @ psi0.amplitudes) * np.exp(-1j * eig.eigenvalues * t)
-    amp = v @ phi
-    amp = amp / np.linalg.norm(amp)
-    return ql.PureState(amp, _state_spec(eig.dim))
+    vec = eig.eigenvectors
+    if isinstance(vec, ql.HouseholderVectors):
+        apply = lambda x, adjoint=False: householder_apply(vec, x, adjoint)
+    else:
+        v = dense_vectors(eig).astype(complex)
+        apply = lambda x, adjoint=False: (v.conj().T if adjoint else v) @ x
+    c = apply(psi0.amplitudes, adjoint=True)
+    phi = c[:, None] * np.exp(-1j * np.outer(eig.eigenvalues, times))
+    amp = apply(phi)
+    amp = amp / np.linalg.norm(amp, axis=0)
+    return [ql.PureState(a, _state_spec(eig.dim)) for a in amp.T]
 
 
 def partial_trace(psi: ql.PureState, region: ql.SiteRegion) -> np.ndarray:

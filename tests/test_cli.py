@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 from pathlib import Path
 
@@ -783,10 +784,10 @@ def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, c
     dtypes = []
     diagonalize = cli.diagonalize
 
-    def counting(op):
+    def counting(op, psi0):
         # a reflection chain has no dense matrix; its blocks share its terms' dtype
         dtypes.append(op.matrix.dtype if isinstance(op, ql.HermitianOperator) else op.diagonal.dtype)
-        return diagonalize(op)
+        return diagonalize(op, psi0)
 
     monkeypatch.setattr(cli, "diagonalize", counting)
     raw = {
@@ -862,6 +863,15 @@ DENSE_ROUTE = {
 }
 
 
+def _equilibria(node, path=()):
+    """(path, value) of every equilibrium_value in a manifest's results."""
+    for key, value in node.items():
+        if key == "equilibrium_value":
+            yield path, value
+        elif isinstance(value, dict):
+            yield from _equilibria(value, path + (key,))
+
+
 def _csv_tables(out_dir: Path) -> dict:
     tables = {}
     for path in sorted(out_dir.glob("*.csv")):
@@ -876,34 +886,58 @@ def _csv_tables(out_dir: Path) -> dict:
 # much as by the sectors. The Neel state of an even ring occupies none; the
 # scrambled variant and the Neel state of an odd ring do, so there only the
 # site-basis entropies compare.
+# The Neel state of an odd chain, all_up and all_plus_x are reflection
+# symmetric: the sector route leaves their odd sector unsolved. The slow
+# series of all_up and all_plus_x is left out of the dense comparison: it
+# runs to 25 Heisenberg times, where the dense eigh of the same matrix with
+# its basis permuted already moves it by 1.4e-12 (N=8 open), so it cannot
+# tell two solvers apart at 1e-12. The run that solves both sectors is its
+# oracle instead (test_symmetric_slow_series_ignores_the_unsolved_sector).
 DENSE_ROUTE_CASES = [
-    *((label, n, "open") for n in (7, 8) for label in DENSE_ROUTE),
-    *((label, 8, "periodic") for label in DENSE_ROUTE if label != "scrambled"),
-    ("entropy_scan", 7, "periodic"),
+    *((label, n, "open", "neel") for n in (7, 8) for label in DENSE_ROUTE),
+    *((label, 8, "periodic", "neel") for label in DENSE_ROUTE if label != "scrambled"),
+    ("entropy_scan", 7, "periodic", "neel"),
+    *(
+        (label, 8, boundary, state)
+        for state in ("all_up", "all_plus_x")
+        for boundary in ("open", "periodic")
+        for label in DENSE_ROUTE
+        if boundary == "open" or label != "scrambled"
+    ),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:spectrum contains gaps below")  # the degenerate rings
 @pytest.mark.parametrize(
-    "label, n, boundary", DENSE_ROUTE_CASES, ids=[f"{l}-{n}-{b}" for l, n, b in DENSE_ROUTE_CASES]
+    "label, n, boundary, state",
+    DENSE_ROUTE_CASES,
+    ids=[f"{l}-{n}-{b}" + ("" if s == "neel" else f"-{s}") for l, n, b, s in DENSE_ROUTE_CASES],
 )
-def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, boundary):
+def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, boundary, state):
     # oracle: the same run on the oracle's dense chain matrix, which
     # diagonalize hands to one dense eigh
     kind, variant, observables = DENSE_ROUTE[label]
-    outputs = {}
+    if state != "neel":
+        observables = {key: value for key, value in observables.items() if key != "slow"}
+    outputs, manifests = {}, {}
     for route in ("sectors", "dense"):
         if route == "dense":
             monkeypatch.setattr(cli, "build_local_chain", dense_chain)
         cfg, errors = cli.validate({
             "kind": kind,
             "model": {"n_sites": n, "variant": variant, "boundary": boundary},
+            "initial_state": state,
             "observables": observables,
             "out_dir": str(tmp_path / route),
         })
         assert errors == []
-        cli.run(cfg)
+        manifests[route] = cli.run(cfg)
         outputs[route] = _csv_tables(tmp_path / route)
+    # the equilibria read the eigenstate expectations at the weighted levels
+    want = dict(_equilibria(manifests["dense"]["results"]))
+    got = dict(_equilibria(manifests["sectors"]["results"]))
+    assert got.keys() == want.keys()
+    assert all(abs(got[key] - want[key]) < 1e-12 for key in want), (got, want)
     assert outputs["sectors"].keys() == outputs["dense"].keys()
     for name, (header, rows) in outputs["dense"].items():
         got_header, got_rows = outputs["sectors"][name]
@@ -911,6 +945,89 @@ def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, bound
         want = np.array(rows, dtype=float)
         got = np.array(got_rows, dtype=float)
         assert np.max(np.abs(got - want)) < 1e-12, name
+
+
+@pytest.mark.parametrize("n, solvers", [(7, ["eigh", "eigvalsh"]), (8, ["eigh", "eigh"])])
+def test_a_symmetric_quench_solves_its_odd_sector_for_eigenvalues_only(
+    tmp_path, monkeypatch, n, solvers
+):
+    # the Neel state is reflection symmetric at odd n only; no dos output
+    # reads an eigenvector of the sector it leaves empty
+    calls = []
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(a):
+            calls.append(name)
+            return solver(a)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    cfg, errors = cli.validate({"kind": "dos", "model": {"n_sites": n}, "out_dir": str(tmp_path)})
+    assert errors == []
+    cli.run(cfg)
+    assert calls == solvers
+
+
+def test_equivalence_draws_each_typical_observable_once(tmp_path, monkeypatch):
+    # both spectra read the same draws, so each is built once, and released
+    # before the next as in a relax run
+    seeds, draws, live_at_draw = [], [], []
+    draw = cli.typical_observable
+
+    def counting(dim, seed):
+        seeds.append(seed)
+        live_at_draw.append(sum(ref() is not None for ref in draws))
+        obs = draw(dim, seed)
+        draws.extend([weakref.ref(obs), weakref.ref(obs.matrix)])
+        return obs
+
+    monkeypatch.setattr(cli, "typical_observable", counting)
+    cfg, errors = cli.validate({
+        "kind": "equivalence",
+        "model": {"n_sites": 6},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": {"typical_count": 3},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert errors == []
+    manifest = cli.run(cfg)
+    assert seeds == [cli._typical_seed(cfg, i) for i in range(3)]
+    assert live_at_draw == [0, 0, 0]
+    assert [f["path"] for f in manifest["files"]] == [
+        "dos_local.csv", *(f"series_local_typical_{i}.csv" for i in range(3)),
+        "dos_goe.csv", *(f"series_goe_typical_{i}.csv" for i in range(3)),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:spectrum contains gaps below")  # the degenerate ring
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("state", ["all_up", "all_plus_x"])
+@pytest.mark.parametrize("variant", ["local", "goe"])
+def test_symmetric_slow_series_ignores_the_unsolved_sector(
+    tmp_path, monkeypatch, variant, state, boundary
+):
+    # the slow series reads the occupied levels alone, all of them in the even
+    # sector, whose eigh is the same call on both routes: the same bytes
+    files = {}
+    diagonalize = cli.diagonalize
+    for route in ("unsolved", "solved"):
+        if route == "solved":
+            monkeypatch.setattr(cli, "diagonalize", lambda h, psi0: diagonalize(h))
+        cfg, errors = cli.validate({
+            "kind": "relax",
+            "model": {"n_sites": 8, "variant": variant, "boundary": boundary},
+            "initial_state": state,
+            "observables": {"typical_count": 0, "slow": True},
+            "out_dir": str(tmp_path / route),
+        })
+        assert errors == []
+        cli.run(cfg)
+        files[route] = (tmp_path / route / "series_slow.csv").read_bytes()
+    assert files["unsolved"] == files["solved"]
 
 
 def test_each_typical_draw_is_released_before_the_next(tmp_path, monkeypatch):
@@ -954,6 +1071,24 @@ def test_slow_and_local_equilibria_warn_on_a_repeated_level(tmp_path):
     with pytest.warns(UserWarning, match="gaps below") as record:
         cli.run(cfg)
     assert len(record) == 2  # one per equilibrium: the slow series and the local Pauli
+
+
+def test_a_symmetric_ring_quench_does_not_warn_about_its_empty_levels(tmp_path):
+    # all_up leaves the odd sector empty, and every sub-1e-12 gap of an
+    # 8-site ring pairs a level with an empty partner; no weighted pair is
+    # degenerate, so no term is left undephased
+    cfg, errors = cli.validate({
+        "kind": "relax",
+        "model": {"n_sites": 8, "boundary": "periodic"},
+        "initial_state": "all_up",
+        "observables": {"typical_count": 1, "slow": True},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert errors == []
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        cli.run(cfg)
+    assert not [w for w in record if "gaps below" in str(w.message)]
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):

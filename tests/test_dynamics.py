@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -163,6 +165,17 @@ def test_diagonal_ensemble_warns_on_degenerate_gap():
     data = ql.SpectralData(np.array([0.0, 0.0, 1.0]), np.array([0.4, 0.3, 0.3]))
     with pytest.warns(UserWarning, match="gaps below"):
         ql.diagonal_ensemble(data, np.diagonal(ql.ObservableMatrix(np.eye(3)).matrix))
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+def test_diagonal_ensemble_ignores_gaps_to_an_empty_level(weights):
+    # a degenerate pair with one empty level has no off-diagonal term to keep
+    data = ql.SpectralData(np.array([0.0, 0.0, 1.0]), np.array(weights))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ql.diagonal_ensemble(data, np.array([2.0, 3.0, 5.0])) == float(
+            np.dot(weights, [2.0, 3.0, 5.0])
+        )
 
 
 def test_krylov_diagonal_exact():

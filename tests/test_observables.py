@@ -265,6 +265,23 @@ def test_slow_beats_typical_at_same_threshold(quench8):
     assert s_rep.relaxation_time > 10.0 * t_rep.relaxation_time
 
 
+@pytest.mark.parametrize("form", ["sectors", "householder", "dense"])
+def test_eigenstate_paulis_read_only_the_listed_levels(quench8, form):
+    # a relax run reads the weighted levels alone: listed out of order and
+    # across column blocks, each reads as in the reading of every column
+    eig = quench8.eig
+    if form == "householder":
+        eig = ql.scramble(eig, SCRAMBLE_SEED)
+    elif form == "dense":
+        eig = ql.EigenSystem(eig.eigenvalues, dense_vectors(eig))
+    levels = np.arange(3, eig.dim, 3)[::-1]
+    paulis = [(0, "x"), (3, "y"), (7, "z")]
+    got = ql.pauli_expectations(eig.eigenvectors, paulis, levels)
+    want = ql.pauli_expectations(eig.eigenvectors, paulis)[:, levels]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
 def test_eigenstate_paulis_read_the_eigenvectors_in_column_blocks(quench10):
     # the whole-matrix reading held two dim^2 temporaries for a sigma-y
     v = dense_vectors(quench10.eig)

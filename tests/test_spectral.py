@@ -13,6 +13,7 @@ from oracles import (
     dense_chain,
     dense_vectors,
     haar_unitary,
+    householder_apply,
     householder_matrix,
     sector_matrix,
 )
@@ -21,7 +22,8 @@ from quenchlab.errors import (
     DimensionMismatch,
     TooFewOccupied,
 )
-from quenchlab.spectral import _haar_reflectors, _ndtr, _overlaps
+from quenchlab.dynamics import _state_blocks
+from quenchlab.spectral import _SQRT_HALF, _haar_reflectors, _ndtr, _overlaps
 
 
 def two_level_data(omega: float) -> ql.SpectralData:
@@ -395,6 +397,91 @@ def test_sector_vectors_match_their_dense_form(n, boundary):
         assert np.array_equal(vectors.columns(block), v[:, block])
 
 
+def _mirror_state(n: int, sign: float, seed: int) -> ql.PureState:
+    """A random state that the site reflection maps to sign times itself."""
+    rng = np.random.default_rng(seed)
+    v = _test_vectors(rng, 2**n, None)
+    v = v + sign * v[_bit_reversal(n)]
+    return ql.PureState(v / np.linalg.norm(v), ql.HilbertSpec(n))
+
+
+def _sector_levels(vectors: ql.SectorVectors) -> dict:
+    n_even = vectors.pairs.size + vectors.palindromes.size
+    return {"even": vectors.levels[:n_even], "odd": vectors.levels[n_even:]}
+
+
+@pytest.mark.parametrize(
+    "n, boundary, state, empty",
+    [
+        (7, "open", "neel", "odd"),
+        (8, "periodic", "all_plus_x", "odd"),
+        (6, "open", "symmetric", "odd"),
+        (6, "open", "antisymmetric", "even"),
+        (7, "open", "antisymmetric", "even"),
+    ],
+)
+def test_a_sector_the_state_leaves_empty_keeps_its_eigenvalues_only(n, boundary, state, empty):
+    # oracle: the same chain with both sectors solved; a reflection-symmetric
+    # state leaves the odd sector empty, an antisymmetric one the even sector
+    if state == "neel":
+        psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(n)])
+    elif state == "all_plus_x":
+        psi0 = ql.product_state([(_SQRT_HALF, _SQRT_HALF)] * n)
+    else:
+        psi0 = _mirror_state(n, 1.0 if state == "symmetric" else -1.0, seed=n)
+    chain = ql.build_local_chain(ql.ChainParams(n_sites=n, boundary=boundary))
+    full, eig = ql.diagonalize(chain), ql.diagonalize(chain, psi0)
+    vectors = eig.eigenvectors
+    assert (vectors.u_even is None, vectors.u_odd is None) == (empty == "even", empty == "odd")
+    scale = np.max(np.abs(full.eigenvalues))
+    assert np.max(np.abs(eig.eigenvalues - full.eigenvalues)) <= 1e-12 * scale
+    weights = ql.occupied_spectrum(eig, psi0).weights
+    assert np.all(weights[_sector_levels(vectors)[empty]] == 0.0)
+    assert np.max(np.abs(weights - ql.occupied_spectrum(full, psi0).weights)) < 1e-12
+    # the evolved states, which read both products, agree with the full route
+    grid = ql.linear_grid(2.0, 5)
+    got = np.concatenate([states for _, states in _state_blocks(eig, psi0, grid)], axis=1)
+    want = np.concatenate([states for _, states in _state_blocks(full, psi0, grid)], axis=1)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("empty", ["even", "odd"])
+def test_reads_of_an_unsolved_sector_stay_exact_or_raise(empty):
+    # oracle: the same sector factors with both blocks kept
+    n = 6
+    full = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n))).eigenvectors
+    blocks = {"even": full.u_even, "odd": full.u_odd, empty: None}
+    half = ql.SectorVectors(n, blocks["even"], blocks["odd"], full.levels)
+    kept = "odd" if empty == "even" else "even"
+    levels = _sector_levels(full)
+    rng = np.random.default_rng(3)
+    # level-basis input with zero rows at the empty sector's levels: apply
+    # skips that product, and the rows it stands for are 0
+    x = _test_vectors(rng, full.dim, 5)
+    x[levels[empty]] = 0.0
+    assert np.array_equal(half.apply(x), full.apply(x))
+    x[levels[empty][0], 2] = 1e-300
+    with pytest.raises(ValueError, match=f"unsolved {empty} sector"):
+        half.apply(x)
+    # site-basis input without amplitude in the empty sector
+    y = _mirror_state(n, 1.0 if empty == "odd" else -1.0, seed=4).amplitudes
+    got = half.apply_adjoint(y)
+    assert np.array_equal(got, full.apply_adjoint(y))
+    assert np.all(got[levels[empty]] == 0.0)
+    with pytest.raises(ValueError, match=f"unsolved {empty} sector"):
+        half.apply_adjoint(_test_vectors(rng, full.dim, None))
+    # columns: exact at the kept sector's levels, refused at the empty one's
+    assert np.array_equal(half.columns(levels[kept]), full.columns(levels[kept]))
+    with pytest.raises(ValueError, match=f"unsolved {empty} sector"):
+        half.columns(slice(0, full.dim))
+
+
+def test_diagonalize_state_must_fit_the_chain():
+    chain = ql.build_local_chain(ql.ChainParams(n_sites=6))
+    with pytest.raises(DimensionMismatch):
+        ql.diagonalize(chain, ql.product_state([(1, 0)] * 5))
+
+
 def _chain_eig(**params) -> ql.EigenSystem:
     return ql.diagonalize(ql.build_local_chain(ql.ChainParams(**params)))
 
@@ -481,6 +568,9 @@ def test_householder_vectors_match_their_dense_form(dim, real):
                 assert got.shape == y.shape
                 assert np.iscomplexobj(got) == (np.iscomplexobj(y) or not real)
                 assert np.max(np.abs(got - want)) < 1e-12
+        # the oracle's two routes, the dense V and one reflector at a time, agree
+        assert np.max(np.abs(householder_apply(vectors, x) - v @ x)) < 1e-12
+        assert np.max(np.abs(householder_apply(vectors, x, adjoint=True) - v.conj().T @ x)) < 1e-12
     for block in (slice(0, 1), slice(0, 64), slice(dim // 3, dim // 3 + 100), slice(dim - 1, dim)):
         got = vectors.columns(block)
         assert got.dtype == v.dtype and got.shape == v[:, block].shape
