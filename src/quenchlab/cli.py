@@ -524,15 +524,15 @@ def _typical_menu(cfg: ExperimentConfig, reads: list[tuple[SpectralData, TimeGri
 
 
 def _observable_menu(cfg, eig, psi0, sdata, ts):
-    """Every observable of a relax run, as (label, series, eigenstate expectations)."""
+    """Every observable of a relax run, as (label, series, eigenstate expectations).
+
+    The entries come in the order typical_i, slow, identity, local_*, but
+    the local Paulis are read first: the menu then drops its reference to
+    eig, so once the caller has dropped its own, the eigenvectors are
+    released before the first dense typical draw is built.
+    """
     grid = _series_grid(cfg, ts)
-    for label, (series,), diagonal in _typical_menu(cfg, [(sdata, grid)]):
-        yield label, series, diagonal
-    if cfg.include_slow:
-        series = slow_series(sdata, _series_grid(cfg, ts, slow=True), cfg.weight_floor)
-        yield "slow", series, np.zeros(sdata.dim)
-    if cfg.include_identity:  # the normalized state reads 1 at every time
-        yield "identity", TimeSeries(grid, np.ones(len(grid))), np.ones(sdata.dim)
+    local = []
     if cfg.local_observables:  # every Pauli is read off one pass of the states
         paulis = cfg.local_observables
         series = local_series(eig, psi0, paulis, grid)
@@ -541,8 +541,19 @@ def _observable_menu(cfg, eig, psi0, sdata, ts):
         weighted = np.nonzero(sdata.weights > 0)[0]
         diagonals = np.zeros((len(paulis), sdata.dim))
         diagonals[:, weighted] = pauli_expectations(eig.eigenvectors, paulis, weighted)
-        for (site, axis), pauli, diagonal in zip(paulis, series, diagonals):
-            yield f"local_{axis}{site}", pauli, diagonal
+        local = [
+            (f"local_{axis}{site}", pauli, diagonal)
+            for (site, axis), pauli, diagonal in zip(paulis, series, diagonals)
+        ]
+    del eig
+    for label, (series,), diagonal in _typical_menu(cfg, [(sdata, grid)]):
+        yield label, series, diagonal
+    if cfg.include_slow:
+        series = slow_series(sdata, _series_grid(cfg, ts, slow=True), cfg.weight_floor)
+        yield "slow", series, np.zeros(sdata.dim)
+    if cfg.include_identity:  # the normalized state reads 1 at every time
+        yield "identity", TimeSeries(grid, np.ones(len(grid))), np.ones(sdata.dim)
+    yield from local
 
 
 def _series_grid(cfg: ExperimentConfig, ts: Timescales, slow: bool = False) -> TimeGrid:
@@ -652,6 +663,7 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
             timescale_info = asdict(ts)
             if cfg.kind == "relax":
                 menu = _observable_menu(cfg, eig, psi0, sdata, ts)
+                del eig  # the menu holds the only reference until its Paulis are read
                 results = {"reports": _series_outputs(cfg, sdata, writer, menu)}
             elif cfg.kind == "dos":
                 results = _dos_outputs(cfg, sdata, writer)

@@ -98,8 +98,10 @@ def default_slow_grid(ts: Timescales) -> TimeGrid:
     lin = np.linspace(0.0, RELAX_GRID_SPAN * ts.boltzmann_time, RELAX_GRID_POINTS)
     end = SLOW_GRID_SPAN * ts.heisenberg_time
     if end > lin[-1]:
-        log = np.geomspace(lin[-1], end, SLOW_GRID_LOG_POINTS)
-        times = np.unique(np.concatenate([lin, log]))
+        # np.unique by hand, which imports numpy.ma (about 9 ms): sorted, and
+        # each time kept once
+        times = np.sort(np.concatenate([lin, np.geomspace(lin[-1], end, SLOW_GRID_LOG_POINTS)]))
+        times = times[np.diff(times, prepend=-1.0) > 0]
     else:
         times = lin
     return TimeGrid(times)

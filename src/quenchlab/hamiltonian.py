@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, _hermitian
+from .core import _freeze, _hermitian, _tiles
 
 DEFAULT_J = 1.0
 DEFAULT_H = 4.2
@@ -125,10 +125,20 @@ def build_local_chain(p: ChainParams) -> HermitianOperator | ReflectionChain:
 
 
 def _symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
-    """(G + G^T) / 2 for a seeded dim x dim standard normal draw G."""
+    """(G + G^T) / 2 for a seeded dim x dim standard normal draw G, formed in G.
+
+    The tile pairs (a, b) with a <= b are symmetrized in place, so no second
+    dim x dim array is held. g_ij + g_ji and g_ji + g_ij round alike and
+    halving is exact, so the result is (G + G^T) / 2 to the bit.
+    """
     m = np.random.default_rng(seed).standard_normal((dim, dim))
-    m = m + m.T
-    m /= 2.0
+    tiles = _tiles(dim)
+    for a, rows in enumerate(tiles):
+        for cols in tiles[a:]:
+            upper = m[rows, cols] + m[cols, rows].T
+            upper /= 2.0
+            m[rows, cols] = upper
+            m[cols, rows] = upper.T
     return m
 
 

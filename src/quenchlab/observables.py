@@ -98,6 +98,8 @@ def typical_observable(dim: int, seed: int) -> ObservableMatrix:
     dephases on the Boltzmann time. A bare zero-mean draw would start at a
     value statistically identical to its late-time fluctuations, with no
     deviation to relax. The norm of the positive |G| is its Perron root.
+    The draw is symmetrized, taken to |G| and scaled in its own array, so
+    building it holds one dense dim x dim matrix.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")

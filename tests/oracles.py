@@ -2,15 +2,16 @@
 
 None of these is on a path that `quenchlab run` takes: the dense chain
 matrix, the dense V of a sector or a Householder eigensystem, the
-Householder reflectors applied one at a time, the Haar unitary of a dense
-Ginibre QR, the per-state spectral propagator, the
-Lanczos propagator, the reduced density matrix and its von Neumann
-entropy, the dense site-basis Paulis and their eigenbasis matrices
-V^dag sigma V, and the dense slow band. Each is the textbook form of a
-quantity the library computes another way (sector blocks built from the
-bit structure, products through the sector factors or the compact-WY
-panels, one Gaussian vector per reflector, blocks of states, batched
-SVDs, Pauli readings of site-basis columns, a cosine sum).
+Householder reflectors applied one at a time, the symmetrized Gaussian draw
+as a sum of whole matrices, the Haar unitary of a dense Ginibre QR, the
+per-state spectral propagator, the Lanczos propagator, the reduced density
+matrix and its von Neumann entropy, the dense site-basis Paulis and their
+eigenbasis matrices V^dag sigma V, and the dense slow band. Each is the
+textbook form of a quantity the library computes another way (sector
+blocks built from the bit structure, products through the sector factors
+or the compact-WY panels, one Gaussian vector per reflector, a draw
+symmetrized in place tile by tile, blocks of states, batched SVDs, Pauli
+readings of site-basis columns, a cosine sum).
 """
 import math
 
@@ -123,6 +124,12 @@ def dense_vectors(eig: ql.EigenSystem) -> np.ndarray:
     if isinstance(vec, ql.HouseholderVectors):
         return householder_matrix(vec)
     return vec.matrix if isinstance(vec, ql.DenseVectors) else sector_matrix(vec)
+
+
+def symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
+    """(G + G^T) / 2 of a seeded dim x dim standard normal draw, as two whole matrices."""
+    g = np.random.default_rng(seed).standard_normal((dim, dim))
+    return (g + g.T) / 2
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import chain_matrix, dense_chain, dense_vectors, haar_unitary
-from quenchlab.hamiltonian import _sz_signs
+from oracles import chain_matrix, dense_chain, dense_vectors, haar_unitary, symmetric_gaussian
+from quenchlab.hamiltonian import _symmetric_gaussian, _sz_signs
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -155,6 +157,31 @@ def test_goe_moment_match_at_1024():
     # the affine rescaling makes the match much tighter than the 2% contract
     assert abs(ev.mean() - mean) < 1e-8
     assert abs(ev.std() - width) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 424242])
+@pytest.mark.parametrize("dim", [1, 2, 511, 512, 513, 1025])
+def test_symmetric_gaussian_is_the_whole_matrix_mean_to_the_bit(dim, seed):
+    # dims on both sides of the tile edges, where the tile pairs change shape
+    got = _symmetric_gaussian(dim, seed)
+    want = symmetric_gaussian(dim, seed)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "draw", [lambda: ql.typical_observable(1024, 5), lambda: ql.build_goe(1024, 0.0, 1.0, 5)],
+    ids=["typical", "goe"],
+)
+def test_gaussian_draws_hold_one_dense_matrix(draw):
+    # G + G^T as a second array would take the peak to two dense matrices;
+    # in place it is one, plus a tile pair and the Hermitian check's tiles
+    tracemalloc.start()
+    try:
+        draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 8 * 1024**2
 
 
 @given(st.integers(0, 2**31 - 1))
