@@ -1,0 +1,172 @@
+"""The LAPACK eigensolvers of the OpenBLAS that numpy ships, called in place.
+
+np.linalg solves a Hermitian eigenproblem with ?syevd / ?heevd, but on a
+private copy and into a fresh output array, and it does not expose the
+tridiagonal solvers. A numpy wheel links one ILP64 OpenBLAS,
+numpy.libs/libscipy_openblas64_*.so, whose LAPACK symbols carry the prefix
+scipy_ and the suffix 64_ and take 64-bit integers. This module opens that
+library (the one numpy has loaded, so dlopen hands back the same copy),
+resolves the routines of ROUTINES, and calls them through ctypes on arrays
+numpy owns, with the workspace sizes of the lwork = -1 query, as numpy does.
+
+A numpy built against another LAPACK (MKL, Accelerate, or 32-bit integers)
+has no such file or symbol: the first solve raises LapackUnavailable, naming
+the routines and the library searched. No np.linalg route stands in for it.
+"""
+from __future__ import annotations
+
+import ctypes
+import functools
+from pathlib import Path
+
+import numpy as np
+
+from .core import _transpose
+from .errors import ConvergenceFailure, LapackUnavailable
+
+# routine: (arguments, character arguments). Fortran takes every argument by
+# reference, info last; each character argument adds a hidden length, by
+# value, after them.
+ROUTINES = {
+    "dsyevd": (11, 2),
+    "zheevd": (13, 2),
+    "dsytrd": (10, 1),
+    "dstedc": (11, 1),
+    "dsterf": (4, 0),
+}
+_PATTERN = "libscipy_openblas64_*.so"
+
+
+def _ref(value: int) -> object:
+    """A 64-bit LAPACK integer argument, passed by reference."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+@functools.lru_cache(maxsize=None)
+def library() -> Path:
+    """The ILP64 OpenBLAS file next to the numpy package."""
+    where = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(where.glob(_PATTERN))
+    if not found:
+        raise LapackUnavailable(
+            f"{', '.join(ROUTINES)}: no {_PATTERN} in {where}; quenchlab calls LAPACK "
+            "through the ILP64 OpenBLAS of a numpy wheel"
+        )
+    return found[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _routine(name: str):
+    path = library()
+    symbol = f"scipy_{name}_64_"
+    try:
+        fn = getattr(ctypes.CDLL(str(path)), symbol)
+    except AttributeError:
+        raise LapackUnavailable(f"{name}: {symbol} not found in {path}") from None
+    args, strings = ROUTINES[name]
+    fn.argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * strings
+    fn.restype = None
+    return fn
+
+
+def describe() -> str:
+    """The library file and the symbols resolved in it."""
+    return f"{library()} ({', '.join(_routine(name).__name__ for name in ROUTINES)})"
+
+
+def _call(name: str, *args) -> None:
+    """routine(*args, info) with its hidden lengths; a nonzero info raises."""
+    info = ctypes.c_int64(0)
+    _routine(name)(*args, ctypes.byref(info), *[1] * ROUTINES[name][1])
+    if info.value != 0:
+        raise ConvergenceFailure(f"LAPACK {name} returned info = {info.value}")
+
+
+def _with_workspace(name: str, head: tuple, kinds: tuple) -> None:
+    """routine(*head, then a buffer and its size per kind), sized by its lwork = -1 query."""
+
+    def call(work: list[np.ndarray], query: bool) -> None:
+        sized = [x for buf in work for x in (buf.ctypes, _ref(-1 if query else buf.size))]
+        _call(name, *head, *sized)
+
+    query = [np.empty(1, kind) for kind in kinds]
+    call(query, query=True)
+    sizes = [int(buf[0].real) for buf in query]
+    # Held while the workspace was allocated, the query buffers left the
+    # second sector block's workspace resident in glibc's heap after its
+    # solve in some runs: a 10-site relax run peaked at 59.4 MB instead of
+    # 55.6 MB in 11 of 64 runs that differed only in path lengths, and in
+    # none of 64 with the buffers released first.
+    del query
+    call([np.empty(size, kind) for size, kind in zip(sizes, kinds)], query=False)
+
+
+def _check(a: np.ndarray, ndim: int, dtypes: tuple) -> None:
+    """Refuse an array that LAPACK would read or write out of its bounds."""
+    if not (a.ndim == ndim and (ndim == 1 or a.shape[0] == a.shape[1]) and a.dtype in dtypes
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(
+            f"LAPACK takes a writable C-contiguous {'square ' * (ndim == 2)}"
+            f"{ndim}-d array of {' or '.join(map(str, dtypes))}, got {a.dtype} {a.shape}"
+        )
+
+
+def eigh(at: np.ndarray, vectors: bool) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian A, solved in at, which holds A^T.
+
+    at is C-contiguous, float or complex, and holds A^T: its memory is A in
+    column-major order, the layout np.linalg hands to LAPACK, which reads
+    A's lower triangle (uplo = 'L'). The solve then equals np.linalg.eigh
+    and eigvalsh to the bit, also where A is symmetric only to rounding.
+    With vectors, at is overwritten by the eigenvectors as its columns, C
+    order as np.linalg returns them (LAPACK leaves them column-major, and
+    they are transposed in place); without, at is destroyed.
+    """
+    _check(at, 2, (np.dtype(float), np.dtype(complex)))
+    n = at.shape[0]
+    w = np.empty(n)
+    complex_ = np.iscomplexobj(at)
+    _with_workspace(
+        "zheevd" if complex_ else "dsyevd",
+        (b"V" if vectors else b"N", b"L", _ref(n), at.ctypes, _ref(max(n, 1)), w.ctypes),
+        (at.dtype, float, np.int64) if complex_ else (float, np.int64),
+    )
+    if vectors:
+        _transpose(at)
+    return w
+
+
+def eigh_values(at: np.ndarray) -> np.ndarray:
+    """The eigenvalues eigh(at, vectors=True) returns, to the bit, with no eigenvectors.
+
+    at is real and laid out as for eigh, and is destroyed. dsyevd with
+    eigenvectors reduces A to a tridiagonal T (dsytrd), solves T by divide
+    and conquer (dstedc) and back-transforms T's eigenvectors (dormtr); its
+    eigenvalues are dstedc's. These are the first two steps alone, about
+    60% of the time. dsyevd without eigenvectors solves T by dsterf
+    instead, whose eigenvalues differ from dstedc's in the last bits.
+    """
+    _check(at, 2, (np.dtype(float),))
+    n = at.shape[0]
+    d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
+    lead = _ref(max(n, 1))
+    _with_workspace("dsytrd", (b"L", _ref(n), at.ctypes, lead, d.ctypes, e.ctypes, tau.ctypes),
+                    (float,))
+    z = np.empty((n, n))  # T's eigenvectors, which dstedc cannot skip
+    _with_workspace("dstedc", (b"I", _ref(n), d.ctypes, e.ctypes, z.ctypes, lead),
+                    (float, np.int64))
+    return d
+
+
+def sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (d, e), written into d.
+
+    d holds the diagonal and e the off-diagonal (length len(d) - 1), both
+    contiguous floats; e is destroyed.
+    """
+    for a in (d, e):
+        _check(a, 1, (np.dtype(float),))
+    if e.size < d.size - 1:
+        raise ValueError(f"an off-diagonal of {e.size} does not fit a diagonal of {d.size}")
+    _call("dsterf", _ref(d.size), d.ctypes, e.ctypes)
+    return d

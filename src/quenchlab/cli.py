@@ -5,11 +5,12 @@ moment-matched random matrix), an initial product state, and one of five
 experiment kinds. Every run diagonalizes the local chain once, and only
 the chain, given the initial state, so that a reflection sector the state
 leaves empty is solved for its eigenvalues alone (and levels without
-weight are never read for their eigenvectors). Each variant's eigensystem
-derives from that one diagonalization: the scrambled
-chain from its eigenvalues (with seeded Haar eigenvectors), the random
-matrix from the chain's occupied moments (its eigenvalues by eigvalsh, its
-eigenvectors a seeded Haar-orthogonal draw). Results are written as CSV
+weight are never read for their eigenvectors); a scrambled run solves
+every sector so. Each variant's eigensystem derives from that one
+diagonalization: the scrambled chain from its eigenvalues (with seeded
+Haar eigenvectors), the random matrix from the chain's occupied moments
+(its eigenvalues those of a seeded GOE tridiagonal model, by dsterf, its
+eigenvectors a Haar-orthogonal draw of the same seed). Results are written as CSV
 files with a YAML manifest carrying the normalized config, the quench
 timescales, summary statistics, and a digest of every emitted file. All
 randomness is derived per task from the master seed and the work runs in
@@ -30,7 +31,7 @@ from typing import Any, Sequence
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, _lapack
 from .core import MAX_SITES, PureState, product_state
 from .dynamics import (
     TimeGrid,
@@ -43,7 +44,7 @@ from .dynamics import (
 )
 from .entanglement import entropy_scan, growth_fit, light_cone
 from .errors import QuenchError
-from .hamiltonian import ChainParams, build_local_chain, build_goe
+from .hamiltonian import ChainParams, build_local_chain
 from .observables import (
     local_series,
     pauli_expectations,
@@ -452,25 +453,21 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     """The eigensystem of a run's site-basis readers (None without them), and
     the spectral data of each variant. All derive from one diagonalization of
     the chain with psi0 (an empty reflection sector keeps its eigenvalues
-    only): the scrambled chain takes its eigenvalues, the random matrix
-    its occupied moments, so the chain's eigenvectors are dropped before the
-    random matrix is built. The random matrix is not diagonalized: its
-    eigenvalues come from eigvalsh and its eigenvectors from their own seed
-    (see goe_eigensystem).
+    only): the scrambled chain takes its eigenvalues, so its run solves for
+    them alone, and the random matrix its occupied moments, so the chain's
+    eigenvectors are dropped before the random matrix is drawn. The random
+    matrix is never formed: its eigenvalues and eigenvectors are drawn from
+    one seed at mean 0 and width 1 (see goe_eigensystem), and its
+    eigenvalues then shifted and scaled to the chain's moments.
     """
-    eig = diagonalize(build_local_chain(cfg.chain), psi0)
+    eig = diagonalize(build_local_chain(cfg.chain), psi0, vectors=cfg.variant != "scrambled")
     if cfg.variant == "scrambled":
         eig = scramble(eig, derive_seed(cfg.master_seed, "scramble"))
     spectra = {"local" if cfg.variant == "goe" else cfg.variant: occupied_spectrum(eig, psi0)}
     if cfg.kind == "equivalence" or cfg.variant == "goe":
         ts = timescales(spectra["local"], cfg.weight_floor)
         del eig
-        # the standard draw (mean 0, width 1) depends on the seed alone, so
-        # the chain's moments enter only through the shift and the scale of
-        # its spectrum, not through eigvalsh's rounding
-        op = build_goe(spectra["local"].dim, 0.0, 1.0, derive_seed(cfg.master_seed, "goe"))
-        unit = goe_eigensystem(op, derive_seed(cfg.master_seed, "goe_vectors"))
-        del op
+        unit = goe_eigensystem(spectra["local"].dim, derive_seed(cfg.master_seed, "goe"))
         eig = EigenSystem(ts.energy_mean + ts.energy_width * unit.eigenvalues, unit.eigenvectors)
         spectra["goe"] = occupied_spectrum(eig, psi0)
     reads_states = cfg.kind in ("entropy_scan", "light_cone") or bool(cfg.local_observables)
@@ -737,7 +734,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_val = sub.add_parser("validate", help="check a config and print its normalized form")
     p_val.add_argument("config", help="path to a YAML experiment config")
 
-    sub.add_parser("info", help="print version and desk-scale limits")
+    sub.add_parser("info", help="print version, desk-scale limits and the LAPACK library")
 
     args = parser.parse_args(argv)
 
@@ -751,6 +748,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"default chain: J={ChainParams.J}, h={ChainParams.h}, g={ChainParams.g}, "
             "open boundary"
         )
+        try:
+            print(f"lapack: {_lapack.describe()}")
+        except QuenchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     overrides = {"out_dir": args.out_dir, "master_seed": args.seed} if args.command == "run" else {}

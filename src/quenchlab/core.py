@@ -39,6 +39,23 @@ def _tiles(size: int) -> list[slice]:
     return [slice(i, i + _TILE) for i in range(0, size, _TILE)]
 
 
+def _tile_pairs(size: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) of the tile pairs (a, b) with a <= b, on and above the diagonal."""
+    tiles = _tiles(size)
+    return [(rows, cols) for a, rows in enumerate(tiles) for cols in tiles[a:]]
+
+
+def _transpose(m: np.ndarray) -> np.ndarray:
+    """Square m overwritten by its transpose, one tile pair at a time, through
+    one temporary tile."""
+    for rows, cols in _tile_pairs(m.shape[0]):
+        tile = m[cols, rows].copy()
+        if rows != cols:
+            m[cols, rows] = m[rows, cols].T
+        m[rows, cols] = tile.T
+    return m
+
+
 def _all_finite(a: np.ndarray) -> bool:
     """np.all(np.isfinite(a)), one block of _TILE rows at a time."""
     return all(np.isfinite(a[rows]).all() for rows in _tiles(a.shape[0]))
@@ -55,14 +72,12 @@ def _hermitian(matrix: np.ndarray, name: str) -> np.ndarray:
     m = np.ascontiguousarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} matrix must be square, got shape {m.shape}")
-    tiles = _tiles(m.shape[0])
     deviation = 0.0
-    for a, rows in enumerate(tiles):
-        for cols in tiles[a:]:
-            upper, lower = m[rows, cols], m[cols, rows]
-            if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-                raise ValueError(f"{name} has non-finite entries")
-            deviation = max(deviation, np.max(np.abs(upper - lower.conj().T)))
+    for rows, cols in _tile_pairs(m.shape[0]):
+        upper, lower = m[rows, cols], m[cols, rows]
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise ValueError(f"{name} has non-finite entries")
+        deviation = max(deviation, np.max(np.abs(upper - lower.conj().T)))
     if deviation > _HERM_TOL:
         raise ValueError(f"{name} is not Hermitian within {_HERM_TOL}")
     return _freeze(m)

@@ -33,5 +33,9 @@ class ConvergenceFailure(QuenchError):
     """The eigensolver failed to converge."""
 
 
+class LapackUnavailable(QuenchError):
+    """numpy does not ship the ILP64 OpenBLAS whose LAPACK routines quenchlab calls."""
+
+
 class NoFrontDetected(QuenchError):
     """Fewer than three radii ever crossed the correlation threshold."""

@@ -1,4 +1,4 @@
-"""Spin-chain Hamiltonians and moment-matched random matrices.
+"""Spin-chain Hamiltonians and the symmetric Gaussian draw.
 
 The local model is an Ising chain in mixed transverse and longitudinal
 fields,
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, _hermitian, _tiles
+from .core import _freeze, _hermitian, _tile_pairs
 
 DEFAULT_J = 1.0
 DEFAULT_H = 4.2
@@ -132,35 +132,9 @@ def _symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
     halving is exact, so the result is (G + G^T) / 2 to the bit.
     """
     m = np.random.default_rng(seed).standard_normal((dim, dim))
-    tiles = _tiles(dim)
-    for a, rows in enumerate(tiles):
-        for cols in tiles[a:]:
-            upper = m[rows, cols] + m[cols, rows].T
-            upper /= 2.0
-            m[rows, cols] = upper
-            m[cols, rows] = upper.T
+    for rows, cols in _tile_pairs(dim):
+        upper = m[rows, cols] + m[cols, rows].T
+        upper /= 2.0
+        m[rows, cols] = upper
+        m[cols, rows] = upper.T
     return m
-
-
-def build_goe(dim: int, mean: float, width: float, seed: int) -> HermitianOperator:
-    """Real symmetric Gaussian-ensemble matrix with matched eigenvalue moments.
-
-    The raw draw is affinely rescaled so the empirical eigenvalue mean and
-    standard deviation equal the requested values (up to float rounding).
-    Both moments follow from traces without a diagonalization: the mean is
-    tr M / d and the variance is ||M - mean I||_F^2 / d.
-    """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if width < 0:
-        raise ValueError("width must be nonnegative")
-    m = _symmetric_gaussian(dim, seed)
-    # centered and rescaled in place: only the diagonal moves by the means
-    d = np.diag_indices(dim)
-    m[d] -= np.trace(m) / dim
-    sd = np.linalg.norm(m) / np.sqrt(dim)
-    if sd < 1e-300 or width == 0.0:
-        return HermitianOperator(float(mean) * np.eye(dim))
-    m *= width / sd
-    m[d] += mean
-    return HermitianOperator(m)

@@ -13,7 +13,10 @@ three reads, V x, V^dag y and a block of columns of V: a dense matrix; the
 two reflection-sector blocks of a chain without disorder; or, for a seeded
 Haar-random basis (the scrambled chain and the GOE partner), its Householder
 reflectors. Only the dense form holds V itself. A sector that the quench
-leaves empty may be kept as its eigenvalues alone (see diagonalize).
+leaves empty may be kept as its eigenvalues alone (see diagonalize). Every
+solve overwrites the matrix it is handed by its eigenvectors, through the
+LAPACK of numpy's OpenBLAS (see _lapack), and the GOE partner's eigenvalues
+are those of a tridiagonal model, with no dense matrix.
 """
 from __future__ import annotations
 
@@ -22,13 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .core import PureState, _all_finite, _freeze, _matmul
-from .errors import (
-    ConvergenceFailure,
-    DegenerateWidth,
-    DimensionMismatch,
-    TooFewOccupied,
-)
+from .errors import DegenerateWidth, DimensionMismatch, TooFewOccupied
 from .hamiltonian import HermitianOperator, ReflectionChain
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
@@ -311,7 +310,9 @@ class HouseholderVectors:
         return self._through_panels(out, int(cols.max()) // _PANEL + 1)
 
 
-def _haar_reflectors(dim: int, seed: int, real: bool) -> HouseholderVectors:
+def _haar_reflectors(
+    dim: int, seed: int | np.random.Generator, real: bool
+) -> HouseholderVectors:
     """A seeded Haar basis on O(dim) (real) or U(dim) (complex), as reflectors.
 
     Householder QR of a Ginibre matrix, with R's diagonal made positive,
@@ -324,7 +325,8 @@ def _haar_reflectors(dim: int, seed: int, real: bool) -> HouseholderVectors:
     interleaved (real, imaginary) pairs (complex). With x that vector and
     phi the phase of x[0], u_k = x + phi |x| e_0, normalized, maps x to
     -phi |x| e_0, so -phi is phase k; the last vector has length 1 and gives
-    phase phi with no reflector.
+    phase phi with no reflector. A Generator given as the seed is read on
+    from where it stands.
     """
     rng = np.random.default_rng(seed)
     dtype = float if real else complex
@@ -449,46 +451,54 @@ class GaussianFit:
 
 
 def diagonalize(
-    h: HermitianOperator | ReflectionChain, psi0: PureState | None = None
+    h: HermitianOperator | ReflectionChain,
+    psi0: PureState | None = None,
+    vectors: bool = True,
 ) -> EigenSystem:
     """Full eigendecomposition, in the two reflection sectors where it can.
 
     A ReflectionChain is diagonalized block by block (see _sector_eigh) and
     keeps its eigenvectors in sector form; given the initial state psi0, a
-    sector that psi0 leaves empty keeps its eigenvalues only. Every other
-    operator takes one dense eigh, with or without psi0. Real symmetric
-    input takes the real LAPACK path automatically, which is several times
-    faster than the complex one at the largest chain sizes.
+    sector that psi0 leaves empty keeps its eigenvalues only, and with
+    vectors=False, for a caller that reads the eigenvalues alone, so does
+    every sector. Every other operator takes one dense solve with
+    eigenvectors, whatever psi0 and vectors say: a private copy of its
+    matrix is overwritten by V (see _lapack.eigh). Real symmetric input
+    takes dsyevd, several times faster than the complex zheevd at the
+    largest chain sizes.
     """
-    try:
-        if isinstance(h, ReflectionChain):
-            return _sector_eigh(h, psi0)
-        ev, vec = np.linalg.eigh(h.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return EigenSystem(ev, vec)
+    if isinstance(h, ReflectionChain):
+        return _sector_eigh(h, psi0, vectors)
+    # C order holding A^T is A column-major, as LAPACK reads it
+    v = h.matrix.T.astype(np.result_type(h.matrix, float), order="C")
+    return EigenSystem(_lapack.eigh(v, vectors=True), v)
 
 
 def _sector_block(chain: ReflectionChain, states: np.ndarray, slot: np.ndarray,
                   scale: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Block of H on the sector vectors built on `states`, from the chain's terms.
+    """The transpose of the block of H on the sector vectors built on `states`.
 
-    Column b is the sector vector on states[b]. The diagonal is read on it,
-    and each flip of one of its bits lands on a basis state i, which belongs
-    to the sector vector slot[i] and adds flip * scale[b] * weight[i] there.
+    Column b of the block is the sector vector on states[b]. The diagonal is
+    read on it, and each flip of one of its bits lands on a basis state i,
+    which belongs to the sector vector slot[i] and adds flip * scale[b] *
+    weight[i] there. The block is symmetric only to rounding, and
+    _lapack.eigh reads a matrix from its transpose, so sector vector b is
+    written as row b: np.linalg.eigh of the block gives the same bits.
     """
     size = states.size
-    cols = np.arange(size)
-    block = np.zeros((size, size))
-    block[cols, cols] = chain.diagonal[states]
+    rows = np.arange(size)
+    block_t = np.zeros((size, size))
+    block_t[rows, rows] = chain.diagonal[states]
     for j in range(chain.n_sites):
         image = states ^ (1 << j)
-        # one entry per column, so the fancy-indexed += sees no repeat
-        block[slot[image], cols] += chain.flip * scale * weight[image]
-    return block
+        # one entry per row, so the fancy-indexed += sees no repeat
+        block_t[rows, slot[image]] += chain.flip * scale * weight[image]
+    return block_t
 
 
-def _sector_eigh(chain: ReflectionChain, psi0: PureState | None = None) -> EigenSystem:
+def _sector_eigh(
+    chain: ReflectionChain, psi0: PureState | None = None, vectors: bool = True
+) -> EigenSystem:
     """Eigensystem of a chain from its even and odd reflection blocks.
 
     With f = sqrt(2) on paired states and 1 on palindromes, the even block
@@ -502,17 +512,18 @@ def _sector_eigh(chain: ReflectionChain, psi0: PureState | None = None) -> Eigen
     given and its components in a sector (formed as apply_adjoint forms
     them) are all exactly zero, as for any reflection-symmetric state in the
     odd sector, no reader of that quench reaches the sector's eigenvectors:
-    its block takes eigvalsh and is kept unsolved.
+    its block is solved for its eigenvalues alone and kept unsolved. With
+    vectors=False every block is kept unsolved (see _block_eigh).
     """
     pairs, partners, palindromes = _reflection_classes(chain.n_sites)
     dim, n_pairs = chain.dim, pairs.size
     if psi0 is None:
-        solve = (True, True)
+        occupied = (True, True)
     elif psi0.spec.dim != dim:
         raise DimensionMismatch(f"chain dimension {dim} does not match state {psi0.spec.dim}")
     else:
         parts = _sector_parts(psi0.amplitudes, pairs, partners, palindromes)
-        solve = tuple(bool(np.any(part != 0)) for part in parts)
+        occupied = tuple(bool(np.any(part != 0)) for part in parts)
     slot = np.zeros(dim, dtype=np.int64)
     slot[pairs] = slot[partners] = np.arange(n_pairs)
     slot[palindromes] = n_pairs + np.arange(palindromes.size)
@@ -520,14 +531,14 @@ def _sector_eigh(chain: ReflectionChain, psi0: PureState | None = None) -> Eigen
     f[pairs] = f[partners] = math.sqrt(2.0)
     states = np.concatenate([pairs, palindromes])
     ev_even, u_even = _block_eigh(
-        _sector_block(chain, states, slot, f[states], 1.0 / f), solve[0]
+        _sector_block(chain, states, slot, f[states], 1.0 / f), occupied[0], vectors
     )
 
     parity = np.zeros(dim)
     parity[pairs], parity[partners] = 1.0, -1.0
     slot[palindromes] = 0  # a flip onto a palindrome adds 0 to the odd block
     ev_odd, u_odd = _block_eigh(
-        _sector_block(chain, pairs, slot, np.ones(n_pairs), parity), solve[1]
+        _sector_block(chain, pairs, slot, np.ones(n_pairs), parity), occupied[1], vectors
     )
 
     ev = np.concatenate([ev_even, ev_odd])
@@ -537,11 +548,22 @@ def _sector_eigh(chain: ReflectionChain, psi0: PureState | None = None) -> Eigen
     return EigenSystem(ev[order], SectorVectors(chain.n_sites, u_even, u_odd, levels))
 
 
-def _block_eigh(block: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues and eigenvectors of a sector block, or its eigenvalues and None."""
-    if vectors:
-        return np.linalg.eigh(block)
-    return np.linalg.eigvalsh(block), None
+def _block_eigh(
+    block_t: np.ndarray, occupied: bool, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A sector block's eigenvalues, and block_t overwritten by its eigenvectors or None.
+
+    block_t is the block transposed (see _sector_block). A sector the quench
+    leaves empty takes dsyevd without eigenvectors. An occupied one takes it
+    with eigenvectors, or, with vectors=False, the same eigenvalues to the
+    bit without them (see _lapack.eigh_values), so the levels a scrambled
+    run reads are those of the full solve.
+    """
+    if occupied and vectors:
+        return _lapack.eigh(block_t, vectors=True), block_t
+    if occupied:
+        return _lapack.eigh_values(block_t), None
+    return _lapack.eigh(block_t, vectors=False), None
 
 
 def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
@@ -556,22 +578,41 @@ def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
     return EigenSystem(eig.eigenvalues, _haar_reflectors(eig.dim, seed, real=False))
 
 
-def goe_eigensystem(op: HermitianOperator, seed: int) -> EigenSystem:
-    """The eigenvalues of a GOE matrix with seeded Haar-orthogonal eigenvectors.
+def _goe_tridiagonal(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and off-diagonal of a GOE tridiagonal draw, at mean 0 and width 1.
+
+    Dumitriu & Edelman's beta = 1 model (J. Math. Phys. 43, 5830 (2002)):
+    the diagonal N(0, 2) and the off-diagonal chi_{dim-1}, ..., chi_1, all
+    over sqrt(2), has exactly the eigenvalue law of a GOE matrix (G + G^T) / 2.
+    The draw reads dim standard normals, then the dim - 1 chi-squares. It is
+    shifted by its eigenvalue mean tr T / dim and scaled by its eigenvalue
+    width, sqrt((sum (d_i - mean)^2 + 2 sum e_i^2) / dim) = ||T - mean I||_F /
+    sqrt(dim), with no solve.
+    """
+    d = rng.standard_normal(dim)
+    e = np.sqrt(rng.chisquare(np.arange(dim - 1, 0, -1)) / 2.0)
+    d -= d.mean()
+    width = math.sqrt((d @ d + 2.0 * (e @ e)) / dim)
+    scale = 1.0 / width if width > 0 else 0.0
+    return d * scale, e * scale
+
+
+def goe_eigensystem(dim: int, seed: int) -> EigenSystem:
+    """A seeded GOE eigensystem at eigenvalue mean 0 and width 1.
 
     A GOE matrix's eigenvalues and eigenvectors are independent, and its
-    eigenvectors are Haar distributed on O(d) (Mehta, Random Matrices, 3rd
-    ed., ch. 3); the affine moment matching of build_goe reads only the
-    eigenvalues, so this holds for its output too. The eigenvalues therefore
-    come from eigvalsh of op, and the eigenvectors from the seed as real
-    reflectors (see _haar_reflectors): exact in law, with no eigenvector
-    solve. For any other operator the eigenvectors are not its own.
+    eigenvectors are Haar distributed on O(dim) (Mehta, Random Matrices, 3rd
+    ed., ch. 3). The seed's generator draws the eigenvalues first, as those
+    of the tridiagonal model (see _goe_tridiagonal) solved by dsterf in
+    O(dim^2), and then the eigenvectors as real reflectors (see
+    _haar_reflectors): exact in law, with no dense matrix and no eigenvector
+    solve. The affine map to other moments keeps the eigenvectors.
     """
-    try:
-        ev = np.linalg.eigvalsh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return EigenSystem(ev, _haar_reflectors(op.dim, seed, real=True))
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    rng = np.random.default_rng(seed)
+    ev = _lapack.sterf(*_goe_tridiagonal(dim, rng))
+    return EigenSystem(ev, _haar_reflectors(dim, rng, real=True))
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:

@@ -5,9 +5,9 @@ comes with the Neel state it is quenched from and that state's occupied
 spectrum. A chain's `chain` is its dense matrix from the oracle builder.
 Everything heavy is computed once per session. The scrambled partners come
 from `ql.scramble` (eigenvalues of the chain, seeded Haar eigenvectors W)
-and the GOE partner from `ql.goe_eigensystem` (eigvalsh of the matched
-draw, seeded Haar-orthogonal eigenvectors), so no fixture diagonalizes a
-random operator.
+and the GOE partner from `ql.goe_eigensystem` (the seeded tridiagonal
+model's eigenvalues, shifted and scaled to the chain's moments, and seeded
+Haar-orthogonal eigenvectors), so no fixture diagonalizes a random operator.
 """
 from typing import NamedTuple
 
@@ -19,7 +19,6 @@ from oracles import dense_chain
 
 SCRAMBLE_SEED = 20240817
 GOE_SEED = 424242
-GOE_VECTOR_SEED = 424243
 TYPICAL_SEEDS = tuple(range(8))
 
 
@@ -91,10 +90,9 @@ def scrambled12(quench12) -> Partner:
 
 @pytest.fixture(scope="session")
 def goe10(quench10) -> Partner:
-    op = ql.build_goe(
-        quench10.eig.dim, quench10.ts.energy_mean, quench10.ts.energy_width, GOE_SEED
-    )
-    eig = ql.goe_eigensystem(op, GOE_VECTOR_SEED)
+    unit = ql.goe_eigensystem(quench10.eig.dim, GOE_SEED)
+    ts = quench10.ts
+    eig = ql.EigenSystem(ts.energy_mean + ts.energy_width * unit.eigenvalues, unit.eigenvectors)
     sdata = ql.occupied_spectrum(eig, quench10.psi0)
     return Partner(eig, quench10.psi0, sdata, ql.timescales(sdata))
 

@@ -6,12 +6,13 @@ Householder reflectors applied one at a time, the symmetrized Gaussian draw
 as a sum of whole matrices, the Haar unitary of a dense Ginibre QR, the
 per-state spectral propagator, the Lanczos propagator, the reduced density
 matrix and its von Neumann entropy, the dense site-basis Paulis and their
-eigenbasis matrices V^dag sigma V, and the dense slow band. Each is the
-textbook form of a quantity the library computes another way (sector
-blocks built from the bit structure, products through the sector factors
-or the compact-WY panels, one Gaussian vector per reflector, a draw
-symmetrized in place tile by tile, blocks of states, batched SVDs, Pauli
-readings of site-basis columns, a cosine sum).
+eigenbasis matrices V^dag sigma V, the dense slow band, and the dense GOE
+matrix and tridiagonal model. Each is the textbook form of a quantity the
+library computes another way (sector blocks built from the bit structure,
+products through the sector factors or the compact-WY panels, one Gaussian
+vector per reflector, a draw symmetrized in place tile by tile, blocks of
+states, batched SVDs, Pauli readings of site-basis columns, a cosine sum,
+the tridiagonal model's two diagonals solved by dsterf).
 """
 import math
 
@@ -130,6 +131,39 @@ def symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
     """(G + G^T) / 2 of a seeded dim x dim standard normal draw, as two whole matrices."""
     g = np.random.default_rng(seed).standard_normal((dim, dim))
     return (g + g.T) / 2
+
+
+def build_goe(dim: int, mean: float, width: float, seed: int) -> ql.HermitianOperator:
+    """A dense GOE matrix (G + G^T) / 2 with the given eigenvalue mean and width.
+
+    The draw is affinely rescaled by traces, with no diagonalization: the
+    eigenvalue mean is tr M / d and the variance ||M - mean I||_F^2 / d.
+    """
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    if width < 0:
+        raise ValueError("width must be nonnegative")
+    m = symmetric_gaussian(dim, seed)
+    m -= np.trace(m) / dim * np.eye(dim)
+    sd = np.linalg.norm(m) / np.sqrt(dim)
+    if sd < 1e-300 or width == 0.0:
+        return ql.HermitianOperator(float(mean) * np.eye(dim))
+    return ql.HermitianOperator(m * (width / sd) + mean * np.eye(dim))
+
+
+def goe_tridiagonal(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The dense beta = 1 tridiagonal model at eigenvalue mean 0 and width 1.
+
+    It reads rng as goe_eigensystem does (dim standard normals for the
+    diagonal, then chi-squares of dim - 1, ..., 1 degrees of freedom for the
+    off-diagonal, both over sqrt(2)), and is standardized by the dense
+    matrix's trace and Frobenius norm.
+    """
+    d = rng.standard_normal(dim)
+    e = np.sqrt(rng.chisquare(np.arange(dim - 1, 0, -1)) / 2.0)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    t -= np.trace(t) / dim * np.eye(dim)
+    return t / (np.linalg.norm(t) / np.sqrt(dim))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

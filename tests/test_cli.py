@@ -16,8 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import dense_chain, dense_pauli, dense_vectors, evolve_spectral, householder_matrix
-from quenchlab import cli, observables
+from oracles import (
+    dense_chain,
+    dense_pauli,
+    dense_vectors,
+    evolve_spectral,
+    goe_tridiagonal,
+    householder_matrix,
+)
+from quenchlab import _lapack, cli, observables
 from quenchlab.spectral import _haar_reflectors
 
 LN2 = math.log(2.0)
@@ -625,14 +632,15 @@ def test_goe_partner_is_the_matched_draw_with_its_own_eigenvectors(tmp_path):
     local = ql.timescales(ql.occupied_spectrum(chain, psi0))
     rows = [r.split(",") for r in (out / "dos_goe.csv").read_text().strip().splitlines()[1:]]
     energies, weights = np.array(rows, dtype=float).T
-    # oracle: eigvalsh of the draw matched to the chain's moments, and the
-    # weights read through the dense real basis of the partner's own seed
-    op = ql.build_goe(128, local.energy_mean, local.energy_width, cli.derive_seed(4, "goe"))
-    want = np.linalg.eigvalsh(op.matrix)
+    # oracle: eigvalsh of the dense tridiagonal model drawn from the seed,
+    # matched to the chain's moments, and the weights read through the dense
+    # real basis that the same generator draws next
+    rng = np.random.default_rng(cli.derive_seed(4, "goe"))
+    want = local.energy_mean + local.energy_width * np.linalg.eigvalsh(goe_tridiagonal(128, rng))
     assert np.max(np.abs(energies - want)) < 1e-12 * np.max(np.abs(want))
     assert abs(energies.mean() - local.energy_mean) < 1e-9
     assert abs(energies.std() - local.energy_width) < 1e-9
-    w = householder_matrix(_haar_reflectors(128, cli.derive_seed(4, "goe_vectors"), real=True))
+    w = householder_matrix(_haar_reflectors(128, rng, real=True))
     assert np.max(np.abs(weights - np.abs(w.T @ psi0.amplitudes) ** 2)) < 1e-12
 
 
@@ -784,10 +792,10 @@ def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, c
     dtypes = []
     diagonalize = cli.diagonalize
 
-    def counting(op, psi0):
+    def counting(op, psi0, **kwargs):
         # a reflection chain has no dense matrix; its blocks share its terms' dtype
         dtypes.append(op.matrix.dtype if isinstance(op, ql.HermitianOperator) else op.diagonal.dtype)
-        return diagonalize(op, psi0)
+        return diagonalize(op, psi0, **kwargs)
 
     monkeypatch.setattr(cli, "diagonalize", counting)
     raw = {
@@ -803,7 +811,7 @@ def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, c
 
 
 # id -> (kind, variant, observables, eigendecompositions: the chain's alone,
-# since the goe partner takes eigvalsh and a seeded eigenvector draw)
+# since the goe partner takes dsterf of a tridiagonal and a seeded eigenvector draw)
 RUN_CONTRACT = {
     "relax": ("relax", "local", {"typical_count": 1, "slow": True, "local": [{"site": 1}]}, 1),
     "dos": ("dos", "local", {}, 1),
@@ -826,9 +834,9 @@ def test_run_builds_and_diagonalizes_through_the_cli_globals(
     def counting(name):
         original = getattr(cli, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return original(*args)
+            return original(*args, **kwargs)
 
         return wrapper
 
@@ -950,29 +958,66 @@ def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, bound
         assert np.max(np.abs(got - want)) < bound, name
 
 
+def _solver_calls(monkeypatch) -> list[str]:
+    """The LAPACK route of each block solve: eigh, eigvalsh or eigh_values."""
+    calls = []
+    eigh, eigh_values = _lapack.eigh, _lapack.eigh_values
+
+    def counting_eigh(a, vectors):
+        calls.append("eigh" if vectors else "eigvalsh")
+        return eigh(a, vectors)
+
+    def counting_values(a):
+        calls.append("eigh_values")
+        return eigh_values(a)
+
+    monkeypatch.setattr(_lapack, "eigh", counting_eigh)
+    monkeypatch.setattr(_lapack, "eigh_values", counting_values)
+    return calls
+
+
 @pytest.mark.parametrize("n, solvers", [(7, ["eigh", "eigvalsh"]), (8, ["eigh", "eigh"])])
 def test_a_symmetric_quench_solves_its_odd_sector_for_eigenvalues_only(
     tmp_path, monkeypatch, n, solvers
 ):
     # the Neel state is reflection symmetric at odd n only; no dos output
     # reads an eigenvector of the sector it leaves empty
-    calls = []
-
-    def counting(name):
-        solver = getattr(np.linalg, name)
-
-        def wrapper(a):
-            calls.append(name)
-            return solver(a)
-
-        return wrapper
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    calls = _solver_calls(monkeypatch)
     cfg, errors = cli.validate({"kind": "dos", "model": {"n_sites": n}, "out_dir": str(tmp_path)})
     assert errors == []
     cli.run(cfg)
     assert calls == solvers
+
+
+@pytest.mark.parametrize(
+    "n, state, solvers",
+    [(8, "neel", ["eigh_values", "eigh_values"]), (7, "neel", ["eigh_values", "eigvalsh"])],
+)
+def test_a_scrambled_run_solves_no_eigenvectors(tmp_path, monkeypatch, n, state, solvers):
+    # scramble reads the chain's eigenvalues alone; an occupied sector gives
+    # the eigenvalues of the full solve to the bit, so the outputs keep their bytes
+    raw = {
+        "kind": "entropy_scan",
+        "model": {"n_sites": n, "variant": "scrambled"},
+        "initial_state": state,
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+    }
+    outputs = {}
+    for route in ("values", "vectors"):
+        cfg, errors = cli.validate({**raw, "out_dir": str(tmp_path / route)})
+        assert errors == []
+        if route == "vectors":
+            diagonalize = cli.diagonalize
+            monkeypatch.setattr(cli, "diagonalize", lambda h, psi0, vectors: diagonalize(h, psi0))
+        calls = _solver_calls(monkeypatch)
+        cli.run(cfg)
+        if route == "values":
+            assert calls == solvers
+        outputs[route] = {
+            p.name: p.read_bytes().replace(str(tmp_path / route).encode(), b"")
+            for p in (tmp_path / route).iterdir()
+        }
+    assert outputs["values"] == outputs["vectors"]
 
 
 def test_equivalence_draws_each_typical_observable_once(tmp_path, monkeypatch):
@@ -1019,7 +1064,7 @@ def test_symmetric_slow_series_ignores_the_unsolved_sector(
     diagonalize = cli.diagonalize
     for route in ("unsolved", "solved"):
         if route == "solved":
-            monkeypatch.setattr(cli, "diagonalize", lambda h, psi0: diagonalize(h))
+            monkeypatch.setattr(cli, "diagonalize", lambda h, psi0, vectors: diagonalize(h))
         cfg, errors = cli.validate({
             "kind": "relax",
             "model": {"n_sites": 8, "variant": variant, "boundary": boundary},
@@ -1069,8 +1114,8 @@ def test_relax_releases_the_eigenvectors_before_the_first_typical_draw(
     vectors, live_at_draw = [], []
     solve, draw = cli.diagonalize, cli.typical_observable
 
-    def tracking_solve(*args):
-        eig = solve(*args)
+    def tracking_solve(*args, **kwargs):
+        eig = solve(*args, **kwargs)
         vectors.append(weakref.ref(eig.eigenvectors))
         return eig
 
@@ -1215,6 +1260,10 @@ def test_info_subcommand(capsys):
     assert cli.main(["info"]) == 0
     out = capsys.readouterr().out
     assert "quenchlab" in out and "max sites" in out
+    # the library the eigensolvers resolved in, and each routine
+    lapack = [line for line in out.splitlines() if line.startswith("lapack: ")]
+    assert len(lapack) == 1 and str(_lapack.library()) in lapack[0]
+    assert all(f"scipy_{name}_64_" in lapack[0] for name in _lapack.ROUTINES)
 
 
 def test_version_matches_the_project_metadata():

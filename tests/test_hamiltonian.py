@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import chain_matrix, dense_chain, dense_vectors, haar_unitary, symmetric_gaussian
+from oracles import (
+    build_goe,
+    chain_matrix,
+    dense_chain,
+    dense_vectors,
+    haar_unitary,
+    symmetric_gaussian,
+)
 from quenchlab.hamiltonian import _symmetric_gaussian, _sz_signs
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -140,17 +147,18 @@ def test_haar_unitary_is_unitary():
 
 
 def test_goe_degenerate_and_symmetric():
-    one = ql.build_goe(1, mean=2.5, width=0.0, seed=0)
+    # the dense oracle matrix, which the library no longer builds
+    one = build_goe(1, mean=2.5, width=0.0, seed=0)
     assert one.matrix.shape == (1, 1) and one.matrix[0, 0] == 2.5
-    m = ql.build_goe(64, mean=0.0, width=1.0, seed=1).matrix
+    m = build_goe(64, mean=0.0, width=1.0, seed=1).matrix
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
-    flat = ql.build_goe(16, mean=-3.0, width=0.0, seed=2)
+    flat = build_goe(16, mean=-3.0, width=0.0, seed=2)
     assert np.allclose(np.linalg.eigvalsh(flat.matrix), -3.0, atol=1e-12)
 
 
 def test_goe_moment_match_at_1024():
     mean, width = 9.0, 13.3
-    m = ql.build_goe(1024, mean, width, seed=7)
+    m = build_goe(1024, mean, width, seed=7)
     ev = np.linalg.eigvalsh(m.matrix)
     assert abs(ev.mean() - mean) / abs(mean) < 0.02
     assert abs(ev.std() - width) / width < 0.02
@@ -169,12 +177,13 @@ def test_symmetric_gaussian_is_the_whole_matrix_mean_to_the_bit(dim, seed):
 
 
 @pytest.mark.parametrize(
-    "draw", [lambda: ql.typical_observable(1024, 5), lambda: ql.build_goe(1024, 0.0, 1.0, 5)],
+    "draw", [lambda: ql.typical_observable(1024, 5), lambda: ql.goe_eigensystem(1024, 5)],
     ids=["typical", "goe"],
 )
 def test_gaussian_draws_hold_one_dense_matrix(draw):
     # G + G^T as a second array would take the peak to two dense matrices;
-    # in place it is one, plus a tile pair and the Hermitian check's tiles
+    # in place it is one, plus a tile pair and the Hermitian check's tiles.
+    # The GOE partner draws no matrix: its reflectors fill half of one
     tracemalloc.start()
     try:
         draw()
@@ -187,8 +196,8 @@ def test_gaussian_draws_hold_one_dense_matrix(draw):
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_goe_determinism(seed):
-    a = ql.build_goe(32, 1.0, 2.0, seed).matrix
-    b = ql.build_goe(32, 1.0, 2.0, seed).matrix
+    a = build_goe(32, 1.0, 2.0, seed).matrix
+    b = build_goe(32, 1.0, 2.0, seed).matrix
     assert np.array_equal(a, b)
 
 

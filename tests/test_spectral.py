@@ -9,9 +9,11 @@ from scipy.special import ndtr
 
 import quenchlab as ql
 from oracles import (
+    build_goe,
     chain_matrix,
     dense_chain,
     dense_vectors,
+    goe_tridiagonal,
     haar_unitary,
     householder_apply,
     householder_matrix,
@@ -23,7 +25,8 @@ from quenchlab.errors import (
     TooFewOccupied,
 )
 from quenchlab.dynamics import _state_blocks
-from quenchlab.spectral import _SQRT_HALF, _haar_reflectors, _ndtr, _overlaps
+from quenchlab import _lapack
+from quenchlab.spectral import _SQRT_HALF, _goe_tridiagonal, _haar_reflectors, _ndtr, _overlaps
 
 
 def two_level_data(omega: float) -> ql.SpectralData:
@@ -337,13 +340,13 @@ def test_reflection_sectors_match_the_dense_eigh(n, boundary):
 
 def _eigh_sizes(monkeypatch) -> list[int]:
     sizes = []
-    eigh = np.linalg.eigh
+    eigh = _lapack.eigh
 
-    def recording(a):
+    def recording(a, vectors):
         sizes.append(a.shape[0])
-        return eigh(a)
+        return eigh(a, vectors)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(_lapack, "eigh", recording)
     return sizes
 
 
@@ -354,7 +357,7 @@ def _eigh_sizes(monkeypatch) -> list[int]:
         (lambda: ql.build_local_chain(ql.ChainParams(n_sites=6, boundary="periodic")), [36, 28]),
         (lambda: ql.build_local_chain(ql.ChainParams(n_sites=7, disorder_width=0.5)), [128]),
         (lambda: dense_chain(ql.ChainParams(n_sites=7)), [128]),
-        (lambda: ql.build_goe(128, 0.0, 1.0, seed=3), [128]),
+        (lambda: build_goe(128, 0.0, 1.0, seed=3), [128]),
     ],
     ids=["clean_open", "clean_periodic", "disordered", "hand_built", "goe"],
 )
@@ -493,7 +496,7 @@ def _chain_eig(**params) -> ql.EigenSystem:
         lambda: _chain_eig(n_sites=7, boundary="periodic"),
         lambda: _chain_eig(n_sites=8),
         lambda: _chain_eig(n_sites=6, disorder_width=0.5, seed=2),
-        lambda: ql.diagonalize(ql.build_goe(64, 0.0, 1.0, seed=3)),
+        lambda: ql.diagonalize(build_goe(64, 0.0, 1.0, seed=3)),
         lambda: ql.EigenSystem(np.arange(16.0), SimpleNamespace(dim=16)),
     ],
     ids=["open4", "periodic7", "open8", "disordered6", "goe64", "no_reads"],
@@ -535,9 +538,8 @@ def test_scrambled_eigenvectors_carry_the_haar_moments():
     eig = _chain_eig(n_sites=8)
     d = eig.dim
     assert d == 256
-    op = ql.build_goe(d, 0.0, 1.0, seed=424242)
     for real, draw in ((False, ql.scramble(eig, seed=20240817)),
-                       (True, ql.goe_eigensystem(op, seed=424243))):
+                       (True, ql.goe_eigensystem(d, seed=424243))):
         w = dense_vectors(draw)
         assert np.iscomplexobj(w) != real
         assert np.max(np.abs(w.conj().T @ w - np.eye(d))) < 1e-12
@@ -577,21 +579,84 @@ def test_householder_vectors_match_their_dense_form(dim, real):
         assert np.max(np.abs(got - v[:, block])) < 1e-12
 
 
-def test_goe_partner_takes_the_eigenvalues_of_its_matrix():
-    # eigvalsh of the moment-matched draw, no eigenvector solve: the
-    # eigenvectors are a real Haar draw of their own seed
-    mean, width = -1.5, 2.25
-    op = ql.build_goe(300, mean, width, seed=5)
-    eig = ql.goe_eigensystem(op, seed=6)
-    assert eig.eigenvalues.tobytes() == np.linalg.eigvalsh(op.matrix).tobytes()
-    assert abs(eig.eigenvalues.mean() - mean) < 1e-9
-    assert abs(eig.eigenvalues.std() - width) < 1e-9
+def _mean_spacing_ratio(ev: np.ndarray) -> float:
+    """<r>, r_n = min(s_n, s_n+1) / max(s_n, s_n+1) of consecutive level spacings."""
+    s = np.diff(ev)
+    return float(np.mean(np.minimum(s[:-1], s[1:]) / np.maximum(s[:-1], s[1:])))
+
+
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+def test_goe_eigenvalues_are_dsterf_of_the_tridiagonal_model(dim):
+    # oracle: eigvalsh of the same tridiagonal written out dense, which LAPACK
+    # reduces to the same two diagonals and hands to the same dsterf
+    d, e = _goe_tridiagonal(dim, np.random.default_rng(dim))
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    got = _lapack.sterf(d.copy(), e.copy())
+    assert np.array_equal(got, np.linalg.eigvalsh(t))
+    # and the partner's eigenvalues are that draw's, read first from its seed
+    assert np.array_equal(ql.goe_eigensystem(dim, dim).eigenvalues, got)
+    # against the oracle's own standardization of the dense matrix
+    want = np.linalg.eigvalsh(goe_tridiagonal(dim, np.random.default_rng(dim)))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 100, 1024])
+def test_goe_eigenvalues_have_mean_0_and_width_1(dim):
+    for seed in range(3):
+        ev = ql.goe_eigensystem(dim, seed).eigenvalues
+        assert abs(ev.mean()) < 1e-9 and abs(ev.std() - 1.0) < 1e-9
+
+
+def test_goe_eigenvalues_follow_the_semicircle_and_its_level_repulsion():
+    # At width 1 the semicircle has radius 2, third moment 0 and fourth
+    # moment 2 (3 for a Gaussian). Over 8 draws at d = 2048 the fourth moment
+    # read 2.0010 with a spread of 0.0012 per draw, the top level 1.993 with
+    # 0.008. The mean ratio of consecutive spacings is 0.5307 for GOE at large
+    # d, against 0.5996 for GUE (0.6027 by the surmise) and 2 ln 2 - 1 =
+    # 0.386 for Poisson levels (Atas et al., PRL 110, 084101 (2013)); these
+    # draws read 0.5337 with a spread of 0.0070 per draw, so the 8-draw mean
+    # has a standard error of 0.0025 and the tolerance is 0.015.
+    # goe_eigensystem's eigenvalues (pinned to the bit above), without its eigenvectors
+    draws = [_lapack.sterf(*_goe_tridiagonal(2048, np.random.default_rng(seed))) for seed in range(8)]
+    assert abs(np.mean([np.mean(ev**4) for ev in draws]) - 2.0) < 0.02
+    assert abs(np.mean([np.mean(ev**3) for ev in draws])) < 0.02
+    assert all(abs(ev[-1] - 2.0) < 0.05 and abs(ev[0] + 2.0) < 0.05 for ev in draws)
+    r = np.mean([_mean_spacing_ratio(ev) for ev in draws])
+    assert abs(r - 0.5307) < 0.015
+    assert r < 0.5996 - 0.05 and r > 0.386 + 0.1
+
+
+def test_goe_eigenvalues_agree_in_law_with_the_dense_matrix():
+    # oracle: eigvalsh of the dense draw (G + G^T) / 2 at the same moments.
+    # Pooled over 1000 draws at d = 8, the two-sample Kolmogorov-Smirnov
+    # test of the levels read p = 0.999; the mean spacing ratios differ by
+    # 0.5 of their standard error.
+    from scipy.stats import ks_2samp
+
+    tri = [ql.goe_eigensystem(8, seed).eigenvalues for seed in range(1000)]
+    dense = [np.linalg.eigvalsh(build_goe(8, 0.0, 1.0, seed).matrix) for seed in range(1000)]
+    assert ks_2samp(np.concatenate(tri), np.concatenate(dense)).pvalue > 1e-3
+    ratios = [[_mean_spacing_ratio(ev) for ev in draws] for draws in (tri, dense)]
+    error = np.hypot(*(np.std(r) / np.sqrt(len(r)) for r in ratios))
+    assert abs(np.mean(ratios[0]) - np.mean(ratios[1])) < 4 * error
+
+
+def test_goe_draw_is_fixed_by_its_seed():
+    # same seed, same eigenvalues and the same real Haar eigenvectors;
+    # another seed, another draw of both
+    eig = ql.goe_eigensystem(300, seed=6)
     assert isinstance(eig.eigenvectors, ql.HouseholderVectors)
     assert not np.iscomplexobj(eig.eigenvectors.phases)
-    again = ql.goe_eigensystem(op, seed=6).eigenvectors
-    assert np.array_equal(again.apply(np.eye(300)), eig.eigenvectors.apply(np.eye(300)))
-    other = ql.goe_eigensystem(op, seed=7).eigenvectors
-    assert not np.array_equal(other.phases, eig.eigenvectors.phases)
+    again = ql.goe_eigensystem(300, seed=6)
+    assert np.array_equal(again.eigenvalues, eig.eigenvalues)
+    assert np.array_equal(again.eigenvectors.apply(np.eye(300)), eig.eigenvectors.apply(np.eye(300)))
+    other = ql.goe_eigensystem(300, seed=7)
+    assert not np.array_equal(other.eigenvalues, eig.eigenvalues)
+    assert not np.array_equal(other.eigenvectors.phases, eig.eigenvectors.phases)
+    # one level has no width: it sits at the mean
+    assert ql.goe_eigensystem(1, seed=6).eigenvalues.tolist() == [0.0]
+    with pytest.raises(ValueError, match="dim must be positive"):
+        ql.goe_eigensystem(0, seed=6)
 
 
 def test_scramble_stays_below_one_dense_complex_matrix():
