@@ -47,8 +47,7 @@ from .errors import (
 )
 from .hamiltonian import (
     ChainParams,
-    HermitianOperator,
-    ReflectionChain,
+    SpinChain,
     build_local_chain,
 )
 from .observables import (
@@ -77,7 +76,7 @@ from .spectral import (
     timescales,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",
@@ -99,8 +98,7 @@ __all__ = [
     "SiteRegion",
     "product_state",
     "ChainParams",
-    "HermitianOperator",
-    "ReflectionChain",
+    "SpinChain",
     "build_local_chain",
     "scramble",
     "goe_eigensystem",

@@ -1,13 +1,15 @@
 """The LAPACK eigensolvers of the OpenBLAS that numpy ships, called in place.
 
-np.linalg solves a Hermitian eigenproblem with ?syevd / ?heevd, but on a
-private copy and into a fresh output array, and it does not expose the
-tridiagonal solvers. A numpy wheel links one ILP64 OpenBLAS,
-numpy.libs/libscipy_openblas64_*.so, whose LAPACK symbols carry the prefix
-scipy_ and the suffix 64_ and take 64-bit integers. This module opens that
-library (the one numpy has loaded, so dlopen hands back the same copy),
-resolves the routines of ROUTINES, and calls them through ctypes on arrays
-numpy owns, with the workspace sizes of the lwork = -1 query, as numpy does.
+Every eigenproblem quenchlab solves is real symmetric: a sector block of a
+chain, or the GOE partner's tridiagonal model. np.linalg solves the first
+with dsyevd, but on a private copy and into a fresh output array, and it
+does not expose the tridiagonal solvers. A numpy wheel links one ILP64
+OpenBLAS, numpy.libs/libscipy_openblas64_*.so, whose LAPACK symbols carry
+the prefix scipy_ and the suffix 64_ and take 64-bit integers. This module
+opens that library (the one numpy has loaded, so dlopen hands back the same
+copy), resolves the routines of ROUTINES, and calls them through ctypes on
+arrays numpy owns, with the workspace sizes of the lwork = -1 query, as
+numpy does.
 
 A numpy built against another LAPACK (MKL, Accelerate, or 32-bit integers)
 has no such file or symbol: the first solve raises LapackUnavailable, naming
@@ -29,7 +31,6 @@ from .errors import ConvergenceFailure, LapackUnavailable
 # value, after them.
 ROUTINES = {
     "dsyevd": (11, 2),
-    "zheevd": (13, 2),
     "dsytrd": (10, 1),
     "dstedc": (11, 1),
     "dsterf": (4, 0),
@@ -101,35 +102,34 @@ def _with_workspace(name: str, head: tuple, kinds: tuple) -> None:
     call([np.empty(size, kind) for size, kind in zip(sizes, kinds)], query=False)
 
 
-def _check(a: np.ndarray, ndim: int, dtypes: tuple) -> None:
+def _check(a: np.ndarray, ndim: int) -> None:
     """Refuse an array that LAPACK would read or write out of its bounds."""
-    if not (a.ndim == ndim and (ndim == 1 or a.shape[0] == a.shape[1]) and a.dtype in dtypes
+    if not (a.ndim == ndim and (ndim == 1 or a.shape[0] == a.shape[1]) and a.dtype == float
             and a.flags.c_contiguous and a.flags.writeable):
         raise ValueError(
             f"LAPACK takes a writable C-contiguous {'square ' * (ndim == 2)}"
-            f"{ndim}-d array of {' or '.join(map(str, dtypes))}, got {a.dtype} {a.shape}"
+            f"{ndim}-d array of float64, got {a.dtype} {a.shape}"
         )
 
 
 def eigh(at: np.ndarray, vectors: bool) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian A, solved in at, which holds A^T.
+    """Ascending eigenvalues of a real symmetric A, solved by dsyevd in at, which holds A^T.
 
-    at is C-contiguous, float or complex, and holds A^T: its memory is A in
-    column-major order, the layout np.linalg hands to LAPACK, which reads
-    A's lower triangle (uplo = 'L'). The solve then equals np.linalg.eigh
-    and eigvalsh to the bit, also where A is symmetric only to rounding.
-    With vectors, at is overwritten by the eigenvectors as its columns, C
-    order as np.linalg returns them (LAPACK leaves them column-major, and
-    they are transposed in place); without, at is destroyed.
+    at is C-contiguous float and holds A^T: its memory is A in column-major
+    order, the layout np.linalg hands to LAPACK, which reads A's lower
+    triangle (uplo = 'L'). The solve then equals np.linalg.eigh and eigvalsh
+    to the bit, also where A is symmetric only to rounding. With vectors, at
+    is overwritten by the eigenvectors as its columns, C order as np.linalg
+    returns them (LAPACK leaves them column-major, and they are transposed
+    in place); without, at is destroyed.
     """
-    _check(at, 2, (np.dtype(float), np.dtype(complex)))
+    _check(at, 2)
     n = at.shape[0]
     w = np.empty(n)
-    complex_ = np.iscomplexobj(at)
     _with_workspace(
-        "zheevd" if complex_ else "dsyevd",
+        "dsyevd",
         (b"V" if vectors else b"N", b"L", _ref(n), at.ctypes, _ref(max(n, 1)), w.ctypes),
-        (at.dtype, float, np.int64) if complex_ else (float, np.int64),
+        (float, np.int64),
     )
     if vectors:
         _transpose(at)
@@ -139,14 +139,14 @@ def eigh(at: np.ndarray, vectors: bool) -> np.ndarray:
 def eigh_values(at: np.ndarray) -> np.ndarray:
     """The eigenvalues eigh(at, vectors=True) returns, to the bit, with no eigenvectors.
 
-    at is real and laid out as for eigh, and is destroyed. dsyevd with
+    at is laid out as for eigh, and is destroyed. dsyevd with
     eigenvectors reduces A to a tridiagonal T (dsytrd), solves T by divide
     and conquer (dstedc) and back-transforms T's eigenvectors (dormtr); its
     eigenvalues are dstedc's. These are the first two steps alone, about
     60% of the time. dsyevd without eigenvectors solves T by dsterf
     instead, whose eigenvalues differ from dstedc's in the last bits.
     """
-    _check(at, 2, (np.dtype(float),))
+    _check(at, 2)
     n = at.shape[0]
     d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
     lead = _ref(max(n, 1))
@@ -165,7 +165,7 @@ def sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     contiguous floats; e is destroyed.
     """
     for a in (d, e):
-        _check(a, 1, (np.dtype(float),))
+        _check(a, 1)
     if e.size < d.size - 1:
         raise ValueError(f"an off-diagonal of {e.size} does not fit a diagonal of {d.size}")
     _call("dsterf", _ref(d.size), d.ctypes, e.ctypes)

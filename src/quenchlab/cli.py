@@ -3,8 +3,8 @@
 A config names a model (local chain, Haar-scrambled chain, or a
 moment-matched random matrix), an initial product state, and one of five
 experiment kinds. Every run diagonalizes the local chain once, and only
-the chain, given the initial state, so that a reflection sector the state
-leaves empty is solved for its eigenvalues alone (and levels without
+the chain, kept as its terms, given the initial state, so that a sector the
+state leaves empty is solved for its eigenvalues alone (and levels without
 weight are never read for their eigenvectors); a scrambled run solves
 every sector so. Each variant's eigensystem derives from that one
 diagonalization: the scrambled chain from its eigenvalues (with seeded
@@ -452,7 +452,7 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
 def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     """The eigensystem of a run's site-basis readers (None without them), and
     the spectral data of each variant. All derive from one diagonalization of
-    the chain with psi0 (an empty reflection sector keeps its eigenvalues
+    the chain with psi0 (an empty sector keeps its eigenvalues
     only): the scrambled chain takes its eigenvalues, so its run solves for
     them alone, and the random matrix its occupied moments, so the chain's
     eigenvectors are dropped before the random matrix is drawn. The random
@@ -741,8 +741,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "info":
         print(f"quenchlab {__version__}")
         print(
-            f"max sites: {MAX_SITES} (exact spectra; a clean chain kept in its two "
-            "reflection sectors, with no dense H or V)"
+            f"max sites: {MAX_SITES} (exact spectra; every chain kept as its terms and "
+            "solved block by block in place, in its two reflection sectors where "
+            "its diagonal allows)"
         )
         print(
             f"default chain: J={ChainParams.J}, h={ChainParams.h}, g={ChainParams.g}, "

@@ -1,9 +1,9 @@
 """Hilbert-space primitives for chains of two-level sites.
 
 Dimension bookkeeping, normalized pure and product states, the contiguous
-site regions that entropy cuts are checked against, the Hermitian check
-that operators and observables share, and the product of a possibly real
-matrix with complex vectors that every eigenbasis projection shares.
+site regions that entropy cuts are checked against, the Hermitian check of
+observables, and the product of a possibly real matrix with complex vectors
+that every eigenbasis projection shares.
 
 Site-to-bit convention: site j maps to bit j of the basis index, so site 0
 is the least significant bit. Every index formula in the package relies on

@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # avoids a runtime cycle with the observables module
 
 _IMAG_TOL = 1e-10
 
+# Levels the gap check of diagonal_ensemble reads: those above this weight
+# (the weights sum to 1). A level that a symmetry leaves empty picks up a
+# rounding weight, below 1e-25 on the 8-site Neel ring.
+GAP_WEIGHT_FLOOR = 1e-20
+
 # Grid times per block of the evolution kernel; a block of states holds
 # dim * EVOLVE_BLOCK complex amplitudes (16 MB at 14 sites).
 EVOLVE_BLOCK = 64
@@ -162,12 +167,13 @@ def diagonal_ensemble(spec: SpectralData, diagonal: np.ndarray) -> float:
 
     It assumes nondegenerate gaps: off-diagonal contributions from exactly
     degenerate pairs never dephase, so a warning flags numerically zero gaps.
-    Only a pair of levels that both carry weight has such a term, so only
-    gaps between weighted levels count.
+    Only a pair of levels that both carry weight has such a term, of size at
+    most 2 sqrt(w_a w_b) |O_ab|, so only gaps between levels above
+    GAP_WEIGHT_FLOOR count; the average itself is taken over every level.
     """
     if np.shape(diagonal) != (spec.dim,):
         raise DimensionMismatch("observable does not match the spectrum")
-    gaps = np.diff(spec.eigenvalues[spec.weights > 0])
+    gaps = np.diff(spec.eigenvalues[spec.weights > GAP_WEIGHT_FLOOR])
     if gaps.size and float(np.min(gaps)) < 1e-12:
         warnings.warn(
             "spectrum contains gaps below 1e-12; the diagonal ensemble ignores "

@@ -8,15 +8,17 @@ occupied energy width, and the Heisenberg time 1/delta_eps set by the mean
 spacing of occupied levels, which shrinks exponentially with system size.
 Units are hbar = k_B = 1.
 
-An eigensystem holds its eigenvectors in one of three forms behind the same
-three reads, V x, V^dag y and a block of columns of V: a dense matrix; the
-two reflection-sector blocks of a chain without disorder; or, for a seeded
-Haar-random basis (the scrambled chain and the GOE partner), its Householder
-reflectors. Only the dense form holds V itself. A sector that the quench
-leaves empty may be kept as its eigenvalues alone (see diagonalize). Every
-solve overwrites the matrix it is handed by its eigenvectors, through the
-LAPACK of numpy's OpenBLAS (see _lapack), and the GOE partner's eigenvalues
-are those of a tridiagonal model, with no dense matrix.
+Every chain is diagonalized on one route: in the sectors of a symmetry of
+its basis states, the site reflection where its diagonal allows it and the
+trivial symmetry otherwise (see diagonalize). An eigensystem holds its
+eigenvectors in one of three forms behind the same three reads, V x, V^dag y
+and a block of columns of V: the sector blocks of a chain; for a seeded
+Haar-random basis (the scrambled chain and the GOE partner), its
+Householder reflectors; or a dense matrix, which only an EigenSystem built
+from arrays holds. A sector that the quench leaves empty may be kept as its
+eigenvalues alone. Every block is solved in place by the LAPACK of numpy's
+OpenBLAS (see _lapack), and the GOE partner's eigenvalues are those of a
+tridiagonal model, with no dense matrix.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 from . import _lapack
 from .core import PureState, _all_finite, _freeze, _matmul
 from .errors import DegenerateWidth, DimensionMismatch, TooFewOccupied
-from .hamiltonian import HermitianOperator, ReflectionChain
+from .hamiltonian import SpinChain, _mirror
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
@@ -82,17 +84,21 @@ class DenseVectors:
         return self.matrix[:, block]
 
 
-def _reflection_classes(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pairs, partners, palindromes) of the site reflection on basis states.
+def _symmetry_classes(chain: SpinChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs, partners, palindromes) of the symmetry diagonalize uses on basis states.
 
-    The reflection R maps basis state i to its bit reversal. pairs holds the
-    states i < R(i) in ascending order, partners their images R(i), and
-    palindromes the states with i = R(i).
+    The site reflection R maps basis state i to its bit reversal, and so
+    maps the transverse field to itself. Where the chain's diagonal is
+    invariant under R to the bit, H commutes with R: pairs holds the states
+    i < R(i) in ascending order, partners their images R(i), and palindromes
+    the states with i = R(i). Otherwise, as for a disordered chain, the
+    classes are those of the trivial symmetry: no pairs, and every state its
+    own palindrome.
     """
-    idx = np.arange(2**n_sites)
-    mirror = np.zeros_like(idx)
-    for j in range(n_sites):
-        mirror |= ((idx >> j) & 1) << (n_sites - 1 - j)
+    idx = np.arange(chain.dim)
+    mirror = _mirror(chain.n_sites)
+    if not np.array_equal(chain.diagonal, chain.diagonal[mirror]):
+        return idx[:0], idx[:0], idx
     pairs = np.nonzero(idx < mirror)[0]
     return pairs, mirror[pairs], np.nonzero(idx == mirror)[0]
 
@@ -113,14 +119,17 @@ def _refuse_amplitude(name: str, part: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SectorVectors:
-    """Eigenvectors of a reflection-symmetric chain, kept as its two sector blocks.
+    """Eigenvectors of a chain, kept as its two sector blocks.
 
-    The even sector is spanned by (|p> + |R p>) / sqrt(2) for each pair p,
-    then by |q> for each palindrome q; the odd sector by (|p> - |R p>) /
-    sqrt(2). Column k of u_even (u_odd) holds the sector coefficients of the
+    The classes are those the solve used (see _symmetry_classes): each pair
+    p has its partner R p, and the palindromes are their own images. The
+    even sector is spanned by (|p> + |R p>) / sqrt(2) for each pair p, then
+    by |q> for each palindrome q; the odd sector by (|p> - |R p>) / sqrt(2).
+    With no pairs the even block is V itself and the odd one is empty.
+    Column k of u_even (u_odd) holds the sector coefficients of the
     eigenvector at level levels[k] (levels[n_even + k]). V itself is never
-    formed: apply and apply_adjoint take one half-size product per sector,
-    and columns gathers a block of columns with no product at all.
+    formed: apply and apply_adjoint take one product per sector, and
+    columns gathers a block of columns with no product at all.
 
     A block given as None is unsolved: the quench leaves that sector empty,
     so only its eigenvalues were computed. The reads stay exact wherever they
@@ -129,27 +138,30 @@ class SectorVectors:
     columns raises for its levels.
     """
 
-    n_sites: int
     u_even: np.ndarray | None
     u_odd: np.ndarray | None
     levels: np.ndarray
-    pairs: np.ndarray = field(init=False, repr=False)
-    partners: np.ndarray = field(init=False, repr=False)
-    palindromes: np.ndarray = field(init=False, repr=False)
+    pairs: np.ndarray = field(repr=False)
+    partners: np.ndarray = field(repr=False)
+    palindromes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        pairs, partners, palindromes = _reflection_classes(self.n_sites)
+        levels = np.asarray(self.levels)
+        basis = np.arange(levels.size)
+        if not np.array_equal(np.sort(levels), basis):
+            raise DimensionMismatch("levels must be a permutation of the basis")
+        classes = [np.asarray(c) for c in (self.pairs, self.partners, self.palindromes)]
+        pairs, partners, palindromes = classes
+        if pairs.size != partners.size or not np.array_equal(np.sort(np.concatenate(classes)), basis):
+            raise DimensionMismatch("pairs, partners and palindromes must split the basis")
         sizes = (pairs.size + palindromes.size, pairs.size)
         blocks = (self.u_even, self.u_odd)
         if any(u is not None and u.shape != (n, n) for u, n in zip(blocks, sizes)):
             raise DimensionMismatch(
                 f"sector blocks {getattr(self.u_even, 'shape', None)} and "
-                f"{getattr(self.u_odd, 'shape', None)} do not fit a chain of "
-                f"{self.n_sites} sites"
+                f"{getattr(self.u_odd, 'shape', None)} do not fit sectors of "
+                f"{sizes[0]} and {sizes[1]} states"
             )
-        levels = np.asarray(self.levels)
-        if not np.array_equal(np.sort(levels), np.arange(2**self.n_sites)):
-            raise DimensionMismatch("levels must be a permutation of the basis")
         if not all(_all_finite(u) for u in blocks if u is not None):
             raise ValueError("eigenvectors must be finite")
         for name, value in (
@@ -451,71 +463,30 @@ class GaussianFit:
 
 
 def diagonalize(
-    h: HermitianOperator | ReflectionChain,
-    psi0: PureState | None = None,
-    vectors: bool = True,
+    chain: SpinChain, psi0: PureState | None = None, vectors: bool = True
 ) -> EigenSystem:
-    """Full eigendecomposition, in the two reflection sectors where it can.
+    """Full eigendecomposition of a chain, from its even and odd sector blocks.
 
-    A ReflectionChain is diagonalized block by block (see _sector_eigh) and
-    keeps its eigenvectors in sector form; given the initial state psi0, a
-    sector that psi0 leaves empty keeps its eigenvalues only, and with
-    vectors=False, for a caller that reads the eigenvalues alone, so does
-    every sector. Every other operator takes one dense solve with
-    eigenvectors, whatever psi0 and vectors say: a private copy of its
-    matrix is overwritten by V (see _lapack.eigh). Real symmetric input
-    takes dsyevd, several times faster than the complex zheevd at the
-    largest chain sizes.
+    The sectors are those of the classes the chain's diagonal allows (see
+    _symmetry_classes): the site reflection's where the diagonal is
+    invariant, or else the trivial symmetry's, whose even block is H itself
+    and whose odd block is empty. With f = sqrt(2) on paired states and 1 on
+    palindromes, the even block is H_even[a, b] = f_a f_b / 2 (H[r_a, r_b] +
+    H[r_a, R r_b]) and the odd block H_odd[a, b] = H[r_a, r_b] - H[r_a, R r_b],
+    for the representatives r of the sector vectors (see SectorVectors). A
+    flip of r_b that lands on basis state i therefore adds flip * f_b / f_i
+    to the even vector of i, and flip times +1 on a pair, -1 on a partner and
+    0 on a palindrome to the odd vector of i. Each block is built and solved
+    in place in turn (see _block_eigh), and the two block spectra merge in
+    ascending order; the eigenvectors stay as the blocks. Where psi0 is given
+    and its components in a sector (formed as apply_adjoint forms them) are
+    all exactly zero, as for any reflection-symmetric state in the odd
+    sector, no reader of that quench reaches the sector's eigenvectors: its
+    block is solved for its eigenvalues alone and kept unsolved. With
+    vectors=False, for a caller that reads the eigenvalues alone, every
+    block is kept unsolved.
     """
-    if isinstance(h, ReflectionChain):
-        return _sector_eigh(h, psi0, vectors)
-    # C order holding A^T is A column-major, as LAPACK reads it
-    v = h.matrix.T.astype(np.result_type(h.matrix, float), order="C")
-    return EigenSystem(_lapack.eigh(v, vectors=True), v)
-
-
-def _sector_block(chain: ReflectionChain, states: np.ndarray, slot: np.ndarray,
-                  scale: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """The transpose of the block of H on the sector vectors built on `states`.
-
-    Column b of the block is the sector vector on states[b]. The diagonal is
-    read on it, and each flip of one of its bits lands on a basis state i,
-    which belongs to the sector vector slot[i] and adds flip * scale[b] *
-    weight[i] there. The block is symmetric only to rounding, and
-    _lapack.eigh reads a matrix from its transpose, so sector vector b is
-    written as row b: np.linalg.eigh of the block gives the same bits.
-    """
-    size = states.size
-    rows = np.arange(size)
-    block_t = np.zeros((size, size))
-    block_t[rows, rows] = chain.diagonal[states]
-    for j in range(chain.n_sites):
-        image = states ^ (1 << j)
-        # one entry per row, so the fancy-indexed += sees no repeat
-        block_t[rows, slot[image]] += chain.flip * scale * weight[image]
-    return block_t
-
-
-def _sector_eigh(
-    chain: ReflectionChain, psi0: PureState | None = None, vectors: bool = True
-) -> EigenSystem:
-    """Eigensystem of a chain from its even and odd reflection blocks.
-
-    With f = sqrt(2) on paired states and 1 on palindromes, the even block
-    is H_even[a, b] = f_a f_b / 2 (H[r_a, r_b] + H[r_a, R r_b]) and the odd
-    block H_odd[a, b] = H[r_a, r_b] - H[r_a, R r_b], for the
-    representatives r of the sector vectors (see SectorVectors). A flip of
-    r_b that lands on basis state i therefore adds flip * f_b / f_i to the
-    even vector of i, and flip times +1 on a pair, -1 on a partner and 0 on
-    a palindrome to the odd vector of i. Each block is built and diagonalized
-    in turn; the two block spectra merge in ascending order. Where psi0 is
-    given and its components in a sector (formed as apply_adjoint forms
-    them) are all exactly zero, as for any reflection-symmetric state in the
-    odd sector, no reader of that quench reaches the sector's eigenvectors:
-    its block is solved for its eigenvalues alone and kept unsolved. With
-    vectors=False every block is kept unsolved (see _block_eigh).
-    """
-    pairs, partners, palindromes = _reflection_classes(chain.n_sites)
+    pairs, partners, palindromes = _symmetry_classes(chain)
     dim, n_pairs = chain.dim, pairs.size
     if psi0 is None:
         occupied = (True, True)
@@ -545,7 +516,31 @@ def _sector_eigh(
     order = np.argsort(ev, kind="stable")
     levels = np.empty(dim, dtype=np.int64)
     levels[order] = np.arange(dim)
-    return EigenSystem(ev[order], SectorVectors(chain.n_sites, u_even, u_odd, levels))
+    return EigenSystem(
+        ev[order], SectorVectors(u_even, u_odd, levels, pairs, partners, palindromes)
+    )
+
+
+def _sector_block(chain: SpinChain, states: np.ndarray, slot: np.ndarray,
+                  scale: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The transpose of the block of H on the sector vectors built on `states`.
+
+    Column b of the block is the sector vector on states[b]. The diagonal is
+    read on it, and each flip of one of its bits lands on a basis state i,
+    which belongs to the sector vector slot[i] and adds flip * scale[b] *
+    weight[i] there. The block is symmetric only to rounding, and
+    _lapack.eigh reads a matrix from its transpose, so sector vector b is
+    written as row b: np.linalg.eigh of the block gives the same bits.
+    """
+    size = states.size
+    rows = np.arange(size)
+    block_t = np.zeros((size, size))
+    block_t[rows, rows] = chain.diagonal[states]
+    for j in range(chain.n_sites):
+        image = states ^ (1 << j)
+        # one entry per row, so the fancy-indexed += sees no repeat
+        block_t[rows, slot[image]] += chain.flip * scale * weight[image]
+    return block_t
 
 
 def _block_eigh(

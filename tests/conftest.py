@@ -24,7 +24,7 @@ TYPICAL_SEEDS = tuple(range(8))
 
 class Quench(NamedTuple):
     params: ql.ChainParams
-    chain: ql.HermitianOperator
+    chain: np.ndarray
     eig: ql.EigenSystem
     psi0: ql.PureState
     sdata: ql.SpectralData

@@ -1,9 +1,9 @@
 """Independent reference routes the suite checks the library against.
 
-None of these is on a path that `quenchlab run` takes: the dense chain
-matrix, the dense V of a sector or a Householder eigensystem, the
-Householder reflectors applied one at a time, the symmetrized Gaussian draw
-as a sum of whole matrices, the Haar unitary of a dense Ginibre QR, the
+None of these is on a path that `quenchlab run` takes: np.linalg.eigh of a
+matrix built by hand, the dense chain matrix, the dense V of a sector or a
+Householder eigensystem, the Householder reflectors applied one at a time,
+the symmetrized Gaussian draw as a sum of whole matrices, the Haar unitary of a dense Ginibre QR, the
 per-state spectral propagator, the Lanczos propagator, the reduced density
 matrix and its von Neumann entropy, the dense site-basis Paulis and their
 eigenbasis matrices V^dag sigma V, the dense slow band, and the dense GOE
@@ -26,7 +26,12 @@ from quenchlab.hamiltonian import _sz_signs
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def dense_chain(p: ql.ChainParams) -> ql.HermitianOperator:
+def eigensystem(m: np.ndarray) -> ql.EigenSystem:
+    """The eigensystem of a Hermitian matrix built by hand, by np.linalg.eigh."""
+    return ql.EigenSystem(*np.linalg.eigh(m))
+
+
+def dense_chain(p: ql.ChainParams) -> np.ndarray:
     """The dense chain matrix, disordered or not, assembled entry by entry."""
     n, dim = p.n_sites, 2**p.n_sites
     signs = _sz_signs(n)
@@ -43,7 +48,7 @@ def dense_chain(p: ql.ChainParams) -> ql.HermitianOperator:
     mat[idx, idx] = diag
     for j in range(n):
         mat[idx, idx ^ (1 << j)] += -p.h
-    return ql.HermitianOperator(mat)
+    return mat
 
 
 def sector_matrix(vectors: ql.SectorVectors) -> np.ndarray:
@@ -65,11 +70,8 @@ def sector_matrix(vectors: ql.SectorVectors) -> np.ndarray:
     return v
 
 
-def chain_matrix(op) -> np.ndarray:
-    """The dense matrix of what build_local_chain returns: a dense operator's
-    own, or a ReflectionChain's diagonal plus its flip on every bit."""
-    if isinstance(op, ql.HermitianOperator):
-        return op.matrix
+def chain_matrix(op: ql.SpinChain) -> np.ndarray:
+    """The dense matrix of a chain's terms: its diagonal plus its flip on every bit."""
     idx = np.arange(op.dim)
     mat = np.diag(op.diagonal)
     for j in range(op.n_sites):
@@ -133,7 +135,7 @@ def symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
     return (g + g.T) / 2
 
 
-def build_goe(dim: int, mean: float, width: float, seed: int) -> ql.HermitianOperator:
+def build_goe(dim: int, mean: float, width: float, seed: int) -> np.ndarray:
     """A dense GOE matrix (G + G^T) / 2 with the given eigenvalue mean and width.
 
     The draw is affinely rescaled by traces, with no diagonalization: the
@@ -147,8 +149,8 @@ def build_goe(dim: int, mean: float, width: float, seed: int) -> ql.HermitianOpe
     m -= np.trace(m) / dim * np.eye(dim)
     sd = np.linalg.norm(m) / np.sqrt(dim)
     if sd < 1e-300 or width == 0.0:
-        return ql.HermitianOperator(float(mean) * np.eye(dim))
-    return ql.HermitianOperator(m * (width / sd) + mean * np.eye(dim))
+        return float(mean) * np.eye(dim)
+    return m * (width / sd) + mean * np.eye(dim)
 
 
 def goe_tridiagonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -326,7 +328,7 @@ def _tridiag(alpha: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def krylov_evolve(
-    h: ql.HermitianOperator,
+    h: np.ndarray,
     psi: ql.PureState,
     dt: float,
     subspace_dim: int = 30,
@@ -341,10 +343,10 @@ def krylov_evolve(
         raise ValueError("subspace_dim must be at least 2")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if h.dim != psi.spec.dim:
+    if h.shape[0] != psi.spec.dim:
         raise DimensionMismatch("operator and state dimensions differ")
 
-    mat = h.matrix
+    mat = h
     n_sub = 1
     for _ in range(40):
         step = dt / n_sub

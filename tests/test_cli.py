@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from oracles import (
+    chain_matrix,
     dense_chain,
     dense_pauli,
     dense_vectors,
+    eigensystem,
     evolve_spectral,
     goe_tridiagonal,
     householder_matrix,
@@ -654,14 +656,14 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     }
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
     cfg, _ = cli.validate(raw)
-    # oracle: diagonalize the dense W diag(E) W^dag, with E the dense chain's
+    # oracle: the dense eigh of W diag(E) W^dag, with E the dense chain's
     # spectrum and W the run's seeded Haar eigenvectors, multiplied out from
     # their reflectors
-    dense = ql.diagonalize(dense_chain(cfg.chain))
+    dense = eigensystem(dense_chain(cfg.chain))
     e = dense.eigenvalues
     w = householder_matrix(ql.scramble(dense, cli.derive_seed(3, "scramble")).eigenvectors)
     m = (w * e[None, :]) @ w.conj().T
-    eig = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2.0))
+    eig = eigensystem((m + m.conj().T) / 2.0)
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
     profile = ql.entropy_scan(eig, cli.build_initial_state(cfg), cfg.cuts, grid)
     rows = (out / "entropy.csv").read_text().strip().splitlines()[1:]
@@ -792,10 +794,10 @@ def test_run_diagonalizes_the_chain_once(tmp_path, monkeypatch, kind, variant, c
     dtypes = []
     diagonalize = cli.diagonalize
 
-    def counting(op, psi0, **kwargs):
-        # a reflection chain has no dense matrix; its blocks share its terms' dtype
-        dtypes.append(op.matrix.dtype if isinstance(op, ql.HermitianOperator) else op.diagonal.dtype)
-        return diagonalize(op, psi0, **kwargs)
+    def counting(chain, psi0, **kwargs):
+        # a chain has no dense matrix; its blocks share its terms' dtype
+        dtypes.append(chain.diagonal.dtype)
+        return diagonalize(chain, psi0, **kwargs)
 
     monkeypatch.setattr(cli, "diagonalize", counting)
     raw = {
@@ -904,37 +906,44 @@ def _csv_tables(out_dir: Path) -> dict:
 # t = 47.05 (all_plus_x, N=8 open, relax), is 7.3e-14 per unit time, so the
 # bound leaves a margin of 2.7.
 SLOW_DRIFT_PER_TIME = 2e-13
+# A disordered chain breaks the reflection: the sector route solves it whole.
 DENSE_ROUTE_CASES = [
-    *((label, n, "open", "neel") for n in (7, 8) for label in DENSE_ROUTE),
-    *((label, 8, "periodic", "neel") for label in DENSE_ROUTE if label != "scrambled"),
-    ("entropy_scan", 7, "periodic", "neel"),
+    *((label, n, "open", "neel", 0.0) for n in (7, 8) for label in DENSE_ROUTE),
+    *((label, 8, "periodic", "neel", 0.0) for label in DENSE_ROUTE if label != "scrambled"),
+    ("entropy_scan", 7, "periodic", "neel", 0.0),
     *(
-        (label, 8, boundary, state)
+        (label, 8, boundary, state, 0.0)
         for state in ("all_up", "all_plus_x")
         for boundary in ("open", "periodic")
         for label in DENSE_ROUTE
         if boundary == "open" or label != "scrambled"
     ),
+    *((label, 7, "open", "neel", 0.5) for label in DENSE_ROUTE),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:spectrum contains gaps below")  # the degenerate rings
 @pytest.mark.parametrize(
-    "label, n, boundary, state",
+    "label, n, boundary, state, width",
     DENSE_ROUTE_CASES,
-    ids=[f"{l}-{n}-{b}" + ("" if s == "neel" else f"-{s}") for l, n, b, s in DENSE_ROUTE_CASES],
+    ids=[
+        f"{l}-{n}-{b}" + ("" if s == "neel" else f"-{s}") + ("-disordered" if w else "")
+        for l, n, b, s, w in DENSE_ROUTE_CASES
+    ],
 )
-def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, boundary, state):
-    # oracle: the same run on the oracle's dense chain matrix, which
-    # diagonalize hands to one dense eigh
+def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, boundary, state, width):
+    # oracle: the same run with the chain's dense matrix solved by np.linalg.eigh
     kind, variant, observables = DENSE_ROUTE[label]
     outputs, manifests = {}, {}
     for route in ("sectors", "dense"):
         if route == "dense":
-            monkeypatch.setattr(cli, "build_local_chain", dense_chain)
+            monkeypatch.setattr(
+                cli, "diagonalize", lambda chain, psi0, vectors: eigensystem(chain_matrix(chain))
+            )
         cfg, errors = cli.validate({
             "kind": kind,
-            "model": {"n_sites": n, "variant": variant, "boundary": boundary},
+            "model": {"n_sites": n, "variant": variant, "boundary": boundary,
+                      "disorder_width": width},
             "initial_state": state,
             "observables": observables,
             "out_dir": str(tmp_path / route),
@@ -990,15 +999,20 @@ def test_a_symmetric_quench_solves_its_odd_sector_for_eigenvalues_only(
 
 
 @pytest.mark.parametrize(
-    "n, state, solvers",
-    [(8, "neel", ["eigh_values", "eigh_values"]), (7, "neel", ["eigh_values", "eigvalsh"])],
+    "n, state, solvers, width",
+    [
+        pytest.param(8, "neel", ["eigh_values", "eigh_values"], 0.0, id="8-neel-solvers0"),
+        pytest.param(7, "neel", ["eigh_values", "eigvalsh"], 0.0, id="7-neel-solvers1"),
+        pytest.param(9, "neel", ["eigh_values", "eigvalsh"], 0.5, id="9-neel-disordered"),
+    ],
 )
-def test_a_scrambled_run_solves_no_eigenvectors(tmp_path, monkeypatch, n, state, solvers):
+def test_a_scrambled_run_solves_no_eigenvectors(tmp_path, monkeypatch, n, state, solvers, width):
     # scramble reads the chain's eigenvalues alone; an occupied sector gives
-    # the eigenvalues of the full solve to the bit, so the outputs keep their bytes
+    # the eigenvalues of the full solve to the bit, so the outputs keep their
+    # bytes. A disordered chain is one occupied block and an empty one
     raw = {
         "kind": "entropy_scan",
-        "model": {"n_sites": n, "variant": "scrambled"},
+        "model": {"n_sites": n, "variant": "scrambled", "disorder_width": width},
         "initial_state": state,
         "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
     }
@@ -1104,7 +1118,6 @@ def test_each_typical_draw_is_released_before_the_next(tmp_path, monkeypatch):
     assert live_at_draw == [0, 0, 0]
 
 
-@pytest.mark.filterwarnings("ignore:spectrum contains gaps below")  # the 8-site ring
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_relax_releases_the_eigenvectors_before_the_first_typical_draw(
     tmp_path, monkeypatch, boundary
@@ -1175,6 +1188,23 @@ def test_a_symmetric_ring_quench_does_not_warn_about_its_empty_levels(tmp_path):
         warnings.simplefilter("always")
         cli.run(cfg)
     assert not [w for w in record if "gaps below" in str(w.message)]
+
+
+def test_a_ring_quench_with_weight_on_a_momentum_pair_still_warns(tmp_path):
+    # one flipped spin on a ring is neither reflection nor translation
+    # symmetric: it puts real weight (above 1e-3) on both levels of some
+    # degenerate +-k pair, whose off-diagonal term never dephases
+    cfg, errors = cli.validate({
+        "kind": "relax",
+        "model": {"n_sites": 8, "boundary": "periodic"},
+        "initial_state": {"custom": [[[0, 0], [1, 0]]] + [[[1, 0], [0, 0]]] * 7},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": {"typical_count": 1},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert errors == []
+    with pytest.warns(UserWarning, match="gaps below 1e-12"):
+        cli.run(cfg)
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):

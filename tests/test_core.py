@@ -160,16 +160,16 @@ def test_hermitian_check_sees_every_tile(i, j):
     m = np.zeros((600, 600))
     m[i, j] = 1e-11
     with pytest.raises(ValueError, match="not Hermitian within 1e-12"):
-        ql.HermitianOperator(m.copy())
+        ql.ObservableMatrix(m.copy())
     m[i, j] = 1e-12  # the deviation itself, compared as before: not above the tolerance
-    ql.HermitianOperator(m.copy())
+    ql.ObservableMatrix(m.copy())
     m[i, j] = np.nextafter(1e-12, 1.0)
     with pytest.raises(ValueError, match="not Hermitian"):
-        ql.HermitianOperator(m.copy())
+        ql.ObservableMatrix(m.copy())
     m = np.zeros((600, 600), dtype=complex)
     m[i, j] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        ql.HermitianOperator(m.copy())
+        ql.ObservableMatrix(m.copy())
 
 
 @pytest.mark.parametrize("row", [3, 599])

@@ -14,7 +14,7 @@ from oracles import (
     haar_unitary,
     symmetric_gaussian,
 )
-from quenchlab.hamiltonian import _symmetric_gaussian, _sz_signs
+from quenchlab.hamiltonian import _mirror, _symmetric_gaussian, _sz_signs
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -30,10 +30,11 @@ def test_chain_params_validation():
 
 
 def test_hermitian_operator_validation():
-    with pytest.raises(ValueError):
-        ql.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    op = ql.HermitianOperator(np.eye(4))
-    assert op.dim == 4
+    # the observables are the one dense Hermitian input the library checks
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ql.ObservableMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    op = ql.ObservableMatrix(np.eye(4))
+    assert op.matrix.shape == (4, 4)
     assert not op.matrix.flags.writeable
 
 
@@ -78,12 +79,13 @@ def test_chain_couples_only_single_bit_flips():
 
 
 def test_chain_determinism_and_disorder_seeding():
+    # the disorder enters the diagonal alone
     p = ql.ChainParams(n_sites=4, disorder_width=0.5, seed=3)
-    a = ql.build_local_chain(p).matrix
-    b = ql.build_local_chain(p).matrix
+    a = ql.build_local_chain(p).diagonal
+    b = ql.build_local_chain(p).diagonal
     assert np.array_equal(a, b)
     c = ql.build_local_chain(ql.ChainParams(n_sites=4, disorder_width=0.5, seed=4))
-    assert not np.array_equal(a, c.matrix)
+    assert not np.array_equal(a, c.diagonal)
 
 
 def test_periodic_adds_wrap_bond():
@@ -96,11 +98,11 @@ def test_periodic_adds_wrap_bond():
     assert np.max(np.abs(diff - np.diag(np.diagonal(diff)))) == 0.0
 
 
-def _rebuilt(eig: ql.EigenSystem) -> ql.HermitianOperator:
+def _rebuilt(eig: ql.EigenSystem) -> np.ndarray:
     """The dense matrix W diag(E) W^dag of a scrambled eigensystem."""
     w = dense_vectors(eig)
     m = (w * eig.eigenvalues[None, :]) @ w.conj().T
-    return ql.HermitianOperator((m + m.conj().T) / 2.0)
+    return (m + m.conj().T) / 2.0
 
 
 def test_scramble_preserves_spectrum_and_is_deterministic():
@@ -108,18 +110,18 @@ def test_scramble_preserves_spectrum_and_is_deterministic():
     eig = ql.diagonalize(h)
     s = _rebuilt(ql.scramble(eig, seed=5))
     ev_in = np.linalg.eigvalsh(chain_matrix(h))
-    ev_out = np.linalg.eigvalsh(s.matrix)
+    ev_out = np.linalg.eigvalsh(s)
     assert np.max(np.abs(ev_in - ev_out)) < 1e-10
     again = _rebuilt(ql.scramble(eig, seed=5))
-    assert np.array_equal(s.matrix, again.matrix)
+    assert np.array_equal(s, again)
     twice = _rebuilt(ql.scramble(ql.scramble(eig, seed=5), seed=6))
-    assert np.max(np.abs(np.linalg.eigvalsh(twice.matrix) - ev_in)) < 1e-10
+    assert np.max(np.abs(np.linalg.eigvalsh(twice) - ev_in)) < 1e-10
 
 
 def test_scramble_destroys_local_commutator_structure(quench6):
     n = 6
-    local = quench6.chain.matrix
-    scrambled = _rebuilt(ql.scramble(quench6.eig, seed=9)).matrix
+    local = quench6.chain
+    scrambled = _rebuilt(ql.scramble(quench6.eig, seed=9))
 
     def comm_ratio(m, site):
         sz = _sz(n, site)
@@ -149,17 +151,17 @@ def test_haar_unitary_is_unitary():
 def test_goe_degenerate_and_symmetric():
     # the dense oracle matrix, which the library no longer builds
     one = build_goe(1, mean=2.5, width=0.0, seed=0)
-    assert one.matrix.shape == (1, 1) and one.matrix[0, 0] == 2.5
-    m = build_goe(64, mean=0.0, width=1.0, seed=1).matrix
+    assert one.shape == (1, 1) and one[0, 0] == 2.5
+    m = build_goe(64, mean=0.0, width=1.0, seed=1)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     flat = build_goe(16, mean=-3.0, width=0.0, seed=2)
-    assert np.allclose(np.linalg.eigvalsh(flat.matrix), -3.0, atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(flat), -3.0, atol=1e-12)
 
 
 def test_goe_moment_match_at_1024():
     mean, width = 9.0, 13.3
     m = build_goe(1024, mean, width, seed=7)
-    ev = np.linalg.eigvalsh(m.matrix)
+    ev = np.linalg.eigvalsh(m)
     assert abs(ev.mean() - mean) / abs(mean) < 0.02
     assert abs(ev.std() - width) / width < 0.02
     # the affine rescaling makes the match much tighter than the 2% contract
@@ -196,19 +198,34 @@ def test_gaussian_draws_hold_one_dense_matrix(draw):
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_goe_determinism(seed):
-    a = build_goe(32, 1.0, 2.0, seed).matrix
-    b = build_goe(32, 1.0, 2.0, seed).matrix
+    a = build_goe(32, 1.0, 2.0, seed)
+    b = build_goe(32, 1.0, 2.0, seed)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_clean_chain_is_kept_as_its_terms(boundary):
-    # no dense matrix is formed, or reachable as .matrix; its terms rebuild
-    # the oracle's dense chain to the bit
-    p = ql.ChainParams(n_sites=6, boundary=boundary)
-    chain = ql.build_local_chain(p)
-    assert isinstance(chain, ql.ReflectionChain) and not hasattr(chain, "matrix")
-    assert chain.dim == 64 and chain.flip == -p.h
-    assert np.array_equal(chain_matrix(chain), dense_chain(p).matrix)
-    disordered = ql.build_local_chain(ql.ChainParams(n_sites=6, disorder_width=0.5))
-    assert isinstance(disordered, ql.HermitianOperator)
+    # no dense matrix is formed, or reachable as .matrix, with disorder or
+    # without; the terms rebuild the oracle's dense chain to the bit
+    for width in (0.0, 0.5):
+        p = ql.ChainParams(n_sites=6, boundary=boundary, disorder_width=width, seed=2)
+        chain = ql.build_local_chain(p)
+        assert type(chain) is ql.SpinChain and not hasattr(chain, "matrix")
+        assert chain.dim == 64 and chain.flip == -p.h
+        assert np.array_equal(chain_matrix(chain), dense_chain(p))
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_a_clean_diagonal_rounded_apart_by_the_field_sum_is_made_reflection_invariant(boundary):
+    # g = 0.3 summed site by site rounds some states and their mirror images
+    # apart; each takes the smaller state's value, within an ulp of the
+    # oracle's, so the chain keeps its two reflection sectors
+    p = ql.ChainParams(n_sites=7, g=0.3, boundary=boundary)
+    diagonal = ql.build_local_chain(p).diagonal
+    oracle = np.diagonal(dense_chain(p))
+    mirror = _mirror(7)
+    assert not np.array_equal(oracle, oracle[mirror])
+    assert np.array_equal(diagonal, diagonal[mirror])
+    keep = np.arange(128) <= mirror
+    assert np.array_equal(diagonal[keep], oracle[keep])
+    assert np.max(np.abs(diagonal - oracle)) <= 2 * np.spacing(np.max(np.abs(oracle)))

@@ -11,6 +11,7 @@ import pytest
 
 import quenchlab as ql
 from quenchlab import _lapack, cli, spectral
+from oracles import dense_chain
 from quenchlab.errors import ConvergenceFailure, LapackUnavailable
 
 
@@ -23,6 +24,9 @@ def test_lookup_finds_every_routine_in_numpys_openblas():
     described = _lapack.describe()
     assert str(path) in described
     assert all(f"scipy_{name}_64_" in described for name in _lapack.ROUTINES)
+    # the routines some route calls, and no other: the block solves, the
+    # two steps of eigh_values and the GOE partner's tridiagonal solve
+    assert set(_lapack.ROUTINES) == {"dsyevd", "dsytrd", "dstedc", "dsterf"}
 
 
 def _sector_blocks(monkeypatch, n: int) -> list[np.ndarray]:
@@ -64,35 +68,25 @@ def test_the_block_layout_is_what_makes_the_solve_bitwise(monkeypatch):
     assert not (np.array_equal(_lapack.eigh(wrong, vectors=True), w) and np.array_equal(wrong, v))
 
 
-def _complex_hermitian(dim: int) -> ql.HermitianOperator:
-    rng = np.random.default_rng(dim)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return ql.HermitianOperator((a + a.conj().T) / 2)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: ql.build_local_chain(ql.ChainParams(n_sites=9, disorder_width=0.5, seed=3)),
-        lambda: _complex_hermitian(200),
-    ],
-    ids=["disordered", "complex"],
-)
-def test_dense_route_equals_numpy_on_a_private_copy(monkeypatch, build):
-    # the operator's frozen matrix is read, never written: one private copy
-    # is solved and becomes V
-    h = build()
-    before = h.matrix.copy()
-    solved = []
-    eigh = _lapack.eigh
-    monkeypatch.setattr(_lapack, "eigh", lambda a, vectors: solved.append(a) or eigh(a, vectors))
-    eig = ql.diagonalize(h)
-    w, v = np.linalg.eigh(h.matrix)
-    vec = eig.eigenvectors.matrix
-    assert np.array_equal(eig.eigenvalues, w)
-    assert vec.flags.c_contiguous and np.array_equal(vec, v)
-    assert len(solved) == 1 and np.shares_memory(vec, solved[0])
-    assert np.array_equal(h.matrix, before) and not np.shares_memory(vec, h.matrix)
+@pytest.mark.parametrize("width", [0.5, 1.3], ids=["disordered", "strongly_disordered"])
+def test_dense_route_equals_numpy_on_a_private_copy(monkeypatch, width):
+    # a disordered diagonal is not reflection invariant: the trivial classes
+    # make the even block the dense H, built from the chain's terms and
+    # solved in place into V, and leave the odd block empty. Oracle:
+    # np.linalg.eigh of the oracle's dense chain, on its private copy
+    for n in range(6, 12):
+        p = ql.ChainParams(n_sites=n, disorder_width=width, seed=n)
+        solved = []
+        eigh = _lapack.eigh
+        monkeypatch.setattr(_lapack, "eigh", lambda a, vectors: solved.append(a) or eigh(a, vectors))
+        eig = ql.diagonalize(ql.build_local_chain(p))
+        monkeypatch.undo()
+        w, v = np.linalg.eigh(dense_chain(p))
+        vectors = eig.eigenvectors
+        assert vectors.pairs.size == 0 and vectors.u_odd.shape == (0, 0)
+        assert [a.shape[0] for a in solved] == [2**n, 0] and vectors.u_even is solved[0]
+        assert np.array_equal(eig.eigenvalues, w)
+        assert np.array_equal(vectors.columns(slice(None)), v)
 
 
 def test_sector_eigenvectors_are_the_blocks_they_were_solved_in(monkeypatch):
@@ -119,22 +113,18 @@ def test_nonzero_info_raises_convergence_failure_naming_the_routine():
         lambda: _lapack.eigh(np.eye(4)[:, ::2].copy(), vectors=True),  # not square
         lambda: _lapack.eigh(np.asfortranarray(np.arange(9.0).reshape(3, 3)), vectors=True),
         lambda: _lapack.eigh(np.eye(4, dtype=np.float32), vectors=False),
+        lambda: _lapack.eigh(np.eye(4, dtype=complex), vectors=True),
         lambda: _lapack.eigh_values(np.eye(4, dtype=complex)),
         lambda: _lapack.eigh(np.eye(4)[::-1], vectors=True),  # a reversed view
         lambda: _lapack.sterf(np.zeros(4), np.zeros(2)),  # off-diagonal too short
         lambda: _lapack.sterf(np.zeros((2, 2)), np.zeros(1)),
     ],
-    ids=["rectangular", "fortran_order", "float32", "complex_values", "view", "short_e", "2d_d"],
+    ids=["rectangular", "fortran_order", "float32", "complex", "complex_values", "view", "short_e",
+         "2d_d"],
 )
 def test_arrays_lapack_would_overrun_are_refused(call):
     with pytest.raises(ValueError, match="LAPACK takes|does not fit"):
         call()
-
-
-def test_a_frozen_operator_of_any_real_dtype_is_solved_on_a_float_copy():
-    h = ql.HermitianOperator(np.diag(np.array([3, 1, 2])))
-    eig = ql.diagonalize(h)
-    assert np.array_equal(eig.eigenvalues, [1.0, 2.0, 3.0]) and h.matrix.dtype.kind == "i"
 
 
 @pytest.fixture

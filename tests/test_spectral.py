@@ -13,6 +13,7 @@ from oracles import (
     chain_matrix,
     dense_chain,
     dense_vectors,
+    eigensystem,
     goe_tridiagonal,
     haar_unitary,
     householder_apply,
@@ -48,29 +49,49 @@ def test_spectral_data_validation():
 
 
 def test_diagonalize_diagonal_input():
-    eig = ql.diagonalize(ql.HermitianOperator(np.diag([3.0, 1.0, 2.0])))
-    assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+    # no transverse field: the chain is its diagonal, here not reflection invariant
+    eig = ql.diagonalize(ql.SpinChain(2, np.array([3.0, 1.0, 2.0, 5.0]), 0.0))
+    assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0, 5.0], atol=1e-14)
     # permutation eigenvectors up to sign
-    assert np.allclose(np.abs(dense_vectors(eig)), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+    assert np.allclose(np.abs(dense_vectors(eig)), np.eye(4)[:, [1, 2, 0, 3]], atol=1e-14)
 
 
 def test_diagonalize_pauli_x():
-    sx = ql.HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sx = ql.SpinChain(1, np.zeros(2), 1.0)
     assert np.allclose(ql.diagonalize(sx).eigenvalues, [-1.0, 1.0], atol=1e-14)
 
 
 def test_diagonalize_reconstruction_64():
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    m = (a + a.conj().T) / 2
-    eig = ql.diagonalize(ql.HermitianOperator(m))
+    chain = ql.SpinChain(6, rng.standard_normal(64), -0.7)
+    m = chain_matrix(chain)
+    eig = ql.diagonalize(chain)
     v = dense_vectors(eig)
     rebuilt = v @ np.diag(eig.eigenvalues) @ v.conj().T
     assert np.linalg.norm(rebuilt - m) / np.linalg.norm(m) < 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_a_chain_whose_diagonal_breaks_the_reflection_is_solved_whole(n):
+    # the diagonal 0, 1, 2, ... is not reflection invariant; solved in the
+    # reflection sectors, as a chain once was whatever its diagonal, its
+    # levels missed the dense ones by up to 1.91 at n = 3. Oracle: the dense
+    # eigh of the chain's matrix
+    chain = ql.SpinChain(n, np.arange(2.0**n), -1.0)
+    h = chain_matrix(chain)
+    eig = ql.diagonalize(chain)
+    want = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(eig.eigenvalues - want)) < 1e-12
+    v = eig.eigenvectors.columns(slice(None))
+    assert np.max(np.abs(h @ v - v * eig.eigenvalues)) < 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(eig.dim))) < 1e-12
+    # a nondegenerate spectrum: each column is the dense eigenvector up to sign
+    assert np.min(np.diff(want)) > 1e-3
+    assert np.max(np.abs(np.abs(np.linalg.eigh(h)[1].T @ v) - np.eye(eig.dim))) < 1e-12
+
+
 def test_eigenbasis_diagonalizes_chain(quench6):
-    eig, h = quench6.eig, quench6.chain.matrix
+    eig, h = quench6.eig, quench6.chain
     v = dense_vectors(eig)
     d = v.conj().T @ h @ v
     off = d - np.diag(np.diagonal(d))
@@ -181,7 +202,7 @@ def test_timescales_too_few_occupied():
 
 
 def test_timescales_moment_oracle(quench10):
-    h = quench10.chain.matrix
+    h = quench10.chain
     psi = quench10.psi0.amplitudes
     hpsi = h @ psi
     mean = np.vdot(psi, hpsi).real
@@ -248,7 +269,7 @@ def test_scrambling_invariance(seed):
 
     u = haar_unitary(16, rng)
     m = u @ chain_matrix(h) @ u.conj().T
-    eig2 = ql.diagonalize(ql.HermitianOperator((m + m.conj().T) / 2))
+    eig2 = eigensystem((m + m.conj().T) / 2)
     rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi, spec))
 
     assert np.max(np.abs(base.eigenvalues - rotated.eigenvalues)) < 1e-9
@@ -274,7 +295,7 @@ def test_factored_scramble_matches_dense_conjugation(quench6):
     # eigenvectors
     w = householder_matrix(_haar_reflectors(quench6.eig.dim, 5, real=False))
     u = w @ dense_vectors(quench6.eig).conj().T
-    dense = u @ quench6.chain.matrix @ u.conj().T
+    dense = u @ quench6.chain @ u.conj().T
     s = ql.scramble(quench6.eig, seed=5)
     w = dense_vectors(s)
     assert np.array_equal(s.eigenvalues, quench6.eig.eigenvalues)
@@ -293,7 +314,7 @@ NAN_2X2 = np.full((2, 2), NAN)
     [
         lambda: ql.ChainParams(n_sites=3, J=NAN),
         lambda: ql.ChainParams(n_sites=3, h=float("inf")),
-        lambda: ql.HermitianOperator(NAN_2X2),
+        lambda: ql.SpinChain(1, np.array([NAN, 0.0]), -1.0),
         lambda: ql.ObservableMatrix(NAN_2X2),
         lambda: ql.SpectralData([0.0, 1.0], [NAN, NAN]),
         lambda: ql.SpectralData([0.0, NAN], [0.5, 0.5]),
@@ -301,7 +322,7 @@ NAN_2X2 = np.full((2, 2), NAN)
         lambda: ql.EigenSystem([0.0, 1.0], NAN_2X2),
     ],
     ids=[
-        "chain_J", "chain_h", "hermitian", "observable", "spectral_weights",
+        "chain_J", "chain_h", "spin_chain", "observable", "spectral_weights",
         "spectral_eigenvalues", "eigen_values", "eigen_vectors",
     ],
 )
@@ -321,10 +342,10 @@ def test_reflection_sectors_match_the_dense_eigh(n, boundary):
     # V written from the sector factors
     params = ql.ChainParams(n_sites=n, boundary=boundary)
     chain = ql.build_local_chain(params)
-    assert isinstance(chain, ql.ReflectionChain) and chain.n_sites == n
     eig = ql.diagonalize(chain)
-    h = dense_chain(params).matrix
-    dense = ql.diagonalize(ql.HermitianOperator(h))
+    assert eig.eigenvectors.pairs.size > 0 and chain.n_sites == n
+    h = dense_chain(params)
+    dense = eigensystem(h)
     e, v = eig.eigenvalues, dense_vectors(eig)
     assert np.max(np.abs(e - dense.eigenvalues)) <= 1e-12 * np.max(np.abs(dense.eigenvalues))
     assert np.max(np.abs(h @ v - v * e)) < 1e-12
@@ -350,27 +371,33 @@ def _eigh_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+def _chain(**params) -> ql.SpinChain:
+    return ql.build_local_chain(ql.ChainParams(**params))
+
+
 @pytest.mark.parametrize(
-    "build, sizes",
+    "solve, sizes",
     [
-        (lambda: ql.build_local_chain(ql.ChainParams(n_sites=7)), [72, 56]),
-        (lambda: ql.build_local_chain(ql.ChainParams(n_sites=6, boundary="periodic")), [36, 28]),
-        (lambda: ql.build_local_chain(ql.ChainParams(n_sites=7, disorder_width=0.5)), [128]),
-        (lambda: dense_chain(ql.ChainParams(n_sites=7)), [128]),
-        (lambda: build_goe(128, 0.0, 1.0, seed=3), [128]),
+        (lambda: ql.diagonalize(_chain(n_sites=7)), [72, 56]),
+        (lambda: ql.diagonalize(_chain(n_sites=6, boundary="periodic")), [36, 28]),
+        (lambda: ql.diagonalize(_chain(n_sites=7, g=0.3)), [72, 56]),
+        (lambda: ql.diagonalize(_chain(n_sites=7, disorder_width=0.5)), [128, 0]),
+        (lambda: ql.diagonalize(ql.SpinChain(7, np.arange(128.0), -1.0)), [128, 0]),
+        (lambda: ql.goe_eigensystem(128, seed=3), []),
     ],
-    ids=["clean_open", "clean_periodic", "disordered", "hand_built", "goe"],
+    ids=["clean_open", "clean_periodic", "clean_rounded", "disordered", "hand_built", "goe"],
 )
-def test_only_clean_chains_take_the_reflection_sectors(monkeypatch, build, sizes):
-    op = build()
+def test_only_clean_chains_take_the_reflection_sectors(monkeypatch, solve, sizes):
+    # a chain whose diagonal breaks the reflection is one block, the odd
+    # one empty; the GOE partner takes no eigh at all (dsterf of its model)
     calls = _eigh_sizes(monkeypatch)
-    ql.diagonalize(op)
+    solve()
     assert calls == sizes
 
 
 def test_reflection_mark_must_fit_the_dimension():
     with pytest.raises(ValueError, match="not a chain of 3 sites"):
-        ql.ReflectionChain(3, np.zeros(4), -1.0)
+        ql.SpinChain(3, np.zeros(4), -1.0)
 
 
 def _test_vectors(rng, dim: int, columns) -> np.ndarray:
@@ -454,7 +481,9 @@ def test_reads_of_an_unsolved_sector_stay_exact_or_raise(empty):
     n = 6
     full = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n))).eigenvectors
     blocks = {"even": full.u_even, "odd": full.u_odd, empty: None}
-    half = ql.SectorVectors(n, blocks["even"], blocks["odd"], full.levels)
+    half = ql.SectorVectors(
+        blocks["even"], blocks["odd"], full.levels, full.pairs, full.partners, full.palindromes
+    )
     kept = "odd" if empty == "even" else "even"
     levels = _sector_levels(full)
     rng = np.random.default_rng(3)
@@ -496,7 +525,7 @@ def _chain_eig(**params) -> ql.EigenSystem:
         lambda: _chain_eig(n_sites=7, boundary="periodic"),
         lambda: _chain_eig(n_sites=8),
         lambda: _chain_eig(n_sites=6, disorder_width=0.5, seed=2),
-        lambda: ql.diagonalize(build_goe(64, 0.0, 1.0, seed=3)),
+        lambda: eigensystem(build_goe(64, 0.0, 1.0, seed=3)),
         lambda: ql.EigenSystem(np.arange(16.0), SimpleNamespace(dim=16)),
     ],
     ids=["open4", "periodic7", "open8", "disordered6", "goe64", "no_reads"],
@@ -634,7 +663,7 @@ def test_goe_eigenvalues_agree_in_law_with_the_dense_matrix():
     from scipy.stats import ks_2samp
 
     tri = [ql.goe_eigensystem(8, seed).eigenvalues for seed in range(1000)]
-    dense = [np.linalg.eigvalsh(build_goe(8, 0.0, 1.0, seed).matrix) for seed in range(1000)]
+    dense = [np.linalg.eigvalsh(build_goe(8, 0.0, 1.0, seed)) for seed in range(1000)]
     assert ks_2samp(np.concatenate(tri), np.concatenate(dense)).pvalue > 1e-3
     ratios = [[_mean_spacing_ratio(ev) for ev in draws] for draws in (tri, dense)]
     error = np.hypot(*(np.std(r) / np.sqrt(len(r)) for r in ratios))
