@@ -34,6 +34,7 @@ ROUTINES = {
     "dsytrd": (10, 1),
     "dstedc": (11, 1),
     "dsterf": (4, 0),
+    "dormtr": (13, 3),
 }
 _PATTERN = "libscipy_openblas64_*.so"
 
@@ -136,26 +137,40 @@ def eigh(at: np.ndarray, vectors: bool) -> np.ndarray:
     return w
 
 
-def eigh_values(at: np.ndarray) -> np.ndarray:
-    """The eigenvalues eigh(at, vectors=True) returns, to the bit, with no eigenvectors.
+def eigh_values(at: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues eigh(at, vectors=True) returns, to the bit, and V^T y, with no V.
 
-    at is laid out as for eigh, and is destroyed. dsyevd with
-    eigenvectors reduces A to a tridiagonal T (dsytrd), solves T by divide
-    and conquer (dstedc) and back-transforms T's eigenvectors (dormtr); its
-    eigenvalues are dstedc's. These are the first two steps alone, about
-    60% of the time. dsyevd without eigenvectors solves T by dsterf
-    instead, whose eigenvalues differ from dstedc's in the last bits.
+    at is laid out as for eigh, and is destroyed; y is a float or complex
+    vector of A's dimension. dsyevd with eigenvectors reduces A = Q T Q^T
+    (dsytrd), solves T = Z E Z^T by divide and conquer (dstedc) and
+    back-transforms V = Q Z (dormtr on all n columns, 2 n^3 flops); its
+    eigenvalues are dstedc's. Here dormtr applies Q^T to y alone, O(n^2), and
+    V^T y = Z^T (Q^T y); a complex y goes through as two real columns. That
+    is about two thirds of dsyevd's time at n = 1056. dsyevd without
+    eigenvectors solves T by dsterf instead, whose eigenvalues differ from
+    dstedc's in the last bits.
     """
     _check(at, 2)
     n = at.shape[0]
+    if y.shape != (n,):
+        raise ValueError(f"a vector of {y.shape} does not fit a matrix of dimension {n}")
     d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
     lead = _ref(max(n, 1))
     _with_workspace("dsytrd", (b"L", _ref(n), at.ctypes, lead, d.ctypes, e.ctypes, tau.ctypes),
                     (float,))
-    z = np.empty((n, n))  # T's eigenvectors, which dstedc cannot skip
+    z = np.empty((n, n))  # Z column-major, so Z^T in C order
     _with_workspace("dstedc", (b"I", _ref(n), d.ctypes, e.ctypes, z.ctypes, lead),
                     (float, np.int64))
-    return d
+    # C rows are the Fortran columns of an n x k matrix with leading dimension n
+    cols = np.array([y.real, y.imag] if np.iscomplexobj(y) else [y], dtype=float)
+    _with_workspace(
+        "dormtr",
+        (b"L", b"L", b"T", _ref(n), _ref(len(cols)), at.ctypes, lead, tau.ctypes, cols.ctypes,
+         lead),
+        (float,),
+    )
+    out = cols @ z.T
+    return d, (out[0] + 1j * out[1] if len(out) == 2 else out[0])
 
 
 def sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:

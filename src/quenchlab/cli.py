@@ -5,17 +5,19 @@ moment-matched random matrix), an initial product state, and one of five
 experiment kinds. Every run diagonalizes the local chain once, and only
 the chain, kept as its terms, given the initial state, so that a sector the
 state leaves empty is solved for its eigenvalues alone (and levels without
-weight are never read for their eigenvectors); a scrambled run solves
-every sector so. Each variant's eigensystem derives from that one
-diagonalization: the scrambled chain from its eigenvalues (with seeded
-Haar eigenvectors), the random matrix from the chain's occupied moments
-(its eigenvalues those of a seeded GOE tridiagonal model, by dsterf, its
-eigenvectors a Haar-orthogonal draw of the same seed). Results are written as CSV
-files with a YAML manifest carrying the normalized config, the quench
-timescales, summary statistics, and a digest of every emitted file. All
-randomness is derived per task from the master seed and the work runs in
-one fixed order, so reruns are byte-identical; --threads is kept for
-compatibility and changes nothing.
+weight are never read for their eigenvectors). Only a local entropy scan,
+light cone or relax run with local Paulis reads the chain's eigenvectors;
+every other run solves each occupied sector for its eigenvalues and the
+state's overlaps, with no eigenvectors. Each variant's eigensystem derives
+from that one diagonalization: the scrambled chain from its eigenvalues
+(with seeded Haar eigenvectors), the random matrix from the chain's
+occupied moments (its eigenvalues those of a seeded GOE tridiagonal model,
+by dsterf, its eigenvectors a Haar-orthogonal draw of the same seed).
+Results are written as CSV files with a YAML manifest carrying the
+normalized config, the quench timescales, summary statistics, and a digest
+of every emitted file. All randomness is derived per task from the master
+seed and the work runs in one fixed order, so reruns are byte-identical;
+--threads is kept for compatibility and changes nothing.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import yaml
 from . import __version__, _lapack
 from .core import MAX_SITES, PureState, product_state
 from .dynamics import (
+    GAP_WEIGHT_FLOOR,
     TimeGrid,
     TimeSeries,
     default_relax_grid,
@@ -452,15 +455,21 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
 def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     """The eigensystem of a run's site-basis readers (None without them), and
     the spectral data of each variant. All derive from one diagonalization of
-    the chain with psi0 (an empty sector keeps its eigenvalues
-    only): the scrambled chain takes its eigenvalues, so its run solves for
-    them alone, and the random matrix its occupied moments, so the chain's
-    eigenvectors are dropped before the random matrix is drawn. The random
-    matrix is never formed: its eigenvalues and eigenvectors are drawn from
-    one seed at mean 0 and width 1 (see goe_eigensystem), and its
+    the chain with psi0 (an empty sector keeps its eigenvalues only). Only
+    the local chain of an entropy scan, a light cone or a relax run with
+    local Paulis reads its eigenvectors; every other run solves the chain
+    for its eigenvalues and the overlaps of psi0 alone. The scrambled chain
+    takes the eigenvalues, and the random matrix the occupied moments. The
+    random matrix is never formed: its eigenvalues and eigenvectors are
+    drawn from one seed at mean 0 and width 1 (see goe_eigensystem), and its
     eigenvalues then shifted and scaled to the chain's moments.
     """
-    eig = diagonalize(build_local_chain(cfg.chain), psi0, vectors=cfg.variant != "scrambled")
+    # only relax reads local Paulis; other kinds accept and ignore the field
+    reads_states = cfg.kind in ("entropy_scan", "light_cone") or (
+        cfg.kind == "relax" and bool(cfg.local_observables)
+    )
+    vectors = cfg.variant == "local" and reads_states
+    eig = diagonalize(build_local_chain(cfg.chain), psi0, vectors=vectors)
     if cfg.variant == "scrambled":
         eig = scramble(eig, derive_seed(cfg.master_seed, "scramble"))
     spectra = {"local" if cfg.variant == "goe" else cfg.variant: occupied_spectrum(eig, psi0)}
@@ -470,7 +479,6 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
         unit = goe_eigensystem(spectra["local"].dim, derive_seed(cfg.master_seed, "goe"))
         eig = EigenSystem(ts.energy_mean + ts.energy_width * unit.eigenvalues, unit.eigenvectors)
         spectra["goe"] = occupied_spectrum(eig, psi0)
-    reads_states = cfg.kind in ("entropy_scan", "light_cone") or bool(cfg.local_observables)
     return (eig if reads_states else None), spectra
 
 
@@ -534,8 +542,9 @@ def _observable_menu(cfg, eig, psi0, sdata, ts):
         paulis = cfg.local_observables
         series = local_series(eig, psi0, paulis, grid)
         # a level without weight adds nothing to the diagonal ensemble, and
-        # its eigenvector may be unsolved (see diagonalize): it reads 0
-        weighted = np.nonzero(sdata.weights > 0)[0]
+        # its eigenvector may be unsolved (see diagonalize): it reads 0, as
+        # do the levels whose weight is rounding noise (see diagonal_ensemble)
+        weighted = np.nonzero(sdata.weights > GAP_WEIGHT_FLOOR)[0]
         diagonals = np.zeros((len(paulis), sdata.dim))
         diagonals[:, weighted] = pauli_expectations(eig.eigenvectors, paulis, weighted)
         local = [

@@ -16,9 +16,11 @@ and a block of columns of V: the sector blocks of a chain; for a seeded
 Haar-random basis (the scrambled chain and the GOE partner), its
 Householder reflectors; or a dense matrix, which only an EigenSystem built
 from arrays holds. A sector that the quench leaves empty may be kept as its
-eigenvalues alone. Every block is solved in place by the LAPACK of numpy's
-OpenBLAS (see _lapack), and the GOE partner's eigenvalues are those of a
-tridiagonal model, with no dense matrix.
+eigenvalues alone, and a chain whose readers take the quench's weights
+alone as its eigenvalues and the overlaps V^T psi0. Every block is solved
+in place by the LAPACK of numpy's OpenBLAS (see _lapack), and the GOE
+partner's eigenvalues are those of a tridiagonal model, with no dense
+matrix.
 """
 from __future__ import annotations
 
@@ -136,6 +138,11 @@ class SectorVectors:
     do not reach it: apply_adjoint writes zeros at its levels and apply skips
     its product, each raising ValueError on input with amplitude in it, and
     columns raises for its levels.
+
+    A chain solved for one state's overlaps alone keeps that state and
+    overlaps = V^T state (by level) with both blocks unsolved: apply_adjoint
+    returns the overlaps for exactly that state, and reads any other input
+    as it reads unsolved sectors.
     """
 
     u_even: np.ndarray | None
@@ -144,6 +151,8 @@ class SectorVectors:
     pairs: np.ndarray = field(repr=False)
     partners: np.ndarray = field(repr=False)
     palindromes: np.ndarray = field(repr=False)
+    state: np.ndarray | None = field(default=None, repr=False)
+    overlaps: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         levels = np.asarray(self.levels)
@@ -164,9 +173,16 @@ class SectorVectors:
             )
         if not all(_all_finite(u) for u in blocks if u is not None):
             raise ValueError("eigenvectors must be finite")
+        if (self.state is None) != (self.overlaps is None) or any(
+            a is not None and a.shape != (levels.size,) for a in (self.state, self.overlaps)
+        ):
+            raise DimensionMismatch(
+                f"a state and its overlaps must come together, each of {levels.size} entries"
+            )
         for name, value in (
             ("u_even", self.u_even), ("u_odd", self.u_odd), ("levels", levels),
             ("pairs", pairs), ("partners", partners), ("palindromes", palindromes),
+            ("state", self.state), ("overlaps", self.overlaps),
         ):
             if value is not None:
                 object.__setattr__(self, name, _freeze(value))
@@ -234,8 +250,11 @@ class SectorVectors:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """V^dag y: the sector components of y, each through its block transposed.
 
-        An unsolved sector's components must be zero, and its levels read 0.
+        An unsolved sector's components must be zero, and its levels read 0;
+        the kept state reads its overlaps.
         """
+        if self.state is not None and np.array_equal(y, self.state):
+            return self.overlaps.copy()
         parts = _sector_parts(y, self.pairs, self.partners, self.palindromes)
         out = np.empty(y.shape, dtype=np.result_type(y, float))
         for (name, u, levels), part in zip(self._sectors(), parts):
@@ -465,7 +484,7 @@ class GaussianFit:
 def diagonalize(
     chain: SpinChain, psi0: PureState | None = None, vectors: bool = True
 ) -> EigenSystem:
-    """Full eigendecomposition of a chain, from its even and odd sector blocks.
+    """Eigendecomposition of a chain, from its even and odd sector blocks.
 
     The sectors are those of the classes the chain's diagonal allows (see
     _symmetry_classes): the site reflection's where the diagonal is
@@ -478,46 +497,57 @@ def diagonalize(
     to the even vector of i, and flip times +1 on a pair, -1 on a partner and
     0 on a palindrome to the odd vector of i. Each block is built and solved
     in place in turn (see _block_eigh), and the two block spectra merge in
-    ascending order; the eigenvectors stay as the blocks. Where psi0 is given
-    and its components in a sector (formed as apply_adjoint forms them) are
-    all exactly zero, as for any reflection-symmetric state in the odd
-    sector, no reader of that quench reaches the sector's eigenvectors: its
-    block is solved for its eigenvalues alone and kept unsolved. With
-    vectors=False, for a caller that reads the eigenvalues alone, every
-    block is kept unsolved.
+    ascending order. Each block takes one of three routes:
+
+    - a sector where psi0's components (formed as apply_adjoint forms them)
+      are all exactly zero, as the odd sector of any reflection-symmetric
+      state, is solved for its eigenvalues alone and kept unsolved: no
+      reader of that quench reaches its eigenvectors;
+    - otherwise, with vectors=True, its eigenvectors stay as the block;
+    - otherwise, with vectors=False, for a caller that reads the quench's
+      weights and no eigenvector, it is solved for its eigenvalues and its
+      overlaps with psi0 alone (see _lapack.eigh_values), and the
+      eigensystem keeps psi0 and V^T psi0 (see SectorVectors); psi0 is then
+      required.
     """
     pairs, partners, palindromes = _symmetry_classes(chain)
     dim, n_pairs = chain.dim, pairs.size
     if psi0 is None:
-        occupied = (True, True)
+        if not vectors:
+            raise ValueError("vectors=False solves for the overlaps of psi0, and none is given")
+        parts = (None, None)
     elif psi0.spec.dim != dim:
         raise DimensionMismatch(f"chain dimension {dim} does not match state {psi0.spec.dim}")
     else:
         parts = _sector_parts(psi0.amplitudes, pairs, partners, palindromes)
-        occupied = tuple(bool(np.any(part != 0)) for part in parts)
     slot = np.zeros(dim, dtype=np.int64)
     slot[pairs] = slot[partners] = np.arange(n_pairs)
     slot[palindromes] = n_pairs + np.arange(palindromes.size)
     f = np.ones(dim)
     f[pairs] = f[partners] = math.sqrt(2.0)
     states = np.concatenate([pairs, palindromes])
-    ev_even, u_even = _block_eigh(
-        _sector_block(chain, states, slot, f[states], 1.0 / f), occupied[0], vectors
+    ev_even, u_even, c_even = _block_eigh(
+        _sector_block(chain, states, slot, f[states], 1.0 / f), parts[0], vectors
     )
 
     parity = np.zeros(dim)
     parity[pairs], parity[partners] = 1.0, -1.0
     slot[palindromes] = 0  # a flip onto a palindrome adds 0 to the odd block
-    ev_odd, u_odd = _block_eigh(
-        _sector_block(chain, pairs, slot, np.ones(n_pairs), parity), occupied[1], vectors
+    ev_odd, u_odd, c_odd = _block_eigh(
+        _sector_block(chain, pairs, slot, np.ones(n_pairs), parity), parts[1], vectors
     )
 
     ev = np.concatenate([ev_even, ev_odd])
     order = np.argsort(ev, kind="stable")
     levels = np.empty(dim, dtype=np.int64)
     levels[order] = np.arange(dim)
+    known = {}
+    if not vectors:
+        overlaps = np.empty(dim, dtype=complex)
+        overlaps[levels] = np.concatenate([c_even, c_odd])
+        known = {"state": psi0.amplitudes, "overlaps": overlaps}
     return EigenSystem(
-        ev[order], SectorVectors(u_even, u_odd, levels, pairs, partners, palindromes)
+        ev[order], SectorVectors(u_even, u_odd, levels, pairs, partners, palindromes, **known)
     )
 
 
@@ -544,21 +574,24 @@ def _sector_block(chain: SpinChain, states: np.ndarray, slot: np.ndarray,
 
 
 def _block_eigh(
-    block_t: np.ndarray, occupied: bool, vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """A sector block's eigenvalues, and block_t overwritten by its eigenvectors or None.
+    block_t: np.ndarray, part: np.ndarray | None, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """A sector block's eigenvalues, its eigenvectors or None, and its overlaps or None.
 
-    block_t is the block transposed (see _sector_block). A sector the quench
-    leaves empty takes dsyevd without eigenvectors. An occupied one takes it
-    with eigenvectors, or, with vectors=False, the same eigenvalues to the
-    bit without them (see _lapack.eigh_values), so the levels a scrambled
-    run reads are those of the full solve.
+    block_t is the block transposed (see _sector_block), and part the
+    quench's component in the sector (None for no quench). A sector the
+    quench leaves empty takes dsyevd without eigenvectors, and its overlaps
+    are 0. Otherwise, with vectors, dsyevd overwrites block_t by its
+    eigenvectors. Without, _lapack.eigh_values gives the same eigenvalues to
+    the bit and V^T part, with no back-transformation; a part with no
+    imaginary component goes through as one real column.
     """
-    if occupied and vectors:
-        return _lapack.eigh(block_t, vectors=True), block_t
-    if occupied:
-        return _lapack.eigh_values(block_t), None
-    return _lapack.eigh(block_t, vectors=False), None
+    if part is not None and not np.any(part):
+        return _lapack.eigh(block_t, vectors=False), None, np.zeros_like(part)
+    if vectors:
+        return _lapack.eigh(block_t, vectors=True), block_t, None
+    ev, overlaps = _lapack.eigh_values(block_t, part if np.any(part.imag) else part.real)
+    return ev, None, overlaps
 
 
 def scramble(eig: EigenSystem, seed: int) -> EigenSystem:

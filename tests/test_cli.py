@@ -864,6 +864,7 @@ DENSE_ROUTE = {
         "typical_count": 2, "slow": True, "identity": True,
         "local": [{"site": 1, "axis": axis} for axis in "xyz"],
     }),
+    "relax_without_paulis": ("relax", "local", {"typical_count": 2, "slow": True, "identity": True}),
     "dos": ("dos", "local", {}),
     "entropy_scan": ("entropy_scan", "local", {}),
     "light_cone": ("light_cone", "local", {}),
@@ -907,6 +908,10 @@ def _csv_tables(out_dir: Path) -> dict:
 # bound leaves a margin of 2.7.
 SLOW_DRIFT_PER_TIME = 2e-13
 # A disordered chain breaks the reflection: the sector route solves it whole.
+# The phased state (see phased_custom_state) has a complex component in
+# both sectors, or in the one block of a disordered chain, so every run that
+# reads no eigenvector solves for its overlaps as two real columns.
+OVERLAP_ROUTE = ("relax_without_paulis", "dos", "equivalence", "goe")
 DENSE_ROUTE_CASES = [
     *((label, n, "open", "neel", 0.0) for n in (7, 8) for label in DENSE_ROUTE),
     *((label, 8, "periodic", "neel", 0.0) for label in DENSE_ROUTE if label != "scrambled"),
@@ -919,7 +924,25 @@ DENSE_ROUTE_CASES = [
         if boundary == "open" or label != "scrambled"
     ),
     *((label, 7, "open", "neel", 0.5) for label in DENSE_ROUTE),
+    *(
+        (label, 8, boundary, "phased", width)
+        for boundary, width in (("open", 0.0), ("periodic", 0.0), ("open", 0.5))
+        for label in OVERLAP_ROUTE
+    ),
 ]
+
+
+def phased_custom_state(n: int) -> list:
+    """A product state with a complex phase on every site, alike on sites of one parity.
+
+    It breaks the site reflection, and on a ring it keeps the translation by
+    two sites, so it occupies momenta 0 and pi alone: no degenerate +-k pair.
+    """
+    angles = [(0.4, 0.9), (1.2, -2.1)]
+    return [
+        [[math.cos(theta), 0.0], [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)]]
+        for theta, phi in (angles[j % 2] for j in range(n))
+    ]
 
 
 @pytest.mark.filterwarnings("ignore:spectrum contains gaps below")  # the degenerate rings
@@ -944,7 +967,7 @@ def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, bound
             "kind": kind,
             "model": {"n_sites": n, "variant": variant, "boundary": boundary,
                       "disorder_width": width},
-            "initial_state": state,
+            "initial_state": {"custom": phased_custom_state(n)} if state == "phased" else state,
             "observables": observables,
             "out_dir": str(tmp_path / route),
         })
@@ -962,13 +985,13 @@ def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, bound
         assert got_header == header and len(got_rows) == len(rows), name
         want = np.array(rows, dtype=float)
         got = np.array(got_rows, dtype=float)
-        drifts = state != "neel" and name == "series_slow.csv"
+        drifts = state in ("all_up", "all_plus_x") and name == "series_slow.csv"
         bound = SLOW_DRIFT_PER_TIME * want[-1, 0] if drifts else 1e-12
         assert np.max(np.abs(got - want)) < bound, name
 
 
 def _solver_calls(monkeypatch) -> list[str]:
-    """The LAPACK route of each block solve: eigh, eigvalsh or eigh_values."""
+    """The LAPACK route of each block solve: eigh, eigvalsh or eigh_values (values and overlaps)."""
     calls = []
     eigh, eigh_values = _lapack.eigh, _lapack.eigh_values
 
@@ -976,26 +999,77 @@ def _solver_calls(monkeypatch) -> list[str]:
         calls.append("eigh" if vectors else "eigvalsh")
         return eigh(a, vectors)
 
-    def counting_values(a):
+    def counting_values(a, y):
         calls.append("eigh_values")
-        return eigh_values(a)
+        return eigh_values(a, y)
 
     monkeypatch.setattr(_lapack, "eigh", counting_eigh)
     monkeypatch.setattr(_lapack, "eigh_values", counting_values)
     return calls
 
 
-@pytest.mark.parametrize("n, solvers", [(7, ["eigh", "eigvalsh"]), (8, ["eigh", "eigh"])])
+@pytest.mark.parametrize(
+    "n, solvers", [(7, ["eigh_values", "eigvalsh"]), (8, ["eigh_values", "eigh_values"])]
+)
 def test_a_symmetric_quench_solves_its_odd_sector_for_eigenvalues_only(
     tmp_path, monkeypatch, n, solvers
 ):
     # the Neel state is reflection symmetric at odd n only; no dos output
-    # reads an eigenvector of the sector it leaves empty
+    # reads an eigenvector, so an occupied sector is solved for its
+    # eigenvalues and the state's overlaps, and the empty one for its
+    # eigenvalues alone
     calls = _solver_calls(monkeypatch)
     cfg, errors = cli.validate({"kind": "dos", "model": {"n_sites": n}, "out_dir": str(tmp_path)})
     assert errors == []
     cli.run(cfg)
     assert calls == solvers
+
+
+def test_only_relax_reads_local_paulis(tmp_path, monkeypatch):
+    # a dos config may carry observables.local, which no dos output reads:
+    # the run still solves for the overlaps alone, and writes the same bytes
+    files = {}
+    for carries in (False, True):
+        calls = _solver_calls(monkeypatch)
+        out = tmp_path / str(carries)
+        raw = {"kind": "dos", "model": {"n_sites": 8}, "out_dir": str(out)}
+        if carries:
+            raw["observables"] = {"local": [{"site": 1, "axis": "z"}]}
+        cfg, errors = cli.validate(raw)
+        assert errors == []
+        cli.run(cfg)
+        assert calls == ["eigh_values", "eigh_values"]
+        files[carries] = (out / "dos.csv").read_bytes()
+    assert files[True] == files[False]
+
+
+def test_ring_pauli_reads_skip_the_levels_of_rounding_noise(tmp_path, monkeypatch):
+    # the 8-site Neel ring occupies momenta 0 and pi alone; its other levels
+    # carry weights of rounding noise, below GAP_WEIGHT_FLOOR, whose
+    # eigenstate expectations move no equilibrium. Oracle: the same run
+    # reading every level of weight > 0
+    gathered, manifests = [], []
+    read = cli.pauli_expectations
+
+    def counting(vectors, paulis, levels):
+        gathered.append(levels.size)
+        return read(vectors, paulis, levels)
+
+    monkeypatch.setattr(cli, "pauli_expectations", counting)
+    for floor in (cli.GAP_WEIGHT_FLOOR, 0.0):
+        monkeypatch.setattr(cli, "GAP_WEIGHT_FLOOR", floor)
+        cfg, errors = cli.validate({
+            "kind": "relax",
+            "model": {"n_sites": 8, "boundary": "periodic"},
+            "observables": {"typical_count": 0, "local": [{"site": 1, "axis": a} for a in "xz"]},
+            "out_dir": str(tmp_path / str(floor)),
+        })
+        assert errors == []
+        manifests.append(cli.run(cfg))
+    assert gathered[0] < gathered[1]
+    got, want = (dict(_equilibria(m["results"])) for m in manifests)
+    assert got.keys() == want.keys() and len(want) == 2
+    assert all(abs(got[key] - want[key]) < 1e-12 for key in want), (got, want)
 
 
 @pytest.mark.parametrize(
@@ -1073,12 +1147,18 @@ def test_symmetric_slow_series_ignores_the_unsolved_sector(
     tmp_path, monkeypatch, variant, state, boundary
 ):
     # the slow series reads the occupied levels alone, all of them in the even
-    # sector, whose eigh is the same call on both routes: the same bytes
+    # sector, whose solve is the same call on both routes: the same bytes.
+    # The solved route takes the empty sector through eigh_values too, whose
+    # eigenvalues are those of the full solve
     files = {}
-    diagonalize = cli.diagonalize
+    eigh, eigh_values = _lapack.eigh, _lapack.eigh_values
+
+    def solved(a, vectors):
+        return eigh(a, vectors) if vectors else eigh_values(a, np.zeros(len(a)))[0]
+
     for route in ("unsolved", "solved"):
         if route == "solved":
-            monkeypatch.setattr(cli, "diagonalize", lambda h, psi0, vectors: diagonalize(h))
+            monkeypatch.setattr(_lapack, "eigh", solved)
         cfg, errors = cli.validate({
             "kind": "relax",
             "model": {"n_sites": 8, "variant": variant, "boundary": boundary},

@@ -25,8 +25,8 @@ def test_lookup_finds_every_routine_in_numpys_openblas():
     assert str(path) in described
     assert all(f"scipy_{name}_64_" in described for name in _lapack.ROUTINES)
     # the routines some route calls, and no other: the block solves, the
-    # two steps of eigh_values and the GOE partner's tridiagonal solve
-    assert set(_lapack.ROUTINES) == {"dsyevd", "dsytrd", "dstedc", "dsterf"}
+    # three steps of eigh_values and the GOE partner's tridiagonal solve
+    assert set(_lapack.ROUTINES) == {"dsyevd", "dsytrd", "dstedc", "dormtr", "dsterf"}
 
 
 def _sector_blocks(monkeypatch, n: int) -> list[np.ndarray]:
@@ -47,7 +47,9 @@ def _sector_blocks(monkeypatch, n: int) -> list[np.ndarray]:
 @pytest.mark.parametrize("n", range(4, 12))
 def test_in_place_solve_equals_numpy_on_sector_blocks(monkeypatch, n):
     # oracle: np.linalg on the block itself, the transpose of what
-    # _sector_block builds; both sectors, with and without eigenvectors
+    # _sector_block builds; both sectors, with and without eigenvectors,
+    # and eigh_values's V^T y for a real and a complex y
+    rng = np.random.default_rng(n)
     for block_t in _sector_blocks(monkeypatch, n):
         block = block_t.T
         w, v = np.linalg.eigh(block)
@@ -55,7 +57,11 @@ def test_in_place_solve_equals_numpy_on_sector_blocks(monkeypatch, n):
         assert np.array_equal(_lapack.eigh(got, vectors=True), w)
         assert got.flags.c_contiguous and np.array_equal(got, v)
         assert np.array_equal(_lapack.eigh(block_t.copy(), vectors=False), np.linalg.eigvalsh(block))
-        assert np.array_equal(_lapack.eigh_values(block_t.copy()), w)
+        real = rng.standard_normal(len(w))
+        for y in (real, real + 1j * rng.standard_normal(len(w))):
+            values, overlaps = _lapack.eigh_values(block_t.copy(), y)
+            assert np.array_equal(values, w)
+            assert overlaps.dtype == y.dtype and np.max(np.abs(overlaps - v.T @ y)) < 1e-13
 
 
 def test_the_block_layout_is_what_makes_the_solve_bitwise(monkeypatch):
@@ -114,13 +120,14 @@ def test_nonzero_info_raises_convergence_failure_naming_the_routine():
         lambda: _lapack.eigh(np.asfortranarray(np.arange(9.0).reshape(3, 3)), vectors=True),
         lambda: _lapack.eigh(np.eye(4, dtype=np.float32), vectors=False),
         lambda: _lapack.eigh(np.eye(4, dtype=complex), vectors=True),
-        lambda: _lapack.eigh_values(np.eye(4, dtype=complex)),
+        lambda: _lapack.eigh_values(np.eye(4, dtype=complex), np.ones(4)),
+        lambda: _lapack.eigh_values(np.eye(4), np.ones(3)),  # a vector that does not fit
         lambda: _lapack.eigh(np.eye(4)[::-1], vectors=True),  # a reversed view
         lambda: _lapack.sterf(np.zeros(4), np.zeros(2)),  # off-diagonal too short
         lambda: _lapack.sterf(np.zeros((2, 2)), np.zeros(1)),
     ],
-    ids=["rectangular", "fortran_order", "float32", "complex", "complex_values", "view", "short_e",
-         "2d_d"],
+    ids=["rectangular", "fortran_order", "float32", "complex", "complex_values", "short_y", "view",
+         "short_e", "2d_d"],
 )
 def test_arrays_lapack_would_overrun_are_refused(call):
     with pytest.raises(ValueError, match="LAPACK takes|does not fit"):

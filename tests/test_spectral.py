@@ -508,6 +508,72 @@ def test_reads_of_an_unsolved_sector_stay_exact_or_raise(empty):
         half.columns(slice(0, full.dim))
 
 
+OVERLAP_CHAINS = {
+    "open": {"boundary": "open"},
+    "periodic": {"boundary": "periodic"},
+    "disordered": {"disorder_width": 0.5},
+}
+
+
+@pytest.mark.parametrize("chain", OVERLAP_CHAINS.keys())
+@pytest.mark.parametrize("n", range(2, 12))
+def test_solving_for_the_overlaps_keeps_the_full_solve(n, chain):
+    # oracle: the same chain and state with every occupied sector's
+    # eigenvectors; the Neel state is real (one column through dormtr), the
+    # product state complex (two columns), and a disordered chain is one block
+    h = ql.build_local_chain(ql.ChainParams(n_sites=n, seed=n, **OVERLAP_CHAINS[chain]))
+    neel = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(n)])
+    for psi0 in (neel, complex_product_state(n)):
+        full, eig = ql.diagonalize(h, psi0), ql.diagonalize(h, psi0, vectors=False)
+        vectors = eig.eigenvectors
+        assert vectors.u_even is None and vectors.u_odd is None
+        assert np.array_equal(eig.eigenvalues, full.eigenvalues)
+        want = full.eigenvectors.apply_adjoint(psi0.amplitudes)
+        assert np.max(np.abs(vectors.apply_adjoint(psi0.amplitudes) - want)) < 1e-13
+
+
+def test_the_overlaps_answer_their_state_alone():
+    # the Neel state of an odd chain leaves the odd sector empty; the
+    # eigensystem keeps its overlaps, exact for that state (or an equal
+    # copy), and refuses other input as an unsolved sector does
+    n = 7
+    h = ql.build_local_chain(ql.ChainParams(n_sites=n))
+    psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(n)])
+    vectors = ql.diagonalize(h, psi0, vectors=False).eigenvectors
+    want = ql.diagonalize(h, psi0).eigenvectors.apply_adjoint(psi0.amplitudes)
+    for y in (psi0.amplitudes, psi0.amplitudes.copy()):
+        got = vectors.apply_adjoint(y)
+        assert np.array_equal(got, vectors.overlaps) and np.max(np.abs(got - want)) < 1e-13
+    got[0] = 1.0  # a copy: the kept overlaps stay as they are
+    assert np.array_equal(vectors.apply_adjoint(psi0.amplitudes), vectors.overlaps)
+    rng = np.random.default_rng(1)
+    other = psi0.amplitudes.copy()
+    other[3] += 1e-300
+    for y, sector in (
+        (other, "even"),
+        (_mirror_state(n, -1.0, seed=2).amplitudes, "odd"),
+        (_test_vectors(rng, 2**n, 2), "even"),
+    ):
+        with pytest.raises(ValueError, match=f"unsolved {sector} sector"):
+            vectors.apply_adjoint(y)
+    assert np.array_equal(vectors.apply_adjoint(np.zeros(2**n)), np.zeros(2**n))
+    with pytest.raises(ValueError, match="unsolved even sector"):
+        vectors.apply(want)
+    with pytest.raises(ValueError, match="unsolved"):
+        vectors.columns(slice(0, 1))
+
+
+def test_overlaps_need_their_state():
+    h = ql.build_local_chain(ql.ChainParams(n_sites=4))
+    with pytest.raises(ValueError, match="overlaps of psi0"):
+        ql.diagonalize(h, vectors=False)
+    full = ql.diagonalize(h).eigenvectors
+    classes = (full.levels, full.pairs, full.partners, full.palindromes)
+    for state, overlaps in ((np.ones(16), None), (None, np.ones(16)), (np.ones(16), np.ones(15))):
+        with pytest.raises(DimensionMismatch, match="state and its overlaps"):
+            ql.SectorVectors(None, None, *classes, state=state, overlaps=overlaps)
+
+
 def test_diagonalize_state_must_fit_the_chain():
     chain = ql.build_local_chain(ql.ChainParams(n_sites=6))
     with pytest.raises(DimensionMismatch):
