@@ -2,14 +2,14 @@
 
 Every eigenproblem quenchlab solves is real symmetric: a sector block of a
 chain, or the GOE partner's tridiagonal model. np.linalg solves the first
-with dsyevd, but on a private copy and into a fresh output array, and it
-does not expose the tridiagonal solvers. A numpy wheel links one ILP64
-OpenBLAS, numpy.libs/libscipy_openblas64_*.so, whose LAPACK symbols carry
-the prefix scipy_ and the suffix 64_ and take 64-bit integers. This module
-opens that library (the one numpy has loaded, so dlopen hands back the same
-copy), resolves the routines of ROUTINES, and calls them through ctypes on
-arrays numpy owns, with the workspace sizes of the lwork = -1 query, as
-numpy does.
+by dsyevd, on a private copy and into a fresh output array, and exposes no
+tridiagonal solver. Here eigh takes dsyevd's own steps one by one, so a
+caller that wants V^T y alone stops short of V. A numpy wheel links one
+ILP64 OpenBLAS, numpy.libs/libscipy_openblas64_*.so, whose LAPACK symbols
+carry the prefix scipy_ and the suffix 64_ and take 64-bit integers. This
+module opens that library (the one numpy has loaded, so dlopen hands back
+the same copy), resolves the routines of ROUTINES, and calls them through
+ctypes on arrays numpy owns.
 
 A numpy built against another LAPACK (MKL, Accelerate, or 32-bit integers)
 has no such file or symbol: the first solve raises LapackUnavailable, naming
@@ -23,18 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _transpose
 from .errors import ConvergenceFailure, LapackUnavailable
 
 # routine: (arguments, character arguments). Fortran takes every argument by
 # reference, info last; each character argument adds a hidden length, by
 # value, after them.
 ROUTINES = {
-    "dsyevd": (11, 2),
     "dsytrd": (10, 1),
     "dstedc": (11, 1),
-    "dsterf": (4, 0),
     "dormtr": (13, 3),
+    "dsterf": (4, 0),
 }
 _PATTERN = "libscipy_openblas64_*.so"
 
@@ -57,14 +55,18 @@ def library() -> Path:
     return found[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _routine(name: str):
+def _symbol(name: str, symbol: str):
+    """symbol in the library; LapackUnavailable, naming what needs it, where it is missing."""
     path = library()
-    symbol = f"scipy_{name}_64_"
     try:
-        fn = getattr(ctypes.CDLL(str(path)), symbol)
+        return getattr(ctypes.CDLL(str(path)), symbol)
     except AttributeError:
         raise LapackUnavailable(f"{name}: {symbol} not found in {path}") from None
+
+
+@functools.lru_cache(maxsize=None)
+def _routine(name: str):
+    fn = _symbol(name, f"scipy_{name}_64_")
     args, strings = ROUTINES[name]
     fn.argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * strings
     fn.restype = None
@@ -74,6 +76,13 @@ def _routine(name: str):
 def describe() -> str:
     """The library file and the symbols resolved in it."""
     return f"{library()} ({', '.join(_routine(name).__name__ for name in ROUTINES)})"
+
+
+def threads() -> int:
+    """The number of threads the library's BLAS and LAPACK calls run on."""
+    fn = _symbol("blas threads", "scipy_openblas_get_num_threads64_")
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn()
 
 
 def _call(name: str, *args) -> None:
@@ -113,54 +122,56 @@ def _check(a: np.ndarray, ndim: int) -> None:
         )
 
 
-def eigh(at: np.ndarray, vectors: bool) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric A, solved by dsyevd in at, which holds A^T.
+def eigh(
+    at: np.ndarray, vectors: bool = False, y: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of a real symmetric A solved in at, and V^T y or None.
 
     at is C-contiguous float and holds A^T: its memory is A in column-major
     order, the layout np.linalg hands to LAPACK, which reads A's lower
-    triangle (uplo = 'L'). The solve then equals np.linalg.eigh and eigvalsh
-    to the bit, also where A is symmetric only to rounding. With vectors, at
-    is overwritten by the eigenvectors as its columns, C order as np.linalg
-    returns them (LAPACK leaves them column-major, and they are transposed
-    in place); without, at is destroyed.
+    triangle (uplo = 'L'). The solve takes dsyevd's own steps, so it equals
+    np.linalg.eigh and eigvalsh to the bit, also where A is symmetric only to
+    rounding. dsytrd reduces A = Q T Q^T; for the eigenvalues alone dsterf
+    solves T. Otherwise dstedc solves T = Z E Z^T by divide and conquer, and
+    - with vectors, dormtr forms V = Q Z, copied into at as its columns in C
+      order, as np.linalg returns them. dstedc and dormtr share dsyevd's
+      workspace: with less, dormqr narrows its blocks and the bits of V move;
+    - given y, a float or complex vector of A's dimension, dormtr applies
+      Q^T to y alone, with its own queried workspace, and V^T y =
+      Z^T (Q^T y) in O(n^2); a complex y goes through as two real columns.
+    at is destroyed unless it holds V. dsyevd's prescaling of a matrix whose
+    largest entry lies outside about [1e-146, 1e146] is left out.
     """
     _check(at, 2)
     n = at.shape[0]
-    w = np.empty(n)
-    _with_workspace(
-        "dsyevd",
-        (b"V" if vectors else b"N", b"L", _ref(n), at.ctypes, _ref(max(n, 1)), w.ctypes),
-        (float, np.int64),
-    )
-    if vectors:
-        _transpose(at)
-    return w
-
-
-def eigh_values(at: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues eigh(at, vectors=True) returns, to the bit, and V^T y, with no V.
-
-    at is laid out as for eigh, and is destroyed; y is a float or complex
-    vector of A's dimension. dsyevd with eigenvectors reduces A = Q T Q^T
-    (dsytrd), solves T = Z E Z^T by divide and conquer (dstedc) and
-    back-transforms V = Q Z (dormtr on all n columns, 2 n^3 flops); its
-    eigenvalues are dstedc's. Here dormtr applies Q^T to y alone, O(n^2), and
-    V^T y = Z^T (Q^T y); a complex y goes through as two real columns. That
-    is about two thirds of dsyevd's time at n = 1056. dsyevd without
-    eigenvectors solves T by dsterf instead, whose eigenvalues differ from
-    dstedc's in the last bits.
-    """
-    _check(at, 2)
-    n = at.shape[0]
-    if y.shape != (n,):
+    if vectors and y is not None:
+        raise ValueError("eigh forms V or V^T y, not both")
+    if y is not None and y.shape != (n,):
         raise ValueError(f"a vector of {y.shape} does not fit a matrix of dimension {n}")
     d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
     lead = _ref(max(n, 1))
     _with_workspace("dsytrd", (b"L", _ref(n), at.ctypes, lead, d.ctypes, e.ctypes, tau.ctypes),
                     (float,))
-    z = np.empty((n, n))  # Z column-major, so Z^T in C order
-    _with_workspace("dstedc", (b"I", _ref(n), d.ctypes, e.ctypes, z.ctypes, lead),
-                    (float, np.int64))
+    if not vectors and y is None:
+        return sterf(d, e), None
+    # Z (column-major, so Z^T in C order) and dstedc's workspace. With
+    # vectors they are one buffer, as dsyevd lays them out: as two arrays, a
+    # 12-site relax run with local Paulis peaked at 207 MB instead of 197 MB.
+    # One buffer for the overlaps too took the peak of the 10-site
+    # random_matrix benchmark from 55.6 to 56.5 MB.
+    size, iwork = 1 + 4 * n + n * n, np.empty(3 + 5 * n, np.int64)
+    if vectors:
+        buf = np.empty(n * n + size)
+        z, work = buf[: n * n].reshape(n, n), buf[n * n:]
+    else:
+        z, work = np.empty((n, n)), np.empty(size)
+    _call("dstedc", b"I", _ref(n), d.ctypes, e.ctypes, z.ctypes, lead,
+          work.ctypes, _ref(work.size), iwork.ctypes, _ref(iwork.size))
+    if vectors:
+        _call("dormtr", b"L", b"L", b"N", _ref(n), _ref(n), at.ctypes, lead, tau.ctypes,
+              z.ctypes, lead, work.ctypes, _ref(work.size))
+        at[...] = z.T
+        return d, None
     # C rows are the Fortran columns of an n x k matrix with leading dimension n
     cols = np.array([y.real, y.imag] if np.iscomplexobj(y) else [y], dtype=float)
     _with_workspace(

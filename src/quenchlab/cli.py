@@ -743,7 +743,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_val = sub.add_parser("validate", help="check a config and print its normalized form")
     p_val.add_argument("config", help="path to a YAML experiment config")
 
-    sub.add_parser("info", help="print version, desk-scale limits and the LAPACK library")
+    sub.add_parser("info", help="print version, desk-scale limits, LAPACK library, BLAS threads")
 
     args = parser.parse_args(argv)
 
@@ -760,6 +760,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         try:
             print(f"lapack: {_lapack.describe()}")
+            print(f"blas threads: {_lapack.threads()}")
         except QuenchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -45,17 +45,6 @@ def _tile_pairs(size: int) -> list[tuple[slice, slice]]:
     return [(rows, cols) for a, rows in enumerate(tiles) for cols in tiles[a:]]
 
 
-def _transpose(m: np.ndarray) -> np.ndarray:
-    """Square m overwritten by its transpose, one tile pair at a time, through
-    one temporary tile."""
-    for rows, cols in _tile_pairs(m.shape[0]):
-        tile = m[cols, rows].copy()
-        if rows != cols:
-            m[cols, rows] = m[rows, cols].T
-        m[rows, cols] = tile.T
-    return m
-
-
 def _all_finite(a: np.ndarray) -> bool:
     """np.all(np.isfinite(a)), one block of _TILE rows at a time."""
     return all(np.isfinite(a[rows]).all() for rows in _tiles(a.shape[0]))

@@ -1,4 +1,4 @@
-"""Spin-chain Hamiltonians and the symmetric Gaussian draw.
+"""Spin-chain Hamiltonians.
 
 The local model is an Ising chain in mixed transverse and longitudinal
 fields,
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, _tile_pairs
+from .core import _freeze
 
 DEFAULT_J = 1.0
 DEFAULT_H = 4.2
@@ -116,19 +116,3 @@ def build_local_chain(p: ChainParams) -> SpinChain:
     if p.disorder_width == 0:
         diag = diag[np.minimum(np.arange(diag.size), _mirror(n))]
     return SpinChain(n, diag, -p.h)
-
-
-def _symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
-    """(G + G^T) / 2 for a seeded dim x dim standard normal draw G, formed in G.
-
-    The tile pairs (a, b) with a <= b are symmetrized in place, so no second
-    dim x dim array is held. g_ij + g_ji and g_ji + g_ij round alike and
-    halving is exact, so the result is (G + G^T) / 2 to the bit.
-    """
-    m = np.random.default_rng(seed).standard_normal((dim, dim))
-    for rows, cols in _tile_pairs(dim):
-        upper = m[rows, cols] + m[cols, rows].T
-        upper /= 2.0
-        m[rows, cols] = upper
-        m[cols, rows] = upper.T
-    return m

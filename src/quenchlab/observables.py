@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PureState, _hermitian
+from .core import PureState, _hermitian, _tile_pairs
 from .dynamics import (
     EVOLVE_BLOCK,
     TimeGrid,
@@ -26,7 +26,7 @@ from .dynamics import (
     _state_spec,
 )
 from .errors import ConvergenceFailure, SiteOutOfBounds
-from .hamiltonian import _symmetric_gaussian, _sz_signs
+from .hamiltonian import _sz_signs
 from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
     DenseVectors,
@@ -87,6 +87,22 @@ def slow_series(
     for block, phi in _phase_blocks(np.diff(spec.eigenvalues[occ]), pairs, grid):
         values[block] = phi.sum(axis=0).real
     return TimeSeries(grid, values)
+
+
+def _symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
+    """(G + G^T) / 2 for a seeded dim x dim standard normal draw G, formed in G.
+
+    The tile pairs (a, b) with a <= b are symmetrized in place, so no second
+    dim x dim array is held. g_ij + g_ji and g_ji + g_ij round alike and
+    halving is exact, so the result is (G + G^T) / 2 to the bit.
+    """
+    m = np.random.default_rng(seed).standard_normal((dim, dim))
+    for rows, cols in _tile_pairs(dim):
+        upper = m[rows, cols] + m[cols, rows].T
+        upper /= 2.0
+        m[rows, cols] = upper
+        m[cols, rows] = upper.T
+    return m
 
 
 def typical_observable(dim: int, seed: int) -> ObservableMatrix:

@@ -18,9 +18,9 @@ Householder reflectors; or a dense matrix, which only an EigenSystem built
 from arrays holds. A sector that the quench leaves empty may be kept as its
 eigenvalues alone, and a chain whose readers take the quench's weights
 alone as its eigenvalues and the overlaps V^T psi0. Every block is solved
-in place by the LAPACK of numpy's OpenBLAS (see _lapack), and the GOE
-partner's eigenvalues are those of a tridiagonal model, with no dense
-matrix.
+in place on one path, dsyevd's own steps in the LAPACK of numpy's OpenBLAS
+(see _lapack.eigh), and the GOE partner's eigenvalues are those of a
+tridiagonal model, solved by the same dsterf, with no dense matrix.
 """
 from __future__ import annotations
 
@@ -131,7 +131,9 @@ class SectorVectors:
     Column k of u_even (u_odd) holds the sector coefficients of the
     eigenvector at level levels[k] (levels[n_even + k]). V itself is never
     formed: apply and apply_adjoint take one product per sector, and
-    columns gathers a block of columns with no product at all.
+    columns gathers a block of columns with no product at all. A solved
+    block is the array its sector block was built in, overwritten by the
+    block's eigenvectors (see _lapack.eigh).
 
     A block given as None is unsolved: the quench leaves that sector empty,
     so only its eigenvalues were computed. The reads stay exact wherever they
@@ -497,7 +499,7 @@ def diagonalize(
     to the even vector of i, and flip times +1 on a pair, -1 on a partner and
     0 on a palindrome to the odd vector of i. Each block is built and solved
     in place in turn (see _block_eigh), and the two block spectra merge in
-    ascending order. Each block takes one of three routes:
+    ascending order. Each block is one _lapack.eigh call, of three kinds:
 
     - a sector where psi0's components (formed as apply_adjoint forms them)
       are all exactly zero, as the odd sector of any reflection-symmetric
@@ -506,9 +508,8 @@ def diagonalize(
     - otherwise, with vectors=True, its eigenvectors stay as the block;
     - otherwise, with vectors=False, for a caller that reads the quench's
       weights and no eigenvector, it is solved for its eigenvalues and its
-      overlaps with psi0 alone (see _lapack.eigh_values), and the
-      eigensystem keeps psi0 and V^T psi0 (see SectorVectors); psi0 is then
-      required.
+      overlaps with psi0 alone, and the eigensystem keeps psi0 and V^T psi0
+      (see SectorVectors); psi0 is then required.
     """
     pairs, partners, palindromes = _symmetry_classes(chain)
     dim, n_pairs = chain.dim, pairs.size
@@ -579,19 +580,17 @@ def _block_eigh(
     """A sector block's eigenvalues, its eigenvectors or None, and its overlaps or None.
 
     block_t is the block transposed (see _sector_block), and part the
-    quench's component in the sector (None for no quench). A sector the
-    quench leaves empty takes dsyevd without eigenvectors, and its overlaps
-    are 0. Otherwise, with vectors, dsyevd overwrites block_t by its
-    eigenvectors. Without, _lapack.eigh_values gives the same eigenvalues to
-    the bit and V^T part, with no back-transformation; a part with no
-    imaginary component goes through as one real column.
+    quench's component in the sector (None for no quench). One _lapack.eigh
+    solves it: a sector the quench leaves empty for its eigenvalues alone,
+    with overlaps 0; otherwise, with vectors, into its eigenvectors, which
+    overwrite block_t; without, for its eigenvalues and V^T part, a part with
+    no imaginary component going through as one real column.
     """
-    if part is not None and not np.any(part):
-        return _lapack.eigh(block_t, vectors=False), None, np.zeros_like(part)
-    if vectors:
-        return _lapack.eigh(block_t, vectors=True), block_t, None
-    ev, overlaps = _lapack.eigh_values(block_t, part if np.any(part.imag) else part.real)
-    return ev, None, overlaps
+    empty = part is not None and not np.any(part)
+    solve = vectors and not empty
+    y = None if vectors or empty else (part if np.any(part.imag) else part.real)
+    ev, overlaps = _lapack.eigh(block_t, vectors=solve, y=y)
+    return ev, block_t if solve else None, np.zeros_like(part) if empty else overlaps
 
 
 def scramble(eig: EigenSystem, seed: int) -> EigenSystem:

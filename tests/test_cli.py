@@ -991,20 +991,15 @@ def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, bound
 
 
 def _solver_calls(monkeypatch) -> list[str]:
-    """The LAPACK route of each block solve: eigh, eigvalsh or eigh_values (values and overlaps)."""
+    """The request of each block solve: eigh (V), eigvalsh, or eigh_values (values and overlaps)."""
     calls = []
-    eigh, eigh_values = _lapack.eigh, _lapack.eigh_values
+    eigh = _lapack.eigh
 
-    def counting_eigh(a, vectors):
-        calls.append("eigh" if vectors else "eigvalsh")
-        return eigh(a, vectors)
+    def counting(a, vectors=False, y=None):
+        calls.append("eigh" if vectors else "eigvalsh" if y is None else "eigh_values")
+        return eigh(a, vectors, y)
 
-    def counting_values(a, y):
-        calls.append("eigh_values")
-        return eigh_values(a, y)
-
-    monkeypatch.setattr(_lapack, "eigh", counting_eigh)
-    monkeypatch.setattr(_lapack, "eigh_values", counting_values)
+    monkeypatch.setattr(_lapack, "eigh", counting)
     return calls
 
 
@@ -1148,13 +1143,13 @@ def test_symmetric_slow_series_ignores_the_unsolved_sector(
 ):
     # the slow series reads the occupied levels alone, all of them in the even
     # sector, whose solve is the same call on both routes: the same bytes.
-    # The solved route takes the empty sector through eigh_values too, whose
-    # eigenvalues are those of the full solve
+    # The solved route takes the empty sector through the overlaps request
+    # too, whose eigenvalues are those of the full solve
     files = {}
-    eigh, eigh_values = _lapack.eigh, _lapack.eigh_values
+    eigh = _lapack.eigh
 
-    def solved(a, vectors):
-        return eigh(a, vectors) if vectors else eigh_values(a, np.zeros(len(a)))[0]
+    def solved(a, vectors=False, y=None):
+        return eigh(a, vectors, np.zeros(len(a)) if not vectors and y is None else y)
 
     for route in ("unsolved", "solved"):
         if route == "solved":
@@ -1374,6 +1369,19 @@ def test_info_subcommand(capsys):
     lapack = [line for line in out.splitlines() if line.startswith("lapack: ")]
     assert len(lapack) == 1 and str(_lapack.library()) in lapack[0]
     assert all(f"scipy_{name}_64_" in lapack[0] for name in _lapack.ROUTINES)
+
+
+def test_info_reports_the_blas_threads(tmp_path):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads it: a fresh process
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchlab.cli", "info"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "blas threads: 1" in proc.stdout.splitlines()
 
 
 def test_version_matches_the_project_metadata():

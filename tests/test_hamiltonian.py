@@ -14,7 +14,8 @@ from oracles import (
     haar_unitary,
     symmetric_gaussian,
 )
-from quenchlab.hamiltonian import _mirror, _symmetric_gaussian, _sz_signs
+from quenchlab.hamiltonian import _mirror, _sz_signs
+from quenchlab.observables import _symmetric_gaussian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])

@@ -24,12 +24,12 @@ def test_lookup_finds_every_routine_in_numpys_openblas():
     described = _lapack.describe()
     assert str(path) in described
     assert all(f"scipy_{name}_64_" in described for name in _lapack.ROUTINES)
-    # the routines some route calls, and no other: the block solves, the
-    # three steps of eigh_values and the GOE partner's tridiagonal solve
-    assert set(_lapack.ROUTINES) == {"dsyevd", "dsytrd", "dstedc", "dormtr", "dsterf"}
+    # the routines some route calls, and no other: the steps of the one
+    # block solve, whose dsterf also solves the GOE partner's tridiagonal
+    assert set(_lapack.ROUTINES) == {"dsytrd", "dstedc", "dormtr", "dsterf"}
 
 
-def _sector_blocks(monkeypatch, n: int) -> list[np.ndarray]:
+def _sector_blocks(monkeypatch, n: int, **params) -> list[np.ndarray]:
     """Copies of the two transposed blocks diagonalize builds for an n-site chain."""
     blocks = []
     build = spectral._sector_block
@@ -39,7 +39,7 @@ def _sector_blocks(monkeypatch, n: int) -> list[np.ndarray]:
         return blocks[-1].copy()
 
     monkeypatch.setattr(spectral, "_sector_block", keep)
-    ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n)))
+    ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n, **params)))
     monkeypatch.undo()
     return blocks
 
@@ -48,20 +48,41 @@ def _sector_blocks(monkeypatch, n: int) -> list[np.ndarray]:
 def test_in_place_solve_equals_numpy_on_sector_blocks(monkeypatch, n):
     # oracle: np.linalg on the block itself, the transpose of what
     # _sector_block builds; both sectors, with and without eigenvectors,
-    # and eigh_values's V^T y for a real and a complex y
+    # and V^T y for a real and a complex y
     rng = np.random.default_rng(n)
     for block_t in _sector_blocks(monkeypatch, n):
-        block = block_t.T
-        w, v = np.linalg.eigh(block)
-        got = block_t.copy()
-        assert np.array_equal(_lapack.eigh(got, vectors=True), w)
-        assert got.flags.c_contiguous and np.array_equal(got, v)
-        assert np.array_equal(_lapack.eigh(block_t.copy(), vectors=False), np.linalg.eigvalsh(block))
-        real = rng.standard_normal(len(w))
-        for y in (real, real + 1j * rng.standard_normal(len(w))):
-            values, overlaps = _lapack.eigh_values(block_t.copy(), y)
-            assert np.array_equal(values, w)
-            assert overlaps.dtype == y.dtype and np.max(np.abs(overlaps - v.T @ y)) < 1e-13
+        _assert_every_request_equals_numpy(block_t, rng)
+
+
+def _assert_every_request_equals_numpy(block_t: np.ndarray, rng: np.random.Generator) -> None:
+    block = block_t.T
+    w, v = np.linalg.eigh(block)
+    got = block_t.copy()
+    assert np.array_equal(_lapack.eigh(got, vectors=True)[0], w)
+    assert got.flags.c_contiguous and np.array_equal(got, v)
+    assert np.array_equal(_lapack.eigh(block_t.copy())[0], np.linalg.eigvalsh(block))
+    real = rng.standard_normal(len(w))
+    for y in (real, real + 1j * rng.standard_normal(len(w))):
+        values, overlaps = _lapack.eigh(block_t.copy(), y=y)
+        assert np.array_equal(values, w)
+        assert overlaps.dtype == y.dtype and np.max(np.abs(overlaps - v.T @ y), initial=0.0) < 1e-13
+
+
+def test_each_request_holds_at_the_smallest_dimensions(monkeypatch):
+    # dimensions 0 to 3: random blocks, of which LAPACK reads one triangle
+    # only, the 3 x 3 and 1 x 1 sectors of a clean 2-site chain, and the
+    # 4 x 4 and 0 x 0 blocks of the trivial symmetry on a disordered one
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((n, n)) for n in range(4)]
+    blocks += _sector_blocks(monkeypatch, 2) + _sector_blocks(monkeypatch, 2, disorder_width=0.5)
+    assert [len(b) for b in blocks] == [0, 1, 2, 3, 3, 1, 4, 0]
+    for block_t in blocks:
+        _assert_every_request_equals_numpy(block_t, rng)
+
+
+def test_a_solve_forms_v_or_its_overlaps_not_both():
+    with pytest.raises(ValueError, match="not both"):
+        _lapack.eigh(np.eye(3), vectors=True, y=np.ones(3))
 
 
 def test_the_block_layout_is_what_makes_the_solve_bitwise(monkeypatch):
@@ -71,7 +92,7 @@ def test_the_block_layout_is_what_makes_the_solve_bitwise(monkeypatch):
     assert not np.array_equal(even, even.T)
     w, v = np.linalg.eigh(even.T)
     wrong = even.T.copy()
-    assert not (np.array_equal(_lapack.eigh(wrong, vectors=True), w) and np.array_equal(wrong, v))
+    assert not (np.array_equal(_lapack.eigh(wrong, vectors=True)[0], w) and np.array_equal(wrong, v))
 
 
 @pytest.mark.parametrize("width", [0.5, 1.3], ids=["disordered", "strongly_disordered"])
@@ -84,7 +105,7 @@ def test_dense_route_equals_numpy_on_a_private_copy(monkeypatch, width):
         p = ql.ChainParams(n_sites=n, disorder_width=width, seed=n)
         solved = []
         eigh = _lapack.eigh
-        monkeypatch.setattr(_lapack, "eigh", lambda a, vectors: solved.append(a) or eigh(a, vectors))
+        monkeypatch.setattr(_lapack, "eigh", lambda a, **route: solved.append(a) or eigh(a, **route))
         eig = ql.diagonalize(ql.build_local_chain(p))
         monkeypatch.undo()
         w, v = np.linalg.eigh(dense_chain(p))
@@ -104,13 +125,13 @@ def test_sector_eigenvectors_are_the_blocks_they_were_solved_in(monkeypatch):
 
 
 def test_nonzero_info_raises_convergence_failure_naming_the_routine():
-    # NaN entries are legal input that dsterf, also inside dsyevd without
-    # eigenvectors, reports as unconverged; the other routines return NaN
-    # with info = 0, and EigenSystem refuses it as non-finite
+    # NaN entries are legal input that dsterf, also as the last step of an
+    # eigenvalues-only solve, reports as unconverged; the other routines
+    # return NaN with info = 0, and EigenSystem refuses it as non-finite
     with pytest.raises(ConvergenceFailure, match="dsterf returned info = "):
         _lapack.sterf(np.array([np.nan, 1.0, 2.0]), np.ones(2))
-    with pytest.raises(ConvergenceFailure, match="dsyevd returned info = "):
-        _lapack.eigh(np.full((8, 8), np.nan), vectors=False)
+    with pytest.raises(ConvergenceFailure, match="dsterf returned info = "):
+        _lapack.eigh(np.full((8, 8), np.nan))
 
 
 @pytest.mark.parametrize(
@@ -118,10 +139,10 @@ def test_nonzero_info_raises_convergence_failure_naming_the_routine():
     [
         lambda: _lapack.eigh(np.eye(4)[:, ::2].copy(), vectors=True),  # not square
         lambda: _lapack.eigh(np.asfortranarray(np.arange(9.0).reshape(3, 3)), vectors=True),
-        lambda: _lapack.eigh(np.eye(4, dtype=np.float32), vectors=False),
+        lambda: _lapack.eigh(np.eye(4, dtype=np.float32)),
         lambda: _lapack.eigh(np.eye(4, dtype=complex), vectors=True),
-        lambda: _lapack.eigh_values(np.eye(4, dtype=complex), np.ones(4)),
-        lambda: _lapack.eigh_values(np.eye(4), np.ones(3)),  # a vector that does not fit
+        lambda: _lapack.eigh(np.eye(4, dtype=complex), y=np.ones(4)),
+        lambda: _lapack.eigh(np.eye(4), y=np.ones(3)),  # a vector that does not fit
         lambda: _lapack.eigh(np.eye(4)[::-1], vectors=True),  # a reversed view
         lambda: _lapack.sterf(np.zeros(4), np.zeros(2)),  # off-diagonal too short
         lambda: _lapack.sterf(np.zeros((2, 2)), np.zeros(1)),
@@ -148,7 +169,7 @@ def no_openblas(monkeypatch):
 
 def test_another_lapack_is_refused_at_first_use(no_openblas, tmp_path, capsys):
     assert issubclass(LapackUnavailable, ql.QuenchError)
-    with pytest.raises(LapackUnavailable, match="dsyevd.*no libno_such_lapack_.* in .*numpy.libs"):
+    with pytest.raises(LapackUnavailable, match="dsytrd.*no libno_such_lapack_.* in .*numpy.libs"):
         ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=4)))
     # a run fails as any runtime error does, with exit 2 and the reason
     config = tmp_path / "dos.yaml"

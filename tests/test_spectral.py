@@ -363,9 +363,9 @@ def _eigh_sizes(monkeypatch) -> list[int]:
     sizes = []
     eigh = _lapack.eigh
 
-    def recording(a, vectors):
+    def recording(a, **route):
         sizes.append(a.shape[0])
-        return eigh(a, vectors)
+        return eigh(a, **route)
 
     monkeypatch.setattr(_lapack, "eigh", recording)
     return sizes
