@@ -216,7 +216,14 @@ def _out_dir(errors: list[str], field: str, value: Any) -> str | None:
     return None
 
 
+# dsyevd would prescale a block with an entry beyond 2^485 (about 1e146),
+# which _lapack.eigh leaves out; chain terms up to this size keep every
+# block entry far below that, so the solve is np.linalg's to the bit
+MAX_COUPLING = 1e100
+
 _NONNEGATIVE = ("must be nonnegative", lambda v: v >= 0)
+_COUPLING = (f"must be at most {MAX_COUPLING:g} in magnitude", lambda v: abs(v) <= MAX_COUPLING)
+_WIDTH = (f"must be in [0, {MAX_COUPLING:g}]", lambda v: 0 <= v <= MAX_COUPLING)
 _SITES = (f"must be in [2, {MAX_SITES}]", lambda v: 2 <= v <= MAX_SITES)
 _POSITIVE = ("must be positive", lambda v: v > 0)
 _OPEN_UNIT = ("must be in (0, 1)", lambda v: 0 < v < 1)
@@ -229,10 +236,10 @@ FIELDS: dict[tuple[str, ...], tuple] = {
     ("kind",): ("kind", _choice(KINDS), None, None),
     ("model", "variant"): ("variant", _choice(VARIANTS), "local", None),
     ("model", "n_sites"): ("chain.n_sites", _int, 10, _SITES),
-    ("model", "J"): ("chain.J", _number, ChainParams.J, None),
-    ("model", "h"): ("chain.h", _number, ChainParams.h, None),
-    ("model", "g"): ("chain.g", _number, ChainParams.g, None),
-    ("model", "disorder_width"): ("chain.disorder_width", _number, 0.0, _NONNEGATIVE),
+    ("model", "J"): ("chain.J", _number, ChainParams.J, _COUPLING),
+    ("model", "h"): ("chain.h", _number, ChainParams.h, _COUPLING),
+    ("model", "g"): ("chain.g", _number, ChainParams.g, _COUPLING),
+    ("model", "disorder_width"): ("chain.disorder_width", _number, 0.0, _WIDTH),
     ("model", "boundary"): (
         "chain.boundary", _choice(("open", "periodic"), "open or periodic"), "open", None
     ),

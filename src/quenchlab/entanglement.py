@@ -9,9 +9,10 @@ time, so the profile scales with the smaller block. Connected two-point
 correlators expose the finite propagation speed of the local dynamics.
 
 Both scans read blocks of evolved states from the dynamics kernel: the
-entropies through one batched SVD of the states' Schmidt matrices per cut,
-the sigma-z correlators through products of the evolved probabilities with
-the sign table of the basis states.
+entropies through the spectra of the smaller side's reduced density
+matrices, one batched Gram product and one batched eigvalsh per cut, the
+sigma-z correlators through products of the evolved probabilities with the
+sign table of the basis states.
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ from .errors import NoFrontDetected
 from .hamiltonian import _sz_signs
 from .spectral import EigenSystem
 
-_EIG_CLIP = 1e-14  # Schmidt weights below this are numerically zero
+# reduced-density-matrix eigenvalues below this are rounding of the Gram
+# product (about 1e-16 each) and count as zero
+_EIG_CLIP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,26 @@ def entropy_scan(
     """Entropy of every prefix cut [0, l) at every grid time.
 
     Site 0 is the low bit, so a block of states reshaped to
-    (times, 2^(N-l), 2^l) holds each state's Schmidt matrix across the cut,
-    and one batched SVD gives the Schmidt values of every time in the block.
+    (times, 2^(N-l), 2^l) holds each state's Schmidt matrix M across the cut.
+    The reduced density matrix of the smaller side is M^dag M (the prefix,
+    when 2l <= N) or M M^dag (the rest), up to a complex conjugation that
+    leaves its spectrum alone, and one batched eigvalsh of these Gram
+    products gives the Schmidt weights of every time in the block.
     """
     cuts = tuple(int(c) for c in cuts)
     n = _state_spec(eig.dim).n_sites
     regions = [SiteRegion(0, c, n) for c in cuts]
     out = np.empty((len(cuts), len(grid)))
     for block, states in _state_blocks(eig, psi0, grid):
+        # one state per row, so that each cut's Schmidt matrices are contiguous
+        states = np.ascontiguousarray(states.T)
         for i, region in enumerate(regions):
-            schmidt = states.T.reshape(-1, 2 ** (n - region.size), 2**region.size)
-            lam = np.linalg.svd(schmidt, compute_uv=False) ** 2
+            m = states.reshape(-1, 2 ** (n - region.size), 2**region.size)
+            if 2 * region.size <= n:  # the prefix is the smaller side
+                rho = m.conj().swapaxes(1, 2) @ m
+            else:
+                rho = m @ m.conj().swapaxes(1, 2)
+            lam = np.linalg.eigvalsh(rho)
             lam = np.where(lam > _EIG_CLIP, lam, 1.0)  # clipped weights add 1 log 1 = 0
             out[i, block] = -np.sum(lam * np.log(lam), axis=1)
     return EntanglementProfile(cuts, grid, out)

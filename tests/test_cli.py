@@ -226,6 +226,33 @@ def test_validate_names_every_model_field_error():
     ]
 
 
+
+@pytest.mark.parametrize("name", ["J", "h", "g", "disorder_width"])
+def test_validate_bounds_the_chain_terms(name):
+    # beyond about 1e146 dsyevd would prescale a block, which the solver
+    # leaves out; the bound keeps every admitted chain far below that
+    assert cli.validate({"kind": "dos", "model": {name: 1e100}})[1] == []
+    cfg, errors = cli.validate({"kind": "dos", "model": {name: 1e101}})
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith(f"model.{name}:")
+    if name != "disorder_width":
+        assert cli.validate({"kind": "dos", "model": {name: -1e100}})[1] == []
+        assert cli.validate({"kind": "dos", "model": {name: -1e101}})[1] != []
+
+
+def test_run_refuses_couplings_beyond_the_bound(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = {
+        "kind": "entropy_scan",
+        "model": {"n_sites": 8, "J": 1e150, "h": 1e150, "g": 1e150},
+        "out_dir": str(out),
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid: model.J: must be at most 1e+100 in magnitude" in err
+    assert "model.h:" in err and "model.g:" in err
+    assert not out.exists()
+
 def test_config_key_order_invariance():
     a = {"kind": "dos", "model": {"n_sites": 6, "h": 3.0}, "master_seed": 4}
     b = {"master_seed": 4, "model": {"h": 3.0, "n_sites": 6}, "kind": "dos"}

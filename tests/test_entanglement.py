@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import entropy, evolve_spectral, evolve_states
+from conftest import SCRAMBLE_SEED, neel_state
+from oracles import entropy, evolve_spectral, evolve_states, schmidt_entropy
 from quenchlab.errors import DimensionMismatch, NoFrontDetected
 
 UP = (1.0, 0.0)
@@ -126,6 +127,46 @@ def test_entropy_scan_matches_per_state_oracle(request, system):
         for i, cut in enumerate(cuts):
             oracle = entropy(psi, ql.SiteRegion(0, cut, n))
             assert abs(profile.entropies[i, k] - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["local", "scrambled"])
+@pytest.mark.parametrize("n", [9, 10])
+def test_entropy_scan_matches_the_schmidt_values(n, variant):
+    # cuts 1..n-1: the prefix is the smaller side, the middle cut (even n),
+    # and the larger side, so both Gram products M^dag M and M M^dag run
+    eig = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n)))
+    if variant == "scrambled":
+        eig = ql.scramble(eig, SCRAMBLE_SEED)
+    psi0 = neel_state(n)
+    grid = ql.linear_grid(4.0, 9)
+    cuts = tuple(range(1, n))
+    profile = ql.entropy_scan(eig, psi0, cuts, grid)
+    assert np.max(profile.entropies) > 1.0  # the scan reaches entangled states
+    for k, psi in enumerate(evolve_states(eig, psi0, grid.times)):
+        for i, cut in enumerate(cuts):
+            assert abs(profile.entropies[i, k] - schmidt_entropy(psi, cut)) < 1e-12
+
+
+def rainbow(n: int) -> ql.PureState:
+    """Bell pairs (|00> + |11>)/sqrt(2) on sites (j, n-1-j); an odd chain's middle site up."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    pairs = n // 2
+    paired = np.all(bits[:, :pairs] == bits[:, ::-1][:, :pairs], axis=1)
+    if n % 2:
+        paired &= bits[:, pairs] == 0
+    return ql.PureState(paired / np.sqrt(2.0**pairs), ql.HilbertSpec(n))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_rainbow_state_entropy_counts_the_cut_pairs(n):
+    # a cut at l severs min(l, n-l) Bell pairs, so the smaller side's reduced
+    # density matrix is maximally mixed: 2^min(l, n-l) equal eigenvalues
+    psi0 = rainbow(n)
+    eig = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n)))
+    cuts = tuple(range(1, n))
+    profile = ql.entropy_scan(eig, psi0, cuts, ql.TimeGrid(np.array([0.0])))
+    for i, cut in enumerate(cuts):
+        assert abs(profile.entropies[i, 0] - min(cut, n - cut) * LN2) < 1e-12
 
 
 def test_light_cone_matches_per_state_loop(quench8):
