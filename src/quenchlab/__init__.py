@@ -76,7 +76,7 @@ from .spectral import (
     timescales,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "__version__",

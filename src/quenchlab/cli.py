@@ -16,8 +16,10 @@ by dsterf, its eigenvectors a Haar-orthogonal draw of the same seed).
 Results are written as CSV files with a YAML manifest carrying the
 normalized config, the quench timescales, summary statistics, and a digest
 of every emitted file. All randomness is derived per task from the master
-seed and the work runs in one fixed order, so reruns are byte-identical;
---threads is kept for compatibility and changes nothing.
+seed and the work runs in one fixed order, so reruns are byte-identical
+(a typical draw fills its tiles on the BLAS threads, each tile from its own
+seed, so its bits do not depend on their number); --threads is kept for
+compatibility and changes nothing.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from .entanglement import entropy_scan, growth_fit, light_cone
 from .errors import QuenchError
 from .hamiltonian import ChainParams, build_local_chain
 from .observables import (
+    _weighted_block,
     local_series,
     pauli_expectations,
     relaxation_time,
@@ -524,13 +527,24 @@ def _typical_menu(cfg: ExperimentConfig, reads: list[tuple[SpectralData, TimeGri
     """Labelled typical observables as (series on each read, eigenstate expectations).
 
     Each draw is read against every (spectrum, grid) pair of reads and
-    released before the next is built: the yielded diagonal is a copy, so
-    only one dense matrix is alive at a time.
+    released before the next is built. Its diagonal is copied out first;
+    the series then read only the rows and columns of the levels that some
+    read weights, compacted in the draw's own buffer, since a level of
+    weight exactly 0 adds exactly 0 to every series. So only one dense
+    matrix is alive at a time. An equivalence run's GOE read weights every
+    level, so it compacts nothing.
     """
+    dim = reads[0][0].dim
+    levels = np.nonzero(np.logical_or.reduce([sdata.weights != 0 for sdata, _ in reads]))[0]
+    compact = levels.size < dim
+    if compact:
+        reads = [(SpectralData(s.eigenvalues[levels], s.weights[levels]), g) for s, g in reads]
     for i in range(cfg.typical_count):
-        obs = typical_observable(reads[0][0].dim, _typical_seed(cfg, i))
-        series = [expectation_series(sdata, obs, grid) for sdata, grid in reads]
+        obs = typical_observable(dim, _typical_seed(cfg, i))
         diagonal = np.diagonal(obs.matrix).copy()
+        if compact:
+            obs = _weighted_block(obs, levels)
+        series = [expectation_series(sdata, obs, grid) for sdata, grid in reads]
         del obs
         yield f"typical_{i}", series, diagonal
 

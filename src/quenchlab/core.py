@@ -35,13 +35,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _tiles(size: int) -> list[slice]:
-    return [slice(i, i + _TILE) for i in range(0, size, _TILE)]
+def _tiles(size: int, tile: int = _TILE) -> list[slice]:
+    return [slice(i, i + tile) for i in range(0, size, tile)]
 
 
-def _tile_pairs(size: int) -> list[tuple[slice, slice]]:
-    """(rows, cols) of the tile pairs (a, b) with a <= b, on and above the diagonal."""
-    tiles = _tiles(size)
+def _tile_pairs(size: int, tile: int = _TILE) -> list[tuple[slice, slice]]:
+    """(rows, cols) of the tile pairs (a, b) with a <= b, on and above the
+    diagonal, in row-major order."""
+    tiles = _tiles(size, tile)
     return [(rows, cols) for a, rows in enumerate(tiles) for cols in tiles[a:]]
 
 

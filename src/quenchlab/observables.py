@@ -11,12 +11,14 @@ in the site basis off the evolved states and the eigenvectors.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import PureState, _hermitian, _tile_pairs
+from . import _lapack
+from .core import PureState, _freeze, _hermitian, _tile_pairs
 from .dynamics import (
     EVOLVE_BLOCK,
     TimeGrid,
@@ -36,6 +38,8 @@ from .spectral import (
     SpectralData,
 )
 
+_DRAW_TILE = 256  # rows and columns of the tiles a typical draw fills
+_SQRT_HALF = math.sqrt(0.5)
 _PERRON_RTOL = 1e-14
 _PERRON_MAX_ITER = 10_000
 
@@ -89,40 +93,97 @@ def slow_series(
     return TimeSeries(grid, values)
 
 
-def _symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
-    """(G + G^T) / 2 for a seeded dim x dim standard normal draw G, formed in G.
+def _typical_draw(dim: int, seed: int) -> np.ndarray:
+    """|S| for the seeded symmetric Gaussian S of the typical law, drawn by tiles.
 
-    The tile pairs (a, b) with a <= b are symmetrized in place, so no second
-    dim x dim array is held. g_ij + g_ji and g_ji + g_ij round alike and
-    halving is exact, so the result is (G + G^T) / 2 to the bit.
+    Tile pair k of the pairs (a, b) with a <= b is a standard normal tile t
+    from child k of SeedSequence(seed): (t + t^T) / 2 on the diagonal, t
+    times sqrt(1/2) above it, mirrored below. That is the law of
+    (G + G^T) / 2, and t_ij + t_ji rounds as t_ji + t_ij, so S is symmetric
+    to the bit. The pairs are shared among _lapack.threads() workers (BLAS
+    is idle meanwhile), whose number never moves a bit. Their scratch tiles
+    are allocated by the calling thread, so no worker allocates.
     """
-    m = np.random.default_rng(seed).standard_normal((dim, dim))
-    for rows, cols in _tile_pairs(dim):
-        upper = m[rows, cols] + m[cols, rows].T
-        upper /= 2.0
-        m[rows, cols] = upper
-        m[cols, rows] = upper.T
+    m = np.empty((dim, dim))
+    pairs = _tile_pairs(dim, _DRAW_TILE)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(pairs))]
+    workers = max(1, min(_lapack.threads(), len(pairs)))
+    scratch = [np.empty(_DRAW_TILE**2) for _ in range(workers)]
+    errors: list[BaseException] = []
+
+    def fill(w: int) -> None:
+        try:
+            for k in range(w, len(pairs), workers):
+                rows, cols = pairs[k]
+                upper = m[rows, cols]
+                t = scratch[w][: upper.size].reshape(upper.shape)
+                rngs[k].standard_normal(out=t)
+                if rows == cols:
+                    np.add(t, t.T, out=upper)
+                    upper *= 0.5
+                    np.abs(upper, out=upper)
+                else:
+                    np.multiply(t, _SQRT_HALF, out=upper)
+                    np.abs(upper, out=upper)
+                    m[cols, rows] = upper.T
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    fill(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return m
 
 
 def typical_observable(dim: int, seed: int) -> ObservableMatrix:
     """Random entrywise-positive symmetric observable with unit operator norm.
 
-    The entries are the magnitudes |G| of a seeded Gaussian-ensemble draw.
-    In the aligned eigenbasis every term of the t = 0 double sum then starts
-    positive, giving the observable a macroscopic initial deviation that
-    dephases on the Boltzmann time. A bare zero-mean draw would start at a
-    value statistically identical to its late-time fluctuations, with no
-    deviation to relax. The norm of the positive |G| is its Perron root.
-    The draw is symmetrized, taken to |G| and scaled in its own array, so
-    building it holds one dense dim x dim matrix.
+    The entries are the magnitudes |S| of a seeded Gaussian-orthogonal draw
+    S (see _typical_draw). In the aligned eigenbasis every term of the t = 0
+    double sum then starts positive, giving the observable a macroscopic
+    initial deviation that dephases on the Boltzmann time. A bare zero-mean
+    draw would start at a value statistically identical to its late-time
+    fluctuations, with no deviation to relax. The norm of the positive |S|
+    is its Perron root. Building it holds one dense matrix and a scratch
+    tile per worker, and skips the Hermitian check: it is symmetric by
+    construction.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    m = _symmetric_gaussian(dim, seed)
-    np.abs(m, out=m)
+    m = _typical_draw(dim, seed)
     m /= _perron_root(m)
-    return ObservableMatrix(m)
+    return _symmetric(m)
+
+
+def _symmetric(m: np.ndarray) -> ObservableMatrix:
+    """ObservableMatrix(m) for a finite m that is real symmetric by
+    construction, frozen without the Hermitian check."""
+    obs = object.__new__(ObservableMatrix)
+    object.__setattr__(obs, "matrix", _freeze(m))
+    return obs
+
+
+def _weighted_block(obs: ObservableMatrix, levels: np.ndarray) -> ObservableMatrix:
+    """obs at the rows and columns of the increasing levels, compacted over
+    the head of obs's own buffer, which a typical_observable draw owns.
+
+    Block row r comes from row levels[r] >= r, so no block row is written
+    over a row still to be read, and no second dense matrix is made. obs is
+    overwritten and must not be read again.
+    """
+    m = obs.matrix
+    m.flags.writeable = True
+    k = levels.size
+    block = m.reshape(-1)[: k * k].reshape(k, k)
+    for start in range(0, k, EVOLVE_BLOCK):
+        rows = levels[start : start + EVOLVE_BLOCK]
+        block[start : start + rows.size] = m[np.ix_(rows, levels)]
+    return _symmetric(block)
 
 
 def _perron_root(a: np.ndarray) -> float:

@@ -3,15 +3,17 @@
 None of these is on a path that `quenchlab run` takes: np.linalg.eigh of a
 matrix built by hand, the dense chain matrix, the dense V of a sector or a
 Householder eigensystem, the Householder reflectors applied one at a time,
-the symmetrized Gaussian draw as a sum of whole matrices, the Haar unitary of a dense Ginibre QR, the
-per-state spectral propagator, the Lanczos propagator, the entropy from the
-singular values of one state's Schmidt matrix, the dense site-basis Paulis
-and their eigenbasis matrices V^dag sigma V, the dense slow band, and the
-dense GOE matrix and tridiagonal model. Each is the textbook form of a
-quantity the library computes another way (sector blocks built from the bit
-structure, products through the sector factors or the compact-WY panels, one
-Gaussian vector per reflector, a draw symmetrized in place tile by tile,
-blocks of states, batched Gram products of the Schmidt matrices and their
+the symmetrized Gaussian draw (G + G^T) / 2 as a sum of whole matrices,
+the typical draw rebuilt serially from its tiles, the Haar unitary of a
+dense Ginibre QR, the per-state spectral propagator, the Lanczos propagator,
+the entropy from the singular values of one state's Schmidt matrix, the
+dense site-basis Paulis and their eigenbasis matrices V^dag sigma V, the
+dense slow band, and the dense GOE tridiagonal model. Each is the textbook
+form of a quantity the library computes another way (sector blocks built
+from the bit structure, products through the sector factors or the
+compact-WY panels, one Gaussian vector per reflector, a typical draw filled
+tile pair by tile pair on worker threads and mirrored in place, blocks of
+states, batched Gram products of the Schmidt matrices and their
 batched eigvalsh, Pauli readings of site-basis columns, a cosine sum, the
 tridiagonal model's two diagonals solved by dsterf).
 
@@ -141,22 +143,23 @@ def symmetric_gaussian(dim: int, seed: int) -> np.ndarray:
     return (g + g.T) / 2
 
 
-def build_goe(dim: int, mean: float, width: float, seed: int) -> np.ndarray:
-    """A dense GOE matrix (G + G^T) / 2 with the given eigenvalue mean and width.
+def typical_matrix(dim: int, seed: int) -> np.ndarray:
+    """|S| of the typical law, rebuilt serially from whole matrices.
 
-    The draw is affinely rescaled by traces, with no diagonalization: the
-    eigenvalue mean is tr M / d and the variance ||M - mean I||_F^2 / d.
+    Over 256-square tiles, pair k of the tile pairs (a, b) with a <= b, in
+    row-major order, is drawn from child k of SeedSequence(seed) as a
+    standard normal tile t and stands in the upper triangle as (t + t^T) / 2
+    on the diagonal and t sqrt(1/2) above it. S is that upper triangle plus
+    its strict part transposed.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if width < 0:
-        raise ValueError("width must be nonnegative")
-    m = symmetric_gaussian(dim, seed)
-    m -= np.trace(m) / dim * np.eye(dim)
-    sd = np.linalg.norm(m) / np.sqrt(dim)
-    if sd < 1e-300 or width == 0.0:
-        return float(mean) * np.eye(dim)
-    return m * (width / sd) + mean * np.eye(dim)
+    n = -(-dim // 256)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    upper = np.zeros((dim, dim))
+    for (a, b), stream in zip(pairs, np.random.SeedSequence(seed).spawn(len(pairs))):
+        tile = upper[256 * a : 256 * (a + 1), 256 * b : 256 * (b + 1)]
+        t = np.random.default_rng(stream).standard_normal(tile.shape)
+        tile[...] = (t + t.T) / 2 if a == b else t * _SQRT_HALF
+    return np.abs(np.triu(upper) + np.triu(upper, 1).T)
 
 
 def goe_tridiagonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,6 +25,7 @@ from oracles import (
     evolve_spectral,
     goe_tridiagonal,
     householder_matrix,
+    typical_matrix,
 )
 from quenchlab import _lapack, cli, observables
 from quenchlab.spectral import _haar_reflectors
@@ -793,8 +794,7 @@ def test_relax_typical_and_slow_match_the_dressed_double_sum(tmp_path, variant, 
     unit = c / np.abs(c)
     bare = {}
     for i in range(2):
-        a = np.random.default_rng(cli._typical_seed(cfg, i)).standard_normal((64, 64))
-        g = np.abs((a + a.T) / 2.0)
+        g = typical_matrix(64, cli._typical_seed(cfg, i))
         bare[f"typical_{i}"] = g / np.max(np.abs(np.linalg.eigvalsh(g)))
     occ = np.nonzero(np.abs(c) ** 2 > cfg.weight_floor)[0]
     band = np.zeros((64, 64))
@@ -811,6 +811,43 @@ def test_relax_typical_and_slow_match_the_dressed_double_sum(tmp_path, variant, 
         rows = (out / f"series_{label}.csv").read_text().strip().splitlines()
         got = [float(r.split(",")[1]) for r in rows[1:]]
         assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+
+def test_relax_reads_typical_series_on_the_weighted_levels_alone(tmp_path, monkeypatch):
+    # the 9-site Neel state leaves its odd sector at weight exactly 0: the
+    # series runs on the block of the weighted levels, and matches the one
+    # on the whole draw; an equivalence run's GOE read weights every level
+    shapes = []
+    series = cli.expectation_series
+
+    def tracking(sdata, obs, grid):
+        shapes.append(obs.matrix.shape)
+        return series(sdata, obs, grid)
+
+    monkeypatch.setattr(cli, "expectation_series", tracking)
+    raw = {
+        "kind": "relax",
+        "model": {"n_sites": 9},
+        "initial_state": "neel",
+        "time_grid": {"kind": "linear", "t_max": 3.0, "points": 70},
+        "observables": {"typical_count": 1},
+        "out_dir": str(tmp_path / "relax"),
+    }
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    cfg, _ = cli.validate(raw)
+    sdata = cli._variant_spectra(cfg, cli.build_initial_state(cfg))[1]["local"]
+    levels = int(np.count_nonzero(sdata.weights))
+    assert shapes == [(levels, levels)] and levels < 512
+    obs = ql.typical_observable(512, cli._typical_seed(cfg, 0))
+    want = series(sdata, obs, ql.linear_grid(3.0, 70)).values
+    rows = (tmp_path / "relax" / "series_typical_0.csv").read_text().strip().splitlines()
+    got = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+    shapes.clear()
+    raw.update(kind="equivalence", out_dir=str(tmp_path / "equivalence"))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    assert shapes == [(512, 512), (512, 512)]
 
 
 @pytest.mark.parametrize(
@@ -1440,3 +1477,17 @@ def test_cli_processes_import_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_leaves_the_thread_pool_module_unloaded(tmp_path):
+    # concurrent.futures takes about 3 ms to import, which every run would
+    # pay at start-up; the typical draw's workers are plain threads
+    script = "import sys, quenchlab.cli; print('concurrent.futures' in sys.modules)"
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,20 +118,28 @@ def test_expectation_series_matches_double_sum_oracle(quench6):
 
 
 def test_expectation_series_blocks_match_double_sum_oracle(quench6):
-    # 67 times span two kernel blocks, the second one partial; both the
-    # complex and the real-matrix product paths are checked
+    # 67 times span two kernel blocks, the second one partial; a complex
+    # Hermitian and a real symmetric matrix are checked, each in its own dtype
     rng = np.random.default_rng(3)
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     grid = ql.linear_grid(4.0, ql.dynamics.EVOLVE_BLOCK + 3)
     w, e = quench6.sdata.weights, quench6.sdata.eigenvalues
     mag = np.sqrt(w)
     for mat in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
-        obs = eigen_obs(mat)
+        obs = ObservableMatrix(mat)
         series = ql.expectation_series(quench6.sdata, obs, grid)
         for k, t in enumerate(grid.times):
             phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
             val = np.sum(mag[:, None] * mag[None, :] * obs.matrix * phase)
-            assert abs(series.values[k] - val.real) < 1e-10
+            assert abs(series.values[k] - val.real) < 1e-12
+
+
+def test_expectation_series_refuses_an_imaginary_residue():
+    # a matrix that is not Hermitian, past ObservableMatrix's check, gives
+    # the two-level state a complex expectation at every t > 0
+    obs = SimpleNamespace(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        ql.expectation_series(two_level_data(2.4), obs, ql.linear_grid(1.0, 3))
 
 
 def test_expectation_series_dimension_mismatch(quench6):

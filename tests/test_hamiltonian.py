@@ -1,21 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import (
-    build_goe,
-    chain_matrix,
-    dense_chain,
-    dense_vectors,
-    haar_unitary,
-    symmetric_gaussian,
-)
+from oracles import chain_matrix, dense_chain, dense_vectors, haar_unitary, typical_matrix
+from quenchlab import _lapack, observables
 from quenchlab.hamiltonian import _mirror, _sz_signs
-from quenchlab.observables import _symmetric_gaussian
+from quenchlab.observables import _typical_draw
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -149,34 +142,62 @@ def test_haar_unitary_is_unitary():
     assert np.max(np.abs(u @ u.conj().T - np.eye(32))) < 1e-12
 
 
-def test_goe_degenerate_and_symmetric():
-    # the dense oracle matrix, which the library no longer builds
-    one = build_goe(1, mean=2.5, width=0.0, seed=0)
-    assert one.shape == (1, 1) and one[0, 0] == 2.5
-    m = build_goe(64, mean=0.0, width=1.0, seed=1)
-    assert np.max(np.abs(m - m.conj().T)) < 1e-12
-    flat = build_goe(16, mean=-3.0, width=0.0, seed=2)
-    assert np.allclose(np.linalg.eigvalsh(flat), -3.0, atol=1e-12)
-
-
-def test_goe_moment_match_at_1024():
-    mean, width = 9.0, 13.3
-    m = build_goe(1024, mean, width, seed=7)
-    ev = np.linalg.eigvalsh(m)
-    assert abs(ev.mean() - mean) / abs(mean) < 0.02
-    assert abs(ev.std() - width) / width < 0.02
-    # the affine rescaling makes the match much tighter than the 2% contract
-    assert abs(ev.mean() - mean) < 1e-8
-    assert abs(ev.std() - width) < 1e-8
-
-
 @pytest.mark.parametrize("seed", [0, 424242])
-@pytest.mark.parametrize("dim", [1, 2, 511, 512, 513, 1025])
+@pytest.mark.parametrize("dim", [1, 2, 255, 256, 257, 511, 512, 513, 1025])
 def test_symmetric_gaussian_is_the_whole_matrix_mean_to_the_bit(dim, seed):
-    # dims on both sides of the tile edges, where the tile pairs change shape
-    got = _symmetric_gaussian(dim, seed)
-    want = symmetric_gaussian(dim, seed)
+    # the tiled draw against its serial whole-matrix rebuild, at dims on
+    # both sides of the 256-square tile edges, where the tile pairs change
+    # shape
+    got = _typical_draw(dim, seed)
+    want = typical_matrix(dim, seed)
     assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [257, 1025])
+def test_typical_draw_is_symmetric_to_the_bit_and_the_same_on_any_worker_count(
+    monkeypatch, dim
+):
+    # each tile pair has its own stream, so the pool only moves the work
+    draws = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_lapack, "threads", lambda: workers)
+        draws.append(_typical_draw(dim, 7).view(np.uint64))
+    assert np.array_equal(draws[0], draws[0].T)
+    assert all(np.array_equal(draws[0], d) for d in draws[1:])
+
+
+def test_typical_draw_raises_what_a_worker_raised(monkeypatch):
+    # at d = 512 on 2 workers the one off-diagonal pair is filled by the
+    # second thread; its error reaches the caller instead of leaving the
+    # tile unwritten
+    monkeypatch.setattr(_lapack, "threads", lambda: 2)
+    monkeypatch.setattr(observables, "_SQRT_HALF", None)
+    with pytest.raises(TypeError):
+        _typical_draw(512, 0)
+
+
+def test_typical_draw_has_the_goe_entry_law():
+    # |S| for S of the law of (G + G^T) / 2: |N(0, 1)| on the diagonal and
+    # |N(0, 1/2)| off it, whether an entry lies in a diagonal tile (a mean
+    # (t + t^T) / 2) or in an off-diagonal one (t / sqrt(2)). Pooled over 8
+    # draws at d = 512, each moment sits within 5 standard errors
+    dim = 512
+    draws = [_typical_draw(dim, seed) for seed in range(8)]
+    above = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    same_tile = np.zeros((dim, dim), dtype=bool)
+    same_tile[:256, :256] = same_tile[256:, 256:] = True
+    groups = [
+        (1.0, [np.diagonal(m) for m in draws]),
+        (0.5, [m[above & same_tile] for m in draws]),
+        (0.5, [m[above & ~same_tile] for m in draws]),
+    ]
+    for var, parts in groups:
+        x = np.concatenate(parts)
+        # E|N(0, v)| = sqrt(2 v / pi) with variance v (1 - 2 / pi);
+        # E N^2 = v with variance 2 v^2
+        mean, spread = math.sqrt(2 * var / math.pi), math.sqrt(var * (1 - 2 / math.pi))
+        assert abs(x.mean() - mean) < 5 * spread / math.sqrt(x.size)
+        assert abs(np.mean(x**2) - var) < 5 * math.sqrt(2) * var / math.sqrt(x.size)
 
 
 @pytest.mark.parametrize(
@@ -184,8 +205,8 @@ def test_symmetric_gaussian_is_the_whole_matrix_mean_to_the_bit(dim, seed):
     ids=["typical", "goe"],
 )
 def test_gaussian_draws_hold_one_dense_matrix(draw):
-    # G + G^T as a second array would take the peak to two dense matrices;
-    # in place it is one, plus a tile pair and the Hermitian check's tiles.
+    # a whole-matrix G + G^T would take the peak to two dense matrices; the
+    # typical draw, filled by tiles, is one, plus a scratch tile per worker.
     # The GOE partner draws no matrix: its reflectors fill half of one
     tracemalloc.start()
     try:
@@ -194,14 +215,6 @@ def test_gaussian_draws_hold_one_dense_matrix(draw):
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * 8 * 1024**2
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=15, deadline=None)
-def test_goe_determinism(seed):
-    a = build_goe(32, 1.0, 2.0, seed)
-    b = build_goe(32, 1.0, 2.0, seed)
-    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])

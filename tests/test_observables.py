@@ -9,7 +9,7 @@ import quenchlab as ql
 from conftest import SCRAMBLE_SEED
 from oracles import dense_pauli, dense_vectors, local_observable, slow_observable
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
-from quenchlab.observables import _perron_root
+from quenchlab.observables import _perron_root, _weighted_block
 
 UP = (1.0, 0.0)
 PLUS = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
@@ -92,6 +92,27 @@ def test_perron_root_matches_eigvalsh_oracle(dim, seeds):
         m = np.abs((a + a.T) / 2.0)
         top = np.max(np.abs(np.linalg.eigvalsh(m)))
         assert abs(_perron_root(m) - top) <= 1e-13 * top
+
+
+def test_weighted_block_compacts_in_place_and_keeps_the_series():
+    # the 9-site Neel state is reflection symmetric, so its odd sector has
+    # weight exactly 0; the block of the weighted levels, compacted over the
+    # head of the draw's own buffer, reads the same series
+    chain = ql.build_local_chain(ql.ChainParams(n_sites=9))
+    psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(9)])
+    sdata = ql.occupied_spectrum(ql.diagonalize(chain, psi0, vectors=False), psi0)
+    levels = np.nonzero(sdata.weights)[0]
+    assert 0 < levels.size < 512
+    grid = ql.linear_grid(3.0, 70)
+    obs = ql.typical_observable(512, seed=4)
+    full, want = obs.matrix.copy(), ql.expectation_series(sdata, obs, grid).values
+    block = _weighted_block(obs, levels)
+    assert np.shares_memory(block.matrix, obs.matrix)
+    assert not block.matrix.flags.writeable
+    assert np.array_equal(block.matrix, full[np.ix_(levels, levels)])
+    weighted = ql.SpectralData(sdata.eigenvalues[levels], sdata.weights[levels])
+    got = ql.expectation_series(weighted, block, grid).values
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_perron_root_raises_when_the_bracket_never_closes():

@@ -9,7 +9,6 @@ from scipy.special import ndtr
 
 import quenchlab as ql
 from oracles import (
-    build_goe,
     chain_matrix,
     dense_chain,
     dense_vectors,
@@ -19,6 +18,7 @@ from oracles import (
     householder_apply,
     householder_matrix,
     sector_matrix,
+    symmetric_gaussian,
 )
 from quenchlab.errors import (
     DegenerateWidth,
@@ -591,7 +591,7 @@ def _chain_eig(**params) -> ql.EigenSystem:
         lambda: _chain_eig(n_sites=7, boundary="periodic"),
         lambda: _chain_eig(n_sites=8),
         lambda: _chain_eig(n_sites=6, disorder_width=0.5, seed=2),
-        lambda: eigensystem(build_goe(64, 0.0, 1.0, seed=3)),
+        lambda: eigensystem(symmetric_gaussian(64, seed=3)),
         lambda: ql.EigenSystem(np.arange(16.0), SimpleNamespace(dim=16)),
     ],
     ids=["open4", "periodic7", "open8", "disordered6", "goe64", "no_reads"],
@@ -722,14 +722,16 @@ def test_goe_eigenvalues_follow_the_semicircle_and_its_level_repulsion():
 
 
 def test_goe_eigenvalues_agree_in_law_with_the_dense_matrix():
-    # oracle: eigvalsh of the dense draw (G + G^T) / 2 at the same moments.
+    # oracle: eigvalsh of the dense draw (G + G^T) / 2, standardized to the
+    # same moments.
     # Pooled over 1000 draws at d = 8, the two-sample Kolmogorov-Smirnov
     # test of the levels read p = 0.999; the mean spacing ratios differ by
     # 0.5 of their standard error.
     from scipy.stats import ks_2samp
 
     tri = [ql.goe_eigensystem(8, seed).eigenvalues for seed in range(1000)]
-    dense = [np.linalg.eigvalsh(build_goe(8, 0.0, 1.0, seed)) for seed in range(1000)]
+    dense = [np.linalg.eigvalsh(symmetric_gaussian(8, seed)) for seed in range(1000)]
+    dense = [(ev - ev.mean()) / ev.std() for ev in dense]
     assert ks_2samp(np.concatenate(tri), np.concatenate(dense)).pvalue > 1e-3
     ratios = [[_mean_spacing_ratio(ev) for ev in draws] for draws in (tri, dense)]
     error = np.hypot(*(np.std(r) / np.sqrt(len(r)) for r in ratios))
