@@ -61,7 +61,6 @@ from .observables import (
 )
 from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
-    DenseVectors,
     EigenSystem,
     GaussianFit,
     HouseholderVectors,
@@ -76,7 +75,7 @@ from .spectral import (
     timescales,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "__version__",
@@ -103,7 +102,6 @@ __all__ = [
     "scramble",
     "goe_eigensystem",
     "EigenSystem",
-    "DenseVectors",
     "SectorVectors",
     "HouseholderVectors",
     "SpectralData",

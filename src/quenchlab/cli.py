@@ -468,10 +468,10 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     the chain with psi0 (an empty sector keeps its eigenvalues only). Only
     the local chain of an entropy scan, a light cone or a relax run with
     local Paulis reads its eigenvectors; every other run solves the chain
-    for its eigenvalues and the overlaps of psi0 alone. The scrambled chain
-    takes the eigenvalues, and the random matrix the occupied moments. The
-    random matrix is never formed: its eigenvalues and eigenvectors are
-    drawn from one seed at mean 0 and width 1 (see goe_eigensystem), and its
+    for the quench's spectrum alone. The scrambled chain takes the
+    eigenvalues, and the random matrix the occupied moments. The random
+    matrix is never formed: its eigenvalues and eigenvectors are drawn from
+    one seed at mean 0 and width 1 (see goe_eigensystem), and its
     eigenvalues then shifted and scaled to the chain's moments.
     """
     # only relax reads local Paulis; other kinds accept and ignore the field
@@ -480,9 +480,11 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     )
     vectors = cfg.variant == "local" and reads_states
     eig = diagonalize(build_local_chain(cfg.chain), psi0, vectors=vectors)
+    sdata = occupied_spectrum(eig, psi0) if vectors else eig
     if cfg.variant == "scrambled":
-        eig = scramble(eig, derive_seed(cfg.master_seed, "scramble"))
-    spectra = {"local" if cfg.variant == "goe" else cfg.variant: occupied_spectrum(eig, psi0)}
+        eig = scramble(sdata, derive_seed(cfg.master_seed, "scramble"))
+        sdata = occupied_spectrum(eig, psi0)
+    spectra = {"local" if cfg.variant == "goe" else cfg.variant: sdata}
     if cfg.kind == "equivalence" or cfg.variant == "goe":
         ts = timescales(spectra["local"], cfg.weight_floor)
         del eig

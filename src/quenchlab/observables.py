@@ -31,7 +31,6 @@ from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
 from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
-    DenseVectors,
     EigenSystem,
     HouseholderVectors,
     SectorVectors,
@@ -225,7 +224,7 @@ def _pauli_rows(x: np.ndarray, paulis: Sequence[tuple[int, str]], signs: np.ndar
 
 
 def pauli_expectations(
-    columns: np.ndarray | DenseVectors | SectorVectors | HouseholderVectors,
+    columns: np.ndarray | SectorVectors | HouseholderVectors,
     paulis: Sequence[tuple[int, str]],
     levels: np.ndarray | None = None,
 ) -> np.ndarray:

@@ -11,16 +11,16 @@ Units are hbar = k_B = 1.
 Every chain is diagonalized on one route: in the sectors of a symmetry of
 its basis states, the site reflection where its diagonal allows it and the
 trivial symmetry otherwise (see diagonalize). An eigensystem holds its
-eigenvectors in one of three forms behind the same three reads, V x, V^dag y
-and a block of columns of V: the sector blocks of a chain; for a seeded
+eigenvectors in one of two forms behind the same three reads, V x, V^dag y
+and a block of columns of V: the sector blocks of a chain, or, for a seeded
 Haar-random basis (the scrambled chain and the GOE partner), its
-Householder reflectors; or a dense matrix, which only an EigenSystem built
-from arrays holds. A sector that the quench leaves empty may be kept as its
-eigenvalues alone, and a chain whose readers take the quench's weights
-alone as its eigenvalues and the overlaps V^T psi0. Every block is solved
-in place on one path, dsyevd's own steps in the LAPACK of numpy's OpenBLAS
-(see _lapack.eigh), and the GOE partner's eigenvalues are those of a
-tridiagonal model, solved by the same dsterf, with no dense matrix.
+Householder reflectors. A sector that the quench leaves empty may be kept
+as its eigenvalues alone. A caller that reads the quench's weights and no
+eigenvector asks diagonalize for the occupied spectrum itself, as
+eigvals_only asks scipy's eigh for less than a full solve. Every block is
+solved in place on one path, dsyevd's own steps in the LAPACK of numpy's
+OpenBLAS (see _lapack.eigh), and the GOE partner's eigenvalues are those of
+a tridiagonal model, solved by the same dsterf, with no dense matrix.
 """
 from __future__ import annotations
 
@@ -49,41 +49,6 @@ def _adjoint_matmul(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _row_scaled(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """x with row i times scale[i], as a new array."""
     return x * (scale if x.ndim == 1 else scale[:, None])
-
-
-@dataclass(frozen=True)
-class DenseVectors:
-    """Eigenvector columns held as one dense matrix (any memory order)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"eigenvector matrix {m.shape} is not square")
-        if not _all_finite(m):
-            raise ValueError("eigenvectors must be finite")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """V x."""
-        return _matmul(self.matrix, x)
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """V^dag y."""
-        return _adjoint_matmul(self.matrix, y)
-
-    def columns(self, block: slice | np.ndarray) -> np.ndarray:
-        """V[:, block]."""
-        return self.matrix[:, block]
 
 
 def _symmetry_classes(chain: SpinChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,11 +105,6 @@ class SectorVectors:
     do not reach it: apply_adjoint writes zeros at its levels and apply skips
     its product, each raising ValueError on input with amplitude in it, and
     columns raises for its levels.
-
-    A chain solved for one state's overlaps alone keeps that state and
-    overlaps = V^T state (by level) with both blocks unsolved: apply_adjoint
-    returns the overlaps for exactly that state, and reads any other input
-    as it reads unsolved sectors.
     """
 
     u_even: np.ndarray | None
@@ -153,8 +113,6 @@ class SectorVectors:
     pairs: np.ndarray = field(repr=False)
     partners: np.ndarray = field(repr=False)
     palindromes: np.ndarray = field(repr=False)
-    state: np.ndarray | None = field(default=None, repr=False)
-    overlaps: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         levels = np.asarray(self.levels)
@@ -175,16 +133,9 @@ class SectorVectors:
             )
         if not all(_all_finite(u) for u in blocks if u is not None):
             raise ValueError("eigenvectors must be finite")
-        if (self.state is None) != (self.overlaps is None) or any(
-            a is not None and a.shape != (levels.size,) for a in (self.state, self.overlaps)
-        ):
-            raise DimensionMismatch(
-                f"a state and its overlaps must come together, each of {levels.size} entries"
-            )
         for name, value in (
             ("u_even", self.u_even), ("u_odd", self.u_odd), ("levels", levels),
             ("pairs", pairs), ("partners", partners), ("palindromes", palindromes),
-            ("state", self.state), ("overlaps", self.overlaps),
         ):
             if value is not None:
                 object.__setattr__(self, name, _freeze(value))
@@ -252,11 +203,8 @@ class SectorVectors:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """V^dag y: the sector components of y, each through its block transposed.
 
-        An unsolved sector's components must be zero, and its levels read 0;
-        the kept state reads its overlaps.
+        An unsolved sector's components must be zero, and its levels read 0.
         """
-        if self.state is not None and np.array_equal(y, self.state):
-            return self.overlaps.copy()
         parts = _sector_parts(y, self.pairs, self.partners, self.palindromes)
         out = np.empty(y.shape, dtype=np.result_type(y, float))
         for (name, u, levels), part in zip(self._sectors(), parts):
@@ -392,22 +340,22 @@ def _haar_reflectors(
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues and the eigenvector columns: dense, by sectors or by reflectors.
+    """Ascending eigenvalues and the eigenvector columns, by sectors or by reflectors.
 
-    An array given as eigenvectors is taken as the dense matrix of columns.
     Every reader goes through eigenvectors.apply (V x),
     eigenvectors.apply_adjoint (V^dag y) or eigenvectors.columns (a block
-    of columns of V).
+    of columns of V), so any object with those reads and a dim will do; a
+    bare array of columns is refused with TypeError.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: DenseVectors | SectorVectors | HouseholderVectors
+    eigenvectors: SectorVectors | HouseholderVectors
 
     def __post_init__(self) -> None:
         ev = np.ascontiguousarray(self.eigenvalues, dtype=float)
         vec = self.eigenvectors
         if isinstance(vec, np.ndarray):
-            vec = DenseVectors(vec)
+            raise TypeError("eigenvectors must be SectorVectors or HouseholderVectors, not an array")
         if ev.ndim != 1 or vec.dim != ev.size:
             raise DimensionMismatch(
                 f"eigenvectors of dimension {vec.dim} do not match {ev.size} eigenvalues"
@@ -417,7 +365,6 @@ class EigenSystem:
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", _freeze(ev))
-        object.__setattr__(self, "eigenvectors", vec)
 
     @property
     def dim(self) -> int:
@@ -485,8 +432,8 @@ class GaussianFit:
 
 def diagonalize(
     chain: SpinChain, psi0: PureState | None = None, vectors: bool = True
-) -> EigenSystem:
-    """Eigendecomposition of a chain, from its even and odd sector blocks.
+) -> EigenSystem | SpectralData:
+    """Eigendecomposition of a chain, or with vectors=False its quench's spectrum.
 
     The sectors are those of the classes the chain's diagonal allows (see
     _symmetry_classes): the site reflection's where the diagonal is
@@ -508,8 +455,12 @@ def diagonalize(
     - otherwise, with vectors=True, its eigenvectors stay as the block;
     - otherwise, with vectors=False, for a caller that reads the quench's
       weights and no eigenvector, it is solved for its eigenvalues and its
-      overlaps with psi0 alone, and the eigensystem keeps psi0 and V^T psi0
-      (see SectorVectors); psi0 is then required.
+      overlaps with psi0 alone.
+
+    With vectors=True the result is the EigenSystem, its eigenvectors kept
+    as SectorVectors. With vectors=False psi0 is required, and the result is
+    the SpectralData of the quench, the eigenvalues with the weights of
+    V^T psi0 as occupied_spectrum would read them off the full solve.
     """
     pairs, partners, palindromes = _symmetry_classes(chain)
     dim, n_pairs = chain.dim, pairs.size
@@ -540,16 +491,11 @@ def diagonalize(
 
     ev = np.concatenate([ev_even, ev_odd])
     order = np.argsort(ev, kind="stable")
+    if not vectors:
+        return _spectral_data(ev[order], np.concatenate([c_even, c_odd])[order])
     levels = np.empty(dim, dtype=np.int64)
     levels[order] = np.arange(dim)
-    known = {}
-    if not vectors:
-        overlaps = np.empty(dim, dtype=complex)
-        overlaps[levels] = np.concatenate([c_even, c_odd])
-        known = {"state": psi0.amplitudes, "overlaps": overlaps}
-    return EigenSystem(
-        ev[order], SectorVectors(u_even, u_odd, levels, pairs, partners, palindromes, **known)
-    )
+    return EigenSystem(ev[order], SectorVectors(u_even, u_odd, levels, pairs, partners, palindromes))
 
 
 def _sector_block(chain: SpinChain, states: np.ndarray, slot: np.ndarray,
@@ -593,16 +539,17 @@ def _block_eigh(
     return ev, block_t if solve else None, np.zeros_like(part) if empty else overlaps
 
 
-def scramble(eig: EigenSystem, seed: int) -> EigenSystem:
-    """The spectrum of eig with seeded Haar-random eigenvectors W.
+def scramble(eig: EigenSystem | SpectralData, seed: int) -> EigenSystem:
+    """The eigenvalues of eig with seeded Haar-random eigenvectors W.
 
     Same spectrum, no locality left. Conjugating H = V E V^dag by a Haar
     unitary U gives the eigenvectors U V, and Haar measure is
     right-invariant, so for any fixed V that product is itself a Haar
     unitary: the seed draws W directly, as complex reflectors (see
-    _haar_reflectors), and eig's eigenvectors are never read.
+    _haar_reflectors), and eig is read for its eigenvalues alone.
     """
-    return EigenSystem(eig.eigenvalues, _haar_reflectors(eig.dim, seed, real=False))
+    ev = eig.eigenvalues
+    return EigenSystem(ev, _haar_reflectors(ev.size, seed, real=False))
 
 
 def _goe_tridiagonal(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -651,10 +598,15 @@ def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:
     return eig.eigenvectors.apply_adjoint(psi0.amplitudes)
 
 
+def _spectral_data(eigenvalues: np.ndarray, overlaps: np.ndarray) -> SpectralData:
+    """The eigenvalues with the weights |overlaps|^2, normalized to sum 1."""
+    w = np.abs(overlaps) ** 2
+    return SpectralData(eigenvalues, w / w.sum())
+
+
 def occupied_spectrum(eig: EigenSystem, psi0: PureState) -> SpectralData:
     """The eigenvalues and the gauge-free weights |<n|psi0>|^2 of a quench."""
-    w = np.abs(_overlaps(eig, psi0)) ** 2
-    return SpectralData(eig.eigenvalues, w / w.sum())
+    return _spectral_data(eig.eigenvalues, _overlaps(eig, psi0))
 
 
 def timescales(

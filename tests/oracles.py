@@ -1,8 +1,9 @@
 """Independent reference routes the suite checks the library against.
 
 None of these is on a path that `quenchlab run` takes: np.linalg.eigh of a
-matrix built by hand, the dense chain matrix, the dense V of a sector or a
-Householder eigensystem, the Householder reflectors applied one at a time,
+matrix built by hand, kept as DenseVectors (eigenvector columns held as one
+dense matrix, behind the library's three reads), the dense chain matrix, the
+dense V of a sector or a Householder eigensystem, the Householder reflectors applied one at a time,
 the symmetrized Gaussian draw (G + G^T) / 2 as a sum of whole matrices,
 the typical draw rebuilt serially from its tiles, the Haar unitary of a
 dense Ginibre QR, the per-state spectral propagator, the Lanczos propagator,
@@ -23,20 +24,63 @@ the same spectral route, so the suite holds the entropy scan to the
 Schmidt-value entropy as well.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 import quenchlab as ql
+from quenchlab.core import _all_finite, _freeze, _matmul
 from quenchlab.dynamics import _state_spec
 from quenchlab.errors import DimensionMismatch, RegionOutOfBounds
 from quenchlab.hamiltonian import _sz_signs
+from quenchlab.spectral import _adjoint_matmul
 
 _SQRT_HALF = math.sqrt(0.5)
 
 
+@dataclass(frozen=True)
+class DenseVectors:
+    """Eigenvector columns held as one dense matrix (any memory order)."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"eigenvector matrix {m.shape} is not square")
+        if not _all_finite(m):
+            raise ValueError("eigenvectors must be finite")
+        object.__setattr__(self, "matrix", _freeze(m))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """V x."""
+        return _matmul(self.matrix, x)
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """V^dag y."""
+        return _adjoint_matmul(self.matrix, y)
+
+    def columns(self, block: slice | np.ndarray) -> np.ndarray:
+        """V[:, block]."""
+        return self.matrix[:, block]
+
+
+def dense_eigensystem(eigenvalues, vectors) -> ql.EigenSystem:
+    """An eigensystem of given eigenvalues and a dense matrix of eigenvector columns."""
+    return ql.EigenSystem(eigenvalues, DenseVectors(vectors))
+
+
 def eigensystem(m: np.ndarray) -> ql.EigenSystem:
     """The eigensystem of a Hermitian matrix built by hand, by np.linalg.eigh."""
-    return ql.EigenSystem(*np.linalg.eigh(m))
+    return dense_eigensystem(*np.linalg.eigh(m))
 
 
 def dense_chain(p: ql.ChainParams) -> np.ndarray:
@@ -134,7 +178,7 @@ def dense_vectors(eig: ql.EigenSystem) -> np.ndarray:
     vec = eig.eigenvectors
     if isinstance(vec, ql.HouseholderVectors):
         return householder_matrix(vec)
-    return vec.matrix if isinstance(vec, ql.DenseVectors) else sector_matrix(vec)
+    return vec.matrix if isinstance(vec, DenseVectors) else sector_matrix(vec)
 
 
 def symmetric_gaussian(dim: int, seed: int) -> np.ndarray:

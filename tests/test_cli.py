@@ -27,7 +27,7 @@ from oracles import (
     householder_matrix,
     typical_matrix,
 )
-from quenchlab import _lapack, cli, observables
+from quenchlab import _lapack, cli, observables, spectral
 from quenchlab.spectral import _haar_reflectors
 
 LN2 = math.log(2.0)
@@ -947,6 +947,19 @@ def _equilibria(node, path=()):
             yield from _equilibria(value, path + (key,))
 
 
+def _full_solve(solve):
+    """A stand-in for cli.diagonalize that always solves by solve(chain, psi0), with eigenvectors.
+
+    With vectors=False it returns the quench's spectrum read off that
+    eigensystem, where the weights-only solve returns it directly.
+    """
+    def diagonalize(chain, psi0, vectors):
+        eig = solve(chain, psi0)
+        return eig if vectors else ql.occupied_spectrum(eig, psi0)
+
+    return diagonalize
+
+
 def _csv_tables(out_dir: Path) -> dict:
     tables = {}
     for path in sorted(out_dir.glob("*.csv")):
@@ -1025,7 +1038,7 @@ def test_run_outputs_match_the_dense_eigh(tmp_path, monkeypatch, label, n, bound
     for route in ("sectors", "dense"):
         if route == "dense":
             monkeypatch.setattr(
-                cli, "diagonalize", lambda chain, psi0, vectors: eigensystem(chain_matrix(chain))
+                cli, "diagonalize", _full_solve(lambda chain, psi0: eigensystem(chain_matrix(chain)))
             )
         cfg, errors = cli.validate({
             "kind": kind,
@@ -1082,6 +1095,42 @@ def test_a_symmetric_quench_solves_its_odd_sector_for_eigenvalues_only(
     assert errors == []
     cli.run(cfg)
     assert calls == solvers
+
+
+@pytest.mark.parametrize(
+    "kind, variant, observables, built",
+    [
+        ("dos", "local", {}, 0),
+        ("equivalence", "local", {"typical_count": 1}, 0),
+        ("relax", "goe", {"typical_count": 1, "slow": True}, 0),
+        ("entropy_scan", "local", {}, 1),
+    ],
+    ids=["dos", "equivalence", "goe-relax", "entropy_scan"],
+)
+def test_a_run_that_reads_no_eigenvector_builds_no_sector_vectors(
+    tmp_path, monkeypatch, kind, variant, observables, built
+):
+    # the weights-only solve returns the quench's spectrum itself, not an
+    # eigensystem of unsolved blocks; an entropy scan, which reads the
+    # eigenvectors, shows the count sees a construction
+    dims = []
+    check = spectral.SectorVectors.__post_init__
+
+    def counting(self):
+        dims.append(self.dim)
+        check(self)
+
+    monkeypatch.setattr(spectral.SectorVectors, "__post_init__", counting)
+    cfg, errors = cli.validate({
+        "kind": kind,
+        "model": {"n_sites": 6, "variant": variant},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": observables,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert errors == []
+    cli.run(cfg)
+    assert dims == [64] * built
 
 
 def test_only_relax_reads_local_paulis(tmp_path, monkeypatch):
@@ -1154,8 +1203,7 @@ def test_a_scrambled_run_solves_no_eigenvectors(tmp_path, monkeypatch, n, state,
         cfg, errors = cli.validate({**raw, "out_dir": str(tmp_path / route)})
         assert errors == []
         if route == "vectors":
-            diagonalize = cli.diagonalize
-            monkeypatch.setattr(cli, "diagonalize", lambda h, psi0, vectors: diagonalize(h, psi0))
+            monkeypatch.setattr(cli, "diagonalize", _full_solve(cli.diagonalize))
         calls = _solver_calls(monkeypatch)
         cli.run(cfg)
         if route == "values":

