@@ -7,11 +7,8 @@ relaxation times, entanglement-entropy growth across cuts, and correlation
 light cones. Everything targets desk scale: full spectra up to 14 sites.
 """
 from .core import (
-    LOCAL_DIM,
     MAX_SITES,
-    HilbertSpec,
     PureState,
-    SiteRegion,
     product_state,
 )
 from .dynamics import (
@@ -75,11 +72,10 @@ from .spectral import (
     timescales,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "__version__",
-    "LOCAL_DIM",
     "MAX_SITES",
     "DEFAULT_WEIGHT_FLOOR",
     "QuenchError",
@@ -92,9 +88,7 @@ __all__ = [
     "ConvergenceFailure",
     "LapackUnavailable",
     "NoFrontDetected",
-    "HilbertSpec",
     "PureState",
-    "SiteRegion",
     "product_state",
     "ChainParams",
     "SpinChain",

@@ -1,9 +1,8 @@
 """Hilbert-space primitives for chains of two-level sites.
 
-Dimension bookkeeping, normalized pure and product states, the contiguous
-site regions that entropy cuts are checked against, the Hermitian check of
-observables, and the product of a possibly real matrix with complex vectors
-that every eigenbasis projection shares.
+The site count of a state dimension, normalized pure and product states, the
+Hermitian check of observables, and the product of a possibly real matrix
+with complex vectors that every eigenbasis projection shares.
 
 Site-to-bit convention: site j maps to bit j of the basis index, so site 0
 is the least significant bit. Every index formula in the package relies on
@@ -16,14 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonNormalizedLocal,
-    RegionOutOfBounds,
-)
+from .errors import DimensionMismatch, NonNormalizedLocal
 
 MAX_SITES = 14
-LOCAL_DIM = 2
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -73,62 +67,31 @@ def _hermitian(matrix: np.ndarray, name: str) -> np.ndarray:
     return _freeze(m)
 
 
-@dataclass(frozen=True)
-class HilbertSpec:
-    """Dimension bookkeeping for a chain of n_sites two-level systems."""
-
-    n_sites: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_sites <= MAX_SITES:
-            raise ValueError(
-                f"n_sites must be in [1, {MAX_SITES}], got {self.n_sites}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return LOCAL_DIM**self.n_sites
+def _n_sites(dim: int) -> int:
+    """The site count N of a dimension 2^N, once 1 <= N <= MAX_SITES."""
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise DimensionMismatch(f"dimension {dim} is not a power of two")
+    if not 1 <= n <= MAX_SITES:
+        raise ValueError(f"n_sites must be in [1, {MAX_SITES}], got {n}")
+    return n
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over the full chain."""
+    """Normalized complex amplitudes over the 2^N configurations of N sites."""
 
     amplitudes: np.ndarray
-    spec: HilbertSpec
 
     def __post_init__(self) -> None:
         amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.spec.dim,):
-            raise DimensionMismatch(
-                f"state has {amp.shape} amplitudes, expected ({self.spec.dim},)"
-            )
+        if amp.ndim != 1:
+            raise DimensionMismatch(f"state has {amp.shape} amplitudes, expected one axis")
+        _n_sites(amp.size)
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(amp))
-
-
-@dataclass(frozen=True)
-class SiteRegion:
-    """Contiguous site interval [start, stop) inside a chain of n_sites."""
-
-    start: int
-    stop: int
-    n_sites: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.stop <= self.n_sites):
-            raise RegionOutOfBounds(
-                f"region [{self.start}, {self.stop}) invalid for {self.n_sites} sites"
-            )
-        if self.size == self.n_sites:
-            # The whole chain has no complement to trace out and no boundary.
-            raise RegionOutOfBounds("region must leave at least one site outside")
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
 
 
 def product_state(locals: Sequence[Sequence[complex]]) -> PureState:
@@ -138,12 +101,11 @@ def product_state(locals: Sequence[Sequence[complex]]) -> PureState:
     bit, the product is assembled so that amplitude[i] is the product of
     locals[j][bit j of i].
     """
-    n = len(locals)
-    spec = HilbertSpec(n)
+    _n_sites(2 ** len(locals))
     factors = []
     for j, v in enumerate(locals):
         arr = np.asarray(v, dtype=complex).reshape(-1)
-        if arr.shape != (LOCAL_DIM,):
+        if arr.shape != (2,):
             raise NonNormalizedLocal(f"site {j}: expected 2 components, got {arr.shape}")
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > 1e-10:
@@ -155,7 +117,7 @@ def product_state(locals: Sequence[Sequence[complex]]) -> PureState:
         # so iterating j = 0..n-1 lands site j on bit j.
         amp = np.kron(arr, amp)
     amp = amp / np.linalg.norm(amp)
-    return PureState(amp, spec)
+    return PureState(amp)
 
 
 def _matmul(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:

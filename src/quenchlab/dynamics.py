@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import HilbertSpec, PureState, _freeze
+from .core import PureState, _freeze
 from .errors import DimensionMismatch
 from .spectral import EigenSystem, SpectralData, Timescales, _overlaps
 
@@ -111,13 +111,6 @@ def default_slow_grid(ts: Timescales) -> TimeGrid:
     else:
         times = lin
     return TimeGrid(times)
-
-
-def _state_spec(dim: int) -> HilbertSpec:
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise DimensionMismatch(f"dimension {dim} is not a power of two")
-    return HilbertSpec(n)
 
 
 def _phase_blocks(energies: np.ndarray, c: np.ndarray, grid: TimeGrid):

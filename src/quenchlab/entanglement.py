@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PureState, SiteRegion, _freeze
-from .dynamics import TimeGrid, _state_blocks, _state_spec
-from .errors import NoFrontDetected
+from .core import PureState, _freeze, _n_sites
+from .dynamics import TimeGrid, _state_blocks
+from .errors import NoFrontDetected, RegionOutOfBounds
 from .hamiltonian import _sz_signs
 from .spectral import EigenSystem
 
@@ -107,23 +107,27 @@ def entropy_scan(
 ) -> EntanglementProfile:
     """Entropy of every prefix cut [0, l) at every grid time.
 
-    Site 0 is the low bit, so a block of states reshaped to
-    (times, 2^(N-l), 2^l) holds each state's Schmidt matrix M across the cut.
-    The reduced density matrix of the smaller side is M^dag M (the prefix,
-    when 2l <= N) or M M^dag (the rest), up to a complex conjugation that
-    leaves its spectrum alone, and one batched eigvalsh of these Gram
-    products gives the Schmidt weights of every time in the block.
+    A cut l splits the N sites into [0, l) and [l, N), so it must lie in
+    [1, N - 1]; any other raises RegionOutOfBounds. Site 0 is the low bit,
+    so a block of states reshaped to (times, 2^(N-l), 2^l) holds each
+    state's Schmidt matrix M across the cut. The reduced density matrix of
+    the smaller side is M^dag M (the prefix, when 2l <= N) or M M^dag (the
+    rest), up to a complex conjugation that leaves its spectrum alone, and
+    one batched eigvalsh of these Gram products gives the Schmidt weights of
+    every time in the block.
     """
     cuts = tuple(int(c) for c in cuts)
-    n = _state_spec(eig.dim).n_sites
-    regions = [SiteRegion(0, c, n) for c in cuts]
+    n = _n_sites(eig.dim)
+    for c in cuts:
+        if not 1 <= c < n:
+            raise RegionOutOfBounds(f"cut {c} must lie in [1, {n - 1}] for {n} sites")
     out = np.empty((len(cuts), len(grid)))
     for block, states in _state_blocks(eig, psi0, grid):
         # one state per row, so that each cut's Schmidt matrices are contiguous
         states = np.ascontiguousarray(states.T)
-        for i, region in enumerate(regions):
-            m = states.reshape(-1, 2 ** (n - region.size), 2**region.size)
-            if 2 * region.size <= n:  # the prefix is the smaller side
+        for i, cut in enumerate(cuts):
+            m = states.reshape(-1, 2 ** (n - cut), 2**cut)
+            if 2 * cut <= n:  # the prefix is the smaller side
                 rho = m.conj().swapaxes(1, 2) @ m
             else:
                 rho = m @ m.conj().swapaxes(1, 2)
@@ -151,10 +155,7 @@ def growth_fit(profile: EntanglementProfile, saturation_fraction: float = 0.8) -
         s = profile.entropies[i]
         plateau = float(np.mean(s[tail_start:]))
         nonzero = np.nonzero(s > 1e-12)[0]
-        if nonzero.size == 0:
-            fits.append(CutGrowth(cut, 0.0, 0.0, 0.0, (0.0, 0.0), plateau, True))
-            continue
-        i0 = int(nonzero[0])
+        i0 = int(nonzero[0]) if nonzero.size else n_t
         above = np.nonzero(s > saturation_fraction * plateau)[0]
         i1 = int(above[0]) if above.size else n_t
         if i1 - i0 < 5:
@@ -230,7 +231,7 @@ def light_cone(
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    n = _state_spec(eig.dim).n_sites
+    n = _n_sites(eig.dim)
     if not 0 <= reference_site < n:
         raise ValueError(f"reference site {reference_site} outside chain of {n}")
     radii = tuple(range(1, n // 2 + 1 if periodic else n - reference_site))

@@ -14,7 +14,7 @@ class NonNormalizedLocal(QuenchError):
 
 
 class RegionOutOfBounds(QuenchError):
-    """A site region does not fit inside the chain."""
+    """An entropy cut or a site region does not fit inside the chain."""
 
 
 class SiteOutOfBounds(QuenchError):

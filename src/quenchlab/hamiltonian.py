@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze
+from .core import MAX_SITES, _freeze
 
 DEFAULT_J = 1.0
 DEFAULT_H = 4.2
@@ -38,8 +38,8 @@ class ChainParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_sites < 2:
-            raise ValueError("n_sites must be at least 2")
+        if not 2 <= self.n_sites <= MAX_SITES:
+            raise ValueError(f"n_sites must be in [2, {MAX_SITES}], got {self.n_sites}")
         if not all(math.isfinite(x) for x in (self.J, self.h, self.g, self.disorder_width)):
             raise ValueError("J, h, g and disorder_width must be finite")
         if self.disorder_width < 0:

@@ -18,14 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _lapack
-from .core import PureState, _freeze, _hermitian, _tile_pairs
+from .core import PureState, _freeze, _hermitian, _n_sites, _tile_pairs
 from .dynamics import (
     EVOLVE_BLOCK,
     TimeGrid,
     TimeSeries,
     _phase_blocks,
     _state_blocks,
-    _state_spec,
 )
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
@@ -240,7 +239,7 @@ def pauli_expectations(
     one block of evolved states.
     """
     dim, count = columns.shape
-    n = _state_spec(dim).n_sites
+    n = _n_sites(dim)
     for site, axis in paulis:
         if not 0 <= site < n:
             raise SiteOutOfBounds(f"site {site} outside chain of {n}")

@@ -468,8 +468,8 @@ def diagonalize(
         if not vectors:
             raise ValueError("vectors=False solves for the overlaps of psi0, and none is given")
         parts = (None, None)
-    elif psi0.spec.dim != dim:
-        raise DimensionMismatch(f"chain dimension {dim} does not match state {psi0.spec.dim}")
+    elif psi0.amplitudes.size != dim:
+        raise DimensionMismatch(f"chain dimension {dim} does not match state {psi0.amplitudes.size}")
     else:
         parts = _sector_parts(psi0.amplitudes, pairs, partners, palindromes)
     slot = np.zeros(dim, dtype=np.int64)
@@ -591,9 +591,9 @@ def goe_eigensystem(dim: int, seed: int) -> EigenSystem:
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:
     """c = V^dag psi0."""
-    if eig.dim != psi0.spec.dim:
+    if eig.dim != psi0.amplitudes.size:
         raise DimensionMismatch(
-            f"eigensystem dimension {eig.dim} does not match state {psi0.spec.dim}"
+            f"eigensystem dimension {eig.dim} does not match state {psi0.amplitudes.size}"
         )
     return eig.eigenvectors.apply_adjoint(psi0.amplitudes)
 

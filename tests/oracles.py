@@ -18,10 +18,11 @@ states, batched Gram products of the Schmidt matrices and their
 batched eigvalsh, Pauli readings of site-basis columns, a cosine sum, the
 tridiagonal model's two diagonals solved by dsterf).
 
-The reduced density matrix of one state by partial trace, and its entropy by
-eigvalsh, are formed another way than the library's Gram products but take
-the same spectral route, so the suite holds the entropy scan to the
-Schmidt-value entropy as well.
+The reduced density matrix of one state by partial trace over a SiteRegion
+(a contiguous site interval [start, stop); the library's entropy scan reads
+prefix cuts [0, l) alone), and its entropy by eigvalsh, are formed another
+way than the library's Gram products but take the same spectral route, so
+the suite holds the entropy scan to the Schmidt-value entropy as well.
 """
 import math
 from dataclasses import dataclass
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import quenchlab as ql
-from quenchlab.core import _all_finite, _freeze, _matmul
-from quenchlab.dynamics import _state_spec
+from quenchlab.core import _all_finite, _freeze, _matmul, _n_sites
 from quenchlab.errors import DimensionMismatch, RegionOutOfBounds
 from quenchlab.hamiltonian import _sz_signs
 from quenchlab.spectral import _adjoint_matmul
@@ -249,7 +249,7 @@ def dense_pauli(n: int, site: int, axis: str) -> np.ndarray:
 def local_observable(eig: ql.EigenSystem, site: int, axis: str) -> np.ndarray:
     """The eigenbasis matrix V^dag sigma V of a single-site Pauli."""
     v = dense_vectors(eig).astype(complex)
-    return v.conj().T @ dense_pauli(_state_spec(eig.dim).n_sites, site, axis) @ v
+    return v.conj().T @ dense_pauli(_n_sites(eig.dim), site, axis) @ v
 
 
 def slow_observable(spec: ql.SpectralData, weight_floor: float = 1e-8) -> ql.ObservableMatrix:
@@ -283,12 +283,34 @@ def evolve_states(eig: ql.EigenSystem, psi0: ql.PureState, times) -> list[ql.Pur
     phi = c[:, None] * np.exp(-1j * np.outer(eig.eigenvalues, times))
     amp = apply(phi)
     amp = amp / np.linalg.norm(amp, axis=0)
-    return [ql.PureState(a, _state_spec(eig.dim)) for a in amp.T]
+    return [ql.PureState(a) for a in amp.T]
 
 
-def partial_trace(psi: ql.PureState, region: ql.SiteRegion) -> np.ndarray:
+@dataclass(frozen=True)
+class SiteRegion:
+    """Contiguous site interval [start, stop) inside a chain of n_sites."""
+
+    start: int
+    stop: int
+    n_sites: int
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.start < self.stop <= self.n_sites):
+            raise RegionOutOfBounds(
+                f"region [{self.start}, {self.stop}) invalid for {self.n_sites} sites"
+            )
+        if self.size == self.n_sites:
+            # The whole chain has no complement to trace out and no boundary.
+            raise RegionOutOfBounds("region must leave at least one site outside")
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
+
+def partial_trace(psi: ql.PureState, region: SiteRegion) -> np.ndarray:
     """Reduced density matrix of a contiguous region of a pure state."""
-    n = psi.spec.n_sites
+    n = _n_sites(psi.amplitudes.size)
     if region.n_sites != n:
         raise RegionOutOfBounds(
             f"region declared for {region.n_sites} sites, state has {n}"
@@ -308,7 +330,7 @@ def _entropy_from_eigs(lam: np.ndarray) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-def entropy(psi: ql.PureState, region: ql.SiteRegion) -> float:
+def entropy(psi: ql.PureState, region: SiteRegion) -> float:
     """Von Neumann entropy of the reduced state on a region, in nats.
 
     For a pure state the two sides of a cut carry identical spectra, so the
@@ -316,14 +338,14 @@ def entropy(psi: ql.PureState, region: ql.SiteRegion) -> float:
     complement is [l, N), which keeps the diagonalization at most half the
     chain.
     """
-    n = psi.spec.n_sites
+    n = _n_sites(psi.amplitudes.size)
     comp_size = n - region.size
     if comp_size < region.size:
         # complementary interval exists because regions are contiguous
         if region.start == 0:
-            region = ql.SiteRegion(region.stop, n, n)
+            region = SiteRegion(region.stop, n, n)
         elif region.stop == n:
-            region = ql.SiteRegion(0, region.start, n)
+            region = SiteRegion(0, region.start, n)
         # interior regions keep their orientation; both sides cost the same
     lam = np.linalg.eigvalsh(partial_trace(psi, region))
     return _entropy_from_eigs(lam)
@@ -337,7 +359,7 @@ def schmidt_entropy(psi: ql.PureState, cut: int) -> float:
     are the state's Schmidt matrix across the cut; its squared singular
     values are the weights. No reduced density matrix is formed.
     """
-    n = psi.spec.n_sites
+    n = _n_sites(psi.amplitudes.size)
     mat = psi.amplitudes.reshape(2 ** (n - cut), 2**cut)
     return _entropy_from_eigs(np.linalg.svd(mat, compute_uv=False) ** 2)
 
@@ -408,7 +430,7 @@ def krylov_evolve(
         raise ValueError("subspace_dim must be at least 2")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if h.shape[0] != psi.spec.dim:
+    if h.shape[0] != psi.amplitudes.size:
         raise DimensionMismatch("operator and state dimensions differ")
 
     mat = h
@@ -423,6 +445,6 @@ def krylov_evolve(
                 ok = False
                 break
         if ok:
-            return ql.PureState(vec, psi.spec)
+            return ql.PureState(vec)
         n_sub *= 2
     raise RuntimeError("step halving failed to reach the residual target")

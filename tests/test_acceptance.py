@@ -16,7 +16,7 @@ from scipy.stats import spearmanr
 
 import quenchlab as ql
 from conftest import typical_runs
-from oracles import dense_vectors, entropy, evolve_spectral, krylov_evolve, slow_observable
+from oracles import SiteRegion, dense_vectors, entropy, evolve_spectral, krylov_evolve, slow_observable
 
 LN2 = math.log(2.0)
 
@@ -166,12 +166,12 @@ def test_independent_numerical_routes_agree(quench8):
 
     # reduced-state entropy against the singular-value route
     rng = np.random.default_rng(20240817)
-    region = ql.SiteRegion(0, 4, 8)
+    region = SiteRegion(0, 4, 8)
     worst_entropy_gap = 0.0
     for _ in range(50):
         amp = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         amp /= np.linalg.norm(amp)
-        state = ql.PureState(amp, ql.HilbertSpec(8))
+        state = ql.PureState(amp)
         lam = np.linalg.svd(amp.reshape(16, 16), compute_uv=False) ** 2
         lam = lam[lam > 1e-14]
         oracle = float(-np.sum(lam * np.log(lam)))

@@ -55,7 +55,7 @@ def test_evolve_spectral_preserves_norm(quench6):
 
 def test_evolve_spectral_stationary_eigenstate(quench6):
     k = 11
-    psi0 = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex), ql.HilbertSpec(6))
+    psi0 = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex))
     for t in (0.5, 3.0, 20.0):
         psi = evolve_spectral(quench6.eig, psi0, t)
         assert abs(abs(np.vdot(psi0.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
@@ -152,7 +152,7 @@ def test_diagonal_ensemble_identity_and_eigenstate(quench6):
     identity = ql.ObservableMatrix(np.eye(64))
     assert ql.diagonal_ensemble(quench6.sdata, np.diagonal(identity.matrix)) == pytest.approx(1.0)
     k = 5
-    psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex), ql.HilbertSpec(6))
+    psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex))
     sdata = ql.occupied_spectrum(quench6.eig, psi)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, 64))
@@ -194,7 +194,7 @@ def test_krylov_diagonal_exact():
     rng = np.random.default_rng(5)
     amp = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     amp /= np.linalg.norm(amp)
-    psi = ql.PureState(amp, ql.HilbertSpec(4))
+    psi = ql.PureState(amp)
     out = krylov_evolve(h, psi, dt=0.8)
     exact = np.exp(-1j * diag * 0.8) * amp
     assert np.max(np.abs(out.amplitudes - exact)) < 1e-12

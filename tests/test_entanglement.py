@@ -5,8 +5,15 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED, neel_state
-from oracles import dense_eigensystem, entropy, evolve_spectral, evolve_states, schmidt_entropy
-from quenchlab.errors import DimensionMismatch, NoFrontDetected
+from oracles import (
+    SiteRegion,
+    dense_eigensystem,
+    entropy,
+    evolve_spectral,
+    evolve_states,
+    schmidt_entropy,
+)
+from quenchlab.errors import DimensionMismatch, NoFrontDetected, RegionOutOfBounds
 
 UP = (1.0, 0.0)
 LN2 = np.log(2.0)
@@ -16,13 +23,13 @@ def random_state(seed: int, n_sites: int) -> ql.PureState:
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(2**n_sites) + 1j * rng.standard_normal(2**n_sites)
     amp /= np.linalg.norm(amp)
-    return ql.PureState(amp, ql.HilbertSpec(n_sites))
+    return ql.PureState(amp)
 
 
 def ghz(n_sites: int) -> ql.PureState:
     amp = np.zeros(2**n_sites, dtype=complex)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
-    return ql.PureState(amp, ql.HilbertSpec(n_sites))
+    return ql.PureState(amp)
 
 
 def test_entropy_product_state_is_zero():
@@ -34,32 +41,32 @@ def test_entropy_product_state_is_zero():
         locals_.append((v[0], v[1]))
     psi = ql.product_state(locals_)
     for cut in range(1, 5):
-        assert entropy(psi, ql.SiteRegion(0, cut, 5)) < 1e-12
+        assert entropy(psi, SiteRegion(0, cut, 5)) < 1e-12
 
 
 def test_entropy_bell_pair():
-    psi = ql.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0), ql.HilbertSpec(2))
-    assert entropy(psi, ql.SiteRegion(0, 1, 2)) == pytest.approx(LN2, abs=1e-12)
+    psi = ql.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+    assert entropy(psi, SiteRegion(0, 1, 2)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_ghz_half_chain():
     psi = ghz(6)
     # any bipartition of a GHZ state carries exactly one shared bit
     for cut in (1, 3, 5):
-        assert entropy(psi, ql.SiteRegion(0, cut, 6)) == pytest.approx(LN2, abs=1e-12)
+        assert entropy(psi, SiteRegion(0, cut, 6)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_interior_region():
     psi = ghz(6)
-    assert entropy(psi, ql.SiteRegion(2, 4, 6)) == pytest.approx(LN2, abs=1e-12)
+    assert entropy(psi, SiteRegion(2, 4, 6)) == pytest.approx(LN2, abs=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5))
 @settings(max_examples=25, deadline=None)
 def test_entropy_complementarity(seed, cut):
     psi = random_state(seed, 6)
-    left = entropy(psi, ql.SiteRegion(0, cut, 6))
-    right = entropy(psi, ql.SiteRegion(cut, 6, 6))
+    left = entropy(psi, SiteRegion(0, cut, 6))
+    right = entropy(psi, SiteRegion(cut, 6, 6))
     assert abs(left - right) < 1e-9
 
 
@@ -67,8 +74,8 @@ def test_entropy_complementarity(seed, cut):
 @settings(max_examples=15, deadline=None)
 def test_entropy_global_phase_invariance(seed, alpha):
     psi = random_state(seed, 5)
-    rotated = ql.PureState(np.exp(1j * alpha) * psi.amplitudes, psi.spec)
-    r = ql.SiteRegion(0, 2, 5)
+    rotated = ql.PureState(np.exp(1j * alpha) * psi.amplitudes)
+    r = SiteRegion(0, 2, 5)
     assert abs(entropy(psi, r) - entropy(rotated, r)) < 1e-10
 
 
@@ -76,7 +83,7 @@ def test_entropy_global_phase_invariance(seed, alpha):
 @settings(max_examples=25, deadline=None)
 def test_entropy_bounds(seed, cut):
     psi = random_state(seed, 6)
-    s = entropy(psi, ql.SiteRegion(0, cut, 6))
+    s = entropy(psi, SiteRegion(0, cut, 6))
     assert s >= -1e-10
     assert s <= min(cut, 6 - cut) * LN2 + 1e-9
 
@@ -95,6 +102,13 @@ def test_entropy_scan_bounds(quench8):
     for i, cut in enumerate(profile.cuts):
         cap = min(cut, 8 - cut) * LN2 + 1e-9
         assert np.max(profile.entropies[i]) <= cap
+
+
+@pytest.mark.parametrize("cut", [0, -1, 8])
+def test_entropy_scan_refuses_a_cut_outside_the_chain(quench8, cut):
+    # a cut l must leave sites on both sides, [0, l) and [l, 8)
+    with pytest.raises(RegionOutOfBounds, match=rf"cut {cut} must lie in \[1, 7\]"):
+        ql.entropy_scan(quench8.eig, quench8.psi0, [1, cut], ql.linear_grid(1.0, 3))
 
 
 def test_entropy_scan_reflection_symmetry():
@@ -125,7 +139,7 @@ def test_entropy_scan_matches_per_state_oracle(request, system):
     # the oracle's states at every time from one pass through its V
     for k, psi in enumerate(evolve_states(q.eig, q.psi0, grid.times)):
         for i, cut in enumerate(cuts):
-            oracle = entropy(psi, ql.SiteRegion(0, cut, n))
+            oracle = entropy(psi, SiteRegion(0, cut, n))
             assert abs(profile.entropies[i, k] - oracle) < 1e-12
 
 
@@ -154,7 +168,7 @@ def rainbow(n: int) -> ql.PureState:
     paired = np.all(bits[:, :pairs] == bits[:, ::-1][:, :pairs], axis=1)
     if n % 2:
         paired &= bits[:, pairs] == 0
-    return ql.PureState(paired / np.sqrt(2.0**pairs), ql.HilbertSpec(n))
+    return ql.PureState(paired / np.sqrt(2.0**pairs))
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -187,7 +201,7 @@ def test_light_cone_matches_per_state_loop(quench8):
 def test_scrambled_half_cut_reaches_page_value(scrambled10):
     t = 5.0 * scrambled10.ts.boltzmann_time
     psi = evolve_spectral(scrambled10.eig, scrambled10.psi0, t)
-    s = entropy(psi, ql.SiteRegion(0, 5, 10))
+    s = entropy(psi, SiteRegion(0, 5, 10))
     page = 5.0 * LN2 - 0.5
     assert abs(s - page) < 0.2 * page
 

@@ -15,8 +15,10 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_chain_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"\[2, {ql.MAX_SITES}\]"):
         ql.ChainParams(n_sites=1)
+    with pytest.raises(ValueError, match=rf"\[2, {ql.MAX_SITES}\]"):
+        ql.ChainParams(n_sites=ql.MAX_SITES + 1)
     with pytest.raises(ValueError):
         ql.ChainParams(n_sites=4, disorder_width=-0.1)
     with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ def test_eigenbasis_diagonalizes_chain(quench6):
 
 def test_occupied_spectrum_eigenstate(quench6):
     k = 7
-    psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex), ql.HilbertSpec(6))
+    psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex))
     sdata = ql.occupied_spectrum(quench6.eig, psi)
     assert abs(sdata.weights[k] - 1.0) < 1e-12
     assert np.sum(sdata.weights > 1e-12) == 1
@@ -269,15 +269,14 @@ def test_scrambling_invariance(seed):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     psi /= np.linalg.norm(psi)
-    spec = ql.HilbertSpec(4)
 
     eig = ql.diagonalize(h)
-    base = ql.occupied_spectrum(eig, ql.PureState(psi, spec))
+    base = ql.occupied_spectrum(eig, ql.PureState(psi))
 
     u = haar_unitary(16, rng)
     m = u @ chain_matrix(h) @ u.conj().T
     eig2 = eigensystem((m + m.conj().T) / 2)
-    rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi, spec))
+    rotated = ql.occupied_spectrum(eig2, ql.PureState(u @ psi))
 
     assert np.max(np.abs(base.eigenvalues - rotated.eigenvalues)) < 1e-9
     assert np.max(np.abs(base.weights - rotated.weights)) < 1e-9
@@ -439,7 +438,7 @@ def _mirror_state(n: int, sign: float, seed: int) -> ql.PureState:
     rng = np.random.default_rng(seed)
     v = _test_vectors(rng, 2**n, None)
     v = v + sign * v[_bit_reversal(n)]
-    return ql.PureState(v / np.linalg.norm(v), ql.HilbertSpec(n))
+    return ql.PureState(v / np.linalg.norm(v))
 
 
 def _sector_levels(vectors: ql.SectorVectors) -> dict:
