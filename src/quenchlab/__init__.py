@@ -67,12 +67,14 @@ from .spectral import (
     diagonalize,
     dos_fit,
     goe_eigensystem,
+    goe_spectrum,
     occupied_spectrum,
     scramble,
+    scrambled_spectrum,
     timescales,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "__version__",
@@ -94,7 +96,9 @@ __all__ = [
     "SpinChain",
     "build_local_chain",
     "scramble",
+    "scrambled_spectrum",
     "goe_eigensystem",
+    "goe_spectrum",
     "EigenSystem",
     "SectorVectors",
     "HouseholderVectors",

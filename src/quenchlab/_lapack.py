@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -83,6 +85,38 @@ def threads() -> int:
     fn = _symbol("blas threads", "scipy_openblas_get_num_threads64_")
     fn.argtypes, fn.restype = [], ctypes.c_int
     return fn()
+
+
+def workers(tasks: int) -> int:
+    """The threads that share runs tasks on: threads(), at least 1 and at most tasks."""
+    return max(1, min(threads(), tasks))
+
+
+def share(tasks: int, task: Callable[[int, int], None]) -> None:
+    """task(w, k) for k in range(tasks), round-robin on worker w of workers(tasks) threads.
+
+    The seeded draws fill their buffers here, between BLAS calls. The calling
+    thread is worker 0, and allocates what the tasks fill, so that each task
+    only starts a fill that releases the GIL. Whatever a worker raised is
+    raised again once all have joined.
+    """
+    count, errors = workers(tasks), []
+
+    def run(w: int) -> None:
+        try:
+            for k in range(w, tasks, count):
+                task(w, k)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+
+    pool = [threading.Thread(target=run, args=(w,)) for w in range(1, count)]
+    for thread in pool:
+        thread.start()
+    run(0)
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _call(name: str, *args) -> None:

@@ -7,19 +7,20 @@ the chain, kept as its terms, given the initial state, so that a sector the
 state leaves empty is solved for its eigenvalues alone (and levels without
 weight are never read for their eigenvectors). Only a local entropy scan,
 light cone or relax run with local Paulis reads the chain's eigenvectors;
-every other run solves each occupied sector for its eigenvalues and the
-state's overlaps, with no eigenvectors. Each variant's eigensystem derives
-from that one diagonalization: the scrambled chain from its eigenvalues
-(with seeded Haar eigenvectors), the random matrix from the chain's
-occupied moments (its eigenvalues those of a seeded GOE tridiagonal model,
-by dsterf, its eigenvectors a Haar-orthogonal draw of the same seed).
-Results are written as CSV files with a YAML manifest carrying the
-normalized config, the quench timescales, summary statistics, and a digest
-of every emitted file. All randomness is derived per task from the master
-seed and the work runs in one fixed order, so reruns are byte-identical
-(a typical draw fills its tiles on the BLAS threads, each tile from its own
-seed, so its bits do not depend on their number); --threads is kept for
-compatibility and changes nothing.
+every other local run solves each occupied sector for its eigenvalues and
+the state's overlaps, and a scrambled run for its eigenvalues alone. Each
+variant derives from that one diagonalization: the scrambled chain from its
+eigenvalues, the random matrix from the chain's occupied moments (its
+eigenvalues those of a seeded GOE tridiagonal model, by dsterf). Either
+draws its Haar eigenvectors only where a run reads states, and otherwise
+its weights in law. Results are written as CSV files with a YAML manifest
+carrying the normalized config, the quench timescales, summary statistics,
+and a digest of every emitted file. All randomness is derived per task from
+the master seed and the work runs in one fixed order, so reruns are
+byte-identical (a typical draw and a reflector draw fill their tiles and
+panels on the BLAS threads, each from its own seed, so their bits do not
+depend on their number); --threads is kept for compatibility and changes
+nothing.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
@@ -60,14 +61,15 @@ from .observables import (
 )
 from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
-    EigenSystem,
     SpectralData,
     Timescales,
     diagonalize,
     dos_fit,
     goe_eigensystem,
+    goe_spectrum,
     occupied_spectrum,
     scramble,
+    scrambled_spectrum,
     timescales,
 )
 
@@ -464,33 +466,38 @@ def build_initial_state(cfg: ExperimentConfig) -> PureState:
 
 def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     """The eigensystem of a run's site-basis readers (None without them), and
-    the spectral data of each variant. All derive from one diagonalization of
-    the chain with psi0 (an empty sector keeps its eigenvalues only). Only
-    the local chain of an entropy scan, a light cone or a relax run with
-    local Paulis reads its eigenvectors; every other run solves the chain
-    for the quench's spectrum alone. The scrambled chain takes the
-    eigenvalues, and the random matrix the occupied moments. The random
-    matrix is never formed: its eigenvalues and eigenvectors are drawn from
-    one seed at mean 0 and width 1 (see goe_eigensystem), and its
-    eigenvalues then shifted and scaled to the chain's moments.
+    the spectral data of each variant, from one diagonalization of the
+    chain. Only an entropy scan, a light cone or a relax run with local
+    Paulis reads eigenvectors; the local chain of any other run is solved
+    for the quench's spectrum alone, and the scrambled chain for its
+    eigenvalues alone. The random matrix takes the occupied moments: its
+    eigenvalues are drawn at mean 0 and width 1, then shifted and scaled to
+    them. Each random variant draws only what the run reads: its Haar
+    eigenvectors as reflectors where states are read (see scramble and
+    goe_eigensystem), and otherwise its weights in law (see
+    scrambled_spectrum and goe_spectrum).
     """
     # only relax reads local Paulis; other kinds accept and ignore the field
     reads_states = cfg.kind in ("entropy_scan", "light_cone") or (
         cfg.kind == "relax" and bool(cfg.local_observables)
     )
+    if cfg.variant == "scrambled":
+        ev = diagonalize(build_local_chain(cfg.chain), None, vectors=False)
+        seed = derive_seed(cfg.master_seed, "scramble")
+        if not reads_states:
+            return None, {"scrambled": scrambled_spectrum(ev, seed)}
+        eig = scramble(ev, seed)
+        return eig, {"scrambled": occupied_spectrum(eig, psi0)}
     vectors = cfg.variant == "local" and reads_states
     eig = diagonalize(build_local_chain(cfg.chain), psi0, vectors=vectors)
-    sdata = occupied_spectrum(eig, psi0) if vectors else eig
-    if cfg.variant == "scrambled":
-        eig = scramble(sdata, derive_seed(cfg.master_seed, "scramble"))
-        sdata = occupied_spectrum(eig, psi0)
-    spectra = {"local" if cfg.variant == "goe" else cfg.variant: sdata}
+    spectra = {"local": occupied_spectrum(eig, psi0) if vectors else eig}
     if cfg.kind == "equivalence" or cfg.variant == "goe":
         ts = timescales(spectra["local"], cfg.weight_floor)
         del eig
-        unit = goe_eigensystem(spectra["local"].dim, derive_seed(cfg.master_seed, "goe"))
-        eig = EigenSystem(ts.energy_mean + ts.energy_width * unit.eigenvalues, unit.eigenvectors)
-        spectra["goe"] = occupied_spectrum(eig, psi0)
+        seed = derive_seed(cfg.master_seed, "goe")
+        unit = goe_eigensystem(psi0.amplitudes.size, seed) if reads_states else goe_spectrum(psi0, seed)
+        eig = replace(unit, eigenvalues=ts.energy_mean + ts.energy_width * unit.eigenvalues)
+        spectra["goe"] = occupied_spectrum(eig, psi0) if reads_states else eig
     return (eig if reads_states else None), spectra
 
 

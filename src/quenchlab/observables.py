@@ -11,7 +11,6 @@ in the site basis off the evolved states and the eigenvectors.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,43 +97,30 @@ def _typical_draw(dim: int, seed: int) -> np.ndarray:
     from child k of SeedSequence(seed): (t + t^T) / 2 on the diagonal, t
     times sqrt(1/2) above it, mirrored below. That is the law of
     (G + G^T) / 2, and t_ij + t_ji rounds as t_ji + t_ij, so S is symmetric
-    to the bit. The pairs are shared among _lapack.threads() workers (BLAS
+    to the bit. The pairs are shared among the _lapack.share workers (BLAS
     is idle meanwhile), whose number never moves a bit. Their scratch tiles
     are allocated by the calling thread, so no worker allocates.
     """
     m = np.empty((dim, dim))
     pairs = _tile_pairs(dim, _DRAW_TILE)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(pairs))]
-    workers = max(1, min(_lapack.threads(), len(pairs)))
-    scratch = [np.empty(_DRAW_TILE**2) for _ in range(workers)]
-    errors: list[BaseException] = []
+    scratch = [np.empty(_DRAW_TILE**2) for _ in range(_lapack.workers(len(pairs)))]
 
-    def fill(w: int) -> None:
-        try:
-            for k in range(w, len(pairs), workers):
-                rows, cols = pairs[k]
-                upper = m[rows, cols]
-                t = scratch[w][: upper.size].reshape(upper.shape)
-                rngs[k].standard_normal(out=t)
-                if rows == cols:
-                    np.add(t, t.T, out=upper)
-                    upper *= 0.5
-                    np.abs(upper, out=upper)
-                else:
-                    np.multiply(t, _SQRT_HALF, out=upper)
-                    np.abs(upper, out=upper)
-                    m[cols, rows] = upper.T
-        except BaseException as exc:  # raised again by the calling thread
-            errors.append(exc)
+    def fill(w: int, k: int) -> None:
+        rows, cols = pairs[k]
+        upper = m[rows, cols]
+        t = scratch[w][: upper.size].reshape(upper.shape)
+        rngs[k].standard_normal(out=t)
+        if rows == cols:
+            np.add(t, t.T, out=upper)
+            upper *= 0.5
+            np.abs(upper, out=upper)
+        else:
+            np.multiply(t, _SQRT_HALF, out=upper)
+            np.abs(upper, out=upper)
+            m[cols, rows] = upper.T
 
-    threads = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    fill(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _lapack.share(len(pairs), fill)
     return m
 
 

@@ -16,11 +16,13 @@ and a block of columns of V: the sector blocks of a chain, or, for a seeded
 Haar-random basis (the scrambled chain and the GOE partner), its
 Householder reflectors. A sector that the quench leaves empty may be kept
 as its eigenvalues alone. A caller that reads the quench's weights and no
-eigenvector asks diagonalize for the occupied spectrum itself, as
-eigvals_only asks scipy's eigh for less than a full solve. Every block is
-solved in place on one path, dsyevd's own steps in the LAPACK of numpy's
-OpenBLAS (see _lapack.eigh), and the GOE partner's eigenvalues are those of
-a tridiagonal model, solved by the same dsterf, with no dense matrix.
+eigenvector asks diagonalize for the occupied spectrum itself, and one that
+reads the eigenvalues alone for those, as eigvals_only asks scipy's eigh for
+less than a full solve; a random partner's weights are drawn in law, with no
+basis at all. Every block is solved in place on one path, dsyevd's own steps
+in the LAPACK of numpy's OpenBLAS (see _lapack.eigh), and the GOE partner's
+eigenvalues are those of a tridiagonal model, solved by the same dsterf,
+with no dense matrix.
 """
 from __future__ import annotations
 
@@ -291,50 +293,49 @@ class HouseholderVectors:
         return self._through_panels(out, int(cols.max()) // _PANEL + 1)
 
 
-def _haar_reflectors(
-    dim: int, seed: int | np.random.Generator, real: bool
-) -> HouseholderVectors:
+def _haar_reflectors(dim: int, seed: int, real: bool) -> HouseholderVectors:
     """A seeded Haar basis on O(dim) (real) or U(dim) (complex), as reflectors.
 
     Householder QR of a Ginibre matrix, with R's diagonal made positive,
     gives a Haar Q; column k of the matrix reduced so far is a fresh
     Gaussian vector of length dim - k, independent of the reflectors before
-    it, so each is drawn alone and no matrix is formed (Stewart, SIAM J.
-    Numer. Anal. 17, 403 (1980); Mezzadri, Notices AMS 54, 2007). For
-    k = 0, 1, ..., dim - 1 in turn, reflector k reads the generator's next
-    dim - k standard normals (real), or the next 2 (dim - k) as dim - k
-    interleaved (real, imaginary) pairs (complex). With x that vector and
-    phi the phase of x[0], u_k = x + phi |x| e_0, normalized, maps x to
-    -phi |x| e_0, so -phi is phase k; the last vector has length 1 and gives
-    phase phi with no reflector. A Generator given as the seed is read on
-    from where it stands.
+    it, so no matrix is formed (Stewart, SIAM J. Numer. Anal. 17, 403
+    (1980); Mezzadri, Notices AMS 54, 2007). Child p of SeedSequence(seed)
+    fills panel p's (dim - start) x size block B with standard normals
+    (complex: interleaved (real, imaginary) pairs), on the _lapack.share
+    workers, and reflector start + j reads x = B[j:, j]. With phi the phase
+    of x[0], u = x + phi |x| e_0, normalized, maps x to -phi |x| e_0, so
+    -phi is its phase; the child after the panels draws one more normal
+    (pair), whose phase is the last. The calling thread then makes each
+    block into its reflectors and t in one pass, with no BLAS beside the
+    workers.
     """
-    rng = np.random.default_rng(seed)
     dtype = float if real else complex
-
-    def draw(size: int) -> tuple[np.ndarray, complex]:
-        x = rng.standard_normal(size if real else 2 * size)
-        x = x if real else x.view(complex)
-        head = abs(x[0])
-        return x, (x[0] / head if head > 0 else 1.0)
-
-    phases = np.empty(dim, dtype=dtype)
-    ys, ts = [], []
-    for start in range(0, dim - 1, _PANEL):
-        size = min(_PANEL, dim - 1 - start)
-        y = np.zeros((dim - start, size), dtype=dtype)
-        for j in range(size):
-            x, phi = draw(dim - start - j)
-            x[0] += phi * np.linalg.norm(x)
-            y[j:, j] = x / np.linalg.norm(x)
-            phases[start + j] = -phi
+    starts = range(0, max(dim - 1, 0), _PANEL)
+    ys = [np.empty((dim - start, min(_PANEL, dim - 1 - start)), dtype) for start in starts]
+    last = np.empty(1, dtype)
+    blocks = [a.view(float) for a in (*ys, last)]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(blocks))]
+    _lapack.share(len(blocks), lambda w, k: rngs[k].standard_normal(out=blocks[k]))
+    phases, ts = np.empty(dim, dtype=dtype), []
+    for start, y in zip(starts, ys):
+        size = y.shape[1]
+        y[:size][np.triu_indices(size, 1)] = 0  # reflector j reads rows j on
+        head = np.diagonal(y).copy()
+        flat = y.view(float)  # a complex column is two adjacent real ones
+        norm = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(size, -1).sum(axis=1))
+        mag = np.abs(head)
+        phi = np.divide(head, mag, out=np.ones_like(head), where=mag > 0)
+        phases[start : start + size] = -phi
+        y[np.arange(size), np.arange(size)] += phi * norm
+        # |x + phi |x| e_0|^2 = 2 |x| (|x| + |x[0]|)
+        y *= 1.0 / np.sqrt(2.0 * norm * (norm + mag))
         # T^{-1} = strict upper part of y^dag y + I / 2 (each tau is 2)
         tinv = np.triu(_adjoint_matmul(y, y), 1)
         tinv[np.diag_indices(size)] = 0.5
-        ys.append(y)
         ts.append(np.linalg.inv(tinv))
     if dim > 0:
-        phases[dim - 1] = draw(1)[1]
+        phases[dim - 1] = last[0] / abs(last[0]) if last[0] != 0 else 1.0
     return HouseholderVectors(tuple(ys), tuple(ts), phases)
 
 
@@ -432,8 +433,8 @@ class GaussianFit:
 
 def diagonalize(
     chain: SpinChain, psi0: PureState | None = None, vectors: bool = True
-) -> EigenSystem | SpectralData:
-    """Eigendecomposition of a chain, or with vectors=False its quench's spectrum.
+) -> EigenSystem | SpectralData | np.ndarray:
+    """Eigendecomposition of a chain, or with vectors=False its quench's spectrum or eigenvalues.
 
     The sectors are those of the classes the chain's diagonal allows (see
     _symmetry_classes): the site reflection's where the diagonal is
@@ -455,18 +456,17 @@ def diagonalize(
     - otherwise, with vectors=True, its eigenvectors stay as the block;
     - otherwise, with vectors=False, for a caller that reads the quench's
       weights and no eigenvector, it is solved for its eigenvalues and its
-      overlaps with psi0 alone.
+      overlaps with psi0 alone, or with no psi0 for its eigenvalues alone.
 
     With vectors=True the result is the EigenSystem, its eigenvectors kept
-    as SectorVectors. With vectors=False psi0 is required, and the result is
-    the SpectralData of the quench, the eigenvalues with the weights of
-    V^T psi0 as occupied_spectrum would read them off the full solve.
+    as SectorVectors. With vectors=False it is the SpectralData of the
+    quench, the weights of V^T psi0 as occupied_spectrum would read them off
+    the full solve, or with no psi0 the eigenvalues alone (by dsterf, so
+    within rounding of the other routes', not to the bit).
     """
     pairs, partners, palindromes = _symmetry_classes(chain)
     dim, n_pairs = chain.dim, pairs.size
     if psi0 is None:
-        if not vectors:
-            raise ValueError("vectors=False solves for the overlaps of psi0, and none is given")
         parts = (None, None)
     elif psi0.amplitudes.size != dim:
         raise DimensionMismatch(f"chain dimension {dim} does not match state {psi0.amplitudes.size}")
@@ -492,7 +492,7 @@ def diagonalize(
     ev = np.concatenate([ev_even, ev_odd])
     order = np.argsort(ev, kind="stable")
     if not vectors:
-        return _spectral_data(ev[order], np.concatenate([c_even, c_odd])[order])
+        return ev[order] if psi0 is None else _spectral_data(ev[order], np.concatenate([c_even, c_odd])[order])
     levels = np.empty(dim, dtype=np.int64)
     levels[order] = np.arange(dim)
     return EigenSystem(ev[order], SectorVectors(u_even, u_odd, levels, pairs, partners, palindromes))
@@ -530,17 +530,18 @@ def _block_eigh(
     solves it: a sector the quench leaves empty for its eigenvalues alone,
     with overlaps 0; otherwise, with vectors, into its eigenvectors, which
     overwrite block_t; without, for its eigenvalues and V^T part, a part with
-    no imaginary component going through as one real column.
+    no imaginary component going through as one real column, or with no
+    part for its eigenvalues alone.
     """
     empty = part is not None and not np.any(part)
     solve = vectors and not empty
-    y = None if vectors or empty else (part if np.any(part.imag) else part.real)
+    y = None if vectors or empty or part is None else (part if np.any(part.imag) else part.real)
     ev, overlaps = _lapack.eigh(block_t, vectors=solve, y=y)
     return ev, block_t if solve else None, np.zeros_like(part) if empty else overlaps
 
 
-def scramble(eig: EigenSystem | SpectralData, seed: int) -> EigenSystem:
-    """The eigenvalues of eig with seeded Haar-random eigenvectors W.
+def scramble(eig: EigenSystem | SpectralData | np.ndarray, seed: int) -> EigenSystem:
+    """The eigenvalues of eig (or the array eig of them) with seeded Haar-random eigenvectors W.
 
     Same spectrum, no locality left. Conjugating H = V E V^dag by a Haar
     unitary U gives the eigenvectors U V, and Haar measure is
@@ -548,8 +549,21 @@ def scramble(eig: EigenSystem | SpectralData, seed: int) -> EigenSystem:
     unitary: the seed draws W directly, as complex reflectors (see
     _haar_reflectors), and eig is read for its eigenvalues alone.
     """
-    ev = eig.eigenvalues
+    ev = getattr(eig, "eigenvalues", eig)
     return EigenSystem(ev, _haar_reflectors(ev.size, seed, real=False))
+
+
+def scrambled_spectrum(eigenvalues: np.ndarray, seed: int) -> SpectralData:
+    """The eigenvalues with the weights of any quench under scramble, drawn in law.
+
+    For Haar W and a unit psi0, W^dag psi0 is uniform on the unit sphere,
+    so the weights are |z|^2 / ||z||^2, Dirichlet(1, ..., 1), for the
+    complex Gaussian z that default_rng(seed) draws as interleaved (real,
+    imaginary) pairs. The law of occupied_spectrum(scramble(...), psi0), in
+    O(dim), but not its realization.
+    """
+    z = np.random.default_rng(seed).standard_normal(2 * eigenvalues.size).view(complex)
+    return _spectral_data(eigenvalues, z)
 
 
 def _goe_tridiagonal(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -563,6 +577,8 @@ def _goe_tridiagonal(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np
     width, sqrt((sum (d_i - mean)^2 + 2 sum e_i^2) / dim) = ||T - mean I||_F /
     sqrt(dim), with no solve.
     """
+    if dim < 1:
+        raise ValueError("dim must be positive")
     d = rng.standard_normal(dim)
     e = np.sqrt(rng.chisquare(np.arange(dim - 1, 0, -1)) / 2.0)
     d -= d.mean()
@@ -576,17 +592,41 @@ def goe_eigensystem(dim: int, seed: int) -> EigenSystem:
 
     A GOE matrix's eigenvalues and eigenvectors are independent, and its
     eigenvectors are Haar distributed on O(dim) (Mehta, Random Matrices, 3rd
-    ed., ch. 3). The seed's generator draws the eigenvalues first, as those
-    of the tridiagonal model (see _goe_tridiagonal) solved by dsterf in
-    O(dim^2), and then the eigenvectors as real reflectors (see
-    _haar_reflectors): exact in law, with no dense matrix and no eigenvector
-    solve. The affine map to other moments keeps the eigenvectors.
+    ed., ch. 3). default_rng(seed) draws the eigenvalues, as those of the
+    tridiagonal model (see _goe_tridiagonal) solved by dsterf in O(dim^2),
+    and SeedSequence(seed)'s children the eigenvectors as real reflectors
+    (see _haar_reflectors): exact in law, with no dense matrix and no
+    eigenvector solve. The affine map to other moments keeps the eigenvectors.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    ev = _lapack.sterf(*_goe_tridiagonal(dim, np.random.default_rng(seed)))
+    return EigenSystem(ev, _haar_reflectors(dim, seed, real=True))
+
+
+def goe_spectrum(psi0: PureState, seed: int) -> SpectralData:
+    """The spectrum of a quench under goe_eigensystem, its weights drawn in law.
+
+    default_rng(seed) draws the eigenvalues of goe_eigensystem(dim, seed) to
+    the bit, then reads on for the weights |O^T psi0|^2 of a Haar orthogonal
+    O (see _frame_overlaps): its law, in O(dim), but not its realization.
+    """
     rng = np.random.default_rng(seed)
-    ev = _lapack.sterf(*_goe_tridiagonal(dim, rng))
-    return EigenSystem(ev, _haar_reflectors(dim, rng, real=True))
+    ev = _lapack.sterf(*_goe_tridiagonal(psi0.amplitudes.size, rng))
+    return _spectral_data(ev, _frame_overlaps(psi0.amplitudes, rng))
+
+
+def _frame_overlaps(amps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """O^T amps for a Haar orthogonal O, drawn in law from rng's next normals.
+
+    With amps = a + i b and the thin QR [a b] = Q R ([a] = Q R if b = 0),
+    O^T Q is a uniform orthonormal frame: Q's k columns have the law of k
+    Gaussian columns G, read one after another, made orthonormal by
+    Gram-Schmidt, so O^T [a b] has the law of G R.
+    """
+    cols = [amps.real] + ([amps.imag] if np.any(amps.imag) else [])
+    q, r = np.linalg.qr(np.transpose(cols))
+    g, s = np.linalg.qr(rng.standard_normal((q.shape[1], amps.size)).T)
+    c = (g * np.sign(np.diagonal(s))) @ r  # Gram-Schmidt keeps s's diagonal positive
+    return c[:, 0] + 1j * c[:, 1] if c.shape[1] == 2 else c[:, 0]
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:

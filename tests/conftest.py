@@ -4,10 +4,14 @@ Every eigensystem here is in the gauge its construction returns, and each
 comes with the Neel state it is quenched from and that state's occupied
 spectrum. A chain's `chain` is its dense matrix from the oracle builder.
 Everything heavy is computed once per session. The scrambled partners come
-from `ql.scramble` (eigenvalues of the chain, seeded Haar eigenvectors W)
-and the GOE partner from `ql.goe_eigensystem` (the seeded tridiagonal
-model's eigenvalues, shifted and scaled to the chain's moments, and seeded
-Haar-orthogonal eigenvectors), so no fixture diagonalizes a random operator.
+from `ql.scramble` (eigenvalues of the chain, seeded Haar eigenvectors W
+drawn as reflector panels) and the GOE partner from `ql.goe_eigensystem`
+(the seeded tridiagonal model's eigenvalues, shifted and scaled to the
+chain's moments, and seeded Haar-orthogonal reflector panels), so no
+fixture diagonalizes a random operator. Each partner holds its eigenvectors,
+as a run that reads states draws them; the weights that a run reading no
+state draws in law (`ql.scrambled_spectrum`, `ql.goe_spectrum`) are another
+realization of the same law, tested on their own.
 """
 from typing import NamedTuple
 

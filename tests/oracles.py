@@ -4,6 +4,7 @@ None of these is on a path that `quenchlab run` takes: np.linalg.eigh of a
 matrix built by hand, kept as DenseVectors (eigenvector columns held as one
 dense matrix, behind the library's three reads), the dense chain matrix, the
 dense V of a sector or a Householder eigensystem, the Householder reflectors applied one at a time,
+the Haar basis of the panel draw replayed one reflector at a time,
 the symmetrized Gaussian draw (G + G^T) / 2 as a sum of whole matrices,
 the typical draw rebuilt serially from its tiles, the Haar unitary of a
 dense Ginibre QR, the per-state spectral propagator, the Lanczos propagator,
@@ -12,7 +13,8 @@ dense site-basis Paulis and their eigenbasis matrices V^dag sigma V, the
 dense slow band, and the dense GOE tridiagonal model. Each is the textbook
 form of a quantity the library computes another way (sector blocks built
 from the bit structure, products through the sector factors or the
-compact-WY panels, one Gaussian vector per reflector, a typical draw filled
+compact-WY panels, one Gaussian block per panel filled on worker threads
+and made into its reflectors at once, a typical draw filled
 tile pair by tile pair on worker threads and mirrored in place, blocks of
 states, batched Gram products of the Schmidt matrices and their
 batched eigvalsh, Pauli readings of site-basis columns, a cosine sum, the
@@ -140,13 +142,46 @@ def householder_matrix(vectors: ql.HouseholderVectors) -> np.ndarray:
     so H_k meets a matrix that is the identity outside rows and columns k on.
     At dimension 1024 this takes seconds.
     """
-    reflectors = [u[j:] for y in vectors.ys for j, u in enumerate(y.T)]
-    v = np.diag(vectors.phases)
+    return _reflector_product([u[j:] for y in vectors.ys for j, u in enumerate(y.T)], vectors.phases)
+
+
+def _reflector_product(reflectors: list, phases: np.ndarray) -> np.ndarray:
+    """H_0 ... H_{d-2} diag(phases), with H_k = I - 2 u u^dag / (u^dag u) for u = reflectors[k]."""
+    v = np.diag(phases)
     for k in reversed(range(len(reflectors))):
         u = reflectors[k]
         block = v[k:, k:]
         block -= np.outer(u * (2.0 / np.vdot(u, u).real), u.conj() @ block)
     return v
+
+
+def haar_panel_matrix(dim: int, seed: int, real: bool) -> np.ndarray:
+    """The dense Haar basis of the documented panel draw, replayed one reflector at a time.
+
+    Child p of SeedSequence(seed) draws the (dim - 64 p) x size standard
+    normal block of panel p (complex: interleaved (real, imaginary) pairs);
+    reflector 64 p + j reads x, column j of the block from row j down, and is
+    u = x + phi |x| e_0 with phi the phase of x[0], its phase -phi. The child
+    after the panels draws one more normal (pair), whose phase is the last.
+    """
+    starts = range(0, max(dim - 1, 0), 64)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(starts) + 1)]
+    width = 1 if real else 2
+    xs = []
+    for rng, start in zip(rngs, starts):
+        size = min(64, dim - 1 - start)
+        b = rng.standard_normal((dim - start, width * size))
+        b = b if real else b[:, 0::2] + 1j * b[:, 1::2]
+        xs += [b[j:, j] for j in range(size)]
+    last = rngs[-1].standard_normal(width)
+    last = last[0] if real else complex(*last)
+    phases = [-x[0] / abs(x[0]) for x in xs] + [last / abs(last)]
+    reflectors = []
+    for x in xs:
+        u = x.copy()
+        u[0] += x[0] / abs(x[0]) * np.linalg.norm(x)
+        reflectors.append(u)
+    return _reflector_product(reflectors, np.array(phases))
 
 
 def householder_apply(

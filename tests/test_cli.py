@@ -24,11 +24,10 @@ from oracles import (
     eigensystem,
     evolve_spectral,
     goe_tridiagonal,
-    householder_matrix,
+    haar_panel_matrix,
     typical_matrix,
 )
 from quenchlab import _lapack, cli, observables, spectral
-from quenchlab.spectral import _haar_reflectors
 
 LN2 = math.log(2.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -663,15 +662,15 @@ def test_goe_partner_is_the_matched_draw_with_its_own_eigenvectors(tmp_path):
     rows = [r.split(",") for r in (out / "dos_goe.csv").read_text().strip().splitlines()[1:]]
     energies, weights = np.array(rows, dtype=float).T
     # oracle: eigvalsh of the dense tridiagonal model drawn from the seed,
-    # matched to the chain's moments, and the weights read through the dense
-    # real basis that the same generator draws next
+    # matched to the chain's moments, and the weights of the real Neel state
+    # in law, g^2 / ||g||^2 of the dim normals the same generator draws next
     rng = np.random.default_rng(cli.derive_seed(4, "goe"))
     want = local.energy_mean + local.energy_width * np.linalg.eigvalsh(goe_tridiagonal(128, rng))
     assert np.max(np.abs(energies - want)) < 1e-12 * np.max(np.abs(want))
     assert abs(energies.mean() - local.energy_mean) < 1e-9
     assert abs(energies.std() - local.energy_width) < 1e-9
-    w = householder_matrix(_haar_reflectors(128, rng, real=True))
-    assert np.max(np.abs(weights - np.abs(w.T @ psi0.amplitudes) ** 2)) < 1e-12
+    g = rng.standard_normal(128)
+    assert np.max(np.abs(weights - g**2 / (g @ g))) < 1e-12
 
 
 def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
@@ -685,11 +684,11 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
     cfg, _ = cli.validate(raw)
     # oracle: the dense eigh of W diag(E) W^dag, with E the dense chain's
-    # spectrum and W the run's seeded Haar eigenvectors, multiplied out from
-    # their reflectors
+    # spectrum and W the seed's Haar basis, replayed from the documented
+    # panel draw one reflector at a time
     dense = eigensystem(dense_chain(cfg.chain))
     e = dense.eigenvalues
-    w = householder_matrix(ql.scramble(dense, cli.derive_seed(3, "scramble")).eigenvectors)
+    w = haar_panel_matrix(256, cli.derive_seed(3, "scramble"), real=False)
     m = (w * e[None, :]) @ w.conj().T
     eig = eigensystem((m + m.conj().T) / 2.0)
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
@@ -786,11 +785,15 @@ def test_relax_typical_and_slow_match_the_dressed_double_sum(tmp_path, variant, 
     # oracle: the double sum over level pairs in the gauge diagonalize returns,
     # with complex overlaps c and each observable dressed as D O D^dag by
     # their phases D = diag(c / |c|)
+    # (a scrambled run reads no state, so its overlaps are the in-law draw:
+    # the seed's 64 complex normals, as interleaved pairs, over their norm)
     cfg, _ = cli.validate(raw)
     eig = ql.diagonalize(ql.build_local_chain(cfg.chain))
     if variant == "scrambled":
-        eig = ql.scramble(eig, cli.derive_seed(5, "scramble"))
-    c = dense_vectors(eig).conj().T @ cli.build_initial_state(cfg).amplitudes
+        z = np.random.default_rng(cli.derive_seed(5, "scramble")).standard_normal((64, 2))
+        c = (z[:, 0] + 1j * z[:, 1]) / np.linalg.norm(z)
+    else:
+        c = dense_vectors(eig).conj().T @ cli.build_initial_state(cfg).amplitudes
     unit = c / np.abs(c)
     bare = {}
     for i in range(2):
@@ -951,11 +954,14 @@ def _full_solve(solve):
     """A stand-in for cli.diagonalize that always solves by solve(chain, psi0), with eigenvectors.
 
     With vectors=False it returns the quench's spectrum read off that
-    eigensystem, where the weights-only solve returns it directly.
+    eigensystem, or with no state its eigenvalues, where the weights-only
+    and eigenvalues-only solves return them directly.
     """
     def diagonalize(chain, psi0, vectors):
         eig = solve(chain, psi0)
-        return eig if vectors else ql.occupied_spectrum(eig, psi0)
+        if vectors:
+            return eig
+        return eig.eigenvalues if psi0 is None else ql.occupied_spectrum(eig, psi0)
 
     return diagonalize
 
@@ -1181,17 +1187,58 @@ def test_ring_pauli_reads_skip_the_levels_of_rounding_noise(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize(
+    "kind, variant, observables, drawn",
+    [
+        ("dos", "scrambled", {}, 0),
+        ("relax", "scrambled", {"typical_count": 1, "slow": True}, 0),
+        ("equivalence", "local", {"typical_count": 1}, 0),
+        ("relax", "goe", {"typical_count": 1}, 0),
+        ("entropy_scan", "scrambled", {}, 1),
+        ("light_cone", "goe", {}, 1),
+        ("relax", "goe", {"typical_count": 0, "local": [{"site": 1}]}, 1),
+    ],
+    ids=["scrambled-dos", "scrambled-relax", "equivalence", "goe-relax", "scrambled-scan",
+         "goe-light-cone", "goe-paulis"],
+)
+def test_a_random_partner_draws_reflectors_only_where_states_are_read(
+    tmp_path, monkeypatch, kind, variant, observables, drawn
+):
+    # a run that reads no state takes the partner's weights in law, with no
+    # reflector; one that does draws the partner's Haar basis once
+    panels = []
+    check = spectral.HouseholderVectors.__post_init__
+
+    def counting(self):
+        panels.append(len(self.ys))
+        check(self)
+
+    monkeypatch.setattr(spectral.HouseholderVectors, "__post_init__", counting)
+    cfg, errors = cli.validate({
+        "kind": kind,
+        "model": {"n_sites": 6, "variant": variant},
+        "time_grid": {"kind": "linear", "t_max": 1.0, "points": 5},
+        "observables": observables,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert errors == []
+    cli.run(cfg)
+    assert panels == [1] * drawn
+
+
+@pytest.mark.parametrize(
     "n, state, solvers, width",
     [
-        pytest.param(8, "neel", ["eigh_values", "eigh_values"], 0.0, id="8-neel-solvers0"),
-        pytest.param(7, "neel", ["eigh_values", "eigvalsh"], 0.0, id="7-neel-solvers1"),
-        pytest.param(9, "neel", ["eigh_values", "eigvalsh"], 0.5, id="9-neel-disordered"),
+        pytest.param(8, "neel", ["eigvalsh", "eigvalsh"], 0.0, id="8-neel-solvers0"),
+        pytest.param(7, "neel", ["eigvalsh", "eigvalsh"], 0.0, id="7-neel-solvers1"),
+        pytest.param(9, "neel", ["eigvalsh", "eigvalsh"], 0.5, id="9-neel-disordered"),
     ],
 )
 def test_a_scrambled_run_solves_no_eigenvectors(tmp_path, monkeypatch, n, state, solvers, width):
-    # scramble reads the chain's eigenvalues alone; an occupied sector gives
-    # the eigenvalues of the full solve to the bit, so the outputs keep their
-    # bytes. A disordered chain is one occupied block and an empty one
+    # scramble reads the chain's eigenvalues alone, so every sector, occupied
+    # or not, is solved for its eigenvalues and nothing else (a disordered
+    # chain is one block and an empty one). Oracle: the same run on the
+    # eigenvalues of the full solve, which dstedc rounds differently from
+    # dsterf, so every output agrees within 1e-12, not to the bit
     raw = {
         "kind": "entropy_scan",
         "model": {"n_sites": n, "variant": "scrambled", "disorder_width": width},
@@ -1208,11 +1255,11 @@ def test_a_scrambled_run_solves_no_eigenvectors(tmp_path, monkeypatch, n, state,
         cli.run(cfg)
         if route == "values":
             assert calls == solvers
-        outputs[route] = {
-            p.name: p.read_bytes().replace(str(tmp_path / route).encode(), b"")
-            for p in (tmp_path / route).iterdir()
-        }
-    assert outputs["values"] == outputs["vectors"]
+        outputs[route] = _csv_tables(tmp_path / route)
+    assert outputs["values"].keys() == outputs["vectors"].keys() == {"entropy.csv"}
+    (header, rows), (want_header, want_rows) = outputs["values"]["entropy.csv"], outputs["vectors"]["entropy.csv"]
+    assert header == want_header
+    assert np.max(np.abs(np.array(rows, dtype=float) - np.array(want_rows, dtype=float))) < 1e-12
 
 
 def test_equivalence_draws_each_typical_observable_once(tmp_path, monkeypatch):

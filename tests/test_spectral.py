@@ -15,6 +15,7 @@ from oracles import (
     dense_vectors,
     eigensystem,
     goe_tridiagonal,
+    haar_panel_matrix,
     haar_unitary,
     householder_apply,
     householder_matrix,
@@ -28,7 +29,14 @@ from quenchlab.errors import (
 )
 from quenchlab.dynamics import _state_blocks
 from quenchlab import _lapack
-from quenchlab.spectral import _SQRT_HALF, _goe_tridiagonal, _haar_reflectors, _ndtr, _overlaps
+from quenchlab.spectral import (
+    _SQRT_HALF,
+    _frame_overlaps,
+    _goe_tridiagonal,
+    _haar_reflectors,
+    _ndtr,
+    _overlaps,
+)
 
 
 def two_level_data(omega: float) -> ql.SpectralData:
@@ -297,9 +305,9 @@ def test_occupied_spacing_shrinks_with_size(quench6, quench8, quench10):
 
 def test_factored_scramble_matches_dense_conjugation(quench6):
     # oracle: the chain's dense H conjugated by U = W V^dag, with W the
-    # seed's Haar basis multiplied out from its reflectors and V the chain's
-    # eigenvectors
-    w = householder_matrix(_haar_reflectors(quench6.eig.dim, 5, real=False))
+    # seed's Haar basis replayed from the documented panel draw and V the
+    # chain's eigenvectors
+    w = haar_panel_matrix(quench6.eig.dim, 5, real=False)
     u = w @ dense_vectors(quench6.eig).conj().T
     dense = u @ quench6.chain @ u.conj().T
     s = ql.scramble(quench6.eig, seed=5)
@@ -537,10 +545,30 @@ def test_solving_for_the_overlaps_keeps_the_full_solve(n, chain):
         assert np.max(np.abs(got.weights - want.weights)) < 1e-13
 
 
-def test_overlaps_need_their_state():
-    h = ql.build_local_chain(ql.ChainParams(n_sites=4))
-    with pytest.raises(ValueError, match="overlaps of psi0"):
-        ql.diagonalize(h, vectors=False)
+def test_diagonalize_without_a_state_solves_for_eigenvalues_alone(monkeypatch):
+    # with no state to read, vectors=False asks each sector for its
+    # eigenvalues alone (dsytrd and dsterf, no dstedc or dormtr); oracle: the
+    # eigenvalues of the weights-only solve, which dstedc rounds differently,
+    # so they agree within 1e-12 relative, not to the bit
+    requests = []
+    eigh = _lapack.eigh
+
+    def recording(a, vectors=False, y=None):
+        requests.append((vectors, y is None))
+        return eigh(a, vectors, y)
+
+    for chain in OVERLAP_CHAINS.values():
+        for n in range(2, 12):
+            h = ql.build_local_chain(ql.ChainParams(n_sites=n, seed=n, **chain))
+            want = ql.diagonalize(h, complex_product_state(n), vectors=False).eigenvalues
+            monkeypatch.setattr(_lapack, "eigh", recording)
+            got = ql.diagonalize(h, None, vectors=False)
+            monkeypatch.setattr(_lapack, "eigh", eigh)
+            assert requests == [(False, True)] * 2
+            requests.clear()
+            assert type(got) is np.ndarray and got.shape == want.shape
+            assert np.all(np.diff(got) >= 0)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_diagonalize_state_must_fit_the_chain():
@@ -569,11 +597,11 @@ def test_scramble_matches_the_dense_haar_product(build):
     # the seed draws the scrambled eigenvectors themselves, whatever form
     # (sector or dense) the input's eigenvectors take; no_reads holds
     # eigenvectors with a dimension and nothing to read. Oracle: the
-    # complex reflectors the seed draws, multiplied out densely, against
-    # the scrambled eigenvectors applied to the identity
+    # complex Haar basis of the documented panel draw, replayed one reflector
+    # at a time, against the scrambled eigenvectors applied to the identity
     eig = build()
     got = ql.scramble(eig, seed=11)
-    want = householder_matrix(_haar_reflectors(eig.dim, 11, real=False))
+    want = haar_panel_matrix(eig.dim, 11, real=False)
     assert got.eigenvalues.tobytes() == eig.eigenvalues.tobytes()
     assert isinstance(got.eigenvectors, ql.HouseholderVectors)
     assert np.iscomplexobj(got.eigenvectors.phases)
@@ -626,6 +654,8 @@ def test_householder_vectors_match_their_dense_form(dim, real):
     assert np.iscomplexobj(vectors.phases) != real
     v = householder_matrix(vectors)
     assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-13
+    # and the documented draw, replayed serially, gives the same basis
+    assert np.max(np.abs(v - haar_panel_matrix(dim, dim, real))) < 1e-12
     rng = np.random.default_rng(dim)
     for columns in (None, 1, 64, 100):
         x = _test_vectors(rng, dim, columns)
@@ -723,6 +753,95 @@ def test_goe_draw_is_fixed_by_its_seed():
     assert ql.goe_eigensystem(1, seed=6).eigenvalues.tolist() == [0.0]
     with pytest.raises(ValueError, match="dim must be positive"):
         ql.goe_eigensystem(0, seed=6)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 2, 64, 65, 66, 300])
+def test_panel_draw_is_the_same_on_any_worker_count(monkeypatch, dim, real):
+    # each panel and the last phase have their own stream, so the pool
+    # only moves the work: the reflectors, t factors and phases keep their
+    # bits, also with more workers than a two-core machine has cores
+    draws = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_lapack, "threads", lambda: workers)
+        v = _haar_reflectors(dim, 9, real)
+        draws.append(b"".join(a.tobytes() for a in (v.phases, *v.ys, *v.ts)))
+    assert draws[0] == draws[1] == draws[2]
+
+
+def _porter_thomas(normals: np.ndarray) -> np.ndarray:
+    return normals**2 / (normals @ normals)
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_weights_in_law_replay_their_documented_draws(n):
+    # oracles: the scrambled weights are |z|^2 / ||z||^2 of the seed's 2 dim
+    # normals, read as (real, imaginary) pairs; the GOE partner's are the
+    # tridiagonal model's eigenvalues, to the bit, then g^2 / ||g||^2 of the
+    # next dim normals for the real Neel state
+    dim = 2**n
+    psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(n)])
+    ev = np.linspace(-1.0, 1.0, dim)
+    z = np.random.default_rng(31).standard_normal((dim, 2))
+    want = np.sum(z**2, axis=1) / np.sum(z**2)
+    got = ql.scrambled_spectrum(ev, 31)
+    assert np.array_equal(got.eigenvalues, ev)
+    assert np.max(np.abs(got.weights - want)) < 1e-12 * want.max()
+    rng = np.random.default_rng(17)
+    levels = _lapack.sterf(*_goe_tridiagonal(dim, rng))
+    got = ql.goe_spectrum(psi0, 17)
+    assert np.array_equal(got.eigenvalues, levels)
+    assert np.array_equal(ql.goe_eigensystem(dim, 17).eigenvalues, levels)
+    want = _porter_thomas(rng.standard_normal(dim))
+    assert np.max(np.abs(got.weights - want)) < 1e-12 * want.max()
+
+
+def test_weights_in_law_carry_the_haar_moments():
+    # The weights average 1/d, as any unit vector's. Their second moment is
+    # 2 / (d (d + 1)) under a Haar unitary (Dirichlet(1, ..., 1)), and under
+    # a Haar orthogonal O it is (2 + |psi^T psi|^2) / (d (d + 2)), from the
+    # fourth moments of an orthonormal frame: 3 / (d (d + 2)) for a real
+    # state (Porter-Thomas). At d = 64, 400 draws put the mean of w^2 within
+    # 0.7% of these values (one standard deviation over 20 such batches),
+    # so the tolerance is 3%; the unitary and real values lie 47% apart.
+    n, d = 6, 64
+    psi_t_psi = np.sum(complex_product_state(n).amplitudes ** 2)
+    cases = [
+        (lambda seed: ql.scrambled_spectrum(np.arange(d, dtype=float), seed), 2.0 / (d * (d + 1))),
+        (lambda seed: ql.goe_spectrum(ql.product_state([(0.6, 0.8)] * n), seed), 3.0 / (d * (d + 2))),
+        (lambda seed: ql.goe_spectrum(complex_product_state(n), seed),
+         (2.0 + abs(psi_t_psi) ** 2) / (d * (d + 2))),
+    ]
+    for draw, second in cases:
+        w = np.concatenate([draw(seed).weights for seed in range(400)])
+        assert abs(np.mean(w) * d - 1.0) < 1e-12
+        assert abs(np.mean(w**2) / second - 1.0) < 0.03
+
+
+def test_goe_weights_in_law_for_a_complex_state():
+    # one level: the one weight is 1, for a real or a complex amplitude
+    for amps in (np.array([1.0]), np.array([0.6 + 0.8j]), np.array([-1j])):
+        c = _frame_overlaps(amps, np.random.default_rng(2))
+        assert c.shape == (1,) and abs(abs(c[0]) ** 2 - 1.0) < 1e-15
+    # a real vector times a global phase is the real vector: the frame's
+    # first column reads the same normals, and R's second row is rounding
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(64)
+    v /= np.linalg.norm(v)
+    want = np.abs(_frame_overlaps(v, np.random.default_rng(5))) ** 2
+    assert np.max(np.abs(want - _porter_thomas(np.random.default_rng(5).standard_normal(64)))) < 1e-15
+    for theta in (0.3, 2.0, -1.1):
+        got = np.abs(_frame_overlaps(np.exp(1j * theta) * v, np.random.default_rng(5))) ** 2
+        assert np.max(np.abs(got - want)) < 1e-12 * want.max()
+    # a complex state keeps its norm, and its real and imaginary parts map
+    # through one orthogonal frame: O^T a and O^T b keep their inner products
+    psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    psi /= np.linalg.norm(psi)
+    c = _frame_overlaps(psi, np.random.default_rng(6))
+    a, b = psi.real, psi.imag
+    assert abs(c.real @ c.real - a @ a) < 1e-14
+    assert abs(c.real @ c.imag - a @ b) < 1e-14
+    assert abs(c.imag @ c.imag - b @ b) < 1e-14
 
 
 def test_scramble_stays_below_one_dense_complex_matrix():
