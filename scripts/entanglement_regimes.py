@@ -9,9 +9,10 @@ linear-growth window, the scrambled one over five Boltzmann times.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
+# quenchlab before numpy: it sets OPENBLAS_THREAD_TIMEOUT, which OpenBLAS
+# reads when numpy loads it, so that idle BLAS threads sleep
 import quenchlab as ql
+import numpy as np
 
 
 def neel(n: int) -> ql.PureState:

@@ -6,6 +6,17 @@ of the occupied density of states, slow versus typical observables and their
 relaxation times, entanglement-entropy growth across cuts, and correlation
 light cones. Everything targets desk scale: full spectra up to 14 sites.
 """
+import os
+
+# OpenBLAS reads this once, when numpy loads it, and the first submodule
+# below loads numpy. After its last job an idle BLAS worker spins for 2**N
+# cycles before it sleeps; at OpenBLAS's default of 28 (about 0.1 s) every
+# BLAS call would keep the second core busy through most of a short run,
+# away from the threads of _lapack.share. At 20 it sleeps within a
+# millisecond; thread counts and bits do not change. A value the user set
+# wins, and the line does nothing where numpy was imported first.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .core import (
     MAX_SITES,
     PureState,
@@ -74,7 +85,7 @@ from .spectral import (
     timescales,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 __all__ = [
     "__version__",

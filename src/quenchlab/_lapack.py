@@ -98,7 +98,11 @@ def share(tasks: int, task: Callable[[int, int], None]) -> None:
     The seeded draws fill their buffers here, between BLAS calls. The calling
     thread is worker 0, and allocates what the tasks fill, so that each task
     only starts a fill that releases the GIL. Whatever a worker raised is
-    raised again once all have joined.
+    raised again once all have joined. The other workers get cores because
+    BLAS's idle threads park within 2**20 cycles of their last job (the
+    OPENBLAS_THREAD_TIMEOUT that importing quenchlab sets); at OpenBLAS's
+    default 2**28, as where numpy was imported first, they spin for about
+    0.1 s after every BLAS call and a second worker gains nothing.
     """
     count, errors = workers(tasks), []
 

@@ -20,13 +20,18 @@ the master seed and the work runs in one fixed order, so reruns are
 byte-identical (a typical draw and a reflector draw fill their tiles and
 panels on the BLAS threads, each from its own seed, so their bits do not
 depend on their number); --threads is kept for compatibility and changes
-nothing.
+nothing. Importing quenchlab sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is
+set, before numpy loads OpenBLAS: an idle BLAS worker parks after 2**20
+cycles instead of spinning for 2**28, so a run holds its second core only
+while BLAS works on it, and the fill threads get that core between BLAS
+calls. Where numpy was imported before quenchlab the setting has no effect.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
@@ -791,6 +796,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             print(f"lapack: {_lapack.describe()}")
             print(f"blas threads: {_lapack.threads()}")
+            timeout = os.environ["OPENBLAS_THREAD_TIMEOUT"]
+            print(f"blas idle timeout: 2**{timeout} cycles (OPENBLAS_THREAD_TIMEOUT={timeout})")
         except QuenchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -106,8 +106,9 @@ def build_local_chain(p: ChainParams) -> SpinChain:
     """
     n = p.n_sites
     signs = _sz_signs(n)
-    rng = np.random.default_rng(p.seed)
-    d = rng.uniform(-p.disorder_width, p.disorder_width, size=n)
+    # a clean chain draws nothing, so its run never loads numpy.random
+    w = p.disorder_width
+    d = np.random.default_rng(p.seed).uniform(-w, w, size=n) if w else np.zeros(n)
 
     diag = -p.J * np.sum(signs[:, :-1] * signs[:, 1:], axis=1)
     if p.boundary == "periodic":

@@ -13,6 +13,8 @@ as a run that reads states draws them; the weights that a run reading no
 state draws in law (`ql.scrambled_spectrum`, `ql.goe_spectrum`) are another
 realization of the same law, tested on their own.
 """
+import os
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 import quenchlab as ql
 from oracles import dense_chain
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SCRAMBLE_SEED = 20240817
 GOE_SEED = 424242
 TYPICAL_SEEDS = tuple(range(8))
@@ -40,6 +43,16 @@ class Partner(NamedTuple):
     psi0: ql.PureState
     sdata: ql.SpectralData
     ts: ql.Timescales
+
+
+def fresh_env(**extra: str | None) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's quenchlab.
+
+    src/ leads PYTHONPATH; each extra variable is set, or unset where None.
+    """
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **extra)
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def neel_state(n: int) -> ql.PureState:

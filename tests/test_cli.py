@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quenchlab as ql
+from conftest import fresh_env
 from oracles import (
     chain_matrix,
     dense_chain,
@@ -1532,11 +1533,9 @@ def test_info_subcommand(capsys):
 
 def test_info_reports_the_blas_threads(tmp_path):
     # OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads it: a fresh process
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
-               OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "quenchlab.cli", "info"], cwd=tmp_path, env=env,
+        [sys.executable, "-m", "quenchlab.cli", "info"], cwd=tmp_path,
+        env=fresh_env(OPENBLAS_NUM_THREADS="1"),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1564,10 +1563,8 @@ def test_cli_processes_import_no_scipy(tmp_path):
         print(sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy")))
         """
     )
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        [sys.executable, "-c", script], cwd=tmp_path, env=fresh_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1578,11 +1575,87 @@ def test_cli_import_leaves_the_thread_pool_module_unloaded(tmp_path):
     # concurrent.futures takes about 3 ms to import, which every run would
     # pay at start-up; the typical draw's workers are plain threads
     script = "import sys, quenchlab.cli; print('concurrent.futures' in sys.modules)"
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        [sys.executable, "-c", script], cwd=tmp_path, env=fresh_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_a_clean_chain_run_leaves_numpy_random_unloaded(tmp_path):
+    # a chain without disorder draws nothing; importing numpy.random takes
+    # about 6 ms of every clean dos, entropy scan and light cone process
+    dos = write_config(
+        tmp_path, {"kind": "dos", "model": {"n_sites": 6}, "out_dir": str(tmp_path / "dos")},
+        name="dos.yaml",
+    )
+    script = (
+        f"import sys\nfrom quenchlab.cli import main\nassert main(['run', {dos!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=fresh_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("set_to, shown", [(None, "20"), ("24", "24")])
+def test_info_reports_the_blas_idle_timeout(tmp_path, set_to, shown):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchlab.cli", "info"], cwd=tmp_path,
+        env=fresh_env(OPENBLAS_THREAD_TIMEOUT=set_to), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = f"blas idle timeout: 2**{shown} cycles (OPENBLAS_THREAD_TIMEOUT={shown})"
+    assert line in proc.stdout.splitlines()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_idle_blas_workers_sleep_after_a_product(tmp_path):
+    # at OpenBLAS's default 2**28 cycles the idle worker spins through the
+    # whole sleep (about 100 ms of CPU for 100 ms); importing quenchlab first
+    # parks it within a millisecond
+    script = textwrap.dedent(
+        """
+        import resource, time
+        import quenchlab
+        import numpy as np
+        a = np.ones((300, 300))
+        a @ a
+        def cpu():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+        before = cpu()
+        time.sleep(0.1)
+        print(cpu() - before)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path,
+        env=fresh_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=None),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.4 * 0.1
+
+
+def test_the_idle_timeout_leaves_the_outputs_unchanged(tmp_path):
+    # only how long an idle BLAS worker spins changes, not the threads or
+    # how the work is split among them
+    raw = {**relax_config(None), "observables": {"typical_count": 1, "local": [{"site": 2}]}}
+    csvs = []
+    for timeout in (None, "28"):
+        out = tmp_path / f"out{timeout}"
+        config = write_config(tmp_path, {**raw, "out_dir": str(out)}, name=f"{timeout}.yaml")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quenchlab.cli", "run", config], cwd=tmp_path,
+            env=fresh_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=timeout),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert csvs[0] and csvs[0] == csvs[1]

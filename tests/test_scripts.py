@@ -1,5 +1,4 @@
 """The shipped configs validate and the example scripts run end to end."""
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from conftest import fresh_env
 from quenchlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,11 +14,9 @@ CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.yaml"))
 
 
 def _run_script(name, *args, cwd):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
 
 
