@@ -7,6 +7,7 @@ relaxation times, entanglement-entropy growth across cuts, and correlation
 light cones. Everything targets desk scale: full spectra up to 14 sites.
 """
 import os
+import sys
 
 # OpenBLAS reads this once, when numpy loads it, and the first submodule
 # below loads numpy. After its last job an idle BLAS worker spins for 2**N
@@ -14,7 +15,9 @@ import os
 # BLAS call would keep the second core busy through most of a short run,
 # away from the threads of _lapack.share. At 20 it sleeps within a
 # millisecond; thread counts and bits do not change. A value the user set
-# wins, and the line does nothing where numpy was imported first.
+# wins, and the line does nothing where numpy was imported first, which
+# info reports.
+_timeout_too_late = "numpy" in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .core import (
@@ -85,7 +88,7 @@ from .spectral import (
     timescales,
 )
 
-__version__ = "0.9.1"
+__version__ = "0.9.2"
 
 __all__ = [
     "__version__",

@@ -174,9 +174,11 @@ def eigh(
     - with vectors, dormtr forms V = Q Z, copied into at as its columns in C
       order, as np.linalg returns them. dstedc and dormtr share dsyevd's
       workspace: with less, dormqr narrows its blocks and the bits of V move;
-    - given y, a float or complex vector of A's dimension, dormtr applies
-      Q^T to y alone, with its own queried workspace, and V^T y =
-      Z^T (Q^T y) in O(n^2); a complex y goes through as two real columns.
+    - given y, a float or complex vector of A's dimension, dormtr first
+      applies Q^T to y alone, with its own queried workspace; a complex y
+      goes through as two real columns. Q's reflectors are then dead, and
+      dstedc writes Z over them into at, which has Z's column-major n x n
+      layout, so V^T y = Z^T (Q^T y) costs one n^2 of workspace beyond at.
     at is destroyed unless it holds V. dsyevd's prescaling of a matrix whose
     largest entry lies outside about [1e-146, 1e146] is left out.
     """
@@ -192,17 +194,19 @@ def eigh(
                     (float,))
     if not vectors and y is None:
         return sterf(d, e), None
-    # Z (column-major, so Z^T in C order) and dstedc's workspace. With
-    # vectors they are one buffer, as dsyevd lays them out: as two arrays, a
-    # 12-site relax run with local Paulis peaked at 207 MB instead of 197 MB.
-    # One buffer for the overlaps too took the peak of the 10-site
-    # random_matrix benchmark from 55.6 to 56.5 MB.
     size, iwork = 1 + 4 * n + n * n, np.empty(3 + 5 * n, np.int64)
     if vectors:
+        # Z (column-major, so Z^T in C order) and dstedc's workspace in one
+        # buffer, as dsyevd lays them out: as two arrays, a 12-site relax
+        # run with local Paulis peaked at 207 MB instead of 197 MB.
         buf = np.empty(n * n + size)
         z, work = buf[: n * n].reshape(n, n), buf[n * n:]
     else:
-        z, work = np.empty((n, n)), np.empty(size)
+        # C rows are the Fortran columns of an n x k matrix with leading dimension n
+        cols = np.array([y.real, y.imag] if np.iscomplexobj(y) else [y], dtype=float)
+        _with_workspace("dormtr", (b"L", b"L", b"T", _ref(n), _ref(len(cols)), at.ctypes, lead,
+                                   tau.ctypes, cols.ctypes, lead), (float,))
+        z, work = at, np.empty(size)
     _call("dstedc", b"I", _ref(n), d.ctypes, e.ctypes, z.ctypes, lead,
           work.ctypes, _ref(work.size), iwork.ctypes, _ref(iwork.size))
     if vectors:
@@ -210,14 +214,6 @@ def eigh(
               z.ctypes, lead, work.ctypes, _ref(work.size))
         at[...] = z.T
         return d, None
-    # C rows are the Fortran columns of an n x k matrix with leading dimension n
-    cols = np.array([y.real, y.imag] if np.iscomplexobj(y) else [y], dtype=float)
-    _with_workspace(
-        "dormtr",
-        (b"L", b"L", b"T", _ref(n), _ref(len(cols)), at.ctypes, lead, tau.ctypes, cols.ctypes,
-         lead),
-        (float,),
-    )
     out = cols @ z.T
     return d, (out[0] + 1j * out[1] if len(out) == 2 else out[0])
 

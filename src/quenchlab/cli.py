@@ -15,16 +15,16 @@ eigenvalues those of a seeded GOE tridiagonal model, by dsterf). Either
 draws its Haar eigenvectors only where a run reads states, and otherwise
 its weights in law. Results are written as CSV files with a YAML manifest
 carrying the normalized config, the quench timescales, summary statistics,
-and a digest of every emitted file. All randomness is derived per task from
-the master seed and the work runs in one fixed order, so reruns are
-byte-identical (a typical draw and a reflector draw fill their tiles and
-panels on the BLAS threads, each from its own seed, so their bits do not
-depend on their number); --threads is kept for compatibility and changes
-nothing. Importing quenchlab sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is
-set, before numpy loads OpenBLAS: an idle BLAS worker parks after 2**20
-cycles instead of spinning for 2**28, so a run holds its second core only
-while BLAS works on it, and the fill threads get that core between BLAS
-calls. Where numpy was imported before quenchlab the setting has no effect.
+a digest of every emitted file, and the numpy build and BLAS thread count.
+All randomness is derived per task from the master seed and the work runs
+in one fixed order, so reruns on one build and thread count are
+byte-identical (the typical and reflector draws fill tiles and panels on
+the BLAS threads, each from its own seed, so their bits do not depend on
+the thread count; the eigensolves' last bits do); --threads changes
+nothing. Importing quenchlab sets OPENBLAS_THREAD_TIMEOUT to 20 unless it
+is set, before numpy loads OpenBLAS: idle BLAS workers then park after
+2**20 cycles, not 2**28, and leave the second core to the fill threads.
+Where numpy was imported first it has no effect, and info says so.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from typing import Any, Sequence
 import numpy as np
 import yaml
 
-from . import __version__, _lapack
+from . import __version__, _lapack, _timeout_too_late
 from .core import MAX_SITES, PureState, product_state
 from .dynamics import (
     GAP_WEIGHT_FLOOR,
@@ -675,8 +675,8 @@ def _front_outputs(cfg, eig, psi0, writer) -> dict:
 def run(cfg: ExperimentConfig, log=None) -> dict:
     """Execute a validated config; emit files and the manifest into out_dir.
 
-    Returns the manifest as written: config echo, timescales, summaries and
-    file digests.
+    Returns the manifest as written: config echo, timescales, summaries,
+    file digests, and the numpy build and BLAS thread count that solved it.
     """
     log = log or (lambda msg: None)
     out_dir = Path(cfg.out_dir)
@@ -712,8 +712,12 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
                 results = _entropy_outputs(cfg, eig, psi0, writer)
             else:
                 results = _front_outputs(cfg, eig, psi0, writer)
+        # the solves' last bits follow the build and the BLAS thread count
         manifest = {
             "version": __version__,
+            "blas_threads": _lapack.threads(),
+            "numpy_version": np.__version__,
+            "openblas_library": _lapack.library().name,
             "config": config_to_dict(cfg),
             "timescales": timescale_info,
             "results": results,
@@ -797,7 +801,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"lapack: {_lapack.describe()}")
             print(f"blas threads: {_lapack.threads()}")
             timeout = os.environ["OPENBLAS_THREAD_TIMEOUT"]
-            print(f"blas idle timeout: 2**{timeout} cycles (OPENBLAS_THREAD_TIMEOUT={timeout})")
+            late = " (not applied: numpy was loaded before quenchlab)" if _timeout_too_late else ""
+            print(f"blas idle timeout: 2**{timeout} cycles (OPENBLAS_THREAD_TIMEOUT={timeout}){late}")
         except QuenchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

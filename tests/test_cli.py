@@ -1614,6 +1614,22 @@ def test_info_reports_the_blas_idle_timeout(tmp_path, set_to, shown):
     assert line in proc.stdout.splitlines()
 
 
+def test_info_says_the_idle_timeout_came_too_late_after_numpy(tmp_path):
+    # OpenBLAS read its environment when numpy loaded, before quenchlab set it
+    script = "import numpy\nfrom quenchlab import cli\ncli.main(['info'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path,
+        env=fresh_env(OPENBLAS_THREAD_TIMEOUT=None), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = (
+        "blas idle timeout: 2**20 cycles (OPENBLAS_THREAD_TIMEOUT=20) "
+        "(not applied: numpy was loaded before quenchlab)"
+    )
+    assert line in proc.stdout.splitlines()
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
 def test_idle_blas_workers_sleep_after_a_product(tmp_path):
     # at OpenBLAS's default 2**28 cycles the idle worker spins through the
@@ -1641,6 +1657,32 @@ def test_idle_blas_workers_sleep_after_a_product(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 0.4 * 0.1
+
+
+def test_csvs_that_follow_the_blas_thread_count_are_told_apart_by_the_manifest(tmp_path):
+    # the eigensolves' last bits may follow the number of BLAS threads (at
+    # 10 sites they do, on two cores); the manifest records it and the build
+    csvs, manifests = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        config = write_config(
+            tmp_path, {"kind": "dos", "model": {"n_sites": 10}, "out_dir": str(out)},
+            name=f"{threads}.yaml",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "quenchlab.cli", "run", config], cwd=tmp_path,
+            env=fresh_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+        manifests.append(read_manifest(out))
+    for manifest in manifests:
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["openblas_library"] == _lapack.library().name
+        assert manifest["blas_threads"] >= 1
+    assert manifests[0]["blas_threads"] == 1
+    assert csvs[0] == csvs[1] or manifests[0]["blas_threads"] != manifests[1]["blas_threads"]
 
 
 def test_the_idle_timeout_leaves_the_outputs_unchanged(tmp_path):

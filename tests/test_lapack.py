@@ -2,10 +2,12 @@
 
 Each solve is checked to the bit against np.linalg, which calls the same
 routines on a column-major copy, and the eigenvectors against the memory
-they were solved in. numpy's own eigh buffers are allocated in C, out of
-tracemalloc's sight, so a memory bound could not tell the two routes apart;
-np.shares_memory pins "in place" instead.
+they were solved in, by np.shares_memory. The buffers each route allocates
+are numpy arrays, which tracemalloc sees, so each route's workspace is
+bounded in units of the block it solves.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,30 @@ def test_each_request_holds_at_the_smallest_dimensions(monkeypatch):
 def test_a_solve_forms_v_or_its_overlaps_not_both():
     with pytest.raises(ValueError, match="not both"):
         _lapack.eigh(np.eye(3), vectors=True, y=np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "route, bound", [("values", 0.25), ("vectors", 2.25), ("real_y", 1.25), ("complex_y", 1.25)]
+)
+def test_each_route_allocates_at_most_its_stated_blocks(monkeypatch, route, bound):
+    # beyond the block it solves in: V and dsyevd's workspace with vectors,
+    # dstedc's workspace alone for V^T y, since Z is written over the block,
+    # and O(n) for the eigenvalues alone. Bounds in units of the block, 8 n^2
+    # bytes, on the even sector of a 10-site chain
+    even, _ = _sector_blocks(monkeypatch, 10)
+    n = len(even)
+    assert n == 528
+    y = np.random.default_rng(0).standard_normal((2, n))
+    request = {"values": {}, "vectors": {"vectors": True}, "real_y": {"y": y[0]},
+               "complex_y": {"y": y[0] + 1j * y[1]}}[route]
+    at = even.copy()
+    tracemalloc.start()
+    try:
+        _lapack.eigh(at, **request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 8 * n * n
 
 
 def test_the_block_layout_is_what_makes_the_solve_bitwise(monkeypatch):
