@@ -90,59 +90,8 @@ from .spectral import (
 
 __version__ = "0.9.2"
 
-__all__ = [
-    "__version__",
-    "MAX_SITES",
-    "DEFAULT_WEIGHT_FLOOR",
-    "QuenchError",
-    "DimensionMismatch",
-    "NonNormalizedLocal",
-    "RegionOutOfBounds",
-    "SiteOutOfBounds",
-    "DegenerateWidth",
-    "TooFewOccupied",
-    "ConvergenceFailure",
-    "LapackUnavailable",
-    "NoFrontDetected",
-    "PureState",
-    "product_state",
-    "ChainParams",
-    "SpinChain",
-    "build_local_chain",
-    "scramble",
-    "scrambled_spectrum",
-    "goe_eigensystem",
-    "goe_spectrum",
-    "EigenSystem",
-    "SectorVectors",
-    "HouseholderVectors",
-    "SpectralData",
-    "Timescales",
-    "GaussianFit",
-    "diagonalize",
-    "occupied_spectrum",
-    "timescales",
-    "dos_fit",
-    "TimeGrid",
-    "TimeSeries",
-    "linear_grid",
-    "default_relax_grid",
-    "default_slow_grid",
-    "expectation_series",
-    "diagonal_ensemble",
-    "ObservableMatrix",
-    "RelaxationReport",
-    "slow_series",
-    "typical_observable",
-    "pauli_expectations",
-    "local_series",
-    "relaxation_time",
-    "EntanglementProfile",
-    "CutGrowth",
-    "GrowthFit",
-    "CorrelationFront",
-    "entropy_scan",
-    "growth_fit",
-    "fit_front",
-    "light_cone",
+# the public names are those imported above: every name not private and not a module
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(sys))
 ]

@@ -2,29 +2,15 @@
 
 A config names a model (local chain, Haar-scrambled chain, or a
 moment-matched random matrix), an initial product state, and one of five
-experiment kinds. Every run diagonalizes the local chain once, and only
-the chain, kept as its terms, given the initial state, so that a sector the
-state leaves empty is solved for its eigenvalues alone (and levels without
-weight are never read for their eigenvectors). Only a local entropy scan,
-light cone or relax run with local Paulis reads the chain's eigenvectors;
-every other local run solves each occupied sector for its eigenvalues and
-the state's overlaps, and a scrambled run for its eigenvalues alone. Each
-variant derives from that one diagonalization: the scrambled chain from its
-eigenvalues, the random matrix from the chain's occupied moments (its
-eigenvalues those of a seeded GOE tridiagonal model, by dsterf). Either
-draws its Haar eigenvectors only where a run reads states, and otherwise
-its weights in law. Results are written as CSV files with a YAML manifest
-carrying the normalized config, the quench timescales, summary statistics,
-a digest of every emitted file, and the numpy build and BLAS thread count.
-All randomness is derived per task from the master seed and the work runs
-in one fixed order, so reruns on one build and thread count are
-byte-identical (the typical and reflector draws fill tiles and panels on
-the BLAS threads, each from its own seed, so their bits do not depend on
-the thread count; the eigensolves' last bits do); --threads changes
-nothing. Importing quenchlab sets OPENBLAS_THREAD_TIMEOUT to 20 unless it
-is set, before numpy loads OpenBLAS: idle BLAS workers then park after
-2**20 cycles, not 2**28, and leave the second core to the fill threads.
-Where numpy was imported first it has no effect, and info says so.
+experiment kinds. validate normalizes it, filling each default from FIELDS,
+and run diagonalizes the local chain once and derives every variant from
+that solve; _variant_spectra says what each kind reads. Results are written
+as CSV files with a YAML manifest carrying the normalized config, the
+quench timescales, summary statistics, a digest of every emitted file, and
+the numpy build and BLAS thread count. Every random draw derives its seed
+from the master seed and a task label, so reruns on one build and thread
+count are byte-identical; README's "Command line" section gives the routes,
+the thread counts and the BLAS idle timeout.
 """
 from __future__ import annotations
 
@@ -53,10 +39,11 @@ from .dynamics import (
     expectation_series,
     linear_grid,
 )
-from .entanglement import entropy_scan, growth_fit, light_cone
+from .entanglement import DEFAULT_FRONT_THRESHOLD, entropy_scan, growth_fit, light_cone
 from .errors import QuenchError
 from .hamiltonian import ChainParams, build_local_chain
 from .observables import (
+    DEFAULT_THRESHOLD_FRACTION,
     _weighted_block,
     local_series,
     pauli_expectations,
@@ -82,8 +69,6 @@ KINDS = ("relax", "dos", "entropy_scan", "light_cone", "equivalence")
 VARIANTS = ("local", "scrambled", "goe")
 STATES = ("all_up", "neel", "all_plus_x")
 
-DEFAULT_FRONT_THRESHOLD = 0.01
-DEFAULT_THRESHOLD_FRACTION = 1.0 / math.e
 DEFAULT_SCAN_POINTS = 46
 DEFAULT_FRONT_POINTS = 61
 SCAN_SPAN = 3.0  # in units of 1/|J|: the window where local growth is linear
@@ -249,11 +234,11 @@ FIELDS: dict[tuple[str, ...], tuple] = {
     ("model", "J"): ("chain.J", _number, ChainParams.J, _COUPLING),
     ("model", "h"): ("chain.h", _number, ChainParams.h, _COUPLING),
     ("model", "g"): ("chain.g", _number, ChainParams.g, _COUPLING),
-    ("model", "disorder_width"): ("chain.disorder_width", _number, 0.0, _WIDTH),
+    ("model", "disorder_width"): ("chain.disorder_width", _number, ChainParams.disorder_width, _WIDTH),
     ("model", "boundary"): (
-        "chain.boundary", _choice(("open", "periodic"), "open or periodic"), "open", None
+        "chain.boundary", _choice(("open", "periodic"), "open or periodic"), ChainParams.boundary, None
     ),
-    ("model", "seed"): ("chain.seed", _int, 0, _NONNEGATIVE),
+    ("model", "seed"): ("chain.seed", _int, ChainParams.seed, _NONNEGATIVE),
     ("initial_state",): ("initial_state", _initial_state, "neel", None),
     ("time_grid", "kind"): (
         "grid_kind", _choice(("default", "linear"), "default or linear"), "default", None

@@ -212,12 +212,15 @@ def fit_front(
     return arrivals, float(coef[0])
 
 
+DEFAULT_FRONT_THRESHOLD = 0.01
+
+
 def light_cone(
     eig: EigenSystem,
     psi0: PureState,
     reference_site: int,
     grid: TimeGrid,
-    threshold: float = 0.01,
+    threshold: float = DEFAULT_FRONT_THRESHOLD,
     periodic: bool = False,
 ) -> CorrelationFront:
     """Connected correlation front from a reference site.

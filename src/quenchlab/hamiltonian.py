@@ -20,19 +20,15 @@ import numpy as np
 
 from .core import MAX_SITES, _freeze
 
-DEFAULT_J = 1.0
-DEFAULT_H = 4.2
-DEFAULT_G = 2.0
-
 
 @dataclass(frozen=True)
 class ChainParams:
     """Couplings and geometry of the local chain."""
 
     n_sites: int
-    J: float = DEFAULT_J
-    h: float = DEFAULT_H
-    g: float = DEFAULT_G
+    J: float = 1.0
+    h: float = 4.2
+    g: float = 2.0
     disorder_width: float = 0.0
     boundary: str = "open"
     seed: int = 0

@@ -251,10 +251,13 @@ def local_series(
     return [TimeSeries(grid, row) for row in values]
 
 
+DEFAULT_THRESHOLD_FRACTION = 1.0 / math.e
+
+
 def relaxation_time(
     series: TimeSeries,
     equilibrium: float,
-    threshold_fraction: float = 1.0 / math.e,
+    threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
 ) -> RelaxationReport:
     """Earliest grid time after which the series stays inside the band.
 

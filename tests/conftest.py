@@ -13,6 +13,9 @@ as a run that reads states draws them; the weights that a run reading no
 state draws in law (`ql.scrambled_spectrum`, `ql.goe_spectrum`) are another
 realization of the same law, tested on their own.
 """
+# quenchlab first: it sets the BLAS idle timeout, which OpenBLAS reads only when numpy loads it
+import quenchlab as ql
+
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -20,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-import quenchlab as ql
 from oracles import dense_chain
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,10 +1,13 @@
+import ast
 import hashlib
+import inspect
 import math
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -1542,10 +1545,60 @@ def test_info_reports_the_blas_threads(tmp_path):
     assert "blas threads: 1" in proc.stdout.splitlines()
 
 
-def test_version_matches_the_project_metadata():
-    # a regex, since tomllib is missing on Python 3.10
-    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    assert re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE) == [ql.__version__]
+def test_the_project_metadata_reads_the_version_from_the_package():
+    # the version is written once, in quenchlab/__init__.py (a regex, since
+    # tomllib is missing on Python 3.10)
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r"^(?:dynamic|version) = .*$", text, re.MULTILINE) == [
+        'dynamic = ["version"]', 'version = {attr = "quenchlab.__version__"}'
+    ]
+    assert '[tool.setuptools.dynamic]\nversion = ' in text
+
+
+def test_setuptools_reads_the_package_version_without_importing_it():
+    pytest.importorskip("setuptools.config.pyprojecttoml")
+    script = (
+        "import sys, warnings\nwarnings.simplefilter('ignore')\n"
+        "from setuptools.config.pyprojecttoml import read_configuration\n"
+        f"print(read_configuration({str(ROOT / 'pyproject.toml')!r})['project']['version'])\n"
+        "print('quenchlab' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=fresh_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [ql.__version__, "False"]
+
+
+def test_star_import_binds_the_imported_names_and_the_version():
+    # __all__ is derived from the imports of __init__; this pins the rule
+    tree = ast.parse(Path(ql.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    namespace: dict = {}
+    exec("from quenchlab import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == imported | {"__version__"}
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
+
+
+def test_validate_reads_its_defaults_from_the_library():
+    cfg, errors = cli.validate({"kind": "dos"})
+    assert errors == []
+    assert cfg.chain == ql.ChainParams(10)
+    cone = inspect.signature(ql.light_cone).parameters["threshold"]
+    relax = inspect.signature(ql.relaxation_time).parameters["threshold_fraction"]
+    assert (cfg.front_threshold, cfg.threshold_fraction) == (cone.default, relax.default)
+
+
+def test_the_suite_runs_with_the_blas_idle_timeout():
+    # conftest imports quenchlab before numpy, so OpenBLAS read the timeout
+    # and idle workers sleep between the suite's BLAS calls
+    assert not ql._timeout_too_late
 
 
 def test_cli_processes_import_no_scipy(tmp_path):
