@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import math
 import os
 import sys
@@ -24,46 +25,58 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
 import yaml
 
-from . import __version__, _lapack, _timeout_too_late
-from .core import MAX_SITES, PureState, product_state
-from .dynamics import (
-    GAP_WEIGHT_FLOOR,
-    TimeGrid,
-    TimeSeries,
-    default_relax_grid,
-    default_slow_grid,
-    diagonal_ensemble,
-    expectation_series,
-    linear_grid,
-)
-from .entanglement import DEFAULT_FRONT_THRESHOLD, entropy_scan, growth_fit, light_cone
+from . import __version__, _timeout_too_late
 from .errors import QuenchError
-from .hamiltonian import ChainParams, build_local_chain
-from .observables import (
+from .params import (
+    DEFAULT_FRONT_THRESHOLD,
     DEFAULT_THRESHOLD_FRACTION,
-    _weighted_block,
-    local_series,
-    pauli_expectations,
-    relaxation_time,
-    slow_series,
-    typical_observable,
-)
-from .spectral import (
     DEFAULT_WEIGHT_FLOOR,
-    SpectralData,
-    Timescales,
-    diagonalize,
-    dos_fit,
-    goe_eigensystem,
-    goe_spectrum,
-    occupied_spectrum,
-    scramble,
-    scrambled_spectrum,
-    timescales,
+    MAX_SITES,
+    ChainParams,
 )
+
+# submodule -> the numeric names that run and info read from it. _load binds
+# them, with np and _lapack, on first use (run, build_initial_state, info, or
+# a read of one of them), so validate loads no numpy. A name bound before,
+# such as a tracer's wrapper of diagonalize, is kept, and a run calls through it.
+_NUMERIC = {
+    "core": ("PureState", "product_state"),
+    "dynamics": (
+        "GAP_WEIGHT_FLOOR", "TimeGrid", "TimeSeries", "default_relax_grid",
+        "default_slow_grid", "diagonal_ensemble", "expectation_series", "linear_grid",
+    ),
+    "entanglement": ("entropy_scan", "growth_fit", "light_cone"),
+    "hamiltonian": ("build_local_chain",),
+    "observables": (
+        "_weighted_block", "local_series", "pauli_expectations", "relaxation_time",
+        "slow_series", "typical_observable",
+    ),
+    "spectral": (
+        "SpectralData", "Timescales", "diagonalize", "dos_fit", "goe_eigensystem",
+        "goe_spectrum", "occupied_spectrum", "scramble", "scrambled_spectrum", "timescales",
+    ),
+}
+_LAZY = {"np", "_lapack", *(name for names in _NUMERIC.values() for name in names)}
+
+
+def _load() -> None:
+    bound = globals()
+    bound.setdefault("np", importlib.import_module("numpy"))
+    bound.setdefault("_lapack", importlib.import_module("._lapack", __package__))
+    for module, names in _NUMERIC.items():
+        owner = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            bound.setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load()
+    return globals()[name]
+
 
 KINDS = ("relax", "dos", "entropy_scan", "light_cone", "equivalence")
 VARIANTS = ("local", "scrambled", "goe")
@@ -441,6 +454,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def build_initial_state(cfg: ExperimentConfig) -> PureState:
+    _load()
     n = cfg.chain.n_sites
     up = (1.0, 0.0)
     down = (0.0, 1.0)
@@ -663,6 +677,7 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
     Returns the manifest as written: config echo, timescales, summaries,
     file digests, and the numpy build and BLAS thread count that solved it.
     """
+    _load()
     log = log or (lambda msg: None)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -772,6 +787,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "info":
+        _load()
         print(f"quenchlab {__version__}")
         print(
             f"max sites: {MAX_SITES} (exact spectra; every chain kept as its terms and "

@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonNormalizedLocal
-
-MAX_SITES = 14
+from .params import MAX_SITES
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12

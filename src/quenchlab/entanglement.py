@@ -25,6 +25,7 @@ from .core import PureState, _freeze, _n_sites
 from .dynamics import TimeGrid, _state_blocks
 from .errors import NoFrontDetected, RegionOutOfBounds
 from .hamiltonian import _sz_signs
+from .params import DEFAULT_FRONT_THRESHOLD
 from .spectral import EigenSystem
 
 # reduced-density-matrix eigenvalues below this are rounding of the Gram
@@ -210,9 +211,6 @@ def fit_front(
     a = np.vstack([ts, np.ones_like(ts)]).T
     coef, *_ = np.linalg.lstsq(a, rs, rcond=None)
     return arrivals, float(coef[0])
-
-
-DEFAULT_FRONT_THRESHOLD = 0.01
 
 
 def light_cone(

@@ -18,30 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_SITES, _freeze
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    """Couplings and geometry of the local chain."""
-
-    n_sites: int
-    J: float = 1.0
-    h: float = 4.2
-    g: float = 2.0
-    disorder_width: float = 0.0
-    boundary: str = "open"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.n_sites <= MAX_SITES:
-            raise ValueError(f"n_sites must be in [2, {MAX_SITES}], got {self.n_sites}")
-        if not all(math.isfinite(x) for x in (self.J, self.h, self.g, self.disorder_width)):
-            raise ValueError("J, h, g and disorder_width must be finite")
-        if self.disorder_width < 0:
-            raise ValueError("disorder_width must be nonnegative")
-        if self.boundary not in ("open", "periodic"):
-            raise ValueError(f"boundary must be open or periodic, got {self.boundary!r}")
+from .core import _freeze
+from .params import ChainParams
 
 
 @dataclass(frozen=True)

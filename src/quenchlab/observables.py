@@ -27,13 +27,8 @@ from .dynamics import (
 )
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
-from .spectral import (
-    DEFAULT_WEIGHT_FLOOR,
-    EigenSystem,
-    HouseholderVectors,
-    SectorVectors,
-    SpectralData,
-)
+from .params import DEFAULT_THRESHOLD_FRACTION, DEFAULT_WEIGHT_FLOOR
+from .spectral import EigenSystem, HouseholderVectors, SectorVectors, SpectralData
 
 _DRAW_TILE = 256  # rows and columns of the tiles a typical draw fills
 _SQRT_HALF = math.sqrt(0.5)
@@ -249,9 +244,6 @@ def local_series(
     for block, states in _state_blocks(eig, psi0, grid):
         values[:, block] = pauli_expectations(states, paulis)
     return [TimeSeries(grid, row) for row in values]
-
-
-DEFAULT_THRESHOLD_FRACTION = 1.0 / math.e
 
 
 def relaxation_time(

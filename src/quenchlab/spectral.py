@@ -35,8 +35,8 @@ from . import _lapack
 from .core import PureState, _all_finite, _freeze, _matmul
 from .errors import DegenerateWidth, DimensionMismatch, TooFewOccupied
 from .hamiltonian import SpinChain, _mirror
+from .params import DEFAULT_WEIGHT_FLOOR
 
-DEFAULT_WEIGHT_FLOOR = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
 _PANEL = 64  # reflectors per compact-WY panel
 

@@ -13,7 +13,8 @@ as a run that reads states draws them; the weights that a run reading no
 state draws in law (`ql.scrambled_spectrum`, `ql.goe_spectrum`) are another
 realization of the same law, tested on their own.
 """
-# quenchlab first: it sets the BLAS idle timeout, which OpenBLAS reads only when numpy loads it
+# quenchlab before numpy: importing it sets the BLAS idle timeout, and OpenBLAS reads it
+# when numpy first loads, which is the first numeric name read from quenchlab
 import quenchlab as ql
 
 import os

@@ -1,4 +1,3 @@
-import ast
 import hashlib
 import inspect
 import math
@@ -1571,19 +1570,121 @@ def test_setuptools_reads_the_package_version_without_importing_it():
     assert proc.stdout.split() == [ql.__version__, "False"]
 
 
-def test_star_import_binds_the_imported_names_and_the_version():
-    # __all__ is derived from the imports of __init__; this pins the rule
-    tree = ast.parse(Path(ql.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+# the public names of 0.9.2, when __init__ imported each one eagerly
+PUBLIC_NAMES = {
+    "__version__", "MAX_SITES", "PureState", "product_state", "TimeGrid", "TimeSeries",
+    "default_relax_grid", "default_slow_grid", "diagonal_ensemble", "expectation_series",
+    "linear_grid", "CorrelationFront", "CutGrowth", "EntanglementProfile", "GrowthFit",
+    "entropy_scan", "fit_front", "growth_fit", "light_cone", "ConvergenceFailure",
+    "DegenerateWidth", "DimensionMismatch", "LapackUnavailable", "NoFrontDetected",
+    "NonNormalizedLocal", "QuenchError", "RegionOutOfBounds", "SiteOutOfBounds",
+    "TooFewOccupied", "ChainParams", "SpinChain", "build_local_chain", "ObservableMatrix",
+    "RelaxationReport", "local_series", "pauli_expectations", "relaxation_time", "slow_series",
+    "typical_observable", "DEFAULT_WEIGHT_FLOOR", "EigenSystem", "GaussianFit",
+    "HouseholderVectors", "SectorVectors", "SpectralData", "Timescales", "diagonalize",
+    "dos_fit", "goe_eigensystem", "goe_spectrum", "occupied_spectrum", "scramble",
+    "scrambled_spectrum", "timescales",
+}
+
+
+def test_star_import_binds_the_export_table_and_the_version():
+    # __all__ is derived from __init__'s export table; this pins the rule
+    exported = [name for names in ql._EXPORTS.values() for name in names]
+    assert ql.__all__ == ["__version__", *exported]
+    assert len(set(ql.__all__)) == len(ql.__all__) == len(PUBLIC_NAMES)
     namespace: dict = {}
     exec("from quenchlab import *", namespace)
     del namespace["__builtins__"]
-    assert set(namespace) == imported | {"__version__"}
+    assert set(namespace) == set(ql.__all__) == PUBLIC_NAMES
     assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
+
+
+@pytest.mark.parametrize(
+    "config", sorted((ROOT / "scripts" / "configs").glob("*.yaml")), ids=lambda path: path.stem
+)
+def test_validate_loads_no_numpy(tmp_path, capsys, config):
+    script = textwrap.dedent(
+        f"""
+        import runpy, sys
+        sys.argv = ["quenchlab", "validate", {str(config)!r}]
+        try:
+            runpy.run_module("quenchlab.cli", run_name="__main__")
+        except SystemExit as exc:
+            print(exc.code, "numpy" in sys.modules, file=sys.stderr)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=fresh_env(),
+        capture_output=True, timeout=120,
+    )
+    assert proc.stderr.split() == [b"0", b"False"], proc.stderr
+    assert cli.main(["validate", str(config)]) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_the_package_binds_its_numeric_names_on_first_read(tmp_path):
+    script = textwrap.dedent(
+        """
+        import sys
+        import quenchlab
+        from quenchlab import cli
+        print("numpy" in sys.modules)
+        cfg, _ = cli.validate({"kind": "dos", "model": {"n_sites": 4}})
+        print(cli.build_initial_state(cfg).amplitudes.size)
+        import quenchlab.spectral
+        print(quenchlab.diagonalize is cli.diagonalize is quenchlab.spectral.diagonalize)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=fresh_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "16", "True"]
+
+
+@pytest.mark.parametrize("module", [ql, cli], ids=["quenchlab", "cli"])
+@pytest.mark.parametrize("name", ["no_such_name", "to_eigenbasis", "build_goe"])
+def test_an_unknown_name_is_an_attribute_error(module, name):
+    # the tracer lists names that cli lacks; they must read as absent
+    with pytest.raises(AttributeError, match=name):
+        getattr(module, name)
+
+
+@pytest.mark.parametrize("read_first", [True, False], ids=["getattr_setattr", "setattr_only"])
+def test_wrappers_set_on_a_fresh_cli_import_are_the_ones_a_run_calls(tmp_path, read_first):
+    # the benchmark's tracer imports quenchlab.cli and sets its wrappers
+    # before any run has bound the numeric names; binding them keeps the wrappers
+    raw = {"kind": "dos", "model": {"n_sites": 6}, "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path, raw)
+    script = textwrap.dedent(
+        f"""
+        from importlib import import_module
+        cli = import_module("quenchlab.cli")
+        homes = {{"build_local_chain": "quenchlab.hamiltonian",
+                  "diagonalize": "quenchlab.spectral"}}
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name, home in homes.items():
+            original = getattr(cli if {read_first!r} else import_module(home), name)
+            setattr(cli, name, counting(name, original))
+        print("np" in vars(cli))
+        assert cli.main(["run", {cfg!r}]) == 0
+        print(calls.count("build_local_chain"), calls.count("diagonalize"))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=fresh_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(read_first), "1", "1"]
 
 
 def test_validate_reads_its_defaults_from_the_library():
