@@ -29,7 +29,7 @@ def run_size(n: int, n_seeds: int, threshold: float):
     for seed in range(n_seeds):
         obs = ql.typical_observable(sdata.dim, seed)
         series = ql.expectation_series(sdata, obs, relax_grid)
-        rep = ql.relaxation_time(series, ql.diagonal_ensemble(sdata, np.diagonal(obs.matrix)), threshold)
+        rep = ql.relaxation_time(series, ql.diagonal_ensemble(sdata, obs.diagonal()), threshold)
         times.append(rep.relaxation_time if rep.relaxed else np.inf)
     typical = float(np.median(times))
 

@@ -540,12 +540,12 @@ def _typical_menu(cfg: ExperimentConfig, reads: list[tuple[SpectralData, TimeGri
     """Labelled typical observables as (series on each read, eigenstate expectations).
 
     Each draw is read against every (spectrum, grid) pair of reads and
-    released before the next is built. Its diagonal is copied out first;
-    the series then read only the rows and columns of the levels that some
-    read weights, compacted in the draw's own buffer, since a level of
-    weight exactly 0 adds exactly 0 to every series. So only one dense
-    matrix is alive at a time. An equivalence run's GOE read weights every
-    level, so it compacts nothing.
+    released before the next is built. Its diagonal is read first, off its
+    diagonal tiles; the series then read only the rows and columns of the
+    levels that some read weights, compacted one block row at a time, since
+    a level of weight exactly 0 adds exactly 0 to every series. So only one
+    draw, about half a dense matrix, is alive at a time. An equivalence
+    run's GOE read weights every level, so it compacts nothing.
     """
     dim = reads[0][0].dim
     levels = np.nonzero(np.logical_or.reduce([sdata.weights != 0 for sdata, _ in reads]))[0]
@@ -554,7 +554,7 @@ def _typical_menu(cfg: ExperimentConfig, reads: list[tuple[SpectralData, TimeGri
         reads = [(SpectralData(s.eigenvalues[levels], s.weights[levels]), g) for s, g in reads]
     for i in range(cfg.typical_count):
         obs = typical_observable(dim, _typical_seed(cfg, i))
-        diagonal = np.diagonal(obs.matrix).copy()
+        diagonal = obs.diagonal()
         if compact:
             obs = _weighted_block(obs, levels)
         series = [expectation_series(sdata, obs, grid) for sdata, grid in reads]
@@ -568,7 +568,7 @@ def _observable_menu(cfg, eig, psi0, sdata, ts):
     The entries come in the order typical_i, slow, identity, local_*, but
     the local Paulis are read first: the menu then drops its reference to
     eig, so once the caller has dropped its own, the eigenvectors are
-    released before the first dense typical draw is built.
+    released before the first typical draw is built.
     """
     grid = _series_grid(cfg, ts)
     local = []

@@ -122,10 +122,16 @@ def _phase_blocks(energies: np.ndarray, c: np.ndarray, grid: TimeGrid):
 
 
 def _state_blocks(eig: EigenSystem, psi0: PureState, grid: TimeGrid):
-    """Yield (block, states): the normalized evolved state at each time of a block."""
+    """Yield (block, states): the normalized evolved state at each time of a block.
+
+    The phases are released once applied, and the states normalized in
+    place, so a block holds no temporary across its yield.
+    """
     for block, phi in _phase_blocks(eig.eigenvalues, _overlaps(eig, psi0), grid):
         amp = eig.eigenvectors.apply(phi)
-        yield block, amp / np.linalg.norm(amp, axis=0)
+        del phi
+        amp /= np.linalg.norm(amp, axis=0)
+        yield block, amp
 
 
 def expectation_series(
@@ -137,30 +143,47 @@ def expectation_series(
 
     Each block of times t_j is built as real, C-contiguous rows
     x_j = c cos(eps t_j) and y_j = c sin(eps t_j), so phi(t_j) = x_j - i y_j.
-    One product of the stacked rows with O gives every term of
-    phi^dag O phi = x O x + y O y + i (y O x - x O y) as a row dot product;
-    the imaginary part, zero for Hermitian O, is the residue checked.
+    Each block row of O (see ObservableMatrix) takes one product with its
+    columns of the stacked rows, and each term of
+    phi^dag O phi = x O x + y O y + i (y O x - x O y) is a row dot product.
+    A diagonal tile counts once; a tile right of it also stands for its
+    conjugate transpose below, so it counts as twice its term's real part.
+    The imaginary part, from the diagonal tiles alone and zero for Hermitian
+    O, is the residue checked.
     """
-    mat = obs.matrix
-    if mat.shape[0] != spec.dim:
-        raise DimensionMismatch(
-            f"observable dimension {mat.shape[0]} does not match {spec.dim}"
-        )
+    dim = obs.rows[0].shape[1]
+    if dim != spec.dim:
+        raise DimensionMismatch(f"observable dimension {dim} does not match {spec.dim}")
     dots = lambda a, b: np.einsum("jk,jk->j", a, b)  # row by row, no temporary
+
+    def term(ox, oy, x, y):
+        return dots(ox, x) + dots(oy, y) + 1j * (dots(oy, x) - dots(ox, y))
+
     c = spec.amplitudes()
     values = np.empty(len(grid))
     for start in range(0, len(grid), EVOLVE_BLOCK):
         block = slice(start, start + EVOLVE_BLOCK)
         t = grid.times[block]
-        rows = np.empty((2 * t.size, spec.dim))
-        x, y = rows[: t.size], rows[t.size :]
+        n = t.size
+        xy = np.empty((2 * n, dim))
+        x, y = xy[:n], xy[n:]
         np.multiply.outer(t, spec.eigenvalues, out=y)
         np.cos(y, out=x)
         np.sin(y, out=y)
-        rows *= c
-        prod = rows @ mat
-        ox, oy = prod[: t.size], prod[t.size :]
-        val = dots(ox, x) + dots(oy, y) + 1j * (dots(oy, x) - dots(ox, y))
+        xy *= c
+        val = np.zeros(n, dtype=complex)
+        for row in obs.rows:
+            h, r = row.shape[0], dim - row.shape[1]
+            prod = xy[:, r : r + h] @ row
+            ox, oy, xr, yr = prod[:n], prod[n:], x[:, r:], y[:, r:]
+            val += term(ox[:, :h], oy[:, :h], xr[:, :h], yr[:, :h])
+            # the real part of the other tiles' term; for a real row its cross
+            # dots, times i, are imaginary, so only a complex row reads them
+            ox, oy, xr, yr = ox[:, h:], oy[:, h:], xr[:, h:], yr[:, h:]
+            re = dots(ox, xr) + dots(oy, yr)
+            if np.iscomplexobj(row):
+                re = re.real - (dots(oy, xr) - dots(ox, yr)).imag
+            val += 2.0 * re
         residue = float(np.max(np.abs(val.imag)))
         if residue > _IMAG_TOL:
             raise ValueError(f"imaginary residue {residue!r} exceeds {_IMAG_TOL}")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _lapack
-from .core import PureState, _freeze, _hermitian, _n_sites, _tile_pairs
+from .core import PureState, _freeze, _hermitian, _n_sites, _tiles
 from .dynamics import (
     EVOLVE_BLOCK,
     TimeGrid,
@@ -30,20 +30,45 @@ from .hamiltonian import _sz_signs
 from .params import DEFAULT_THRESHOLD_FRACTION, DEFAULT_WEIGHT_FLOOR
 from .spectral import EigenSystem, HouseholderVectors, SectorVectors, SpectralData
 
-_DRAW_TILE = 256  # rows and columns of the tiles a typical draw fills
+_DRAW_TILE = 256  # rows and columns of the tiles an observable is kept in
+_DRAW_STRIP = 16  # rows of a tile that one worker draws at a time
 _SQRT_HALF = math.sqrt(0.5)
 _PERRON_RTOL = 1e-14
 _PERRON_MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObservableMatrix:
-    """Hermitian observable in an eigenbasis."""
+    """Hermitian observable in an eigenbasis, kept as its upper block rows.
 
-    matrix: np.ndarray
+    rows[k] is O[r : r + _DRAW_TILE, r:] with r = _DRAW_TILE k: the diagonal
+    tile and the tiles right of it. Each tile below the diagonal is the
+    conjugate transpose of one above it, and is not kept. A dense matrix is
+    taken once it is square, finite and Hermitian (see core._hermitian), and
+    kept as views of its upper block rows.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _hermitian(self.matrix, "observable"))
+    rows: tuple[np.ndarray, ...]
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = _hermitian(matrix, "observable")
+        object.__setattr__(self, "rows", tuple(m[t, t.start :] for t in _tiles(len(m), _DRAW_TILE)))
+
+    @property
+    def dim(self) -> int:
+        return self.rows[0].shape[1]
+
+    def diagonal(self) -> np.ndarray:
+        """The eigenstate expectations O_nn, read off the diagonal tiles."""
+        return np.concatenate([np.diagonal(row) for row in self.rows])
+
+
+def _of_rows(rows: list[np.ndarray]) -> ObservableMatrix:
+    """ObservableMatrix of upper block rows that are finite and Hermitian by
+    construction, frozen without the check."""
+    obs = object.__new__(ObservableMatrix)
+    object.__setattr__(obs, "rows", tuple(_freeze(row) for row in rows))
+    return obs
 
 
 @dataclass(frozen=True)
@@ -85,38 +110,46 @@ def slow_series(
     return TimeSeries(grid, values)
 
 
-def _typical_draw(dim: int, seed: int) -> np.ndarray:
-    """|S| for the seeded symmetric Gaussian S of the typical law, drawn by tiles.
+def _typical_draw(dim: int, seed: int) -> list[np.ndarray]:
+    """The upper block rows of |S|, for the seeded symmetric Gaussian S of the typical law.
 
     Tile pair k of the pairs (a, b) with a <= b is a standard normal tile t
-    from child k of SeedSequence(seed): (t + t^T) / 2 on the diagonal, t
-    times sqrt(1/2) above it, mirrored below. That is the law of
-    (G + G^T) / 2, and t_ij + t_ji rounds as t_ji + t_ij, so S is symmetric
-    to the bit. The pairs are shared among the _lapack.share workers (BLAS
-    is idle meanwhile), whose number never moves a bit. Their scratch tiles
-    are allocated by the calling thread, so no worker allocates.
+    from child k of SeedSequence(seed), written into block row a: (t + t^T) / 2
+    on the diagonal and t sqrt(1/2) right of it, the law of (G + G^T) / 2.
+    t is drawn _DRAW_STRIP rows at a time, in the order of a whole-tile draw,
+    and scaled in a worker's scratch strip; a diagonal tile is then made
+    symmetric one strip of rows and the matching columns at a time, each
+    strip reading no entry an earlier one wrote. Halving is exact, so that
+    is (t + t^T) / 2 to the bit. Arithmetic runs on contiguous scratch only,
+    since numpy buffers a ufunc on a strided view. The pairs are shared among
+    the _lapack.share workers, whose number never moves a bit; the rows and
+    the scratch are allocated by the calling thread.
     """
-    m = np.empty((dim, dim))
-    pairs = _tile_pairs(dim, _DRAW_TILE)
+    rows = [np.empty((min(_DRAW_TILE, dim - r), dim - r)) for r in range(0, dim, _DRAW_TILE)]
+    pairs = [(a, b) for a in range(len(rows)) for b in range(a, len(rows))]
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(pairs))]
-    scratch = [np.empty(_DRAW_TILE**2) for _ in range(_lapack.workers(len(pairs)))]
+    scratch = [np.empty((2, _DRAW_STRIP * _DRAW_TILE)) for _ in range(_lapack.workers(len(pairs)))]
 
     def fill(w: int, k: int) -> None:
-        rows, cols = pairs[k]
-        upper = m[rows, cols]
-        t = scratch[w][: upper.size].reshape(upper.shape)
-        rngs[k].standard_normal(out=t)
-        if rows == cols:
-            np.add(t, t.T, out=upper)
-            upper *= 0.5
-            np.abs(upper, out=upper)
-        else:
-            np.multiply(t, _SQRT_HALF, out=upper)
-            np.abs(upper, out=upper)
-            m[cols, rows] = upper.T
+        a, b = pairs[k]
+        tile = rows[a][:, (b - a) * _DRAW_TILE :][:, :_DRAW_TILE]
+        for start in range(0, len(tile), _DRAW_STRIP):
+            part = tile[start : start + _DRAW_STRIP]
+            t = scratch[w][0, : part.size].reshape(part.shape)
+            rngs[k].standard_normal(out=t)
+            t *= 0.5 if a == b else _SQRT_HALF
+            part[...] = t if a == b else np.abs(t, out=t)
+        for start in range(0, len(tile) if a == b else 0, _DRAW_STRIP):
+            cols = slice(start, start + _DRAW_STRIP)
+            strip = tile[cols, start:]
+            mean, lower = (buf[: strip.size].reshape(strip.shape) for buf in scratch[w])
+            mean[...], lower[...] = strip, tile[start:, cols].T
+            mean += lower
+            strip[...] = np.abs(mean, out=mean)
+            tile[start:, cols] = mean.T
 
     _lapack.share(len(pairs), fill)
-    return m
+    return rows
 
 
 def typical_observable(dim: int, seed: int) -> ObservableMatrix:
@@ -128,54 +161,69 @@ def typical_observable(dim: int, seed: int) -> ObservableMatrix:
     initial deviation that dephases on the Boltzmann time. A bare zero-mean
     draw would start at a value statistically identical to its late-time
     fluctuations, with no deviation to relax. The norm of the positive |S|
-    is its Perron root. Building it holds one dense matrix and a scratch
-    tile per worker, and skips the Hermitian check: it is symmetric by
+    is its Perron root. Building it holds the upper block rows, about half
+    a dense matrix, and skips the Hermitian check: it is symmetric by
     construction.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    m = _typical_draw(dim, seed)
-    m /= _perron_root(m)
-    return _symmetric(m)
-
-
-def _symmetric(m: np.ndarray) -> ObservableMatrix:
-    """ObservableMatrix(m) for a finite m that is real symmetric by
-    construction, frozen without the Hermitian check."""
-    obs = object.__new__(ObservableMatrix)
-    object.__setattr__(obs, "matrix", _freeze(m))
-    return obs
+    rows = _typical_draw(dim, seed)
+    root = _perron_root(rows)
+    for row in rows:
+        row /= root
+    return _of_rows(rows)
 
 
 def _weighted_block(obs: ObservableMatrix, levels: np.ndarray) -> ObservableMatrix:
-    """obs at the rows and columns of the increasing levels, compacted over
-    the head of obs's own buffer, which a typical_observable draw owns.
+    """obs at the rows and columns of the increasing levels, as block rows.
 
-    Block row r comes from row levels[r] >= r, so no block row is written
-    over a row still to be read, and no second dense matrix is made. obs is
-    overwritten and must not be read again.
+    New block row j reads each entry (u, v), u <= v, of obs off the old
+    block row of u, and its diagonal tile's lower triangle is the conjugate
+    transpose of its upper one. Since the levels increase, it reads no old
+    row before the one of its first level, and each old row is released
+    once no later new row reads it: the rows are compacted one at a time,
+    with no dense matrix. obs gives up its rows and must not be read again.
     """
-    m = obs.matrix
-    m.flags.writeable = True
-    k = levels.size
-    block = m.reshape(-1)[: k * k].reshape(k, k)
-    for start in range(0, k, EVOLVE_BLOCK):
-        rows = levels[start : start + EVOLVE_BLOCK]
-        block[start : start + rows.size] = m[np.ix_(rows, levels)]
-    return _symmetric(block)
+    old, dtype = list(obs.rows), obs.rows[0].dtype
+    object.__setattr__(obs, "rows", ())
+    rows = []
+    for start in range(0, levels.size, _DRAW_TILE):
+        p, q = levels[start : start + _DRAW_TILE], levels[start:]
+        row = np.empty((p.size, q.size), dtype=dtype)
+        for a in range(p[0] // _DRAW_TILE, p[-1] // _DRAW_TILE + 1):
+            r = a * _DRAW_TILE
+            lo, hi = np.searchsorted(p, [r, r + _DRAW_TILE])
+            for first in range(lo, hi, EVOLVE_BLOCK):
+                last = min(first + EVOLVE_BLOCK, hi)
+                row[first:last, first:] = old[a][np.ix_(p[first:last] - r, q[first:] - r)]
+        tile = row[:, : p.size]
+        lower = np.tril_indices(p.size, -1)
+        tile[lower] = tile.T[lower].conj()
+        rows.append(row)
+        # every later new row starts at or past the old row of levels[start + _DRAW_TILE]
+        done = len(old) if start + p.size >= levels.size else int(levels[start + p.size]) // _DRAW_TILE
+        old[:done] = [None] * done
+    return _of_rows(rows)
 
 
-def _perron_root(a: np.ndarray) -> float:
-    """Largest eigenvalue of an entrywise-positive matrix, by power iteration.
+def _perron_root(rows: list[np.ndarray]) -> float:
+    """Largest eigenvalue of an entrywise-positive symmetric matrix, kept as
+    its upper block rows, by power iteration.
 
     For any positive x the Perron root lies between the smallest and the
     largest of (a x)_i / x_i (Collatz-Wielandt). Iterating from the all-ones
     vector narrows that bracket; its upper end is returned once it is
-    _PERRON_RTOL wide relative to it.
+    _PERRON_RTOL wide relative to it. Each block row gives a x its own rows
+    and, through its transpose, the rows below it.
     """
-    x = np.ones(a.shape[0])
+    dim = rows[0].shape[1]
+    x = np.ones(dim)
     for _ in range(_PERRON_MAX_ITER):
-        y = a @ x
+        y = np.zeros(dim)
+        for row in rows:
+            h, r = row.shape[0], dim - row.shape[1]
+            y[r : r + h] += row @ x[r:]
+            y[r + h :] += x[r : r + h] @ row[:, h:]
         ratio = y / x
         low, high = float(ratio.min()), float(ratio.max())
         # written so that a NaN or infinite ratio never passes

@@ -124,7 +124,7 @@ def typical_runs(partner, seeds=TYPICAL_SEEDS):
     for seed in seeds:
         obs = ql.typical_observable(partner.sdata.dim, seed)
         series = ql.expectation_series(partner.sdata, obs, grid)
-        runs.append((series, ql.diagonal_ensemble(partner.sdata, np.diagonal(obs.matrix))))
+        runs.append((series, ql.diagonal_ensemble(partner.sdata, obs.diagonal())))
     return runs
 
 

@@ -6,7 +6,8 @@ dense matrix, behind the library's three reads), the dense chain matrix, the
 dense V of a sector or a Householder eigensystem, the Householder reflectors applied one at a time,
 the Haar basis of the panel draw replayed one reflector at a time,
 the symmetrized Gaussian draw (G + G^T) / 2 as a sum of whole matrices,
-the typical draw rebuilt serially from its tiles, the Haar unitary of a
+the typical draw rebuilt serially from its tiles, the dense matrix of an
+observable's upper block rows, the Haar unitary of a
 dense Ginibre QR, the per-state spectral propagator, the Lanczos propagator,
 the entropy from the singular values of one state's Schmidt matrix, the
 dense site-basis Paulis and their eigenbasis matrices V^dag sigma V, the
@@ -14,8 +15,8 @@ dense slow band, and the dense GOE tridiagonal model. Each is the textbook
 form of a quantity the library computes another way (sector blocks built
 from the bit structure, products through the sector factors or the
 compact-WY panels, one Gaussian block per panel filled on worker threads
-and made into its reflectors at once, a typical draw filled
-tile pair by tile pair on worker threads and mirrored in place, blocks of
+and made into its reflectors at once, a typical draw written tile pair by
+tile pair into its upper block rows on worker threads, blocks of
 states, batched Gram products of the Schmidt matrices and their
 batched eigvalsh, Pauli readings of site-basis columns, a cosine sum, the
 tridiagonal model's two diagonals solved by dsterf).
@@ -239,6 +240,24 @@ def typical_matrix(dim: int, seed: int) -> np.ndarray:
         t = np.random.default_rng(stream).standard_normal(tile.shape)
         tile[...] = (t + t.T) / 2 if a == b else t * _SQRT_HALF
     return np.abs(np.triu(upper) + np.triu(upper, 1).T)
+
+
+def upper_rows(m: np.ndarray) -> list[np.ndarray]:
+    """The upper block rows m[r : r + 256, r:], r = 0, 256, ..., of a dense matrix."""
+    return [m[r : r + 256, r:] for r in range(0, len(m), 256)]
+
+
+def dense_observable(obs: ql.ObservableMatrix) -> np.ndarray:
+    """The dense matrix of an observable's upper block rows: each row in
+    place, and the tiles right of its diagonal tile mirrored below it as
+    their conjugate transpose."""
+    dim = obs.dim
+    m = np.empty((dim, dim), dtype=obs.rows[0].dtype)
+    for row in obs.rows:
+        h, r = row.shape[0], dim - row.shape[1]
+        m[r : r + h, r:] = row
+        m[r + h :, r : r + h] = row[:, h:].conj().T
+    return m
 
 
 def goe_tridiagonal(dim: int, rng: np.random.Generator) -> np.ndarray:

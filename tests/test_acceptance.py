@@ -16,7 +16,9 @@ from scipy.stats import spearmanr
 
 import quenchlab as ql
 from conftest import typical_runs
-from oracles import SiteRegion, dense_vectors, entropy, evolve_spectral, krylov_evolve, slow_observable
+from oracles import (
+    SiteRegion, dense_observable, dense_vectors, entropy, evolve_spectral, krylov_evolve, slow_observable,
+)
 
 LN2 = math.log(2.0)
 
@@ -187,7 +189,7 @@ def test_independent_numerical_routes_agree(quench8):
     series = ql.expectation_series(quench8.sdata, obs, grid)
     c = dense_vectors(quench8.eig).conj().T @ quench8.psi0.amplitudes
     unit = np.exp(1j * np.angle(c))
-    dressed = unit[:, None] * obs.matrix * unit.conj()[None, :]
+    dressed = unit[:, None] * dense_observable(obs) * unit.conj()[None, :]
     e = quench8.sdata.eigenvalues
     pair = c.conj()[:, None] * dressed * c[None, :]
     worst_sum_gap = 0.0

@@ -821,13 +821,13 @@ def test_relax_typical_and_slow_match_the_dressed_double_sum(tmp_path, variant, 
 
 def test_relax_reads_typical_series_on_the_weighted_levels_alone(tmp_path, monkeypatch):
     # the 9-site Neel state leaves its odd sector at weight exactly 0: the
-    # series runs on the block of the weighted levels, and matches the one
-    # on the whole draw; an equivalence run's GOE read weights every level
+    # series runs on the block rows of the weighted levels, and matches the
+    # one on the whole draw; an equivalence run's GOE read weights every level
     shapes = []
     series = cli.expectation_series
 
     def tracking(sdata, obs, grid):
-        shapes.append(obs.matrix.shape)
+        shapes.append((obs.dim, obs.dim))
         return series(sdata, obs, grid)
 
     monkeypatch.setattr(cli, "expectation_series", tracking)
@@ -1275,7 +1275,7 @@ def test_equivalence_draws_each_typical_observable_once(tmp_path, monkeypatch):
         seeds.append(seed)
         live_at_draw.append(sum(ref() is not None for ref in draws))
         obs = draw(dim, seed)
-        draws.extend([weakref.ref(obs), weakref.ref(obs.matrix)])
+        draws.extend([weakref.ref(obs), *map(weakref.ref, obs.rows)])
         return obs
 
     monkeypatch.setattr(cli, "typical_observable", counting)
@@ -1330,8 +1330,8 @@ def test_symmetric_slow_series_ignores_the_unsolved_sector(
 
 
 def test_each_typical_draw_is_released_before_the_next(tmp_path, monkeypatch):
-    # a draw still referenced when the next is built keeps one more dense
-    # matrix alive; the yielded diagonal must not hold it either
+    # a draw still referenced when the next is built keeps its block rows
+    # alive; the yielded diagonal must not hold any of them either
     draws = []
     live_at_draw = []
     draw = cli.typical_observable
@@ -1339,7 +1339,7 @@ def test_each_typical_draw_is_released_before_the_next(tmp_path, monkeypatch):
     def tracking(dim, seed):
         live_at_draw.append(sum(ref() is not None for ref in draws))
         obs = draw(dim, seed)
-        draws.extend([weakref.ref(obs), weakref.ref(obs.matrix)])
+        draws.extend([weakref.ref(obs), *map(weakref.ref, obs.rows)])
         return obs
 
     monkeypatch.setattr(cli, "typical_observable", tracking)
@@ -1359,7 +1359,7 @@ def test_each_typical_draw_is_released_before_the_next(tmp_path, monkeypatch):
 def test_relax_releases_the_eigenvectors_before_the_first_typical_draw(
     tmp_path, monkeypatch, boundary
 ):
-    # only the local Paulis read V: it is read first and dropped, so no dense
+    # only the local Paulis read V: it is read first and dropped, so no
     # typical draw is built next to it; the files keep their order
     vectors, live_at_draw = [], []
     solve, draw = cli.diagonalize, cli.typical_observable

@@ -105,14 +105,15 @@ def test_expectation_series_matches_double_sum_oracle(quench6):
     # literal double sum over level pairs; the aligned overlaps are real
     rng = np.random.default_rng(2)
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    obs = eigen_obs((a + a.conj().T) / 2)
+    mat = (a + a.conj().T) / 2
+    obs = eigen_obs(mat)
     grid = ql.linear_grid(1.5, 7)
     series = ql.expectation_series(quench6.sdata, obs, grid)
     w, e = quench6.sdata.weights, quench6.sdata.eigenvalues
     mag = np.sqrt(w)
     for k, t in enumerate(grid.times):
         phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
-        val = np.sum(mag[:, None] * mag[None, :] * obs.matrix * phase)
+        val = np.sum(mag[:, None] * mag[None, :] * mat * phase)
         assert abs(series.values[k] - val.real) < 1e-10
         assert abs(val.imag) < 1e-10
 
@@ -130,14 +131,37 @@ def test_expectation_series_blocks_match_double_sum_oracle(quench6):
         series = ql.expectation_series(quench6.sdata, obs, grid)
         for k, t in enumerate(grid.times):
             phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
-            val = np.sum(mag[:, None] * mag[None, :] * obs.matrix * phase)
+            val = np.sum(mag[:, None] * mag[None, :] * mat * phase)
+            assert abs(series.values[k] - val.real) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [300, 600])
+def test_expectation_series_of_block_rows_matches_double_sum_oracle(dim):
+    # past one 256-row tile the series reads several block rows, each tile
+    # right of a diagonal one standing also for its conjugate transpose
+    # below; a complex Hermitian and a real symmetric matrix, on two time
+    # blocks, against the literal double sum
+    rng = np.random.default_rng(dim)
+    w = rng.random(dim)
+    data = ql.SpectralData(np.sort(rng.standard_normal(dim)), w / w.sum())
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    grid = ql.linear_grid(3.0, ql.dynamics.EVOLVE_BLOCK + 2)
+    mag, e = np.sqrt(data.weights), data.eigenvalues
+    for mat in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
+        obs = ObservableMatrix(mat)
+        assert len(obs.rows) == -(-dim // 256)
+        series = ql.expectation_series(data, obs, grid)
+        for k, t in enumerate(grid.times):
+            phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
+            val = np.sum(mag[:, None] * mag[None, :] * mat * phase)
             assert abs(series.values[k] - val.real) < 1e-12
 
 
 def test_expectation_series_refuses_an_imaginary_residue():
     # a matrix that is not Hermitian, past ObservableMatrix's check, gives
-    # the two-level state a complex expectation at every t > 0
-    obs = SimpleNamespace(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the two-level state a complex expectation at every t > 0; its one
+    # block row is its diagonal tile
+    obs = SimpleNamespace(rows=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
     with pytest.raises(ValueError, match="imaginary residue"):
         ql.expectation_series(two_level_data(2.4), obs, ql.linear_grid(1.0, 3))
 
@@ -150,15 +174,15 @@ def test_expectation_series_dimension_mismatch(quench6):
 
 def test_diagonal_ensemble_identity_and_eigenstate(quench6):
     identity = ql.ObservableMatrix(np.eye(64))
-    assert ql.diagonal_ensemble(quench6.sdata, np.diagonal(identity.matrix)) == pytest.approx(1.0)
+    assert ql.diagonal_ensemble(quench6.sdata, identity.diagonal()) == pytest.approx(1.0)
     k = 5
     psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex))
     sdata = ql.occupied_spectrum(quench6.eig, psi)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, 64))
-    obs = eigen_obs((a + a.T) / 2)
-    val = ql.diagonal_ensemble(sdata, np.diagonal(obs.matrix))
-    assert abs(val - obs.matrix[k, k].real) < 1e-10
+    mat = (a + a.T) / 2
+    val = ql.diagonal_ensemble(sdata, eigen_obs(mat).diagonal())
+    assert abs(val - mat[k, k]) < 1e-10
 
 
 def test_diagonal_ensemble_matches_long_time_average(quench6):
@@ -166,14 +190,14 @@ def test_diagonal_ensemble_matches_long_time_average(quench6):
     tb = quench6.ts.boltzmann_time
     grid = ql.TimeGrid(np.linspace(100 * tb, 200 * tb, 400))
     series = ql.expectation_series(quench6.sdata, obs, grid)
-    de = ql.diagonal_ensemble(quench6.sdata, np.diagonal(obs.matrix))
+    de = ql.diagonal_ensemble(quench6.sdata, obs.diagonal())
     assert abs(series.values.mean() - de) <= 5.0 * series.values.std()
 
 
 def test_diagonal_ensemble_warns_on_degenerate_gap():
     data = ql.SpectralData(np.array([0.0, 0.0, 1.0]), np.array([0.4, 0.3, 0.3]))
     with pytest.warns(UserWarning, match="gaps below"):
-        ql.diagonal_ensemble(data, np.diagonal(ql.ObservableMatrix(np.eye(3)).matrix))
+        ql.diagonal_ensemble(data, ql.ObservableMatrix(np.eye(3)).diagonal())
 
 
 @pytest.mark.parametrize("weights", [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])

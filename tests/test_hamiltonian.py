@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
-from oracles import chain_matrix, dense_chain, dense_vectors, haar_unitary, typical_matrix
+from oracles import (
+    chain_matrix, dense_chain, dense_observable, dense_vectors, haar_unitary, typical_matrix, upper_rows,
+)
 from quenchlab import _lapack, observables
 from quenchlab.hamiltonian import _mirror, _sz_signs
-from quenchlab.observables import _typical_draw
+from quenchlab.observables import _of_rows, _typical_draw
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -30,8 +32,8 @@ def test_hermitian_operator_validation():
     with pytest.raises(ValueError, match="not Hermitian"):
         ql.ObservableMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     op = ql.ObservableMatrix(np.eye(4))
-    assert op.matrix.shape == (4, 4)
-    assert not op.matrix.flags.writeable
+    assert op.dim == 4 and [row.shape for row in op.rows] == [(4, 4)]
+    assert not any(row.flags.writeable for row in op.rows)
 
 
 def test_classical_ising_two_sites():
@@ -147,25 +149,44 @@ def test_haar_unitary_is_unitary():
 @pytest.mark.parametrize("seed", [0, 424242])
 @pytest.mark.parametrize("dim", [1, 2, 255, 256, 257, 511, 512, 513, 1025])
 def test_symmetric_gaussian_is_the_whole_matrix_mean_to_the_bit(dim, seed):
-    # the tiled draw against its serial whole-matrix rebuild, at dims on
-    # both sides of the 256-square tile edges, where the tile pairs change
-    # shape
+    # the tiled draw against the upper block rows of its serial whole-matrix
+    # rebuild, at dims on both sides of the 256-square tile edges, where the
+    # tile pairs change shape
     got = _typical_draw(dim, seed)
-    want = typical_matrix(dim, seed)
-    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = upper_rows(typical_matrix(dim, seed))
+    assert len(got) == len(want)
+    for row, rebuilt in zip(got, want):
+        assert row.dtype == rebuilt.dtype and np.array_equal(row.view(np.uint64), rebuilt.view(np.uint64))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim", [128, 300, 1024])
+def test_typical_draw_is_the_upper_block_rows_of_the_dense_oracle(monkeypatch, dim, workers):
+    # the block rows, before the Perron scaling, against the upper block
+    # rows of the independent dense draw from the same SeedSequence children
+    monkeypatch.setattr(_lapack, "threads", lambda: workers)
+    got = _typical_draw(dim, 11)
+    want = upper_rows(typical_matrix(dim, 11))
+    assert [row.shape for row in got] == [row.shape for row in want]
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("dim", [257, 1025])
 def test_typical_draw_is_symmetric_to_the_bit_and_the_same_on_any_worker_count(
     monkeypatch, dim
 ):
-    # each tile pair has its own stream, so the pool only moves the work
+    # each tile pair has its own stream, so the pool only moves the work;
+    # each diagonal tile is symmetric to the bit
     draws = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(_lapack, "threads", lambda: workers)
-        draws.append(_typical_draw(dim, 7).view(np.uint64))
-    assert np.array_equal(draws[0], draws[0].T)
-    assert all(np.array_equal(draws[0], d) for d in draws[1:])
+        draws.append([row.view(np.uint64) for row in _typical_draw(dim, 7)])
+    for row in draws[0]:
+        tile = row[:, : len(row)]
+        assert np.array_equal(tile, tile.T)
+    assert all(
+        np.array_equal(row, other) for rows in draws[1:] for row, other in zip(draws[0], rows)
+    )
 
 
 def test_typical_draw_raises_what_a_worker_raised(monkeypatch):
@@ -184,7 +205,7 @@ def test_typical_draw_has_the_goe_entry_law():
     # (t + t^T) / 2) or in an off-diagonal one (t / sqrt(2)). Pooled over 8
     # draws at d = 512, each moment sits within 5 standard errors
     dim = 512
-    draws = [_typical_draw(dim, seed) for seed in range(8)]
+    draws = [dense_observable(_of_rows(_typical_draw(dim, seed))) for seed in range(8)]
     above = np.triu(np.ones((dim, dim), dtype=bool), 1)
     same_tile = np.zeros((dim, dim), dtype=bool)
     same_tile[:256, :256] = same_tile[256:, 256:] = True
@@ -208,8 +229,9 @@ def test_typical_draw_has_the_goe_entry_law():
 )
 def test_gaussian_draws_hold_one_dense_matrix(draw):
     # a whole-matrix G + G^T would take the peak to two dense matrices; the
-    # typical draw, filled by tiles, is one, plus a scratch tile per worker.
-    # The GOE partner draws no matrix: its reflectors fill half of one
+    # typical draw, filled by tiles into its upper block rows, is about half
+    # of one (see the next test). The GOE partner draws no matrix: its
+    # reflectors fill half of one
     tracemalloc.start()
     try:
         draw()
@@ -217,6 +239,22 @@ def test_gaussian_draws_hold_one_dense_matrix(draw):
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * 8 * 1024**2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_typical_observable_holds_its_upper_block_rows_alone(monkeypatch, workers):
+    # at d = 1024 the four block rows are 10 of the 16 tiles, 0.625 of a
+    # dense matrix; the scratch strips and the Perron iterates add little,
+    # and no tile below the diagonal is ever formed
+    monkeypatch.setattr(_lapack, "threads", lambda: workers)
+    tracemalloc.start()
+    try:
+        obs = ql.typical_observable(1024, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(row.nbytes for row in obs.rows) == 10 * 8 * 256**2
+    assert peak < 0.65 * 8 * 1024**2
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED
-from oracles import dense_eigensystem, dense_pauli, dense_vectors, local_observable, slow_observable
+from oracles import (
+    dense_eigensystem, dense_observable, dense_pauli, dense_vectors, local_observable, slow_observable,
+)
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root, _weighted_block
 
@@ -28,8 +30,7 @@ def slow_closed_form(sdata: ql.SpectralData, times: np.ndarray, floor=1e-8) -> n
 def test_slow_observable_structure(quench6):
     # the dense band is the oracle of slow_series; it couples exactly the
     # adjacent occupied levels
-    obs = slow_observable(quench6.sdata)
-    m = obs.matrix
+    m = dense_observable(slow_observable(quench6.sdata))
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     occ = np.nonzero(quench6.sdata.weights > 1e-8)[0]
     allowed = set()
@@ -64,7 +65,7 @@ def test_slow_observable_never_exceeds_start(quench6):
 
 
 def test_typical_observable_hermitian_and_normalized():
-    m = ql.typical_observable(128, seed=3).matrix
+    m = dense_observable(ql.typical_observable(128, seed=3))
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     assert m.min() >= 0.0
     # the norm comes from the Perron root; the full decomposition is the oracle
@@ -74,10 +75,10 @@ def test_typical_observable_hermitian_and_normalized():
 
 
 def test_typical_observable_deterministic_and_decorrelated():
-    a = ql.typical_observable(256, seed=1).matrix
-    b = ql.typical_observable(256, seed=1).matrix
+    a = dense_observable(ql.typical_observable(256, seed=1))
+    b = dense_observable(ql.typical_observable(256, seed=1))
     assert np.array_equal(a, b)
-    c = ql.typical_observable(256, seed=2).matrix
+    c = dense_observable(ql.typical_observable(256, seed=2))
     corr = np.corrcoef(a.real.ravel(), c.real.ravel())[0, 1]
     assert abs(corr) < 0.1
 
@@ -91,13 +92,13 @@ def test_perron_root_matches_eigvalsh_oracle(dim, seeds):
         a = np.random.default_rng(seed).standard_normal((dim, dim))
         m = np.abs((a + a.T) / 2.0)
         top = np.max(np.abs(np.linalg.eigvalsh(m)))
-        assert abs(_perron_root(m) - top) <= 1e-13 * top
+        assert abs(_perron_root(ql.ObservableMatrix(m).rows) - top) <= 1e-13 * top
 
 
-def test_weighted_block_compacts_in_place_and_keeps_the_series():
+def test_weighted_block_compacts_row_by_row_and_keeps_the_series():
     # the 9-site Neel state is reflection symmetric, so its odd sector has
-    # weight exactly 0; the block of the weighted levels, compacted over the
-    # head of the draw's own buffer, reads the same series
+    # weight exactly 0; the block rows of the weighted levels, compacted one
+    # row at a time, hold the dense block and read the same series
     chain = ql.build_local_chain(ql.ChainParams(n_sites=9))
     psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(9)])
     sdata = ql.diagonalize(chain, psi0, vectors=False)
@@ -105,12 +106,40 @@ def test_weighted_block_compacts_in_place_and_keeps_the_series():
     assert 0 < levels.size < 512
     grid = ql.linear_grid(3.0, 70)
     obs = ql.typical_observable(512, seed=4)
-    full, want = obs.matrix.copy(), ql.expectation_series(sdata, obs, grid).values
+    full, want = dense_observable(obs), ql.expectation_series(sdata, obs, grid).values
     block = _weighted_block(obs, levels)
-    assert np.shares_memory(block.matrix, obs.matrix)
-    assert not block.matrix.flags.writeable
-    assert np.array_equal(block.matrix, full[np.ix_(levels, levels)])
+    assert obs.rows == ()
+    assert [row.shape for row in block.rows] == [
+        (min(256, levels.size - r), levels.size - r) for r in range(0, levels.size, 256)
+    ]
+    assert not any(row.flags.writeable for row in block.rows)
+    assert np.array_equal(dense_observable(block), full[np.ix_(levels, levels)])
     weighted = ql.SpectralData(sdata.eigenvalues[levels], sdata.weights[levels])
+    got = ql.expectation_series(weighted, block, grid).values
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_weighted_block_holds_no_dense_matrix_and_keeps_the_series():
+    # every 16th level dropped at d = 2048: holding the old rows to the end
+    # would take the peak past one dense matrix, and a dense gather to
+    # about two; released as the compaction goes, it stays below one. The
+    # series on the compacted rows are those of the whole draw
+    dim = 2048
+    levels = np.nonzero(np.arange(dim) % 16)[0]
+    rng = np.random.default_rng(0)
+    weights = np.zeros(dim)
+    weights[levels] = rng.random(levels.size)
+    data = ql.SpectralData(np.sort(rng.standard_normal(dim)), weights / weights.sum())
+    weighted = ql.SpectralData(data.eigenvalues[levels], data.weights[levels])
+    grid = ql.linear_grid(2.0, 20)
+    want = ql.expectation_series(data, ql.typical_observable(dim, 9), grid).values
+    tracemalloc.start()
+    try:
+        block = _weighted_block(ql.typical_observable(dim, 9), levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim**2
     got = ql.expectation_series(weighted, block, grid).values
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -120,14 +149,14 @@ def test_perron_root_raises_when_the_bracket_never_closes():
     # eigenvalue, and the iterates from the all-ones vector alternate
     star = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ConvergenceFailure, match="10000 iterations"):
-        _perron_root(star)
+        _perron_root(ql.ObservableMatrix(star).rows)
 
 
 def test_typical_observable_decays_by_five_boltzmann_times(quench10):
     obs = ql.typical_observable(1024, seed=0)
     grid = ql.default_relax_grid(quench10.ts)
     series = ql.expectation_series(quench10.sdata, obs, grid)
-    eq = ql.diagonal_ensemble(quench10.sdata, np.diagonal(obs.matrix))
+    eq = ql.diagonal_ensemble(quench10.sdata, obs.diagonal())
     dev0 = abs(series.values[0] - eq)
     k = int(np.searchsorted(grid.times, 5.0 * quench10.ts.boltzmann_time))
     assert np.all(np.abs(series.values[k:] - eq) < 0.2 * dev0)
@@ -280,7 +309,7 @@ def test_slow_beats_typical_at_same_threshold(quench8):
     typ = ql.typical_observable(256, seed=0)
     t_series = ql.expectation_series(quench8.sdata, typ, ql.default_relax_grid(quench8.ts))
     t_rep = ql.relaxation_time(
-        t_series, ql.diagonal_ensemble(quench8.sdata, np.diagonal(typ.matrix)), threshold_fraction=0.7
+        t_series, ql.diagonal_ensemble(quench8.sdata, typ.diagonal()), threshold_fraction=0.7
     )
     assert s_rep.relaxed and t_rep.relaxed
     assert s_rep.relaxation_time > 10.0 * t_rep.relaxation_time

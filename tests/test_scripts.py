@@ -1,4 +1,5 @@
-"""The shipped configs validate and the example scripts run end to end."""
+"""The shipped configs validate, and the example and benchmark scripts run end to end."""
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import quenchlab
 from conftest import fresh_env
 from quenchlab import cli
 
@@ -52,3 +54,21 @@ def test_entanglement_regimes_script_runs(tmp_path):
         rows = (out / f"entropy_{tag}.csv").read_text().splitlines()
         assert rows[0] == "t,cut,entropy_nats"
         assert len(rows) == 1 + 46 * 5
+
+
+def test_bench_layers_script_writes_every_row(tmp_path):
+    proc = _run_script(
+        "bench_layers.py", str(ROOT), "--sizes", "6", "--label", "t", "--out-dir", str(tmp_path),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["report_only"] is True and "not recorded" in record["stage_times"]
+    (checkout,) = record["checkouts"]
+    assert checkout["version"] == quenchlab.__version__
+    assert {"blas_threads", "numpy_version", "commit"} <= checkout.keys()
+    runs = checkout["runs"]
+    assert [run["row"] for run in runs] == list(record["rows"])
+    for run in runs:
+        assert run["n_sites"] == 6 and run["returncode"] == 0
+        assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 0
