@@ -226,7 +226,9 @@ def _out_dir(errors: list[str], field: str, value: Any) -> str | None:
 
 # dsyevd would prescale a block with an entry beyond 2^485 (about 1e146),
 # which _lapack.eigh leaves out; chain terms up to this size keep every
-# block entry far below that, so the solve is np.linalg's to the bit
+# block entry far below that, so a solve with eigenvectors, or for the
+# eigenvalues alone, is np.linalg's to the bit, and the weights route's torn
+# solve (from _lapack.TEAR on) agrees with it within rounding
 MAX_COUPLING = 1e100
 
 _NONNEGATIVE = ("must be nonnegative", lambda v: v >= 0)

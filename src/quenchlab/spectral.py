@@ -20,7 +20,8 @@ eigenvector asks diagonalize for the occupied spectrum itself, and one that
 reads the eigenvalues alone for those, as eigvals_only asks scipy's eigh for
 less than a full solve; a random partner's weights are drawn in law, with no
 basis at all. Every block is solved in place on one path, dsyevd's own steps
-in the LAPACK of numpy's OpenBLAS (see _lapack.eigh), and the GOE partner's
+in the LAPACK of numpy's OpenBLAS, which for the weights alone stop short
+of every eigenvector (see _lapack.eigh), and the GOE partner's
 eigenvalues are those of a tridiagonal model, solved by the same dsterf,
 with no dense matrix.
 """
@@ -457,12 +458,15 @@ def diagonalize(
     - otherwise, with vectors=False, for a caller that reads the quench's
       weights and no eigenvector, it is solved for its eigenvalues and its
       overlaps with psi0 alone, or with no psi0 for its eigenvalues alone.
+      A block of at least _lapack.TEAR rows is then solved within its own
+      memory, with no eigenvector of its tridiagonal either.
 
     With vectors=True the result is the EigenSystem, its eigenvectors kept
     as SectorVectors. With vectors=False it is the SpectralData of the
     quench, the weights of V^T psi0 as occupied_spectrum would read them off
-    the full solve, or with no psi0 the eigenvalues alone (by dsterf, so
-    within rounding of the other routes', not to the bit).
+    the full solve (its eigenvalues to the bit on every sector block tested,
+    its weights within rounding), or with no psi0 the eigenvalues alone (by
+    dsterf, so within rounding of the other routes', not to the bit).
     """
     pairs, partners, palindromes = _symmetry_classes(chain)
     dim, n_pairs = chain.dim, pairs.size

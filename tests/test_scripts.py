@@ -72,3 +72,29 @@ def test_bench_layers_script_writes_every_row(tmp_path):
     for run in runs:
         assert run["n_sites"] == 6 and run["returncode"] == 0
         assert run["wall_s"] > 0 and run["cpu_s"] > 0 and run["peak_rss_mb"] > 0
+
+
+def test_bench_layers_script_runs_picked_rows_in_alternating_pairs(tmp_path):
+    # --rows dos --repeat 2 against HEAD: a warm-up, then two pairs, the
+    # checkout first in the first pair and the baseline first in the second
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True)
+    if head.returncode != 0:
+        pytest.skip("the checkout is not a git repository with a HEAD")
+    proc = _run_script(
+        "bench_layers.py", str(ROOT), "--sizes", "6", "--rows", "dos", "--repeat", "2",
+        "--baseline", "HEAD", "--label", "t", "--out-dir", str(tmp_path), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    order = [line.split()[0] for line in proc.stdout.splitlines() if " N=6 dos #" in line]
+    assert order == ["checkout", "baseline", "baseline", "checkout"]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(record["rows"]) == ["dos"] and record["repeat"] == 2
+    for checkout in record["checkouts"]:
+        assert [(run["row"], run["pair"]) for run in checkout["runs"]] == [("dos", 0), ("dos", 1)]
+    (summary,) = record["summary"]
+    assert summary["row"] == "dos" and summary["n_sites"] == 6 and summary["pairs"] == 2
+    for side in ("checkout", "baseline"):
+        for metric in ("wall_s", "cpu_s", "peak_rss_mb"):
+            spread = summary[side][metric]
+            assert spread["median"] > 0 and spread["iqr"] >= 0
+    assert all(0 <= summary["checkout_lower"][m] <= 2 for m in ("wall_s", "cpu_s", "peak_rss_mb"))
