@@ -42,8 +42,9 @@ ROUTINES = {
 }
 # eigh's V^T y tears T from this dimension on (see _torn); below it, dstedc
 # solves the whole T into the block with an n^2 workspace of its own. The
-# torn solve of T measured even at n = 496 and faster from 528 on (2 BLAS
-# threads); its halves and their workspace fit the block from n = 6 on.
+# whole solve measured clearly faster up to n = 272, the two even at n = 496
+# and the torn one even or faster from 528 on (2 BLAS threads); its halves
+# and their workspace fit the block from n = 6 on.
 TEAR = 512
 # Rows of dlaed4's deltas that _secular reads per step
 _ROWS = 32

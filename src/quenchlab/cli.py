@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 import yaml
 
-from . import __version__, _timeout_too_late
+from . import __all__ as _PUBLIC, __version__, _timeout_too_late
 from .errors import QuenchError
 from .params import (
     DEFAULT_FRONT_THRESHOLD,
@@ -37,38 +37,23 @@ from .params import (
     ChainParams,
 )
 
-# submodule -> the numeric names that run and info read from it. _load binds
-# them, with np and _lapack, on first use (run, build_initial_state, info, or
-# a read of one of them), so validate loads no numpy. A name bound before,
-# such as a tracer's wrapper of diagonalize, is kept, and a run calls through it.
-_NUMERIC = {
-    "core": ("PureState", "product_state"),
-    "dynamics": (
-        "GAP_WEIGHT_FLOOR", "TimeGrid", "TimeSeries", "default_relax_grid",
-        "default_slow_grid", "diagonal_ensemble", "expectation_series", "linear_grid",
-    ),
-    "entanglement": ("entropy_scan", "growth_fit", "light_cone"),
-    "hamiltonian": ("build_local_chain",),
-    "observables": (
-        "_weighted_block", "local_series", "pauli_expectations", "relaxation_time",
-        "slow_series", "typical_observable",
-    ),
-    "spectral": (
-        "SpectralData", "Timescales", "diagonalize", "dos_fit", "goe_eigensystem",
-        "goe_spectrum", "occupied_spectrum", "scramble", "scrambled_spectrum", "timescales",
-    ),
-}
-_LAZY = {"np", "_lapack", *(name for names in _NUMERIC.values() for name in names)}
+# _load binds np, _lapack, the package's public names and the private ones
+# below on first use (run, build_initial_state, info, or a read of one of
+# them), so validate loads no numpy. A name bound before, such as a tracer's
+# wrapper of diagonalize, is kept, and a run calls through it.
+_PRIVATE = {"GAP_WEIGHT_FLOOR": "dynamics", "_weighted_block": "observables"}
+_LAZY = {"np", "_lapack", *_PUBLIC, *_PRIVATE}
 
 
 def _load() -> None:
     bound = globals()
     bound.setdefault("np", importlib.import_module("numpy"))
     bound.setdefault("_lapack", importlib.import_module("._lapack", __package__))
-    for module, names in _NUMERIC.items():
-        owner = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            bound.setdefault(name, getattr(owner, name))
+    package = importlib.import_module(__package__)
+    for name in _PUBLIC:
+        bound.setdefault(name, getattr(package, name))
+    for name, module in _PRIVATE.items():
+        bound.setdefault(name, getattr(importlib.import_module(f".{module}", __package__), name))
 
 
 def __getattr__(name: str):

@@ -1,8 +1,8 @@
 """Hilbert-space primitives for chains of two-level sites.
 
 The site count of a state dimension, normalized pure and product states, the
-Hermitian check of observables, and the product of a possibly real matrix
-with complex vectors that every eigenbasis projection shares.
+blockwise finiteness check of large arrays, and the product of a possibly
+real matrix with complex vectors that every eigenbasis projection shares.
 
 Site-to-bit convention: site j maps to bit j of the basis index, so site 0
 is the least significant bit. Every index formula in the package relies on
@@ -19,8 +19,7 @@ from .errors import DimensionMismatch, NonNormalizedLocal
 from .params import MAX_SITES
 
 _NORM_TOL = 1e-12
-_HERM_TOL = 1e-12
-_TILE = 512  # rows and columns of the blocks the dense checks walk
+_TILE = 512  # rows of the blocks the finiteness check walks
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -28,42 +27,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _tiles(size: int, tile: int = _TILE) -> list[slice]:
-    return [slice(i, i + tile) for i in range(0, size, tile)]
-
-
-def _tile_pairs(size: int, tile: int = _TILE) -> list[tuple[slice, slice]]:
-    """(rows, cols) of the tile pairs (a, b) with a <= b, on and above the
-    diagonal, in row-major order."""
-    tiles = _tiles(size, tile)
-    return [(rows, cols) for a, rows in enumerate(tiles) for cols in tiles[a:]]
-
-
 def _all_finite(a: np.ndarray) -> bool:
     """np.all(np.isfinite(a)), one block of _TILE rows at a time."""
-    return all(np.isfinite(a[rows]).all() for rows in _tiles(a.shape[0]))
-
-
-def _hermitian(matrix: np.ndarray, name: str) -> np.ndarray:
-    """matrix frozen, once it is square, finite and Hermitian within _HERM_TOL.
-
-    The check walks the tile pairs (a, b) with a <= b and compares tile a, b
-    with the conjugate transpose of tile b, a, so it holds no temporary
-    larger than a tile. |m_ij - m_ji^*| and |m_ji - m_ij^*| are the same
-    number, so the largest deviation is the whole-matrix one to the bit.
-    """
-    m = np.ascontiguousarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} matrix must be square, got shape {m.shape}")
-    deviation = 0.0
-    for rows, cols in _tile_pairs(m.shape[0]):
-        upper, lower = m[rows, cols], m[cols, rows]
-        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-            raise ValueError(f"{name} has non-finite entries")
-        deviation = max(deviation, np.max(np.abs(upper - lower.conj().T)))
-    if deviation > _HERM_TOL:
-        raise ValueError(f"{name} is not Hermitian within {_HERM_TOL}")
-    return _freeze(m)
+    return all(np.isfinite(a[r : r + _TILE]).all() for r in range(0, a.shape[0], _TILE))
 
 
 def _n_sites(dim: int) -> int:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _lapack
-from .core import PureState, _freeze, _hermitian, _n_sites, _tiles
+from .core import PureState, _freeze, _n_sites
 from .dynamics import (
     EVOLVE_BLOCK,
     TimeGrid,
@@ -43,16 +43,12 @@ class ObservableMatrix:
 
     rows[k] is O[r : r + _DRAW_TILE, r:] with r = _DRAW_TILE k: the diagonal
     tile and the tiles right of it. Each tile below the diagonal is the
-    conjugate transpose of one above it, and is not kept. A dense matrix is
-    taken once it is square, finite and Hermitian (see core._hermitian), and
-    kept as views of its upper block rows.
+    conjugate transpose of one above it, and is not kept. Only the library
+    builds one (typical_observable and _weighted_block, through _of_rows),
+    so it takes no constructor arguments.
     """
 
     rows: tuple[np.ndarray, ...]
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        m = _hermitian(matrix, "observable")
-        object.__setattr__(self, "rows", tuple(m[t, t.start :] for t in _tiles(len(m), _DRAW_TILE)))
 
     @property
     def dim(self) -> int:
@@ -64,8 +60,8 @@ class ObservableMatrix:
 
 
 def _of_rows(rows: list[np.ndarray]) -> ObservableMatrix:
-    """ObservableMatrix of upper block rows that are finite and Hermitian by
-    construction, frozen without the check."""
+    """ObservableMatrix of upper block rows, frozen; the caller builds them
+    finite and Hermitian."""
     obs = object.__new__(ObservableMatrix)
     object.__setattr__(obs, "rows", tuple(_freeze(row) for row in rows))
     return obs
@@ -162,8 +158,7 @@ def typical_observable(dim: int, seed: int) -> ObservableMatrix:
     draw would start at a value statistically identical to its late-time
     fluctuations, with no deviation to relax. The norm of the positive |S|
     is its Perron root. Building it holds the upper block rows, about half
-    a dense matrix, and skips the Hermitian check: it is symmetric by
-    construction.
+    a dense matrix.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")

@@ -6,8 +6,9 @@ dense matrix, behind the library's three reads), the dense chain matrix, the
 dense V of a sector or a Householder eigensystem, the Householder reflectors applied one at a time,
 the Haar basis of the panel draw replayed one reflector at a time,
 the symmetrized Gaussian draw (G + G^T) / 2 as a sum of whole matrices,
-the typical draw rebuilt serially from its tiles, the dense matrix of an
-observable's upper block rows, the Haar unitary of a
+the typical draw rebuilt serially from its tiles, the block rows of a
+dense Hermitian matrix and the dense matrix of an observable's upper
+block rows, the Haar unitary of a
 dense Ginibre QR, the per-state spectral propagator, the Lanczos propagator,
 the entropy from the singular values of one state's Schmidt matrix, the
 dense site-basis Paulis and their eigenbasis matrices V^dag sigma V, the
@@ -36,6 +37,7 @@ import quenchlab as ql
 from quenchlab.core import _all_finite, _freeze, _matmul, _n_sites
 from quenchlab.errors import DimensionMismatch, RegionOutOfBounds
 from quenchlab.hamiltonian import _sz_signs
+from quenchlab.observables import _of_rows
 from quenchlab.spectral import _adjoint_matmul
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -247,6 +249,15 @@ def upper_rows(m: np.ndarray) -> list[np.ndarray]:
     return [m[r : r + 256, r:] for r in range(0, len(m), 256)]
 
 
+def observable(m: np.ndarray) -> ql.ObservableMatrix:
+    """The observable of the upper block rows of a dense matrix, once it is
+    finite and Hermitian within 1e-12."""
+    m = np.ascontiguousarray(m)
+    assert m.ndim == 2 and m.shape[0] == m.shape[1], m.shape
+    assert np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= 1e-12
+    return _of_rows(upper_rows(m))
+
+
 def dense_observable(obs: ql.ObservableMatrix) -> np.ndarray:
     """The dense matrix of an observable's upper block rows: each row in
     place, and the tiles right of its diagonal tile mirrored below it as
@@ -312,7 +323,7 @@ def slow_observable(spec: ql.SpectralData, weight_floor: float = 1e-8) -> ql.Obs
     mat = np.zeros((spec.dim, spec.dim))
     mat[occ[:-1], occ[1:]] = 1.0
     mat[occ[1:], occ[:-1]] = 1.0
-    return ql.ObservableMatrix(mat)
+    return observable(mat)
 
 
 def evolve_spectral(eig: ql.EigenSystem, psi0: ql.PureState, t: float) -> ql.PureState:

@@ -6,9 +6,10 @@ import pytest
 from scipy.linalg import expm
 
 import quenchlab as ql
-from oracles import _krylov_step, _lanczos, _tridiag, dense_vectors, evolve_spectral, krylov_evolve
+from oracles import (
+    _krylov_step, _lanczos, _tridiag, dense_vectors, evolve_spectral, krylov_evolve, observable,
+)
 from quenchlab.errors import DimensionMismatch
-from quenchlab.observables import ObservableMatrix
 
 
 def two_level_data(omega: float) -> ql.SpectralData:
@@ -16,7 +17,7 @@ def two_level_data(omega: float) -> ql.SpectralData:
 
 
 def eigen_obs(matrix):
-    return ObservableMatrix(np.asarray(matrix, dtype=complex))
+    return observable(np.asarray(matrix, dtype=complex))
 
 
 def test_time_grid_validation():
@@ -63,7 +64,7 @@ def test_evolve_spectral_stationary_eigenstate(quench6):
 
 def test_expectation_series_identity(quench6):
     grid = ql.linear_grid(2.0, 21)
-    obs = ql.ObservableMatrix(np.eye(64))
+    obs = observable(np.eye(64))
     series = ql.expectation_series(quench6.sdata, obs, grid)
     assert np.max(np.abs(series.values - 1.0)) < 1e-12
 
@@ -92,7 +93,7 @@ def test_expectation_series_matches_state_vector_route(quench6):
     v = dense_vectors(quench6.eig)
     c = v.T @ quench6.psi0.amplitudes
     aligned = v * (c / np.abs(c))
-    obs = ObservableMatrix(aligned.conj().T @ site_matrix @ aligned)
+    obs = observable(aligned.conj().T @ site_matrix @ aligned)
     grid = ql.linear_grid(2.0, 17)
     series = ql.expectation_series(quench6.sdata, obs, grid)
     for k, t in enumerate(grid.times):
@@ -127,7 +128,7 @@ def test_expectation_series_blocks_match_double_sum_oracle(quench6):
     w, e = quench6.sdata.weights, quench6.sdata.eigenvalues
     mag = np.sqrt(w)
     for mat in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
-        obs = ObservableMatrix(mat)
+        obs = observable(mat)
         series = ql.expectation_series(quench6.sdata, obs, grid)
         for k, t in enumerate(grid.times):
             phase = np.exp(1j * (e[:, None] - e[None, :]) * t)
@@ -148,7 +149,7 @@ def test_expectation_series_of_block_rows_matches_double_sum_oracle(dim):
     grid = ql.linear_grid(3.0, ql.dynamics.EVOLVE_BLOCK + 2)
     mag, e = np.sqrt(data.weights), data.eigenvalues
     for mat in ((a + a.conj().T) / 2, (a.real + a.real.T) / 2):
-        obs = ObservableMatrix(mat)
+        obs = observable(mat)
         assert len(obs.rows) == -(-dim // 256)
         series = ql.expectation_series(data, obs, grid)
         for k, t in enumerate(grid.times):
@@ -158,7 +159,7 @@ def test_expectation_series_of_block_rows_matches_double_sum_oracle(dim):
 
 
 def test_expectation_series_refuses_an_imaginary_residue():
-    # a matrix that is not Hermitian, past ObservableMatrix's check, gives
+    # a matrix that is not Hermitian, which the library never builds, gives
     # the two-level state a complex expectation at every t > 0; its one
     # block row is its diagonal tile
     obs = SimpleNamespace(rows=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
@@ -167,13 +168,13 @@ def test_expectation_series_refuses_an_imaginary_residue():
 
 
 def test_expectation_series_dimension_mismatch(quench6):
-    obs = ql.ObservableMatrix(np.eye(16))
+    obs = observable(np.eye(16))
     with pytest.raises(DimensionMismatch):
         ql.expectation_series(quench6.sdata, obs, ql.linear_grid(1.0, 3))
 
 
 def test_diagonal_ensemble_identity_and_eigenstate(quench6):
-    identity = ql.ObservableMatrix(np.eye(64))
+    identity = observable(np.eye(64))
     assert ql.diagonal_ensemble(quench6.sdata, identity.diagonal()) == pytest.approx(1.0)
     k = 5
     psi = ql.PureState(dense_vectors(quench6.eig)[:, k].astype(complex))
@@ -197,7 +198,7 @@ def test_diagonal_ensemble_matches_long_time_average(quench6):
 def test_diagonal_ensemble_warns_on_degenerate_gap():
     data = ql.SpectralData(np.array([0.0, 0.0, 1.0]), np.array([0.4, 0.3, 0.3]))
     with pytest.warns(UserWarning, match="gaps below"):
-        ql.diagonal_ensemble(data, ql.ObservableMatrix(np.eye(3)).diagonal())
+        ql.diagonal_ensemble(data, observable(np.eye(3)).diagonal())
 
 
 @pytest.mark.parametrize("weights", [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])

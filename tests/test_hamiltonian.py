@@ -28,11 +28,14 @@ def test_chain_params_validation():
 
 
 def test_hermitian_operator_validation():
-    # the observables are the one dense Hermitian input the library checks
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ql.ObservableMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    op = ql.ObservableMatrix(np.eye(4))
+    # an observable is built by the library alone, as frozen block rows it
+    # draws Hermitian; no dense matrix is taken in
+    with pytest.raises(TypeError):
+        ql.ObservableMatrix(np.eye(4))
+    op = ql.typical_observable(4, seed=0)
     assert op.dim == 4 and [row.shape for row in op.rows] == [(4, 4)]
+    with pytest.raises(ValueError, match="read-only"):
+        op.rows[0][0, 0] = 0.0
     assert not any(row.flags.writeable for row in op.rows)
 
 

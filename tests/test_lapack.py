@@ -193,18 +193,19 @@ def test_the_merge_holds_below_the_smallest_block_it_tears(n):
     _assert_weights_equal_numpy(t, y[0] + 1j * y[1], values, rows[0] + 1j * rows[1])
 
 
-@pytest.mark.parametrize("n", [512, 513, 800, 801])
+@pytest.mark.parametrize("n", [26, 51, 512, 513, 800, 801])
 def test_the_torn_eigenvalues_are_dstedcs_bits_but_where_dlaed0_divides_deeper(n):
     # oracle: dstedc('I') on the whole random tridiagonal. At n = 801 = 50 * 2^4 + 1
     # dstedc halves T1 (400 rows) down to 13-row leaves, a solve of T1 alone
-    # stops at 25 rows, and the bits may differ by rounding
+    # stops at 25 rows, and the bits may differ by rounding. n = 51 = 50 * 2^0 + 1
+    # is the smallest such n: dstedc halves T1 (25 rows), which alone is one leaf
     rng = np.random.default_rng(n)
     d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
     want = d.copy()
     _lapack._stedc(want, e.copy(), np.empty((n, n)), np.empty(1 + 4 * n + n * n),
                    np.empty(3 + 5 * n, np.int64))
     values, _ = _lapack._torn(d, e, np.ones((1, n)), np.empty(n * n))
-    if n == 801:
+    if n in (51, 801):
         assert np.max(np.abs(values - want)) <= 1e-14 * np.max(np.abs(want))
     else:
         assert np.array_equal(values, want)

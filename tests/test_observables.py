@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED
 from oracles import (
-    dense_eigensystem, dense_observable, dense_pauli, dense_vectors, local_observable, slow_observable,
+    dense_eigensystem, dense_observable, dense_pauli, dense_vectors, local_observable, observable,
+    slow_observable,
 )
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root, _weighted_block
@@ -92,7 +93,7 @@ def test_perron_root_matches_eigvalsh_oracle(dim, seeds):
         a = np.random.default_rng(seed).standard_normal((dim, dim))
         m = np.abs((a + a.T) / 2.0)
         top = np.max(np.abs(np.linalg.eigvalsh(m)))
-        assert abs(_perron_root(ql.ObservableMatrix(m).rows) - top) <= 1e-13 * top
+        assert abs(_perron_root(observable(m).rows) - top) <= 1e-13 * top
 
 
 def test_weighted_block_compacts_row_by_row_and_keeps_the_series():
@@ -149,7 +150,7 @@ def test_perron_root_raises_when_the_bracket_never_closes():
     # eigenvalue, and the iterates from the all-ones vector alternate
     star = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ConvergenceFailure, match="10000 iterations"):
-        _perron_root(ql.ObservableMatrix(star).rows)
+        _perron_root(observable(star).rows)
 
 
 def test_typical_observable_decays_by_five_boltzmann_times(quench10):

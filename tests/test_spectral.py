@@ -329,14 +329,13 @@ NAN_2X2 = np.full((2, 2), NAN)
         lambda: ql.ChainParams(n_sites=3, J=NAN),
         lambda: ql.ChainParams(n_sites=3, h=float("inf")),
         lambda: ql.SpinChain(1, np.array([NAN, 0.0]), -1.0),
-        lambda: ql.ObservableMatrix(NAN_2X2),
         lambda: ql.SpectralData([0.0, 1.0], [NAN, NAN]),
         lambda: ql.SpectralData([0.0, NAN], [0.5, 0.5]),
         lambda: dense_eigensystem([0.0, NAN], np.eye(2)),
         lambda: dense_eigensystem([0.0, 1.0], NAN_2X2),
     ],
     ids=[
-        "chain_J", "chain_h", "spin_chain", "observable", "spectral_weights",
+        "chain_J", "chain_h", "spin_chain", "spectral_weights",
         "spectral_eigenvalues", "eigen_values", "eigen_vectors",
     ],
 )
