@@ -48,6 +48,7 @@ ROWS = (
     ("equivalence", {"kind": "equivalence", "observables": {"typical_count": 1}}),
     ("entropy_scan_scrambled", {"kind": "entropy_scan", "model": {"variant": "scrambled"}}),
     ("dos_scrambled", {"kind": "dos", "model": {"variant": "scrambled"}}),
+    ("light_cone_goe", {"kind": "light_cone", "model": {"variant": "goe"}}),
     ("relax_goe", {"kind": "relax", "model": {"variant": "goe"}, "observables": {"typical_count": 1, "slow": True}}),
     ("dos_disordered", {"kind": "dos", "model": {"disorder_width": 0.5}}),
 )

@@ -41,7 +41,8 @@ from .params import (
 # below on first use (run, build_initial_state, info, or a read of one of
 # them), so validate loads no numpy. A name bound before, such as a tracer's
 # wrapper of diagonalize, is kept, and a run calls through it.
-_PRIVATE = {"GAP_WEIGHT_FLOOR": "dynamics", "_weighted_block": "observables"}
+_PRIVATE = {"GAP_WEIGHT_FLOOR": "dynamics", "_weighted_block": "observables",
+            "_goe_frame": "spectral", "_scrambled_frame": "spectral"}
 _LAZY = {"np", "_lapack", *_PUBLIC, *_PRIVATE}
 
 
@@ -463,21 +464,21 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     for the quench's spectrum alone, and the scrambled chain for its
     eigenvalues alone. The random matrix takes the occupied moments: its
     eigenvalues are drawn at mean 0 and width 1, then shifted and scaled to
-    them. Each random variant draws only what the run reads: its Haar
-    eigenvectors as reflectors where states are read (see scramble and
-    goe_eigensystem), and otherwise its weights in law (see
-    scrambled_spectrum and goe_spectrum).
+    them. Each random variant draws only what the run reads: its weights in
+    law where no state is read (see scrambled_spectrum and goe_spectrum), its
+    reflectors where every eigenstate column is (local Paulis; see scramble
+    and goe_eigensystem), and otherwise, for a scan or a cone, the frame of
+    the directions its reads reveal (see _scrambled_frame and _goe_frame).
     """
     # only relax reads local Paulis; other kinds accept and ignore the field
-    reads_states = cfg.kind in ("entropy_scan", "light_cone") or (
-        cfg.kind == "relax" and bool(cfg.local_observables)
-    )
+    reflectors = cfg.kind == "relax" and bool(cfg.local_observables)
+    reads_states = reflectors or cfg.kind in ("entropy_scan", "light_cone")
     if cfg.variant == "scrambled":
         ev = diagonalize(build_local_chain(cfg.chain), None, vectors=False)
         seed = derive_seed(cfg.master_seed, "scramble")
         if not reads_states:
             return None, {"scrambled": scrambled_spectrum(ev, seed)}
-        eig = scramble(ev, seed)
+        eig = (scramble if reflectors else _scrambled_frame)(ev, seed)
         return eig, {"scrambled": occupied_spectrum(eig, psi0)}
     vectors = cfg.variant == "local" and reads_states
     eig = diagonalize(build_local_chain(cfg.chain), psi0, vectors=vectors)
@@ -486,9 +487,10 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
         ts = timescales(spectra["local"], cfg.weight_floor)
         del eig
         seed = derive_seed(cfg.master_seed, "goe")
-        unit = goe_eigensystem(psi0.amplitudes.size, seed) if reads_states else goe_spectrum(psi0, seed)
+        unit = (goe_eigensystem if reflectors else _goe_frame)(psi0.amplitudes.size, seed)
         eig = replace(unit, eigenvalues=ts.energy_mean + ts.energy_width * unit.eigenvalues)
-        spectra["goe"] = occupied_spectrum(eig, psi0) if reads_states else eig
+        # with no state reader, the frame reads psi0 once: goe_spectrum's weights
+        spectra["goe"] = occupied_spectrum(eig, psi0)
     return (eig if reads_states else None), spectra
 
 

@@ -114,11 +114,20 @@ def default_slow_grid(ts: Timescales) -> TimeGrid:
 
 
 def _phase_blocks(energies: np.ndarray, c: np.ndarray, grid: TimeGrid):
-    """Yield (block, phi) with phi[:, j] = c e^{-i eps t_j} for each time of a block."""
+    """Yield (block, phi) with phi[:, j] = c e^{-i eps t_j} for each time of a block.
+
+    The real cosines and sines are written straight into phi's parts, the
+    bits of np.exp(-1j eps t), and c multiplies from the left, as c * phases.
+    """
     c = c[:, None]
     for start in range(0, len(grid), EVOLVE_BLOCK):
         block = slice(start, start + EVOLVE_BLOCK)
-        yield block, c * np.exp(-1j * np.outer(energies, grid.times[block]))
+        arg = np.multiply.outer(energies, grid.times[block])
+        phi = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=phi.real)
+        np.negative(np.sin(arg, out=phi.imag), out=phi.imag)
+        del arg  # nothing but phi is held across the yield
+        yield block, np.multiply(c, phi, out=phi)
 
 
 def _state_blocks(eig: EigenSystem, psi0: PureState, grid: TimeGrid):

@@ -11,17 +11,19 @@ Units are hbar = k_B = 1.
 Every chain is diagonalized on one route: in the sectors of a symmetry of
 its basis states, the site reflection where its diagonal allows it and the
 trivial symmetry otherwise (see diagonalize). An eigensystem holds its
-eigenvectors in one of two forms behind the same three reads, V x, V^dag y
+eigenvectors in one of three forms behind the same three reads, V x, V^dag y
 and a block of columns of V: the sector blocks of a chain, or, for a seeded
 Haar-random basis (the scrambled chain and the GOE partner), its
-Householder reflectors. A sector that the quench leaves empty may be kept
-as its eigenvalues alone. A caller that reads the quench's weights and no
-eigenvector asks diagonalize for the occupied spectrum itself, and one that
-reads the eigenvalues alone for those, as eigvals_only asks scipy's eigh for
-less than a full solve; a random partner's weights are drawn in law, with no
-basis at all. Every block is solved in place on one path, dsyevd's own steps
-in the LAPACK of numpy's OpenBLAS, which for the weights alone stop short
-of every eigenvector (see _lapack.eigh), and the GOE partner's
+Householder reflectors or, for a reader of a few directions, the frame of
+the directions read so far (see _HaarFrame). A sector that the quench
+leaves empty may be kept as its eigenvalues alone. A caller that reads the
+quench's weights and no eigenvector asks diagonalize for the occupied
+spectrum itself, and one that reads the eigenvalues alone for those, as
+eigvals_only asks scipy's eigh for less than a full solve; a random
+partner's weights are drawn in law, as the first read of its frame, with no
+other basis at all. Every block is solved in place on one path, dsyevd's
+own steps in the LAPACK of numpy's OpenBLAS, which for the weights alone
+stop short of every eigenvector (see _lapack.eigh), and the GOE partner's
 eigenvalues are those of a tridiagonal model, solved by the same dsterf,
 with no dense matrix.
 """
@@ -340,9 +342,109 @@ def _haar_reflectors(dim: int, seed: int, real: bool) -> HouseholderVectors:
     return HouseholderVectors(tuple(ys), tuple(ts), phases)
 
 
+def _frame(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The Gram-Schmidt frame of cols outside basis's span, for well-conditioned cols.
+
+    Twice a projection out of the span and a Cholesky QR, cols L^-dag with
+    L L^dag = cols^dag cols: the second pass removes the first's rounding.
+    Each column depends only on those up to it, and for Gaussian cols the
+    frame is uniform in basis's complement.
+    """
+    for _ in range(2):
+        cols = cols - _matmul(basis, _adjoint_matmul(basis, cols))
+        cols = cols @ np.linalg.inv(np.linalg.cholesky(_adjoint_matmul(cols, cols))).conj().T
+    return cols
+
+
+def _directions(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Orthonormal directions of the span of cols outside basis's, by descending weight.
+
+    The left singular vectors u_k of cols' part outside the span whose
+    singular values exceed dim eps of cols' largest norm; the others lie
+    within rounding of the span and are dropped. Each u_k is phased so that
+    u_k^dag sum_j (j + 1) x_j is positive. A fixed sum is needed because
+    the time columns of a linear grid come in pairs j, m - 1 - j of equal
+    weight on u_k, so no largest entry picks the phase stably. Rounding in
+    a read moves most the directions it weights least, so the read's own
+    coefficients on them, and so its image, move only by that rounding.
+    """
+    tol = basis.shape[0] * np.finfo(float).eps * np.max(np.linalg.norm(cols, axis=0), initial=0.0)
+    for _ in range(2):
+        cols = cols - _matmul(basis, _adjoint_matmul(basis, cols))
+    u, s, vh = np.linalg.svd(cols, full_matrices=False)
+    keep = s > tol
+    lead = vh[keep] @ np.arange(1.0, cols.shape[1] + 1)  # u_k^dag sum_j (j + 1) x_j, over s_k
+    return _frame(basis, u[:, keep] * (lead / np.abs(lead)))
+
+
+class _HaarFrame:
+    """A seeded Haar basis W on U(dim) (or O(dim), real), revealed only as far as it is read.
+
+    It keeps two orthonormal dim x r blocks: domain B, the directions of
+    W's domain read so far, and image F = W B. Given W B = F, W maps B's
+    complement onto F's as a Haar isometry (Mezzadri, Notices AMS 54, 2007).
+    So a read extends its own side (B for apply, F for apply_adjoint) by
+    the directions of its columns outside that side (see _directions; any
+    choice made from the reads alone keeps the law). It extends the other
+    side by the Gram-Schmidt frame of as many fresh Gaussian columns in
+    that side's complement (see _frame). Then W x = F (B^dag x) and
+    W^dag y = B (F^dag y). A column already in the span reveals nothing and
+    draws nothing. columns reads W e_j. The real frame reads a complex block
+    as its real, then its imaginary, columns.
+
+    The frame holds 2 dim r numbers for the r directions revealed so far.
+    Its realization depends only on its reads and their order. A read that
+    reveals k directions takes the generator's next k rows of dim normals
+    (complex: 2 dim, interleaved (real, imaginary) pairs). A first read
+    W^dag psi0 thus draws what scrambled_spectrum reads, and its weights.
+    Reads that move by rounding move the realization by about as much.
+    """
+
+    def __init__(self, dim: int, rng: np.random.Generator, real: bool):
+        self._rng, self._real = rng, real
+        self.domain = np.empty((dim, 0), dtype=float if real else complex)
+        self.image = self.domain.copy()
+
+    @property
+    def dim(self) -> int:
+        return self.domain.shape[0]
+
+    def _read(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        """W^dag x with adjoint, else W x, after extending both sides over x."""
+        cols = x.reshape(self.dim, -1)
+        k = cols.shape[1]
+        split = self._real and np.iscomplexobj(cols)
+        if split:
+            cols = np.hstack([cols.real, cols.imag])
+        read, other = (self.image, self.domain) if adjoint else (self.domain, self.image)
+        new = _directions(read, cols)
+        normals = self._rng.standard_normal((new.shape[1], self.dim * (1 if self._real else 2)))
+        read, other = np.hstack([read, new]), np.hstack([other, _frame(other, normals.view(other.dtype).T)])
+        self.image, self.domain = (read, other) if adjoint else (other, read)
+        out = _matmul(other, _adjoint_matmul(read, cols))
+        if split:
+            out = out[:, :k] + 1j * out[:, k:]
+        return out.reshape(x.shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x = F (B^dag x), once B spans x."""
+        return self._read(x, adjoint=False)
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """W^dag y = B (F^dag y), once F spans y."""
+        return self._read(y, adjoint=True)
+
+    def columns(self, block: slice | np.ndarray) -> np.ndarray:
+        """W[:, block], read as W applied to the block's unit columns."""
+        cols = np.arange(self.dim)[block]
+        unit = np.zeros((self.dim, cols.size))
+        unit[cols, np.arange(cols.size)] = 1.0
+        return self.apply(unit)
+
+
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues and the eigenvector columns, by sectors or by reflectors.
+    """Ascending eigenvalues and the eigenvector columns, by sectors, reflectors or a frame.
 
     Every reader goes through eigenvectors.apply (V x),
     eigenvectors.apply_adjoint (V^dag y) or eigenvectors.columns (a block
@@ -351,7 +453,7 @@ class EigenSystem:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: SectorVectors | HouseholderVectors
+    eigenvectors: SectorVectors | HouseholderVectors | _HaarFrame
 
     def __post_init__(self) -> None:
         ev = np.ascontiguousarray(self.eigenvalues, dtype=float)
@@ -609,28 +711,29 @@ def goe_eigensystem(dim: int, seed: int) -> EigenSystem:
 def goe_spectrum(psi0: PureState, seed: int) -> SpectralData:
     """The spectrum of a quench under goe_eigensystem, its weights drawn in law.
 
-    default_rng(seed) draws the eigenvalues of goe_eigensystem(dim, seed) to
-    the bit, then reads on for the weights |O^T psi0|^2 of a Haar orthogonal
-    O (see _frame_overlaps): its law, in O(dim), but not its realization.
+    The weights are the first read of the real frame of _goe_frame, W^T
+    psi0: default_rng(seed) draws the eigenvalues of goe_eigensystem(dim,
+    seed) to the bit, then reads on for one Gaussian column per direction
+    of psi0: its real part, and its imaginary part where that is not a
+    multiple of the real part. Its law, in O(dim), but not its realization.
+    """
+    return occupied_spectrum(_goe_frame(psi0.amplitudes.size, seed), psi0)
+
+
+def _goe_frame(dim: int, seed: int) -> EigenSystem:
+    """goe_eigensystem's eigenvalues to the bit, its eigenvectors a real _HaarFrame.
+
+    The frame reads default_rng(seed) on from where the eigenvalues leave it.
     """
     rng = np.random.default_rng(seed)
-    ev = _lapack.sterf(*_goe_tridiagonal(psi0.amplitudes.size, rng))
-    return _spectral_data(ev, _frame_overlaps(psi0.amplitudes, rng))
+    ev = _lapack.sterf(*_goe_tridiagonal(dim, rng))
+    return EigenSystem(ev, _HaarFrame(dim, rng, real=True))
 
 
-def _frame_overlaps(amps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """O^T amps for a Haar orthogonal O, drawn in law from rng's next normals.
-
-    With amps = a + i b and the thin QR [a b] = Q R ([a] = Q R if b = 0),
-    O^T Q is a uniform orthonormal frame: Q's k columns have the law of k
-    Gaussian columns G, read one after another, made orthonormal by
-    Gram-Schmidt, so O^T [a b] has the law of G R.
-    """
-    cols = [amps.real] + ([amps.imag] if np.any(amps.imag) else [])
-    q, r = np.linalg.qr(np.transpose(cols))
-    g, s = np.linalg.qr(rng.standard_normal((q.shape[1], amps.size)).T)
-    c = (g * np.sign(np.diagonal(s))) @ r  # Gram-Schmidt keeps s's diagonal positive
-    return c[:, 0] + 1j * c[:, 1] if c.shape[1] == 2 else c[:, 0]
+def _scrambled_frame(eig: EigenSystem | SpectralData | np.ndarray, seed: int) -> EigenSystem:
+    """scramble's eigenvalues, its eigenvectors a complex _HaarFrame on default_rng(seed)."""
+    ev = getattr(eig, "eigenvalues", eig)
+    return EigenSystem(ev, _HaarFrame(ev.size, np.random.default_rng(seed), real=False))
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:

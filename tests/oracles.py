@@ -4,7 +4,8 @@ None of these is on a path that `quenchlab run` takes: np.linalg.eigh of a
 matrix built by hand, kept as DenseVectors (eigenvector columns held as one
 dense matrix, behind the library's three reads), the dense chain matrix, the
 dense V of a sector or a Householder eigensystem, the Householder reflectors applied one at a time,
-the Haar basis of the panel draw replayed one reflector at a time,
+the Haar basis of the panel draw replayed one reflector at a time, a
+Haar frame's revealed blocks completed to a dense basis,
 the symmetrized Gaussian draw (G + G^T) / 2 as a sum of whole matrices,
 the typical draw rebuilt serially from its tiles, the block rows of a
 dense Hermitian matrix and the dense matrix of an observable's upper
@@ -185,6 +186,19 @@ def haar_panel_matrix(dim: int, seed: int, real: bool) -> np.ndarray:
         u[0] += x[0] / abs(x[0]) * np.linalg.norm(x)
         reflectors.append(u)
     return _reflector_product(reflectors, np.array(phases))
+
+
+def frame_matrix(frame) -> np.ndarray:
+    """A dense W = [F F'] [B B']^dag that maps a Haar frame's domain B onto its image F.
+
+    B and F are completed to unitary (or orthogonal) matrices by any
+    orthonormal complement, here the trailing columns of their complete QR.
+    W agrees with the frame wherever it has been read.
+    """
+    def complete(q):
+        return np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]])
+
+    return complete(frame.image) @ complete(frame.domain).conj().T
 
 
 def householder_apply(

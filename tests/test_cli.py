@@ -26,8 +26,8 @@ from oracles import (
     dense_vectors,
     eigensystem,
     evolve_spectral,
+    frame_matrix,
     goe_tridiagonal,
-    haar_panel_matrix,
     typical_matrix,
 )
 from quenchlab import _lapack, cli, observables, spectral
@@ -676,6 +676,22 @@ def test_goe_partner_is_the_matched_draw_with_its_own_eigenvectors(tmp_path):
     assert np.max(np.abs(weights - g**2 / (g @ g))) < 1e-12
 
 
+def _dense_conjugation(tmp_path, raw):
+    """A random-variant state run, and its oracle eigensystem and inputs.
+
+    The run goes through the CLI. Replayed in process, _variant_spectra and
+    the reader's own reads reveal the same Haar frame, to the bit; the
+    oracle is the dense eigh of W diag(E) W^dag, with W the frame completed
+    by any orthonormal complement (see frame_matrix).
+    """
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    cfg, _ = cli.validate(raw)
+    psi0 = cli.build_initial_state(cfg)
+    eig, _ = cli._variant_spectra(cfg, psi0)
+    assert isinstance(eig.eigenvectors, spectral._HaarFrame)
+    return cfg, psi0, eig
+
+
 def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
     out = tmp_path / "out"
     raw = {
@@ -684,22 +700,39 @@ def test_scrambled_entropy_scan_matches_dense_conjugation(tmp_path):
         "out_dir": str(out),
         "master_seed": 3,
     }
-    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
-    cfg, _ = cli.validate(raw)
-    # oracle: the dense eigh of W diag(E) W^dag, with E the dense chain's
-    # spectrum and W the seed's Haar basis, replayed from the documented
-    # panel draw one reflector at a time
-    dense = eigensystem(dense_chain(cfg.chain))
-    e = dense.eigenvalues
-    w = haar_panel_matrix(256, cli.derive_seed(3, "scramble"), real=False)
-    m = (w * e[None, :]) @ w.conj().T
-    eig = eigensystem((m + m.conj().T) / 2.0)
+    cfg, psi0, eig = _dense_conjugation(tmp_path, raw)
     grid = cli._scan_grid(cfg, cli.DEFAULT_SCAN_POINTS)
-    profile = ql.entropy_scan(eig, cli.build_initial_state(cfg), cfg.cuts, grid)
+    replay = ql.entropy_scan(eig, psi0, cfg.cuts, grid)
+    w = frame_matrix(eig.eigenvectors)
+    m = (w * eig.eigenvalues[None, :]) @ w.conj().T
+    profile = ql.entropy_scan(eigensystem((m + m.conj().T) / 2.0), psi0, cfg.cuts, grid)
     rows = (out / "entropy.csv").read_text().strip().splitlines()[1:]
     got = np.array([float(r.split(",")[2]) for r in rows]).reshape(grid.times.size, -1)
     assert got.shape == (46, 7)
+    assert np.array_equal(got, replay.entropies.T)
     assert np.max(np.abs(got - profile.entropies.T)) < 1e-12
+
+
+@pytest.mark.parametrize("variant, n", [("scrambled", 8), ("goe", 10)])
+def test_random_light_cones_match_dense_conjugation(tmp_path, variant, n):
+    out = tmp_path / "out"
+    raw = {
+        "kind": "light_cone",
+        "model": {"n_sites": n, "variant": variant},
+        "out_dir": str(out),
+        "master_seed": 4,
+    }
+    cfg, psi0, eig = _dense_conjugation(tmp_path, raw)
+    grid = cli._scan_grid(cfg, cli.DEFAULT_FRONT_POINTS)
+    replay = ql.light_cone(eig, psi0, 0, grid, cfg.front_threshold)
+    w = frame_matrix(eig.eigenvectors)
+    m = (w * eig.eigenvalues[None, :]) @ w.conj().T
+    front = ql.light_cone(eigensystem((m + m.conj().T) / 2.0), psi0, 0, grid, cfg.front_threshold)
+    rows = (out / "front.csv").read_text().strip().splitlines()[1:]
+    got = np.array([float(r.split(",")[2]) for r in rows]).reshape(grid.times.size, -1)
+    assert got.shape == (61, n - 1)
+    assert np.array_equal(got, replay.correlator.T)
+    assert np.max(np.abs(got - front.correlator.T)) < 1e-12
 
 
 @pytest.mark.parametrize("variant", ["local", "scrambled"])
@@ -1189,33 +1222,57 @@ def test_ring_pauli_reads_skip_the_levels_of_rounding_noise(tmp_path, monkeypatc
     assert all(abs(got[key] - want[key]) < 1e-12 for key in want), (got, want)
 
 
+@pytest.mark.parametrize("variant, kinds", [("scrambled", ("dos", "entropy_scan")),
+                                             ("goe", ("relax", "light_cone"))])
+def test_a_state_run_and_a_weights_run_of_one_seed_carry_the_same_weights(variant, kinds):
+    # the frame's first read draws what the weights in law draw: a scan or a
+    # cone's spectrum is that of a dos or a Pauli-free relax run of its seed
+    spectra = []
+    for kind in kinds:
+        cfg, errors = cli.validate({"kind": kind, "model": {"n_sites": 9, "variant": variant},
+                                    "observables": {"typical_count": 1}, "master_seed": 6})
+        assert errors == []
+        spectra.append(cli._variant_spectra(cfg, cli.build_initial_state(cfg))[1][variant])
+    assert np.array_equal(spectra[0].eigenvalues, spectra[1].eigenvalues)
+    assert np.max(np.abs(spectra[0].weights - spectra[1].weights)) < 1e-14
+
+
 @pytest.mark.parametrize(
-    "kind, variant, observables, drawn",
+    "kind, variant, observables, drawn, frames",
     [
-        ("dos", "scrambled", {}, 0),
-        ("relax", "scrambled", {"typical_count": 1, "slow": True}, 0),
-        ("equivalence", "local", {"typical_count": 1}, 0),
-        ("relax", "goe", {"typical_count": 1}, 0),
-        ("entropy_scan", "scrambled", {}, 1),
-        ("light_cone", "goe", {}, 1),
-        ("relax", "goe", {"typical_count": 0, "local": [{"site": 1}]}, 1),
+        ("dos", "scrambled", {}, 0, 0),
+        ("relax", "scrambled", {"typical_count": 1, "slow": True}, 0, 0),
+        ("equivalence", "local", {"typical_count": 1}, 0, 1),
+        ("relax", "goe", {"typical_count": 1}, 0, 1),
+        ("entropy_scan", "scrambled", {}, 0, 1),
+        ("light_cone", "goe", {}, 0, 1),
+        ("relax", "goe", {"typical_count": 0, "local": [{"site": 1}]}, 1, 0),
+        ("relax", "scrambled", {"typical_count": 0, "local": [{"site": 1}]}, 1, 0),
     ],
     ids=["scrambled-dos", "scrambled-relax", "equivalence", "goe-relax", "scrambled-scan",
-         "goe-light-cone", "goe-paulis"],
+         "goe-light-cone", "goe-paulis", "scrambled-paulis"],
 )
 def test_a_random_partner_draws_reflectors_only_where_states_are_read(
-    tmp_path, monkeypatch, kind, variant, observables, drawn
+    tmp_path, monkeypatch, kind, variant, observables, drawn, frames
 ):
     # a run that reads no state takes the partner's weights in law, with no
-    # reflector; one that does draws the partner's Haar basis once
-    panels = []
+    # reflector (the GOE partner's as its frame's one read). A scan or a
+    # cone reveals a frame of the directions it reads, and local Paulis,
+    # which read every eigenstate column, draw the reflectors once
+    panels, built = [], []
     check = spectral.HouseholderVectors.__post_init__
+    frame = spectral._HaarFrame.__init__
 
     def counting(self):
         panels.append(len(self.ys))
         check(self)
 
+    def framing(self, *args, **kwargs):
+        built.append(kwargs["real"])
+        frame(self, *args, **kwargs)
+
     monkeypatch.setattr(spectral.HouseholderVectors, "__post_init__", counting)
+    monkeypatch.setattr(spectral._HaarFrame, "__init__", framing)
     cfg, errors = cli.validate({
         "kind": kind,
         "model": {"n_sites": 6, "variant": variant},
@@ -1226,6 +1283,7 @@ def test_a_random_partner_draws_reflectors_only_where_states_are_read(
     assert errors == []
     cli.run(cfg)
     assert panels == [1] * drawn
+    assert built == [variant != "scrambled"] * frames
 
 
 @pytest.mark.parametrize(

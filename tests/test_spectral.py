@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import quenchlab as ql
+from conftest import neel_state
 from oracles import (
     chain_matrix,
     dense_chain,
@@ -31,9 +32,11 @@ from quenchlab.dynamics import _state_blocks
 from quenchlab import _lapack
 from quenchlab.spectral import (
     _SQRT_HALF,
-    _frame_overlaps,
+    _HaarFrame,
+    _goe_frame,
     _goe_tridiagonal,
     _haar_reflectors,
+    _scrambled_frame,
     _ndtr,
     _overlaps,
 )
@@ -817,30 +820,155 @@ def test_weights_in_law_carry_the_haar_moments():
         assert abs(np.mean(w**2) / second - 1.0) < 0.03
 
 
+def _real_first_read(amps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """O^T amps, the first read of a real Haar frame on rng."""
+    return _HaarFrame(amps.size, rng, real=True).apply_adjoint(amps)
+
+
 def test_goe_weights_in_law_for_a_complex_state():
     # one level: the one weight is 1, for a real or a complex amplitude
     for amps in (np.array([1.0]), np.array([0.6 + 0.8j]), np.array([-1j])):
-        c = _frame_overlaps(amps, np.random.default_rng(2))
+        c = _real_first_read(amps, np.random.default_rng(2))
         assert c.shape == (1,) and abs(abs(c[0]) ** 2 - 1.0) < 1e-15
     # a real vector times a global phase is the real vector: the frame's
     # first column reads the same normals, and R's second row is rounding
     rng = np.random.default_rng(4)
     v = rng.standard_normal(64)
     v /= np.linalg.norm(v)
-    want = np.abs(_frame_overlaps(v, np.random.default_rng(5))) ** 2
+    want = np.abs(_real_first_read(v, np.random.default_rng(5))) ** 2
     assert np.max(np.abs(want - _porter_thomas(np.random.default_rng(5).standard_normal(64)))) < 1e-15
     for theta in (0.3, 2.0, -1.1):
-        got = np.abs(_frame_overlaps(np.exp(1j * theta) * v, np.random.default_rng(5))) ** 2
+        got = np.abs(_real_first_read(np.exp(1j * theta) * v, np.random.default_rng(5))) ** 2
         assert np.max(np.abs(got - want)) < 1e-12 * want.max()
     # a complex state keeps its norm, and its real and imaginary parts map
     # through one orthogonal frame: O^T a and O^T b keep their inner products
     psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     psi /= np.linalg.norm(psi)
-    c = _frame_overlaps(psi, np.random.default_rng(6))
+    c = _real_first_read(psi, np.random.default_rng(6))
     a, b = psi.real, psi.imag
     assert abs(c.real @ c.real - a @ a) < 1e-14
     assert abs(c.real @ c.imag - a @ b) < 1e-14
     assert abs(c.imag @ c.imag - b @ b) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_a_frames_first_read_gives_the_weights_in_law(n):
+    # the complex frame's first read draws the normals scrambled_spectrum
+    # reads, and goe_spectrum's weights are the real frame's first read on
+    # the generator the tridiagonal model leaves, for a real or complex state
+    dim = 2**n
+    ev = np.linspace(-1.0, 1.0, dim)
+    for psi0 in (neel_state(n), complex_product_state(n)):
+        got = ql.occupied_spectrum(_scrambled_frame(ev, 31), psi0)
+        assert np.max(np.abs(got.weights - ql.scrambled_spectrum(ev, 31).weights)) < 1e-14
+        rng = np.random.default_rng(17)
+        levels = _lapack.sterf(*_goe_tridiagonal(dim, rng))
+        got = ql.occupied_spectrum(ql.EigenSystem(levels, _HaarFrame(dim, rng, real=True)), psi0)
+        want = ql.goe_spectrum(psi0, 17)
+        assert np.array_equal(want.eigenvalues, levels)
+        assert np.max(np.abs(got.weights - want.weights)) < 1e-14
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_a_haar_frame_stays_an_isometry_over_mixed_reads(quench8, real):
+    # a scan reads psi0 twice and one column per time (each twice on the
+    # real frame); then columns, a complex block and a real one. B and F
+    # stay orthonormal, W c = psi0 for the first read's c, and W^dag undoes
+    # W (and W undoes W^dag) on what has been read
+    points, width = 46, 2 if real else 1
+    eig = _goe_frame(quench8.eig.dim, 5) if real else _scrambled_frame(quench8.eig, 5)
+    frame, psi0 = eig.eigenvectors, quench8.psi0
+    c = frame.apply_adjoint(psi0.amplitudes)  # as occupied_spectrum reads it
+    profile = ql.entropy_scan(eig, psi0, (2, 4), ql.linear_grid(3.0, points))
+    assert np.max(np.abs(profile.entropies[:, 0])) < 1e-14
+    # psi0 once, since its second read and the t = 0 column lie in the span
+    # so far and reveal nothing, then at most one direction per later time
+    # (its real and imaginary parts on the real frame, fewer where those lie
+    # within rounding of the span); a read that reveals nothing draws nothing
+    revealed = frame.domain.shape[1]
+    assert revealed <= 1 + width * (points - 1)
+    drawn = frame._rng.bit_generator.state
+    assert np.array_equal(frame.apply_adjoint(psi0.amplitudes), c)
+    assert frame.domain.shape[1] == revealed and frame._rng.bit_generator.state == drawn
+    rng = np.random.default_rng(3)
+    frame.columns(slice(5, 9))
+    frame.apply_adjoint(rng.standard_normal((frame.dim, 2)) + 1j * rng.standard_normal((frame.dim, 2)))
+    frame.apply(rng.standard_normal((frame.dim, 3)))
+    b, f = frame.domain, frame.image
+    r = b.shape[1]
+    assert f.shape == b.shape and np.iscomplexobj(b) != real
+    for q in (b, f):
+        assert np.max(np.abs(q.conj().T @ q - np.eye(r))) < 1e-13
+    assert np.max(np.abs(frame.apply(c) - psi0.amplitudes)) < 1e-14
+    coef = rng.standard_normal((r, 4)) + 1j * rng.standard_normal((r, 4))
+    assert np.max(np.abs(frame.apply(frame.apply_adjoint(f @ coef)) - f @ coef)) < 1e-13
+    assert np.max(np.abs(frame.apply_adjoint(frame.apply(b @ coef)) - b @ coef)) < 1e-13
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["scrambled", "goe"])
+def test_a_frame_scan_moves_with_its_eigenvalues_alone(quench8, real):
+    # eigenvalues 1e-13 apart, as two solves of one chain may give them, move
+    # a 46-point scan by about as much, not by the rounding of its nearly
+    # dependent time columns over their small singular values: a frame's
+    # directions follow its reads' singular vectors, and a read weights the
+    # ones its rounding moves most little
+    ev = quench8.eig.eigenvalues
+    grid = ql.linear_grid(3.0, 46)
+
+    def scan(levels):
+        unit = _goe_frame(levels.size, 5) if real else _scrambled_frame(levels, 5)
+        eig = ql.EigenSystem(levels, unit.eigenvectors)
+        ql.occupied_spectrum(eig, quench8.psi0)  # as _variant_spectra reads it first
+        return ql.entropy_scan(eig, quench8.psi0, range(1, 8), grid).entropies
+
+    for seed in range(3):
+        moved = np.sort(ev + 1e-13 * np.random.default_rng(seed).uniform(-1.0, 1.0, ev.size))
+        assert np.max(np.abs(scan(ev) - scan(moved))) < 1e-11
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["scrambled", "goe"])
+def test_a_frame_scan_has_the_law_of_the_reflector_scan(quench6, real):
+    # 240 seeds each, over the growth and the plateau: the mean entropy of
+    # every cut and time after t = 0 agrees within 4 standard errors of the
+    # difference (the largest is 1.8 for the complex frame, 2.2 for the real)
+    seeds, cuts, grid = range(240), (1, 2, 3), ql.linear_grid(4.0, 8)
+
+    def scans(draw):
+        return np.array([ql.entropy_scan(draw(s), quench6.psi0, cuts, grid).entropies[:, 1:]
+                         for s in seeds])
+
+    if real:
+        frames = scans(lambda s: _goe_frame(quench6.eig.dim, s))
+        reflectors = scans(lambda s: ql.goe_eigensystem(quench6.eig.dim, s + 1000))
+    else:
+        frames = scans(lambda s: _scrambled_frame(quench6.eig, s))
+        reflectors = scans(lambda s: ql.scramble(quench6.eig, s + 1000))
+    err = np.sqrt((frames.var(axis=0, ddof=1) + reflectors.var(axis=0, ddof=1)) / len(seeds))
+    assert np.max(np.abs(frames.mean(axis=0) - reflectors.mean(axis=0)) / err) < 4.0
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_the_frame_route_allocates_at_most_its_stated_blocks(real):
+    # a 46-point scan on the frame at 10 sites: the frame's two blocks, the
+    # projections and singular vectors of a read, the frame of its Gaussian
+    # block, and the scan's phases and states, each at most about dim x
+    # (points + 2) complex numbers (the real
+    # frame's twice as many real ones); under 10 such blocks, and under the
+    # reflectors' dim^2 / 2 complex numbers alone
+    n, points = 10, 46
+    dim = 2**n
+    ev = np.linspace(-3.0, 3.0, dim)
+    psi0 = neel_state(n)
+    tracemalloc.start()
+    try:
+        eig = _goe_frame(dim, 1) if real else _scrambled_frame(ev, 1)
+        ql.occupied_spectrum(eig, psi0)
+        ql.entropy_scan(eig, psi0, range(1, n), ql.linear_grid(3.0, points))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 16 * dim * (points + 2)
+    assert peak < 16 * dim * dim / 2
 
 
 def test_scramble_stays_below_one_dense_complex_matrix():
