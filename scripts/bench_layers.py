@@ -50,6 +50,7 @@ ROWS = (
     ("dos_scrambled", {"kind": "dos", "model": {"variant": "scrambled"}}),
     ("light_cone_goe", {"kind": "light_cone", "model": {"variant": "goe"}}),
     ("relax_goe", {"kind": "relax", "model": {"variant": "goe"}, "observables": {"typical_count": 1, "slow": True}}),
+    ("relax_scrambled_paulis", {"kind": "relax", "model": {"variant": "scrambled"}, "observables": {"typical_count": 0, "local": PAULIS}}),
     ("dos_disordered", {"kind": "dos", "model": {"disorder_width": 0.5}}),
 )
 STAGES = "not recorded: they wait for the run's stage timer and run_stats.yaml (ROADMAP item 1 (a))"

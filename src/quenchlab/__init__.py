@@ -21,7 +21,7 @@ import sys
 _timeout_too_late = "numpy" in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 # submodule -> its public names. A name is imported from its submodule when
 # first read, so importing the package, or checking a config, loads no numpy.

@@ -1,7 +1,7 @@
 """Hilbert-space primitives for chains of two-level sites.
 
 The site count of a state dimension, normalized pure and product states, the
-blockwise finiteness check of large arrays, and the product of a possibly
+builder of the forms only the library makes, and the product of a possibly
 real matrix with complex vectors that every eigenbasis projection shares.
 
 Site-to-bit convention: site j maps to bit j of the basis index, so site 0
@@ -10,8 +10,8 @@ this.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, NonNormalizedLocal
 from .params import MAX_SITES
 
 _NORM_TOL = 1e-12
-_TILE = 512  # rows of the blocks the finiteness check walks
+_T = TypeVar("_T")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -27,9 +27,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """np.all(np.isfinite(a)), one block of _TILE rows at a time."""
-    return all(np.isfinite(a[r : r + _TILE]).all() for r in range(0, a.shape[0], _TILE))
+def _built(cls: type[_T], *values) -> _T:
+    """A cls of the given field values, in field order, each array in them frozen.
+
+    cls is a frozen dataclass with init=False that only the library builds
+    (SectorVectors, HouseholderVectors, ObservableMatrix); a value is an
+    array, a tuple of arrays or None. No constructor runs and nothing is
+    checked: a non-finite solve shows in its eigenvalues, which EigenSystem
+    refuses.
+    """
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values, strict=True):
+        for a in (value if isinstance(value, tuple) else (value,)):
+            if a is not None:
+                _freeze(a)
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 def _n_sites(dim: int) -> int:

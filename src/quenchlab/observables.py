@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _lapack
-from .core import PureState, _freeze, _n_sites
+from .core import PureState, _built, _n_sites
 from .dynamics import (
     EVOLVE_BLOCK,
     TimeGrid,
@@ -28,7 +28,7 @@ from .dynamics import (
 from .errors import ConvergenceFailure, SiteOutOfBounds
 from .hamiltonian import _sz_signs
 from .params import DEFAULT_THRESHOLD_FRACTION, DEFAULT_WEIGHT_FLOOR
-from .spectral import EigenSystem, HouseholderVectors, SectorVectors, SpectralData
+from .spectral import EigenSystem, HouseholderVectors, SectorVectors, SpectralData, _HaarFrame
 
 _DRAW_TILE = 256  # rows and columns of the tiles an observable is kept in
 _DRAW_STRIP = 16  # rows of a tile that one worker draws at a time
@@ -44,8 +44,8 @@ class ObservableMatrix:
     rows[k] is O[r : r + _DRAW_TILE, r:] with r = _DRAW_TILE k: the diagonal
     tile and the tiles right of it. Each tile below the diagonal is the
     conjugate transpose of one above it, and is not kept. Only the library
-    builds one (typical_observable and _weighted_block, through _of_rows),
-    so it takes no constructor arguments.
+    builds one (typical_observable and _weighted_block, through
+    core._built), finite and Hermitian, so it takes no constructor arguments.
     """
 
     rows: tuple[np.ndarray, ...]
@@ -57,14 +57,6 @@ class ObservableMatrix:
     def diagonal(self) -> np.ndarray:
         """The eigenstate expectations O_nn, read off the diagonal tiles."""
         return np.concatenate([np.diagonal(row) for row in self.rows])
-
-
-def _of_rows(rows: list[np.ndarray]) -> ObservableMatrix:
-    """ObservableMatrix of upper block rows, frozen; the caller builds them
-    finite and Hermitian."""
-    obs = object.__new__(ObservableMatrix)
-    object.__setattr__(obs, "rows", tuple(_freeze(row) for row in rows))
-    return obs
 
 
 @dataclass(frozen=True)
@@ -166,7 +158,7 @@ def typical_observable(dim: int, seed: int) -> ObservableMatrix:
     root = _perron_root(rows)
     for row in rows:
         row /= root
-    return _of_rows(rows)
+    return _built(ObservableMatrix, tuple(rows))
 
 
 def _weighted_block(obs: ObservableMatrix, levels: np.ndarray) -> ObservableMatrix:
@@ -198,7 +190,7 @@ def _weighted_block(obs: ObservableMatrix, levels: np.ndarray) -> ObservableMatr
         # every later new row starts at or past the old row of levels[start + _DRAW_TILE]
         done = len(old) if start + p.size >= levels.size else int(levels[start + p.size]) // _DRAW_TILE
         old[:done] = [None] * done
-    return _of_rows(rows)
+    return _built(ObservableMatrix, tuple(rows))
 
 
 def _perron_root(rows: list[np.ndarray]) -> float:
@@ -247,7 +239,7 @@ def _pauli_rows(x: np.ndarray, paulis: Sequence[tuple[int, str]], signs: np.ndar
 
 
 def pauli_expectations(
-    columns: np.ndarray | SectorVectors | HouseholderVectors,
+    columns: np.ndarray | SectorVectors | HouseholderVectors | _HaarFrame,
     paulis: Sequence[tuple[int, str]],
     levels: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -262,7 +254,8 @@ def pauli_expectations(
     are read EVOLVE_BLOCK at a time, so the temporaries stay the size of
     one block of evolved states.
     """
-    dim, count = columns.shape
+    array = isinstance(columns, np.ndarray)
+    dim, count = columns.shape if array else (columns.dim,) * 2
     n = _n_sites(dim)
     for site, axis in paulis:
         if not 0 <= site < n:
@@ -270,7 +263,7 @@ def pauli_expectations(
         if axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     signs = _sz_signs(n)
-    read = (lambda block: columns[:, block]) if isinstance(columns, np.ndarray) else columns.columns
+    read = (lambda block: columns[:, block]) if array else columns.columns
     picked = np.arange(count) if levels is None else np.asarray(levels)
     out = np.empty((len(paulis), picked.size))
     for start in range(0, picked.size, EVOLVE_BLOCK):

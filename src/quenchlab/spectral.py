@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _lapack
-from .core import PureState, _all_finite, _freeze, _matmul
+from .core import PureState, _built, _freeze, _matmul
 from .errors import DegenerateWidth, DimensionMismatch, TooFewOccupied
 from .hamiltonian import SpinChain, _mirror
 from .params import DEFAULT_WEIGHT_FLOOR
@@ -89,7 +89,7 @@ def _refuse_amplitude(name: str, part: np.ndarray) -> None:
         raise ValueError(f"input has amplitude in the unsolved {name} sector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SectorVectors:
     """Eigenvectors of a chain, kept as its two sector blocks.
 
@@ -103,7 +103,8 @@ class SectorVectors:
     formed: apply and apply_adjoint take one product per sector, and
     columns gathers a block of columns with no product at all. A solved
     block is the array its sector block was built in, overwritten by the
-    block's eigenvectors (see _lapack.eigh).
+    block's eigenvectors (see _lapack.eigh). Only the library builds one
+    (diagonalize, through core._built), so it takes no constructor arguments.
 
     A block given as None is unsolved: the quench leaves that sector empty,
     so only its eigenvalues were computed. The reads stay exact wherever they
@@ -119,39 +120,9 @@ class SectorVectors:
     partners: np.ndarray = field(repr=False)
     palindromes: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        levels = np.asarray(self.levels)
-        basis = np.arange(levels.size)
-        if not np.array_equal(np.sort(levels), basis):
-            raise DimensionMismatch("levels must be a permutation of the basis")
-        classes = [np.asarray(c) for c in (self.pairs, self.partners, self.palindromes)]
-        pairs, partners, palindromes = classes
-        if pairs.size != partners.size or not np.array_equal(np.sort(np.concatenate(classes)), basis):
-            raise DimensionMismatch("pairs, partners and palindromes must split the basis")
-        sizes = (pairs.size + palindromes.size, pairs.size)
-        blocks = (self.u_even, self.u_odd)
-        if any(u is not None and u.shape != (n, n) for u, n in zip(blocks, sizes)):
-            raise DimensionMismatch(
-                f"sector blocks {getattr(self.u_even, 'shape', None)} and "
-                f"{getattr(self.u_odd, 'shape', None)} do not fit sectors of "
-                f"{sizes[0]} and {sizes[1]} states"
-            )
-        if not all(_all_finite(u) for u in blocks if u is not None):
-            raise ValueError("eigenvectors must be finite")
-        for name, value in (
-            ("u_even", self.u_even), ("u_odd", self.u_odd), ("levels", levels),
-            ("pairs", pairs), ("partners", partners), ("palindromes", palindromes),
-        ):
-            if value is not None:
-                object.__setattr__(self, name, _freeze(value))
-
     @property
     def dim(self) -> int:
         return self.levels.size
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.dim, self.dim
 
     def _sectors(self) -> tuple[tuple[str, np.ndarray | None, np.ndarray], ...]:
         """(name, block or None, levels) of the even, then the odd sector."""
@@ -221,7 +192,7 @@ class SectorVectors:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HouseholderVectors:
     """A basis V = H_0 H_1 ... H_{d-2} diag(phases), kept as its reflectors.
 
@@ -232,36 +203,18 @@ class HouseholderVectors:
     triangular t its product is I - y t y^dag on rows start and below. V is
     never formed: apply and apply_adjoint take two GEMMs per panel, and
     columns applies only the panels that reach the block, since
-    V e_j = H_0 ... H_j phases[j] e_j.
+    V e_j = H_0 ... H_j phases[j] e_j. Only the library builds one
+    (_haar_reflectors, through core._built), so it takes no constructor
+    arguments.
     """
 
     ys: tuple[np.ndarray, ...]
     ts: tuple[np.ndarray, ...]
     phases: np.ndarray
 
-    def __post_init__(self) -> None:
-        dim = self.phases.size
-        starts = range(0, max(dim - 1, 0), _PANEL)
-        if self.phases.ndim != 1 or len(self.ys) != len(starts) or len(self.ts) != len(starts):
-            raise DimensionMismatch(f"{len(self.ys)} panels do not fit dimension {dim}")
-        for start, y, t in zip(starts, self.ys, self.ts):
-            size = min(_PANEL, dim - 1 - start)
-            if y.shape != (dim - start, size) or t.shape != (size, size):
-                raise DimensionMismatch(
-                    f"panel at row {start} has shapes {y.shape} and {t.shape}"
-                )
-        if not all(_all_finite(a) for a in (self.phases, *self.ys, *self.ts)):
-            raise ValueError("eigenvectors must be finite")
-        for a in (self.phases, *self.ys, *self.ts):
-            _freeze(a)
-
     @property
     def dim(self) -> int:
         return self.phases.size
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.dim, self.dim
 
     def _panels(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """(start, y, t) of each panel, first first."""
@@ -339,7 +292,7 @@ def _haar_reflectors(dim: int, seed: int, real: bool) -> HouseholderVectors:
         ts.append(np.linalg.inv(tinv))
     if dim > 0:
         phases[dim - 1] = last[0] / abs(last[0]) if last[0] != 0 else 1.0
-    return HouseholderVectors(tuple(ys), tuple(ts), phases)
+    return _built(HouseholderVectors, tuple(ys), tuple(ts), phases)
 
 
 def _frame(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -459,13 +412,13 @@ class EigenSystem:
         ev = np.ascontiguousarray(self.eigenvalues, dtype=float)
         vec = self.eigenvectors
         if isinstance(vec, np.ndarray):
-            raise TypeError("eigenvectors must be SectorVectors or HouseholderVectors, not an array")
+            raise TypeError("eigenvectors need apply, apply_adjoint, columns and dim, not an array")
         if ev.ndim != 1 or vec.dim != ev.size:
             raise DimensionMismatch(
                 f"eigenvectors of dimension {vec.dim} do not match {ev.size} eigenvalues"
             )
-        if not _all_finite(ev):
-            raise ValueError("eigenvalues and eigenvectors must be finite")
+        if not np.isfinite(ev).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", _freeze(ev))
@@ -601,7 +554,7 @@ def diagonalize(
         return ev[order] if psi0 is None else _spectral_data(ev[order], np.concatenate([c_even, c_odd])[order])
     levels = np.empty(dim, dtype=np.int64)
     levels[order] = np.arange(dim)
-    return EigenSystem(ev[order], SectorVectors(u_even, u_odd, levels, pairs, partners, palindromes))
+    return EigenSystem(ev[order], _built(SectorVectors, u_even, u_odd, levels, pairs, partners, palindromes))
 
 
 def _sector_block(chain: SpinChain, states: np.ndarray, slot: np.ndarray,

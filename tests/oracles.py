@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 import quenchlab as ql
-from quenchlab.core import _all_finite, _freeze, _matmul, _n_sites
+from quenchlab.core import _built, _freeze, _matmul, _n_sites
 from quenchlab.errors import DimensionMismatch, RegionOutOfBounds
 from quenchlab.hamiltonian import _sz_signs
-from quenchlab.observables import _of_rows
+from quenchlab.observables import ObservableMatrix
 from quenchlab.spectral import _adjoint_matmul
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -54,17 +54,13 @@ class DenseVectors:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"eigenvector matrix {m.shape} is not square")
-        if not _all_finite(m):
+        if not np.isfinite(m).all():
             raise ValueError("eigenvectors must be finite")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """V x."""
@@ -118,7 +114,7 @@ def sector_matrix(vectors: ql.SectorVectors) -> np.ndarray:
     """
     n_pairs, n_even = vectors.pairs.size, vectors.u_even.shape[0]
     even_cols, odd_cols = vectors.levels[:n_even], vectors.levels[n_even:]
-    v = np.zeros(vectors.shape)
+    v = np.zeros((vectors.dim,) * 2)
     pair_rows = vectors.u_even[:n_pairs] * _SQRT_HALF
     v[np.ix_(vectors.pairs, even_cols)] = pair_rows
     v[np.ix_(vectors.partners, even_cols)] = pair_rows
@@ -269,7 +265,7 @@ def observable(m: np.ndarray) -> ql.ObservableMatrix:
     m = np.ascontiguousarray(m)
     assert m.ndim == 2 and m.shape[0] == m.shape[1], m.shape
     assert np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= 1e-12
-    return _of_rows(upper_rows(m))
+    return _built(ObservableMatrix, tuple(upper_rows(m)))
 
 
 def dense_observable(obs: ql.ObservableMatrix) -> np.ndarray:

@@ -1156,13 +1156,15 @@ def test_a_run_that_reads_no_eigenvector_builds_no_sector_vectors(
     # eigensystem of unsolved blocks; an entropy scan, which reads the
     # eigenvectors, shows the count sees a construction
     dims = []
-    check = spectral.SectorVectors.__post_init__
+    build = spectral._built
 
-    def counting(self):
-        dims.append(self.dim)
-        check(self)
+    def counting(cls, *values):
+        obj = build(cls, *values)
+        if cls is spectral.SectorVectors:
+            dims.append(obj.dim)
+        return obj
 
-    monkeypatch.setattr(spectral.SectorVectors, "__post_init__", counting)
+    monkeypatch.setattr(spectral, "_built", counting)
     cfg, errors = cli.validate({
         "kind": kind,
         "model": {"n_sites": 6, "variant": variant},
@@ -1260,18 +1262,19 @@ def test_a_random_partner_draws_reflectors_only_where_states_are_read(
     # cone reveals a frame of the directions it reads, and local Paulis,
     # which read every eigenstate column, draw the reflectors once
     panels, built = [], []
-    check = spectral.HouseholderVectors.__post_init__
+    draw = spectral._haar_reflectors
     frame = spectral._HaarFrame.__init__
 
-    def counting(self):
-        panels.append(len(self.ys))
-        check(self)
+    def counting(*args, **kwargs):
+        vectors = draw(*args, **kwargs)
+        panels.append(len(vectors.ys))
+        return vectors
 
     def framing(self, *args, **kwargs):
         built.append(kwargs["real"])
         frame(self, *args, **kwargs)
 
-    monkeypatch.setattr(spectral.HouseholderVectors, "__post_init__", counting)
+    monkeypatch.setattr(spectral, "_haar_reflectors", counting)
     monkeypatch.setattr(spectral._HaarFrame, "__init__", framing)
     cfg, errors = cli.validate({
         "kind": kind,

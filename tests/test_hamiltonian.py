@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +11,8 @@ from oracles import (
 )
 from quenchlab import _lapack, observables
 from quenchlab.hamiltonian import _mirror, _sz_signs
-from quenchlab.observables import _of_rows, _typical_draw
+from quenchlab.core import _built
+from quenchlab.observables import _typical_draw
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -29,9 +31,19 @@ def test_chain_params_validation():
 
 def test_hermitian_operator_validation():
     # an observable is built by the library alone, as frozen block rows it
-    # draws Hermitian; no dense matrix is taken in
+    # draws Hermitian; no dense matrix is taken in. So are the sector and
+    # reflector eigenvectors: not even a built one's own fields make another
     with pytest.raises(TypeError):
         ql.ObservableMatrix(np.eye(4))
+    chain = ql.build_local_chain(ql.ChainParams(n_sites=2))
+    for eig, form in (
+        (ql.diagonalize(chain), ql.SectorVectors),
+        (ql.scramble(np.arange(4.0), 0), ql.HouseholderVectors),
+    ):
+        vectors = eig.eigenvectors
+        assert type(vectors) is form
+        with pytest.raises(TypeError):
+            form(**{f.name: getattr(vectors, f.name) for f in dataclasses.fields(form)})
     op = ql.typical_observable(4, seed=0)
     assert op.dim == 4 and [row.shape for row in op.rows] == [(4, 4)]
     with pytest.raises(ValueError, match="read-only"):
@@ -208,7 +220,10 @@ def test_typical_draw_has_the_goe_entry_law():
     # (t + t^T) / 2) or in an off-diagonal one (t / sqrt(2)). Pooled over 8
     # draws at d = 512, each moment sits within 5 standard errors
     dim = 512
-    draws = [dense_observable(_of_rows(_typical_draw(dim, seed))) for seed in range(8)]
+    draws = [
+        dense_observable(_built(ql.ObservableMatrix, tuple(_typical_draw(dim, seed))))
+        for seed in range(8)
+    ]
     above = np.triu(np.ones((dim, dim), dtype=bool), 1)
     same_tile = np.zeros((dim, dim), dtype=bool)
     same_tile[:256, :256] = same_tile[256:, 256:] = True

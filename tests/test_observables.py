@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 import quenchlab as ql
 from conftest import SCRAMBLE_SEED
 from oracles import (
-    dense_eigensystem, dense_observable, dense_pauli, dense_vectors, local_observable, observable,
-    slow_observable,
+    dense_eigensystem, dense_observable, dense_pauli, dense_vectors, frame_matrix, local_observable,
+    observable, slow_observable,
 )
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root, _weighted_block
+from quenchlab.spectral import _scrambled_frame
 
 UP = (1.0, 0.0)
 PLUS = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
@@ -331,6 +332,19 @@ def test_eigenstate_paulis_read_only_the_listed_levels(quench8, form):
     want = ql.pauli_expectations(eig.eigenvectors, paulis)[:, levels]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_eigenstate_paulis_read_a_haar_frame(quench6):
+    # a Haar frame has its three reads and a dim, and no shape. Read first by
+    # a scan, then column by column, its columns read as those of the dense
+    # W formed after that read, which the frame then spans completely
+    eig = _scrambled_frame(quench6.eig, 1)
+    ql.entropy_scan(eig, quench6.psi0, (2, 4), ql.linear_grid(3.0, 46))
+    paulis = [(0, "x"), (3, "y"), (5, "z")]
+    got = ql.pauli_expectations(eig.eigenvectors, paulis)
+    want = ql.pauli_expectations(frame_matrix(eig.eigenvectors), paulis)
+    assert got.shape == want.shape == (3, 64)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_eigenstate_paulis_read_the_eigenvectors_in_column_blocks(quench10):

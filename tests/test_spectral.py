@@ -28,6 +28,7 @@ from quenchlab.errors import (
     DimensionMismatch,
     TooFewOccupied,
 )
+from quenchlab.core import _built
 from quenchlab.dynamics import _state_blocks
 from quenchlab import _lapack
 from quenchlab.spectral import (
@@ -497,8 +498,9 @@ def test_reads_of_an_unsolved_sector_stay_exact_or_raise(empty):
     n = 6
     full = ql.diagonalize(ql.build_local_chain(ql.ChainParams(n_sites=n))).eigenvectors
     blocks = {"even": full.u_even, "odd": full.u_odd, empty: None}
-    half = ql.SectorVectors(
-        blocks["even"], blocks["odd"], full.levels, full.pairs, full.partners, full.palindromes
+    half = _built(
+        ql.SectorVectors, blocks["even"], blocks["odd"], full.levels, full.pairs, full.partners,
+        full.palindromes,
     )
     kept = "odd" if empty == "even" else "even"
     levels = _sector_levels(full)
