@@ -21,7 +21,7 @@ import sys
 _timeout_too_late = "numpy" in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 # submodule -> its public names. A name is imported from its submodule when
 # first read, so importing the package, or checking a config, loads no numpy.
@@ -48,8 +48,8 @@ _EXPORTS = {
     "params": ("MAX_SITES", "ChainParams", "DEFAULT_WEIGHT_FLOOR"),
     "spectral": (
         "EigenSystem", "GaussianFit", "HouseholderVectors", "SectorVectors", "SpectralData",
-        "Timescales", "diagonalize", "dos_fit", "goe_eigensystem", "goe_spectrum",
-        "occupied_spectrum", "scramble", "scrambled_spectrum", "timescales",
+        "Timescales", "diagonalize", "dos_fit", "goe_eigensystem", "goe_frame",
+        "occupied_spectrum", "scramble", "scrambled_frame", "timescales",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -41,8 +41,7 @@ from .params import (
 # below on first use (run, build_initial_state, info, or a read of one of
 # them), so validate loads no numpy. A name bound before, such as a tracer's
 # wrapper of diagonalize, is kept, and a run calls through it.
-_PRIVATE = {"GAP_WEIGHT_FLOOR": "dynamics", "_weighted_block": "observables",
-            "_goe_frame": "spectral", "_scrambled_frame": "spectral"}
+_PRIVATE = {"GAP_WEIGHT_FLOOR": "dynamics", "_weighted_block": "observables"}
 _LAZY = {"np", "_lapack", *_PUBLIC, *_PRIVATE}
 
 
@@ -107,19 +106,6 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _yaml_float(x: float) -> str:
-    # keep a dot in the mantissa so the YAML resolver sees a float untagged
-    s = _fmt(x)
-    if "e" in s:
-        mantissa, exp = s.split("e")
-        if "." not in mantissa:
-            mantissa += ".0"
-        return mantissa + "e" + exp
-    if "." not in s:
-        s += ".0"
-    return s
 
 
 def _get(raw: dict, key: str, default: Any) -> Any:
@@ -464,22 +450,19 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
     for the quench's spectrum alone, and the scrambled chain for its
     eigenvalues alone. The random matrix takes the occupied moments: its
     eigenvalues are drawn at mean 0 and width 1, then shifted and scaled to
-    them. Each random variant draws only what the run reads: its weights in
-    law where no state is read (see scrambled_spectrum and goe_spectrum), its
-    reflectors where every eigenstate column is (local Paulis; see scramble
-    and goe_eigensystem), and otherwise, for a scan or a cone, the frame of
-    the directions its reads reveal (see _scrambled_frame and _goe_frame).
+    them. Each random variant draws only what the run reads: its reflectors
+    where every eigenstate column is read (local Paulis; see scramble and
+    goe_eigensystem), and otherwise the frame of the directions its reads
+    reveal (see scrambled_frame and goe_frame), whose first read, psi0, gives
+    the weights; a run that reads no state reads nothing more.
     """
     # only relax reads local Paulis; other kinds accept and ignore the field
     reflectors = cfg.kind == "relax" and bool(cfg.local_observables)
     reads_states = reflectors or cfg.kind in ("entropy_scan", "light_cone")
     if cfg.variant == "scrambled":
         ev = diagonalize(build_local_chain(cfg.chain), None, vectors=False)
-        seed = derive_seed(cfg.master_seed, "scramble")
-        if not reads_states:
-            return None, {"scrambled": scrambled_spectrum(ev, seed)}
-        eig = (scramble if reflectors else _scrambled_frame)(ev, seed)
-        return eig, {"scrambled": occupied_spectrum(eig, psi0)}
+        eig = (scramble if reflectors else scrambled_frame)(ev, derive_seed(cfg.master_seed, "scramble"))
+        return (eig if reads_states else None), {"scrambled": occupied_spectrum(eig, psi0)}
     vectors = cfg.variant == "local" and reads_states
     eig = diagonalize(build_local_chain(cfg.chain), psi0, vectors=vectors)
     spectra = {"local": occupied_spectrum(eig, psi0) if vectors else eig}
@@ -487,9 +470,8 @@ def _variant_spectra(cfg: ExperimentConfig, psi0: PureState) -> tuple:
         ts = timescales(spectra["local"], cfg.weight_floor)
         del eig
         seed = derive_seed(cfg.master_seed, "goe")
-        unit = (goe_eigensystem if reflectors else _goe_frame)(psi0.amplitudes.size, seed)
+        unit = (goe_eigensystem if reflectors else goe_frame)(psi0.amplitudes.size, seed)
         eig = replace(unit, eigenvalues=ts.energy_mean + ts.energy_width * unit.eigenvalues)
-        # with no state reader, the frame reads psi0 once: goe_spectrum's weights
         spectra["goe"] = occupied_spectrum(eig, psi0)
     return (eig if reads_states else None), spectra
 
@@ -712,32 +694,12 @@ def run(cfg: ExperimentConfig, log=None) -> dict:
             "results": results,
             "files": writer.records,
         }
-        _write_manifest(out_dir / "manifest.yaml", manifest)
+        (out_dir / "manifest.yaml").write_bytes(yaml.safe_dump(manifest).encode())
         log(f"wrote {len(writer.records)} data files + manifest to {out_dir}")
         return manifest
     except Exception:
         writer.cleanup()
         raise
-
-
-class _ManifestDumper(yaml.SafeDumper):
-    pass
-
-
-def _float_representer(dumper: yaml.SafeDumper, value: float):
-    if math.isnan(value) or math.isinf(value):
-        return dumper.represent_float(value)
-    return dumper.represent_scalar("tag:yaml.org,2002:float", _yaml_float(value))
-
-
-_ManifestDumper.add_representer(float, _float_representer)
-
-
-def _write_manifest(path: Path, manifest: dict) -> None:
-    text = yaml.dump(
-        manifest, Dumper=_ManifestDumper, sort_keys=True, default_flow_style=False
-    )
-    path.write_bytes(text.encode())
 
 
 def _load_config(path: str, overrides: dict) -> tuple[ExperimentConfig | None, list[str]]:
@@ -805,7 +767,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"invalid: {e}", file=sys.stderr)
         return 1
     if args.command == "validate":
-        print(yaml.dump(config_to_dict(cfg), Dumper=_ManifestDumper, sort_keys=True), end="")
+        print(yaml.safe_dump(config_to_dict(cfg)), end="")
         return 0
 
     if args.threads < 1:

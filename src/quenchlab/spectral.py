@@ -20,12 +20,11 @@ leaves empty may be kept as its eigenvalues alone. A caller that reads the
 quench's weights and no eigenvector asks diagonalize for the occupied
 spectrum itself, and one that reads the eigenvalues alone for those, as
 eigvals_only asks scipy's eigh for less than a full solve; a random
-partner's weights are drawn in law, as the first read of its frame, with no
-other basis at all. Every block is solved in place on one path, dsyevd's
-own steps in the LAPACK of numpy's OpenBLAS, which for the weights alone
-stop short of every eigenvector (see _lapack.eigh), and the GOE partner's
-eigenvalues are those of a tridiagonal model, solved by the same dsterf,
-with no dense matrix.
+partner's weights are the first read of its frame, with no other basis at
+all. Every block is solved in place on one path, dsyevd's own steps in the
+LAPACK of numpy's OpenBLAS, which for the weights alone stop short of every
+eigenvector (see _lapack.eigh), and the GOE partner's eigenvalues are those
+of a tridiagonal model, solved by the same dsterf, with no dense matrix.
 """
 from __future__ import annotations
 
@@ -349,7 +348,7 @@ class _HaarFrame:
     Its realization depends only on its reads and their order. A read that
     reveals k directions takes the generator's next k rows of dim normals
     (complex: 2 dim, interleaved (real, imaginary) pairs). A first read
-    W^dag psi0 thus draws what scrambled_spectrum reads, and its weights.
+    W^dag psi0 gives the weights in law (see scrambled_frame and goe_frame).
     Reads that move by rounding move the realization by about as much.
     """
 
@@ -612,17 +611,17 @@ def scramble(eig: EigenSystem | SpectralData | np.ndarray, seed: int) -> EigenSy
     return EigenSystem(ev, _haar_reflectors(ev.size, seed, real=False))
 
 
-def scrambled_spectrum(eigenvalues: np.ndarray, seed: int) -> SpectralData:
-    """The eigenvalues with the weights of any quench under scramble, drawn in law.
+def scrambled_frame(eig: EigenSystem | SpectralData | np.ndarray, seed: int) -> EigenSystem:
+    """scramble's eigenvalues, its eigenvectors a complex _HaarFrame on default_rng(seed).
 
-    For Haar W and a unit psi0, W^dag psi0 is uniform on the unit sphere,
-    so the weights are |z|^2 / ||z||^2, Dirichlet(1, ..., 1), for the
-    complex Gaussian z that default_rng(seed) draws as interleaved (real,
-    imaginary) pairs. The law of occupied_spectrum(scramble(...), psi0), in
-    O(dim), but not its realization.
+    For Haar W and a unit psi0, W^dag psi0 is uniform on the unit sphere:
+    the frame's first read gives the weights |z|^2 / ||z||^2,
+    Dirichlet(1, ..., 1), for the seed's first 2 dim normals z, read as
+    (real, imaginary) pairs, for any psi0. Its realization follows the
+    order of its reads (see _HaarFrame), where scramble's follows the seed.
     """
-    z = np.random.default_rng(seed).standard_normal(2 * eigenvalues.size).view(complex)
-    return _spectral_data(eigenvalues, z)
+    ev = getattr(eig, "eigenvalues", eig)
+    return EigenSystem(ev, _HaarFrame(ev.size, np.random.default_rng(seed), real=False))
 
 
 def _goe_tridiagonal(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -661,32 +660,19 @@ def goe_eigensystem(dim: int, seed: int) -> EigenSystem:
     return EigenSystem(ev, _haar_reflectors(dim, seed, real=True))
 
 
-def goe_spectrum(psi0: PureState, seed: int) -> SpectralData:
-    """The spectrum of a quench under goe_eigensystem, its weights drawn in law.
-
-    The weights are the first read of the real frame of _goe_frame, W^T
-    psi0: default_rng(seed) draws the eigenvalues of goe_eigensystem(dim,
-    seed) to the bit, then reads on for one Gaussian column per direction
-    of psi0: its real part, and its imaginary part where that is not a
-    multiple of the real part. Its law, in O(dim), but not its realization.
-    """
-    return occupied_spectrum(_goe_frame(psi0.amplitudes.size, seed), psi0)
-
-
-def _goe_frame(dim: int, seed: int) -> EigenSystem:
+def goe_frame(dim: int, seed: int) -> EigenSystem:
     """goe_eigensystem's eigenvalues to the bit, its eigenvectors a real _HaarFrame.
 
-    The frame reads default_rng(seed) on from where the eigenvalues leave it.
+    The frame reads default_rng(seed) on from where the eigenvalues leave
+    it, so its realization follows the order of its reads (see _HaarFrame).
+    Its first read, O^T psi0, gives the weights in law: g^2 / ||g||^2 of
+    the next dim normals for a real psi0 (Porter-Thomas), and for a complex
+    psi0 = a + ib, with [a b] = Q R, those of G R (1, i)^T for two Gaussian
+    columns G made orthonormal, since O^T Q is a uniform orthonormal pair.
     """
     rng = np.random.default_rng(seed)
     ev = _lapack.sterf(*_goe_tridiagonal(dim, rng))
     return EigenSystem(ev, _HaarFrame(dim, rng, real=True))
-
-
-def _scrambled_frame(eig: EigenSystem | SpectralData | np.ndarray, seed: int) -> EigenSystem:
-    """scramble's eigenvalues, its eigenvectors a complex _HaarFrame on default_rng(seed)."""
-    ev = getattr(eig, "eigenvalues", eig)
-    return EigenSystem(ev, _HaarFrame(ev.size, np.random.default_rng(seed), real=False))
 
 
 def _overlaps(eig: EigenSystem, psi0: PureState) -> np.ndarray:

@@ -8,10 +8,10 @@ from `ql.scramble` (eigenvalues of the chain, seeded Haar eigenvectors W
 drawn as reflector panels) and the GOE partner from `ql.goe_eigensystem`
 (the seeded tridiagonal model's eigenvalues, shifted and scaled to the
 chain's moments, and seeded Haar-orthogonal reflector panels), so no
-fixture diagonalizes a random operator. Each partner holds its eigenvectors,
-as a run that reads states draws them; the weights that a run reading no
-state draws in law (`ql.scrambled_spectrum`, `ql.goe_spectrum`) are another
-realization of the same law, tested on their own.
+fixture diagonalizes a random operator. Each partner holds its reflectors,
+as a run with local Paulis draws them; the Haar frames that scans, cones and
+runs reading no state reveal (`ql.scrambled_frame`, `ql.goe_frame`) are
+another realization of the same law, tested on their own.
 """
 # quenchlab before numpy: importing it sets the BLAS idle timeout, and OpenBLAS reads it
 # when numpy first loads, which is the first numeric name read from quenchlab

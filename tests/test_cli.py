@@ -536,10 +536,15 @@ def test_run_is_deterministic_across_reruns_and_threads(tmp_path):
 
 
 def test_manifest_digests_match_files(tmp_path):
+    # the file loads back as the manifest run returns, floats whose repr has
+    # no dot (1e-08, 1e+100) included
     out = tmp_path / "out"
-    path = write_config(tmp_path, relax_config(out))
-    assert cli.main(["run", path]) == 0
+    cfg, errors = cli.validate({**relax_config(out), "weight_floor": 1e-8, "front_threshold": 1e100})
+    assert errors == []
+    returned = cli.run(cfg)
     manifest = read_manifest(out)
+    assert manifest == returned
+    assert (manifest["config"]["weight_floor"], manifest["config"]["front_threshold"]) == (1e-8, 1e100)
     assert manifest["files"]
     for rec in manifest["files"]:
         digest = hashlib.sha256((out / rec["path"]).read_bytes()).hexdigest()
@@ -1227,8 +1232,8 @@ def test_ring_pauli_reads_skip_the_levels_of_rounding_noise(tmp_path, monkeypatc
 @pytest.mark.parametrize("variant, kinds", [("scrambled", ("dos", "entropy_scan")),
                                              ("goe", ("relax", "light_cone"))])
 def test_a_state_run_and_a_weights_run_of_one_seed_carry_the_same_weights(variant, kinds):
-    # the frame's first read draws what the weights in law draw: a scan or a
-    # cone's spectrum is that of a dos or a Pauli-free relax run of its seed
+    # a run that reads no state takes the weights off the first read of the
+    # frame that a scan or a cone of its seed reads on: the same bits
     spectra = []
     for kind in kinds:
         cfg, errors = cli.validate({"kind": kind, "model": {"n_sites": 9, "variant": variant},
@@ -1236,14 +1241,14 @@ def test_a_state_run_and_a_weights_run_of_one_seed_carry_the_same_weights(varian
         assert errors == []
         spectra.append(cli._variant_spectra(cfg, cli.build_initial_state(cfg))[1][variant])
     assert np.array_equal(spectra[0].eigenvalues, spectra[1].eigenvalues)
-    assert np.max(np.abs(spectra[0].weights - spectra[1].weights)) < 1e-14
+    assert np.array_equal(spectra[0].weights, spectra[1].weights)
 
 
 @pytest.mark.parametrize(
     "kind, variant, observables, drawn, frames",
     [
-        ("dos", "scrambled", {}, 0, 0),
-        ("relax", "scrambled", {"typical_count": 1, "slow": True}, 0, 0),
+        ("dos", "scrambled", {}, 0, 1),
+        ("relax", "scrambled", {"typical_count": 1, "slow": True}, 0, 1),
         ("equivalence", "local", {"typical_count": 1}, 0, 1),
         ("relax", "goe", {"typical_count": 1}, 0, 1),
         ("entropy_scan", "scrambled", {}, 0, 1),
@@ -1257,10 +1262,10 @@ def test_a_state_run_and_a_weights_run_of_one_seed_carry_the_same_weights(varian
 def test_a_random_partner_draws_reflectors_only_where_states_are_read(
     tmp_path, monkeypatch, kind, variant, observables, drawn, frames
 ):
-    # a run that reads no state takes the partner's weights in law, with no
-    # reflector (the GOE partner's as its frame's one read). A scan or a
-    # cone reveals a frame of the directions it reads, and local Paulis,
-    # which read every eigenstate column, draw the reflectors once
+    # a run that reads no state takes the partner's weights off its frame's
+    # one read, with no reflector. A scan or a cone reads the frame on over
+    # the directions it reads, and local Paulis, which read every eigenstate
+    # column, draw the reflectors once
     panels, built = [], []
     draw = spectral._haar_reflectors
     frame = spectral._HaarFrame.__init__
@@ -1571,9 +1576,11 @@ def test_run_rejects_bad_thread_count(tmp_path):
 def test_validate_subcommand_prints_normalized_config(tmp_path, capsys):
     path = write_config(tmp_path, {"kind": "dos", "model": {"n_sites": 6}})
     assert cli.main(["validate", path]) == 0
-    echoed = yaml.safe_load(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    echoed = yaml.safe_load(printed)
     assert echoed["model"]["n_sites"] == 6
     assert echoed["model"]["h"] == 4.2
+    assert "  h: 4.2\n" in printed and "weight_floor: 1.0e-08\n" in printed  # shortest repr
     assert echoed["time_grid"]["kind"] == "default"
 
 
@@ -1631,7 +1638,9 @@ def test_setuptools_reads_the_package_version_without_importing_it():
     assert proc.stdout.split() == [ql.__version__, "False"]
 
 
-# the public names of 0.9.2, when __init__ imported each one eagerly
+# the public names of 0.9.2, when __init__ imported each one eagerly, with
+# 0.15.0's two frames in place of the weights in law, scrambled_spectrum and
+# goe_spectrum
 PUBLIC_NAMES = {
     "__version__", "MAX_SITES", "PureState", "product_state", "TimeGrid", "TimeSeries",
     "default_relax_grid", "default_slow_grid", "diagonal_ensemble", "expectation_series",
@@ -1643,8 +1652,8 @@ PUBLIC_NAMES = {
     "RelaxationReport", "local_series", "pauli_expectations", "relaxation_time", "slow_series",
     "typical_observable", "DEFAULT_WEIGHT_FLOOR", "EigenSystem", "GaussianFit",
     "HouseholderVectors", "SectorVectors", "SpectralData", "Timescales", "diagonalize",
-    "dos_fit", "goe_eigensystem", "goe_spectrum", "occupied_spectrum", "scramble",
-    "scrambled_spectrum", "timescales",
+    "dos_fit", "goe_eigensystem", "goe_frame", "occupied_spectrum", "scramble",
+    "scrambled_frame", "timescales",
 }
 
 

@@ -13,7 +13,6 @@ from oracles import (
 )
 from quenchlab.errors import ConvergenceFailure, DimensionMismatch, SiteOutOfBounds
 from quenchlab.observables import _perron_root, _weighted_block
-from quenchlab.spectral import _scrambled_frame
 
 UP = (1.0, 0.0)
 PLUS = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
@@ -338,7 +337,7 @@ def test_eigenstate_paulis_read_a_haar_frame(quench6):
     # a Haar frame has its three reads and a dim, and no shape. Read first by
     # a scan, then column by column, its columns read as those of the dense
     # W formed after that read, which the frame then spans completely
-    eig = _scrambled_frame(quench6.eig, 1)
+    eig = ql.scrambled_frame(quench6.eig, 1)
     ql.entropy_scan(eig, quench6.psi0, (2, 4), ql.linear_grid(3.0, 46))
     paulis = [(0, "x"), (3, "y"), (5, "z")]
     got = ql.pauli_expectations(eig.eigenvectors, paulis)

@@ -36,6 +36,15 @@ def test_shipped_config_validates(path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # the python block under "## Library" runs as printed, at 10 sites
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) > 0
+
+
 def test_relaxation_hierarchy_script_runs(tmp_path):
     proc = _run_script("relaxation_hierarchy.py", "--sizes", "6", "--seeds", "2", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -34,10 +34,8 @@ from quenchlab import _lapack
 from quenchlab.spectral import (
     _SQRT_HALF,
     _HaarFrame,
-    _goe_frame,
     _goe_tridiagonal,
     _haar_reflectors,
-    _scrambled_frame,
     _ndtr,
     _overlaps,
 )
@@ -779,21 +777,21 @@ def _porter_thomas(normals: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2, 6, 10])
 def test_weights_in_law_replay_their_documented_draws(n):
-    # oracles: the scrambled weights are |z|^2 / ||z||^2 of the seed's 2 dim
-    # normals, read as (real, imaginary) pairs; the GOE partner's are the
-    # tridiagonal model's eigenvalues, to the bit, then g^2 / ||g||^2 of the
-    # next dim normals for the real Neel state
+    # oracles: the scrambled frame's first read gives |z|^2 / ||z||^2 of the
+    # seed's 2 dim normals, read as (real, imaginary) pairs; the GOE frame's
+    # eigenvalues are the tridiagonal model's, to the bit, and its first read
+    # gives g^2 / ||g||^2 of the next dim normals for the real Neel state
     dim = 2**n
     psi0 = ql.product_state([(1, 0) if j % 2 == 0 else (0, 1) for j in range(n)])
     ev = np.linspace(-1.0, 1.0, dim)
     z = np.random.default_rng(31).standard_normal((dim, 2))
     want = np.sum(z**2, axis=1) / np.sum(z**2)
-    got = ql.scrambled_spectrum(ev, 31)
+    got = ql.occupied_spectrum(ql.scrambled_frame(ev, 31), psi0)
     assert np.array_equal(got.eigenvalues, ev)
     assert np.max(np.abs(got.weights - want)) < 1e-12 * want.max()
     rng = np.random.default_rng(17)
     levels = _lapack.sterf(*_goe_tridiagonal(dim, rng))
-    got = ql.goe_spectrum(psi0, 17)
+    got = ql.occupied_spectrum(ql.goe_frame(dim, 17), psi0)
     assert np.array_equal(got.eigenvalues, levels)
     assert np.array_equal(ql.goe_eigensystem(dim, 17).eigenvalues, levels)
     want = _porter_thomas(rng.standard_normal(dim))
@@ -811,13 +809,14 @@ def test_weights_in_law_carry_the_haar_moments():
     n, d = 6, 64
     psi_t_psi = np.sum(complex_product_state(n).amplitudes ** 2)
     cases = [
-        (lambda seed: ql.scrambled_spectrum(np.arange(d, dtype=float), seed), 2.0 / (d * (d + 1))),
-        (lambda seed: ql.goe_spectrum(ql.product_state([(0.6, 0.8)] * n), seed), 3.0 / (d * (d + 2))),
-        (lambda seed: ql.goe_spectrum(complex_product_state(n), seed),
+        (lambda seed: ql.scrambled_frame(np.arange(d, dtype=float), seed), neel_state(n),
+         2.0 / (d * (d + 1))),
+        (lambda seed: ql.goe_frame(d, seed), ql.product_state([(0.6, 0.8)] * n), 3.0 / (d * (d + 2))),
+        (lambda seed: ql.goe_frame(d, seed), complex_product_state(n),
          (2.0 + abs(psi_t_psi) ** 2) / (d * (d + 2))),
     ]
-    for draw, second in cases:
-        w = np.concatenate([draw(seed).weights for seed in range(400)])
+    for draw, psi0, second in cases:
+        w = np.concatenate([ql.occupied_spectrum(draw(seed), psi0).weights for seed in range(400)])
         assert abs(np.mean(w) * d - 1.0) < 1e-12
         assert abs(np.mean(w**2) / second - 1.0) < 0.03
 
@@ -855,18 +854,21 @@ def test_goe_weights_in_law_for_a_complex_state():
 
 @pytest.mark.parametrize("n", [2, 6, 10])
 def test_a_frames_first_read_gives_the_weights_in_law(n):
-    # the complex frame's first read draws the normals scrambled_spectrum
-    # reads, and goe_spectrum's weights are the real frame's first read on
-    # the generator the tridiagonal model leaves, for a real or complex state
+    # the complex frame's first read gives the Dirichlet weights of the
+    # seed's first 2 dim normals for a real or complex state alike, and the
+    # GOE frame's is a real frame's first read on the generator the
+    # tridiagonal model leaves
     dim = 2**n
     ev = np.linspace(-1.0, 1.0, dim)
+    z = np.random.default_rng(31).standard_normal(2 * dim).view(complex)
+    dirichlet = np.abs(z) ** 2 / np.sum(np.abs(z) ** 2)
     for psi0 in (neel_state(n), complex_product_state(n)):
-        got = ql.occupied_spectrum(_scrambled_frame(ev, 31), psi0)
-        assert np.max(np.abs(got.weights - ql.scrambled_spectrum(ev, 31).weights)) < 1e-14
+        got = ql.occupied_spectrum(ql.scrambled_frame(ev, 31), psi0)
+        assert np.max(np.abs(got.weights - dirichlet)) < 1e-14
         rng = np.random.default_rng(17)
         levels = _lapack.sterf(*_goe_tridiagonal(dim, rng))
         got = ql.occupied_spectrum(ql.EigenSystem(levels, _HaarFrame(dim, rng, real=True)), psi0)
-        want = ql.goe_spectrum(psi0, 17)
+        want = ql.occupied_spectrum(ql.goe_frame(dim, 17), psi0)
         assert np.array_equal(want.eigenvalues, levels)
         assert np.max(np.abs(got.weights - want.weights)) < 1e-14
 
@@ -878,7 +880,7 @@ def test_a_haar_frame_stays_an_isometry_over_mixed_reads(quench8, real):
     # stay orthonormal, W c = psi0 for the first read's c, and W^dag undoes
     # W (and W undoes W^dag) on what has been read
     points, width = 46, 2 if real else 1
-    eig = _goe_frame(quench8.eig.dim, 5) if real else _scrambled_frame(quench8.eig, 5)
+    eig = ql.goe_frame(quench8.eig.dim, 5) if real else ql.scrambled_frame(quench8.eig, 5)
     frame, psi0 = eig.eigenvectors, quench8.psi0
     c = frame.apply_adjoint(psi0.amplitudes)  # as occupied_spectrum reads it
     profile = ql.entropy_scan(eig, psi0, (2, 4), ql.linear_grid(3.0, points))
@@ -918,7 +920,7 @@ def test_a_frame_scan_moves_with_its_eigenvalues_alone(quench8, real):
     grid = ql.linear_grid(3.0, 46)
 
     def scan(levels):
-        unit = _goe_frame(levels.size, 5) if real else _scrambled_frame(levels, 5)
+        unit = ql.goe_frame(levels.size, 5) if real else ql.scrambled_frame(levels, 5)
         eig = ql.EigenSystem(levels, unit.eigenvectors)
         ql.occupied_spectrum(eig, quench8.psi0)  # as _variant_spectra reads it first
         return ql.entropy_scan(eig, quench8.psi0, range(1, 8), grid).entropies
@@ -940,10 +942,10 @@ def test_a_frame_scan_has_the_law_of_the_reflector_scan(quench6, real):
                          for s in seeds])
 
     if real:
-        frames = scans(lambda s: _goe_frame(quench6.eig.dim, s))
+        frames = scans(lambda s: ql.goe_frame(quench6.eig.dim, s))
         reflectors = scans(lambda s: ql.goe_eigensystem(quench6.eig.dim, s + 1000))
     else:
-        frames = scans(lambda s: _scrambled_frame(quench6.eig, s))
+        frames = scans(lambda s: ql.scrambled_frame(quench6.eig, s))
         reflectors = scans(lambda s: ql.scramble(quench6.eig, s + 1000))
     err = np.sqrt((frames.var(axis=0, ddof=1) + reflectors.var(axis=0, ddof=1)) / len(seeds))
     assert np.max(np.abs(frames.mean(axis=0) - reflectors.mean(axis=0)) / err) < 4.0
@@ -963,7 +965,7 @@ def test_the_frame_route_allocates_at_most_its_stated_blocks(real):
     psi0 = neel_state(n)
     tracemalloc.start()
     try:
-        eig = _goe_frame(dim, 1) if real else _scrambled_frame(ev, 1)
+        eig = ql.goe_frame(dim, 1) if real else ql.scrambled_frame(ev, 1)
         ql.occupied_spectrum(eig, psi0)
         ql.entropy_scan(eig, psi0, range(1, n), ql.linear_grid(3.0, points))
         peak = tracemalloc.get_traced_memory()[1]
